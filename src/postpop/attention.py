@@ -4,7 +4,8 @@ Scores mix each content row with a pooled hashtag vector through a tanh
 layer, then a masked softmax turns them into per-token and per-region
 weights; the content vector is the sum of the two attended features.
 Ablation variants: self-attention (pooled hashtag vector forced to zero)
-and no-attention (plain means).
+and no-attention (plain means). Every function runs over leading batch
+axes: (B, M, D) text is B posts at once, (M, D) text is one post.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ParamStore, ShapeError, softmax, softmax_backward
+from .numeric import ParamStore, ShapeError, flat_rows, softmax, softmax_backward
 
 ATTENTION_PARAM_NAMES = ("att.Ut", "att.Vt", "att.wt", "att.Ui", "att.Vi", "att.wi")
 
@@ -43,19 +44,22 @@ class AttentionCache:
     text_mask: np.ndarray
     image: np.ndarray
     pooled_hashtag: np.ndarray
-    y_text: np.ndarray | None
+    y_text: np.ndarray
     y_image: np.ndarray
     alpha_text: np.ndarray
     alpha_image: np.ndarray
     use_hashtag_pool: bool
 
 
+def _weighted_sum(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i alpha[..., i] * rows[..., i, :] for every leading index."""
+    return (alpha[..., None, :] @ rows)[..., 0, :]
+
+
 def pooled_hashtag(hashtag_mat: np.ndarray, hashtag_mask: np.ndarray) -> np.ndarray:
-    """Masked mean of hashtag rows; zero vector when the post has none."""
-    count = hashtag_mask.sum()
-    if count == 0:
-        return np.zeros(hashtag_mat.shape[1])
-    return (hashtag_mask @ hashtag_mat) / count
+    """Masked mean of (..., L, D) hashtag rows; zero vector when a post has none."""
+    count = hashtag_mask.sum(axis=-1, keepdims=True)
+    return _weighted_sum(hashtag_mask, hashtag_mat) / np.maximum(count, 1)
 
 
 def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
@@ -64,36 +68,31 @@ def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
                   use_hashtag_pool: bool = True) -> tuple[AttentionOutput, AttentionCache]:
     """Hashtag-guided attention producing the fused content vector.
 
-    text: M x D with binary mask; image: K x D; hashtag_mat: L x D with mask.
+    text: (..., M, D) with (..., M) binary mask; image: (..., K, D);
+    hashtag_mat: (..., L, D) with mask. Leading axes are batch axes. A fully
+    masked caption gets all-zero token weights and contributes nothing.
     With `use_hashtag_pool` False the pooled hashtag vector is forced to
     zero, which is the self-attention ablation.
     """
     ut, vt, wt = params["att.Ut"], params["att.Vt"], params["att.wt"]
     ui, vi, wi = params["att.Ui"], params["att.Vi"], params["att.wi"]
-    d = text.shape[1]
-    if image.shape[1] != d or ut.shape[0] != d:
+    d = text.shape[-1]
+    if image.shape[-1] != d or ut.shape[0] != d:
         raise ShapeError(
-            f"dimension mismatch: text D={d}, image D={image.shape[1]}, Ut rows={ut.shape[0]}")
-    if hashtag_mat.shape[1] != d:
-        raise ShapeError(f"hashtag dim {hashtag_mat.shape[1]} != D={d}")
-    m, k = text.shape[0], image.shape[0]
+            f"dimension mismatch: text D={d}, image D={image.shape[-1]}, Ut rows={ut.shape[0]}")
+    if hashtag_mat.shape[-1] != d:
+        raise ShapeError(f"hashtag dim {hashtag_mat.shape[-1]} != D={d}")
 
     hbar = pooled_hashtag(hashtag_mat, hashtag_mask) if use_hashtag_pool \
-        else np.zeros(d)
+        else np.zeros(image.shape[:-2] + (d,), dtype=image.dtype)
 
-    # text branch; a fully masked caption contributes nothing
-    if text_mask.sum() > 0:
-        y_text = np.tanh(text @ ut + hbar @ vt)
-        alpha_text = softmax(y_text @ wt, text_mask)
-        attended_text = alpha_text @ text
-    else:
-        y_text = None
-        alpha_text = np.zeros(m)
-        attended_text = np.zeros(d)
+    y_text = np.tanh(text @ ut + (hbar @ vt)[..., None, :])
+    alpha_text = softmax(y_text @ wt, text_mask, allow_empty=True)
+    attended_text = _weighted_sum(alpha_text, text)
 
-    y_image = np.tanh(image @ ui + hbar @ vi)
+    y_image = np.tanh(image @ ui + (hbar @ vi)[..., None, :])
     alpha_image = softmax(y_image @ wi)
-    attended_image = alpha_image @ image
+    attended_image = _weighted_sum(alpha_image, image)
 
     out = AttentionOutput(
         alpha_text=alpha_text,
@@ -109,64 +108,62 @@ def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
     return out, cache
 
 
+def _score_backward(d_content, rows, alpha, y, u, w, mask=None):
+    """Backward of one attended branch, sum_i softmax(tanh(rows U + hbar V) w)_i rows_i.
+
+    Returns (d_rows, d_w, d_u, d_pre) where d_pre (..., n, A) is the
+    gradient at the tanh input, from which the caller forms the V gradient.
+    """
+    d_alpha = (rows @ d_content[..., :, None])[..., 0]
+    d_rows = alpha[..., :, None] * d_content[..., None, :]
+    d_score = softmax_backward(alpha, d_alpha, mask)
+    d_pre = d_score[..., None] * w * (1.0 - y ** 2)
+    d_rows += d_pre @ u.T
+    d_w = flat_rows(y).T @ d_score.reshape(-1)
+    d_u = flat_rows(rows).T @ flat_rows(d_pre)
+    return d_rows, d_w, d_u, d_pre
+
+
 def hga_backward(d_content: np.ndarray, cache: AttentionCache,
                  params: ParamStore) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Gradients of the content vector w.r.t. attention params, text, image."""
-    ut, vt, wt = params["att.Ut"], params["att.Vt"], params["att.wt"]
-    ui, vi, wi = params["att.Ui"], params["att.Vi"], params["att.wi"]
+    """Gradients of the content vector w.r.t. attention params, text, image.
+
+    Parameter gradients are summed over every leading (batch) axis.
+    """
     hbar = cache.pooled_hashtag
-    grads = {name: np.zeros_like(params[name]) for name in ATTENTION_PARAM_NAMES}
-
-    d_text = np.zeros_like(cache.text)
-    if cache.y_text is not None:
-        alpha = cache.alpha_text
-        d_alpha = cache.text @ d_content
-        d_text += np.outer(alpha, d_content)
-        d_score = softmax_backward(alpha, d_alpha, cache.text_mask)
-        d_y = np.outer(d_score, wt)
-        grads["att.wt"] = cache.y_text.T @ d_score
-        d_z = d_y * (1.0 - cache.y_text ** 2)
-        grads["att.Ut"] = cache.text.T @ d_z
-        d_text += d_z @ ut.T
-        if cache.use_hashtag_pool:
-            grads["att.Vt"] = np.outer(hbar, d_z.sum(axis=0))
-
-    alpha_i = cache.alpha_image
-    d_alpha_i = cache.image @ d_content
-    d_image = np.outer(alpha_i, d_content)
-    d_score_i = softmax_backward(alpha_i, d_alpha_i)
-    d_y_i = np.outer(d_score_i, wi)
-    grads["att.wi"] = cache.y_image.T @ d_score_i
-    d_z_i = d_y_i * (1.0 - cache.y_image ** 2)
-    grads["att.Ui"] = cache.image.T @ d_z_i
-    d_image += d_z_i @ ui.T
-    if cache.use_hashtag_pool:
-        grads["att.Vi"] = np.outer(hbar, d_z_i.sum(axis=0))
-
+    grads = {}
+    d_text, grads["att.wt"], grads["att.Ut"], d_pre_t = _score_backward(
+        d_content, cache.text, cache.alpha_text, cache.y_text,
+        params["att.Ut"], params["att.wt"], cache.text_mask)
+    d_image, grads["att.wi"], grads["att.Ui"], d_pre_i = _score_backward(
+        d_content, cache.image, cache.alpha_image, cache.y_image,
+        params["att.Ui"], params["att.wi"])
+    for name, d_pre in (("att.Vt", d_pre_t), ("att.Vi", d_pre_i)):
+        grads[name] = flat_rows(hbar).T @ flat_rows(d_pre.sum(axis=-2)) \
+            if cache.use_hashtag_pool else np.zeros_like(params[name])
     return grads, d_text, d_image
 
 
 def sa_attention(text, text_mask, image, params) -> tuple[AttentionOutput, AttentionCache]:
     """Self-attention ablation: scoring without the hashtag signal."""
-    dummy = np.zeros((1, text.shape[1]))
-    return hga_attention(text, text_mask, image, dummy, np.zeros(1), params,
+    dummy = np.zeros(image.shape[:-2] + (1, text.shape[-1]), dtype=text.dtype)
+    return hga_attention(text, text_mask, image, dummy, dummy[..., 0], params,
                          use_hashtag_pool=False)
 
 
 def na_content(text: np.ndarray, text_mask: np.ndarray,
                image: np.ndarray) -> np.ndarray:
     """No-attention ablation: masked token mean plus region mean."""
-    count = text_mask.sum()
-    text_mean = (text_mask @ text) / count if count > 0 else np.zeros(text.shape[1])
-    return text_mean + image.mean(axis=0)
+    count = text_mask.sum(axis=-1, keepdims=True)
+    return _weighted_sum(text_mask, text) / np.maximum(count, 1) + image.mean(axis=-2)
 
 
 def na_backward(d_content: np.ndarray, text_mask: np.ndarray,
                 m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of na_content w.r.t. text and image rows."""
-    count = text_mask.sum()
-    d_text = np.zeros((m, d_content.shape[0]))
-    if count > 0:
-        d_text = np.outer(text_mask / count, d_content)
-    d_image = np.tile(d_content / k, (k, 1))
+    """Gradients of na_content w.r.t. (..., m, D) text and (..., k, D) image rows."""
+    if text_mask.shape[-1] != m:
+        raise ShapeError(f"text mask length {text_mask.shape[-1]} != m={m}")
+    count = text_mask.sum(axis=-1, keepdims=True)
+    d_text = (text_mask / np.maximum(count, 1))[..., :, None] * d_content[..., None, :]
+    d_image = np.repeat((d_content / k)[..., None, :], k, axis=-2)
     return d_text, d_image

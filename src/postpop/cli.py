@@ -14,14 +14,13 @@ import json
 import sys
 from pathlib import Path
 
-from . import encoders
-from .attention import hga_attention
 from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
 from .hashtag_graph import export_edge_list
 from .model import (CheckpointError, ModelConfig, BranchSpec,
                     PAPER_HEAD_SIZES, build_caches, config_digest,
-                    load_checkpoint, save_checkpoint)
+                    content_forward, extract_features, load_checkpoint,
+                    save_checkpoint, stack_bundles)
 from .providers import tokenize
 from .training import (Checkpoint, TrainConfig, ablate, evaluate, train)
 
@@ -147,10 +146,13 @@ def model_config_from(rc: dict) -> ModelConfig:
 
 
 def train_config_from(rc: dict) -> TrainConfig:
-    return TrainConfig(learning_rate=rc["learning_rate"],
-                       batch_size=rc["batch_size"], max_epochs=rc["max_epochs"],
-                       patience=rc["patience"], dropout=rc["dropout"],
-                       seed=rc["seed"])
+    try:
+        return TrainConfig(learning_rate=rc["learning_rate"],
+                           batch_size=rc["batch_size"], max_epochs=rc["max_epochs"],
+                           patience=rc["patience"], dropout=rc["dropout"],
+                           seed=rc["seed"])
+    except ValueError as e:
+        raise UsageError(f"bad training configuration: {e}")
 
 
 def _lexicon(rc: dict) -> SentimentLexicon:
@@ -311,43 +313,31 @@ def cmd_ablate(rc: dict, variants: list[str], seeds: list[int]) -> int:
 
 
 def cmd_inspect_attention(rc: dict, post_id: str) -> int:
-    config = model_config_from(rc)
-    params, stored_config, _ = load_checkpoint(rc["checkpoint"],
-                                               expected_config=config)
-    ds, _ = load_dataset(rc["corpus"])
-    matches = [p for p in ds.posts if p.post_id == post_id]
+    checkpoint, splits = _rebuild_checkpoint(rc)
+    matches = [p for ds in splits.values() for p in ds.posts if p.post_id == post_id]
     if not matches:
         raise CorpusError(f"post {post_id!r} not in {rc['corpus']}")
     post = matches[0]
-    if stored_config.attention == "na" or not stored_config.use_content:
+    config = checkpoint.config
+    if config.attention == "na" or not config.use_content:
         raise UsageError("checkpoint has no attention stage to inspect")
-    from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
-                            image_region_features, text_token_embeddings)
-    provider = EmbeddingProvider(kind="deterministic_stub",
-                                 seed=stored_config.embed_seed)
-    tokens, mask = text_token_embeddings(post.caption, stored_config.m,
-                                         stored_config.d, provider)
-    text, _ = encoders.lstm_encode(tokens, mask, params)
-    regions = image_region_features(post.image_ref, stored_config.k,
-                                    stored_config.n, provider)
-    image = encoders.project_regions(regions, params)
-    hmat, hmask = hashtag_embedding_matrix(post.hashtags, stored_config.l,
-                                           stored_config.d, provider)
-    use_pool = stored_config.attention == "hga"
-    out, _ = hga_attention(text, mask, image, hmat, hmask, params,
-                           use_hashtag_pool=use_pool)
-    words = tokenize(post.caption)[:stored_config.m]
+    batch = stack_bundles([extract_features(post, checkpoint.caches, config)],
+                          checkpoint.params.dtype)
+    _, _, att_cache = content_forward(batch, checkpoint.params, config)
+    alpha_text, alpha_image = att_cache.alpha_text[0], att_cache.alpha_image[0]
+    use_pool = config.attention == "hga"
+    words = tokenize(post.caption)[:config.m]
     print(f"post {post.post_id} caption: {post.caption!r}")
     if post.hashtags and use_pool:
         print("hashtag influence: pooled over " + ", ".join(f"#{t}" for t in post.hashtags))
     else:
         print("hashtag influence: none")
-    print(f"token attention (sum={out.alpha_text.sum():.6f}):")
+    print(f"token attention (sum={alpha_text.sum():.6f}):")
     for i, word in enumerate(words):
-        print(f"  {i:3d} {word:<20s} {out.alpha_text[i]:.6f}")
-    print(f"region attention (sum={out.alpha_image.sum():.6f}):")
-    for i in range(stored_config.k):
-        print(f"  {i:3d} {out.alpha_image[i]:.6f}")
+        print(f"  {i:3d} {word:<20s} {alpha_text[i]:.6f}")
+    print(f"region attention (sum={alpha_image.sum():.6f}):")
+    for i in range(config.k):
+        print(f"  {i:3d} {alpha_image[i]:.6f}")
     return 0
 
 

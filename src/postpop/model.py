@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -248,7 +249,13 @@ def build_caches(train_posts, config: ModelConfig,
 
 @dataclass
 class FeatureBundle:
-    """Per-post tensors consumed by the model forward pass."""
+    """The tensors the model forward pass consumes.
+
+    One post's bundle has unbatched arrays (tokens (M, D), f_social (P,),
+    a float target); a stacked bundle of B posts gives every array a leading
+    (B, ...) axis, post_id a (B,) string array and target a (B,) array.
+    Every layer runs the same code on both.
+    """
 
     post_id: str
     tokens: np.ndarray
@@ -262,6 +269,31 @@ class FeatureBundle:
     f_sentiment_text: np.ndarray
     f_sentiment_hashtags: np.ndarray
     target: float
+
+    def take(self, index) -> "FeatureBundle":
+        """The posts at `index` (any numpy index) of a stacked bundle."""
+        return FeatureBundle(**{f.name: getattr(self, f.name)[index]
+                                for f in fields(self)})
+
+
+_INPUT_FIELDS = ("tokens", "token_mask", "regions", "hashtag_mat", "hashtag_mask",
+                 "f_social", "f_demographic", "f_hashtag", "f_sentiment_text",
+                 "f_sentiment_hashtags")
+
+
+def stack_bundles(bundles, dtype=np.float64) -> FeatureBundle:
+    """Stack one-post bundles into one (B, ...) bundle.
+
+    The model inputs are cast to `dtype`, the parameters' dtype, so the
+    whole forward and backward pass computes in it; targets stay float64.
+    """
+    if not bundles:
+        raise ValueError("empty batch")
+    return FeatureBundle(
+        post_id=np.array([b.post_id for b in bundles]),
+        target=np.array([b.target for b in bundles], dtype=np.float64),
+        **{name: np.array([getattr(b, name) for b in bundles], dtype=dtype)
+           for name in _INPUT_FIELDS})
 
 
 def extract_features(post: Post, caches: FeatureCaches,
@@ -312,17 +344,21 @@ def branch_inputs(bundle: FeatureBundle, config: ModelConfig) -> dict[str, np.nd
             blocks.append(bundle.f_sentiment_text)
         if config.use_sentiment_hashtags:
             blocks.append(bundle.f_sentiment_hashtags)
-        out["sentiment"] = np.concatenate(blocks)
+        out["sentiment"] = np.concatenate(blocks, axis=-1)
     return out
 
 
 # ---------------------------------------------------------------------------
 # branch / head forward-backward
+#
+# Every layer below runs over any leading batch axes: a (B, n) input is B
+# posts at once, an (n,) input one post. Parameter gradients are summed over
+# the batch.
 
 def branch_forward(f: np.ndarray, params: ParamStore, name: str,
                    n_layers: int = 3) -> tuple[np.ndarray, list]:
-    """Run a feature vector through conv-relu layers and flatten."""
-    x = np.asarray(f, dtype=np.float64).reshape(-1, 1)
+    """Run (..., n) feature vectors through conv-relu layers and flatten."""
+    x = f[..., None]
     layer_cache = []
     for i in range(n_layers):
         filters = params[f"branch.{name}.conv{i}.filters"]
@@ -330,7 +366,7 @@ def branch_forward(f: np.ndarray, params: ParamStore, name: str,
         pre = conv1d_forward(x, filters, bias)
         layer_cache.append((x, pre))
         x = relu(pre)
-    return x.reshape(-1), layer_cache
+    return x.reshape(*x.shape[:-2], -1), layer_cache
 
 
 def branch_backward(d_flat: np.ndarray, layer_cache: list, params: ParamStore,
@@ -356,13 +392,16 @@ def merge(branch_outputs: dict[str, np.ndarray], content: np.ndarray | None,
         parts.append(content)
     if not parts:
         raise ValueError("nothing to merge")
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
-                 mode: str = "infer",
-                 rng: np.random.Generator | None = None) -> tuple[float, list]:
-    """Dense-relu-dropout stack with a final linear unit."""
+                 mode: str = "infer", rng=None) -> tuple[np.ndarray, list]:
+    """Dense-relu-dropout stack with a final linear unit.
+
+    Returns one prediction per row of x: an (B,) array for a (B, n) batch,
+    a scalar for one (n,) post. `rng` is as for `numeric.dropout`.
+    """
     cache = []
     n = len(config.head_sizes)
     for i in range(n):
@@ -375,14 +414,14 @@ def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
             out, keep = pre, None
         cache.append((x, pre, keep))
         x = out
-    return float(x[0]), cache
+    return x[..., 0][()], cache  # [()] turns a one-post 0-d result into a scalar
 
 
-def head_backward(d_y: float, cache: list, params: ParamStore,
+def head_backward(d_y, cache: list, params: ParamStore,
                   config: ModelConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     grads = {}
     n = len(cache)
-    d = np.array([d_y])
+    d = np.asarray(d_y, dtype=params.dtype)[..., None]
     for i in reversed(range(n)):
         x_in, pre, keep = cache[i]
         if i < n - 1:
@@ -408,25 +447,35 @@ class ForwardCache:
     inputs: dict
 
 
+def content_forward(bundle: FeatureBundle, params: ParamStore, config: ModelConfig):
+    """The content stage: caption LSTM, region projection, then attention.
+
+    Returns (content, lstm_cache, att_cache). For hga/sa the attention cache
+    carries the token and region weights; for na it is None.
+    """
+    text, lstm_cache = encoders.lstm_encode(bundle.tokens, bundle.token_mask, params)
+    image = encoders.project_regions(bundle.regions, params)
+    if config.attention == "na":
+        return att.na_content(text, bundle.token_mask, image), lstm_cache, None
+    if config.attention == "hga":
+        out, att_cache = att.hga_attention(text, bundle.token_mask, image,
+                                           bundle.hashtag_mat, bundle.hashtag_mask,
+                                           params)
+    else:
+        out, att_cache = att.sa_attention(text, bundle.token_mask, image, params)
+    return out.content, lstm_cache, att_cache
+
+
 def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfig,
-                   mode: str = "infer",
-                   rng: np.random.Generator | None = None) -> tuple[float, ForwardCache]:
-    lstm_cache = att_cache = None
-    content = None
+                   mode: str = "infer", rng=None) -> tuple[np.ndarray, ForwardCache]:
+    """Predictions for a stacked (B, ...) bundle, or one post's bundle.
+
+    `rng` drives training-mode dropout: one generator per post of a stacked
+    bundle, or a single generator for one post.
+    """
+    lstm_cache = att_cache = content = None
     if config.use_content:
-        text, lstm_cache = encoders.lstm_encode(bundle.tokens, bundle.token_mask, params)
-        image = encoders.project_regions(bundle.regions, params)
-        if config.attention == "hga":
-            out, att_cache = att.hga_attention(text, bundle.token_mask, image,
-                                               bundle.hashtag_mat,
-                                               bundle.hashtag_mask, params)
-            content = out.content
-        elif config.attention == "sa":
-            out, att_cache = att.sa_attention(text, bundle.token_mask, image, params)
-            content = out.content
-        else:
-            content = att.na_content(text, bundle.token_mask, image)
-            att_cache = (text.shape[0], image.shape[0])
+        content, lstm_cache, att_cache = content_forward(bundle, params, config)
     inputs = branch_inputs(bundle, config)
     branch_out = {}
     branch_caches = {}
@@ -439,31 +488,32 @@ def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfi
                                head_cache=head_cache, inputs=inputs)
 
 
-def backward_bundle(d_y: float, fcache: ForwardCache, params: ParamStore,
+def backward_bundle(d_y, fcache: ForwardCache, params: ParamStore,
                     config: ModelConfig) -> dict[str, np.ndarray]:
-    """Gradient of d_y * y_hat w.r.t. every parameter, for one post."""
+    """Gradient of sum(d_y * y_hat) w.r.t. every parameter, over the batch."""
     d_merged, grads = head_backward(d_y, fcache.head_cache, params, config)
     offset = 0
     for name in BRANCH_ORDER:
         if name not in fcache.branch_caches:
             continue
         out_len = config.branch_specs[name].output_length(
-            fcache.inputs[name].shape[0])
-        seg = d_merged[offset:offset + out_len]
+            fcache.inputs[name].shape[-1])
+        seg = d_merged[..., offset:offset + out_len]
         grads.update(branch_backward(seg, fcache.branch_caches[name], params, name))
         offset += out_len
     if config.use_content:
-        d_content = d_merged[offset:offset + config.d]
+        bundle = fcache.bundle
+        d_content = d_merged[..., offset:offset + config.d]
         if config.attention in ("hga", "sa"):
             att_grads, d_text, d_image = att.hga_backward(d_content,
                                                           fcache.att_cache, params)
             grads.update(att_grads)
         else:
-            m, k = fcache.att_cache
-            d_text, d_image = att.na_backward(d_content,
-                                              fcache.bundle.token_mask, m, k)
+            d_text, d_image = att.na_backward(d_content, bundle.token_mask,
+                                              bundle.tokens.shape[-2],
+                                              bundle.regions.shape[-2])
         grads.update(encoders.lstm_backward(d_text, fcache.lstm_cache, params))
-        grads.update(encoders.project_regions_backward(fcache.bundle.regions, d_image))
+        grads.update(encoders.project_regions_backward(bundle.regions, d_image))
     return grads
 
 
@@ -486,46 +536,40 @@ def loss_mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sum((preds - targets) ** 2) / (2.0 * preds.size))
 
 
-def batch_loss(bundles: list[FeatureBundle], params: ParamStore,
-               config: ModelConfig, mode: str = "infer",
-               rngs: list | None = None) -> float:
+def as_batch(bundles, params: ParamStore) -> FeatureBundle:
+    """A stacked bundle as is; a list of one-post bundles stacked in the
+    parameters' dtype."""
+    if isinstance(bundles, FeatureBundle):
+        return bundles
+    return stack_bundles(bundles, params.dtype)
+
+
+def batch_loss(bundles, params: ParamStore, config: ModelConfig,
+               mode: str = "infer", rngs: list | None = None) -> float:
     """Forward-only batch objective; used by the finite-difference oracle."""
-    preds = np.zeros(len(bundles))
-    for i, bundle in enumerate(bundles):
-        rng = rngs[i] if rngs is not None else None
-        preds[i], _ = forward_bundle(bundle, params, config, mode, rng)
-    return loss_mse(preds, np.array([b.target for b in bundles]))
+    batch = as_batch(bundles, params)
+    preds, _ = forward_bundle(batch, params, config, mode, rngs)
+    return loss_mse(preds, batch.target)
 
 
-def batch_loss_and_grads(bundles: list[FeatureBundle], params: ParamStore,
-                         config: ModelConfig, mode: str = "train",
-                         rngs: list | None = None):
-    """Loss over a batch plus accumulated parameter gradients.
+def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
+                         mode: str = "train", rngs: list | None = None):
+    """Loss over a batch plus the summed parameter gradients.
 
-    The gradient of the 1/(2n) objective w.r.t. each prediction is
-    (pred - target) / n; per-post gradients are scaled by that and summed.
+    `bundles` is a stacked bundle or a list of one-post bundles. The
+    gradient of the 1/(2n) objective w.r.t. each prediction is
+    (pred - target) / n; one backward pass over the batch scales each
+    post's gradient by that and sums them.
     """
-    n = len(bundles)
-    if n == 0:
-        raise ValueError("empty batch")
-    preds = np.zeros(n)
-    total = {name: np.zeros_like(arr) for name, arr in params.items()}
-    fcaches = []
-    for i, bundle in enumerate(bundles):
-        rng = rngs[i] if rngs is not None else None
-        preds[i], fc = forward_bundle(bundle, params, config, mode, rng)
-        fcaches.append(fc)
-    targets = np.array([b.target for b in bundles])
-    for i in range(n):
-        d_y = (preds[i] - targets[i]) / n
-        grads = backward_bundle(d_y, fcaches[i], params, config)
-        for name, g in grads.items():
-            total[name] += g
-    return loss_mse(preds, targets), total, preds
+    batch = as_batch(bundles, params)
+    preds, fcache = forward_bundle(batch, params, config, mode, rngs)
+    d_y = (preds - batch.target) / len(batch.target)
+    grads = backward_bundle(d_y, fcache, params, config)
+    return loss_mse(preds, batch.target), grads, preds
 
 
-def model_backward(bundles: list[FeatureBundle], params: ParamStore,
-                   config: ModelConfig, rngs: list | None = None) -> dict[str, np.ndarray]:
+def model_backward(bundles, params: ParamStore, config: ModelConfig,
+                   rngs: list | None = None) -> dict[str, np.ndarray]:
     """Gradient store for the batch loss (train-mode forward)."""
     _, grads, _ = batch_loss_and_grads(bundles, params, config, "train", rngs)
     return grads
@@ -551,12 +595,28 @@ def _write_array(fh, arr: np.ndarray):
     fh.write(arr.astype(f"<f{code}").tobytes())
 
 
+def _read(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CheckpointError(
+            f"truncated checkpoint: wanted {size} bytes at offset "
+            f"{fh.tell() - len(data)}, got {len(data)}")
+    return data
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
+
+
 def _read_array(fh) -> np.ndarray:
-    code, ndim = struct.unpack("<BB", fh.read(2))
-    shape = struct.unpack(f"<{ndim}i", fh.read(4 * ndim))
-    count = int(np.prod(shape))
-    arr = np.frombuffer(fh.read(code * count), dtype=f"<f{code}").astype(_DTYPES[code])
-    return arr.reshape(shape)
+    code, ndim = _unpack(fh, "<BB")
+    if code not in _DTYPES:
+        raise CheckpointError(f"unknown array dtype code {code}")
+    shape = _unpack(fh, f"<{ndim}i")
+    if min(shape, default=0) < 0:
+        raise CheckpointError(f"negative array shape {shape}")
+    arr = np.frombuffer(_read(fh, code * math.prod(shape)), dtype=f"<f{code}")
+    return arr.astype(_DTYPES[code]).reshape(shape)
 
 
 def save_checkpoint(params: ParamStore, config: ModelConfig,
@@ -582,24 +642,31 @@ def save_checkpoint(params: ParamStore, config: ModelConfig,
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
-    """Read (params, config, pca); optionally verify config compatibility."""
+    """Read (params, config, pca); optionally verify config compatibility.
+
+    A file that cannot be decoded, truncated anywhere included, raises
+    CheckpointError.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise CheckpointError(f"not a checkpoint file: {path}")
-        (version,) = struct.unpack("<i", fh.read(4))
+        (version,) = _unpack(fh, "<i")
         if version != _CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (blen,) = struct.unpack("<i", fh.read(4))
-        blob = fh.read(blen)
-        digest = fh.read(32)
+        (blen,) = _unpack(fh, "<i")
+        blob = _read(fh, max(blen, 0))
+        digest = _read(fh, 32)
         if hashlib.sha256(blob).digest() != digest:
             raise CheckpointError(f"checkpoint config digest mismatch (corrupt file): {path}")
-        config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
+        try:
+            config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
+        except (ValueError, TypeError, KeyError) as e:
+            raise CheckpointError(f"unreadable checkpoint configuration: {e}") from e
         if expected_config is not None and config_digest(expected_config) != config_digest(config):
             raise CheckpointError(
                 "checkpoint was trained under a different configuration; "
                 "re-train or pass the matching config")
-        (has_pca,) = struct.unpack("<B", fh.read(1))
+        (has_pca,) = _unpack(fh, "<B")
         pca = None
         if has_pca:
             mean = _read_array(fh)
@@ -607,10 +674,14 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
             variance = _read_array(fh)
             pca = PCAModel(mean=mean, components=components,
                            explained_variance=variance)
-        (count,) = struct.unpack("<i", fh.read(4))
+        (count,) = _unpack(fh, "<i")
         params = ParamStore()
         for _ in range(count):
-            (nlen,) = struct.unpack("<i", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            params.add_array(name, _read_array(fh))
+            (nlen,) = _unpack(fh, "<i")
+            name = _read(fh, max(nlen, 0))
+            arr = _read_array(fh)
+            try:
+                params.add_array(name.decode("utf-8"), arr)
+            except ValueError as e:  # an undecodable or repeated name
+                raise CheckpointError(f"bad parameter name {name!r}: {e}") from e
     return params, config, pca

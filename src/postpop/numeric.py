@@ -77,6 +77,11 @@ class ParamStore:
             out._params[k] = v.copy()
         return out
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: every layer runs in the parameters' dtype."""
+        return next(iter(self._params.values())).dtype
+
     def astype(self, dtype) -> "ParamStore":
         out = ParamStore()
         for k, v in self._params.items():
@@ -95,94 +100,107 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Masked softmax over a 1-D score vector.
+def flat_rows(x: np.ndarray) -> np.ndarray:
+    """Collapse every leading axis: (..., n) -> (rows, n).
+
+    Parameter gradients sum over the batch and every other leading axis, so
+    `flat_rows(a).T @ flat_rows(b)` is the summed outer product.
+    """
+    return x.reshape(-1, x.shape[-1])
+
+
+def softmax(scores: np.ndarray, mask: np.ndarray | None = None,
+            allow_empty: bool = False) -> np.ndarray:
+    """Masked softmax over the last axis of `scores` (..., n).
 
     Masked positions get weight exactly 0; unmasked weights are shifted by
-    the unmasked max before exponentiation. Raises on an all-masked input.
+    the row's unmasked max before exponentiation. A row with no live entry
+    raises, unless `allow_empty`, in which case its weights are all zero.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if mask is None:
-        mask = np.ones_like(scores)
-    mask = np.asarray(mask)
-    if mask.shape != scores.shape:
-        raise ShapeError(f"mask shape {mask.shape} != scores shape {scores.shape}")
-    live = mask > 0
-    if not live.any():
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    live = np.asarray(mask) > 0
+    if live.shape != scores.shape:
+        raise ShapeError(f"mask shape {live.shape} != scores shape {scores.shape}")
+    if not allow_empty and not live.any(axis=-1).all():
         raise ValueError("softmax over a fully masked vector")
-    out = np.zeros_like(scores)
-    shifted = scores[live] - scores[live].max()
-    e = np.exp(shifted)
-    out[live] = e / e.sum()
-    return out
+    top = np.max(scores, axis=-1, keepdims=True, where=live, initial=-np.inf)
+    e = np.subtract(scores, top, out=np.zeros_like(scores), where=live)
+    np.exp(e, out=e, where=live)
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=e, where=total > 0)
 
 
 def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray,
                      mask: np.ndarray | None = None) -> np.ndarray:
     """Gradient of masked softmax: ds_i = a_i * (da_i - sum_j a_j da_j)."""
-    inner = float(np.dot(alpha, d_alpha))
+    inner = np.sum(alpha * d_alpha, axis=-1, keepdims=True)
     ds = alpha * (d_alpha - inner)
     if mask is not None:
         ds = ds * (np.asarray(mask) > 0)
     return ds
 
 
-def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid (no padding) stride-1 cross-correlation.
+def _conv_columns(x: np.ndarray, width: int) -> np.ndarray:
+    """(..., length, ch_in) -> (..., out_len, ch_in * width): each output
+    position's input window as one row, channel-major."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=-2)
+    return windows.reshape(*windows.shape[:-2], -1)
 
-    x: (length, ch_in); filters: (ch_out, width, ch_in); bias: (ch_out,).
-    Returns (length - width + 1, ch_out) pre-activations; the caller applies
-    any nonlinearity.
+
+def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Valid (no padding) stride-1 cross-correlation over the rows of x.
+
+    x: (..., length, ch_in); filters: (ch_out, width, ch_in); bias: (ch_out,).
+    Returns (..., length - width + 1, ch_out) pre-activations; the caller
+    applies any nonlinearity.
     """
     x = np.asarray(x)
     filters = np.asarray(filters)
-    length, ch_in = x.shape
+    length, ch_in = x.shape[-2:]
     ch_out, width, f_ch_in = filters.shape
     if f_ch_in != ch_in:
         raise ShapeError(f"conv1d channel mismatch: input {ch_in}, filters {f_ch_in}")
     if width > length:
         raise ShapeError(f"conv1d width {width} exceeds input length {length}")
-    out_len = length - width + 1
-    # windows: (out_len, width, ch_in) view, contracted against filters
-    windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=0)
-    # sliding_window_view yields (out_len, ch_in, width); align to (out_len, width, ch_in)
-    windows = windows.transpose(0, 2, 1)
-    out = np.tensordot(windows, filters, axes=([1, 2], [1, 2])) + bias
-    assert out.shape == (out_len, ch_out)
-    return out
+    # filters reordered to (ch_out, ch_in * width), the column layout
+    return _conv_columns(x, width) @ filters.transpose(0, 2, 1).reshape(ch_out, -1).T + bias
 
 
 def conv1d_backward(x: np.ndarray, filters: np.ndarray, d_out: np.ndarray):
-    """Gradients of conv1d_forward. Returns (d_x, d_filters, d_bias)."""
-    length, ch_in = x.shape
-    ch_out, width, _ = filters.shape
-    out_len = length - width + 1
-    d_filters = np.zeros_like(filters)
-    d_x = np.zeros_like(x)
-    windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=0).transpose(0, 2, 1)
+    """Gradients of conv1d_forward. Returns (d_x, d_filters, d_bias); the
+    filter and bias gradients are summed over every leading axis of x."""
+    ch_out, width, ch_in = filters.shape
+    out_len = d_out.shape[-2]
     # d_filters[o,w,c] = sum_t d_out[t,o] * x[t+w,c]
-    d_filters += np.tensordot(d_out, windows, axes=([0], [0]))
-    d_bias = d_out.sum(axis=0)
+    d_filters = (flat_rows(d_out).T @ flat_rows(_conv_columns(x, width))) \
+        .reshape(ch_out, ch_in, width).transpose(0, 2, 1)
+    d_bias = flat_rows(d_out).sum(axis=0)
     # d_x[t+w,c] += sum_o d_out[t,o] * filters[o,w,c]
-    contrib = np.tensordot(d_out, filters, axes=([1], [0]))  # (out_len, width, ch_in)
+    contrib = (d_out @ filters.reshape(ch_out, width * ch_in)).reshape(
+        *d_out.shape[:-1], width, ch_in)
+    d_x = np.zeros_like(x)
     for w in range(width):
-        d_x[w:w + out_len] += contrib[:, w, :]
+        d_x[..., w:w + out_len, :] += contrib[..., w, :]
     return d_x, d_filters, d_bias
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map y = x @ W + b for a 1-D input."""
+    """Affine map y = x @ W + b over the last axis of x (..., n_in)."""
     x = np.asarray(x)
-    if x.ndim != 1 or weight.ndim != 2 or x.shape[0] != weight.shape[0]:
+    if x.ndim < 1 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"dense shape mismatch: x {x.shape}, W {weight.shape}")
     return x @ weight + bias
 
 
 def dense_backward(x: np.ndarray, weight: np.ndarray, d_out: np.ndarray):
-    """Gradients of dense_forward. Returns (d_x, d_weight, d_bias)."""
-    d_weight = np.outer(x, d_out)
-    d_bias = d_out.copy()
-    d_x = weight @ d_out
+    """Gradients of dense_forward. Returns (d_x, d_weight, d_bias); the
+    weight and bias gradients are summed over every leading axis of x."""
+    d_weight = flat_rows(x).T @ flat_rows(d_out)
+    d_bias = flat_rows(d_out).sum(axis=0)
+    d_x = d_out @ weight.T
     return d_x, d_weight, d_bias
 
 
@@ -198,11 +216,13 @@ def tanh_elementwise(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None):
+def dropout(x: np.ndarray, rate: float, mode: str, rng=None):
     """Inverted dropout. Returns (output, keep_mask).
 
     Training mode zeroes entries with probability `rate` and scales the
     survivors by 1/(1-rate); inference mode is the identity (mask of ones).
+    `rng` is one generator for the whole of x, or a sequence of generators,
+    one per row of a batch x (B, ...): row i's mask is drawn from rng[i].
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
@@ -212,7 +232,13 @@ def dropout(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | No
         return x, np.ones_like(x)
     if rng is None:
         raise ValueError("training-mode dropout requires an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(x.shape)
+    else:
+        if len(rng) != x.shape[0]:
+            raise ValueError(f"{len(rng)} dropout generators for {x.shape[0]} rows")
+        draws = np.stack([r.random(x.shape[1:]) for r in rng])
+    keep = (draws >= rate).astype(x.dtype)
     return x * keep / (1.0 - rate), keep
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from .data import Dataset, split_dataset
 from .features import SentimentLexicon, social_numerics
-from .model import (FeatureCaches, ModelConfig, ParamStore, batch_loss_and_grads,
-                    build_caches, extract_dataset, forward_bundle,
-                    init_model_params)
+from .model import (FeatureBundle, FeatureCaches, ModelConfig, ParamStore,
+                    batch_loss_and_grads, build_caches, extract_dataset,
+                    forward_bundle, init_model_params, stack_bundles)
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) < 0:
-            raise ValueError("training hyperparameters must be positive")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.patience > self.max_epochs:
             raise ValueError(f"patience {self.patience} > max_epochs {self.max_epochs}")
 
@@ -86,8 +89,18 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
     return state
 
 
-def _predictions(bundles, params, config) -> np.ndarray:
-    return np.array([forward_bundle(b, params, config, "infer")[0] for b in bundles])
+# Posts per forward pass when scoring. A pass holds every layer's
+# activations for its whole batch, so this bounds the memory of scoring a
+# large dataset.
+SCORE_BATCH = 64
+
+
+def _predictions(batch: FeatureBundle, params, config) -> np.ndarray:
+    n = len(batch.target)
+    return np.concatenate([
+        forward_bundle(batch.take(slice(start, start + SCORE_BATCH)), params, config,
+                       "infer")[0]
+        for start in range(0, n, SCORE_BATCH)])
 
 
 def _rank_average(x: np.ndarray) -> np.ndarray:
@@ -169,32 +182,32 @@ def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
     config = replace(model_config, dropout_rate=train_config.dropout)
     if caches is None:
         caches = build_caches(train_ds.posts, config, lexicon=lexicon)
-    train_bundles = extract_dataset(train_ds, caches, config)
-    val_bundles = extract_dataset(val_ds, caches, config)
-    val_targets = np.array([b.target for b in val_bundles])
-
     params = init_model_params(config, seed=train_config.seed)
+    train_set = stack_bundles(extract_dataset(train_ds, caches, config), params.dtype)
+    val_set = stack_bundles(extract_dataset(val_ds, caches, config), params.dtype)
     state = AdamState()
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
     best_params = params.copy()
     stale = 0
     step = 0
-    n = len(train_bundles)
+    n = len(train_set.target)
     for epoch in range(1, train_config.max_epochs + 1):
         order = np.random.default_rng(
             np.random.SeedSequence([train_config.seed, epoch])).permutation(n)
         epoch_losses = []
         for start in range(0, n, train_config.batch_size):
-            batch = [train_bundles[i] for i in order[start:start + train_config.batch_size]]
+            batch = train_set.take(order[start:start + train_config.batch_size])
+            # one dropout generator per post of the batch
             rngs = [np.random.default_rng(np.random.SeedSequence(
-                [train_config.seed, step, i])) for i in range(len(batch))]
+                [train_config.seed, step, i])) for i in range(len(batch.target))] \
+                if config.dropout_rate > 0 else None
             loss, grads, _ = batch_loss_and_grads(batch, params, config, "train", rngs)
             adam_step(params, grads, state, train_config.learning_rate)
             epoch_losses.append(loss)
             step += 1
-        val_preds = _predictions(val_bundles, params, config)
-        val_mse = float(np.mean((val_preds - val_targets) ** 2))
+        val_preds = _predictions(val_set, params, config)
+        val_mse = float(np.mean((val_preds - val_set.target) ** 2))
         history.append((epoch, float(np.mean(epoch_losses)), val_mse))
         if val_mse < best_val:
             best_val = val_mse
@@ -214,8 +227,10 @@ def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
     """Inference-mode metrics over a dataset."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    bundles = extract_dataset(ds, checkpoint.caches, checkpoint.config)
-    preds = _predictions(bundles, checkpoint.params, checkpoint.config)
+    params = checkpoint.params
+    batch = stack_bundles(extract_dataset(ds, checkpoint.caches, checkpoint.config),
+                          params.dtype)
+    preds = _predictions(batch, params, checkpoint.config)
     return compute_metrics(preds, ds.popularity())
 
 

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
-from postpop.attention import (hga_attention, hga_backward, init_attention_params,
-                               na_backward, na_content, pooled_hashtag,
-                               sa_attention)
+from postpop.attention import (ATTENTION_PARAM_NAMES, hga_attention, hga_backward,
+                               init_attention_params, na_backward, na_content,
+                               pooled_hashtag, sa_attention)
 from postpop.numeric import (ParamStore, finite_difference_grad, relative_error)
 
 
@@ -312,3 +312,87 @@ class TestGradients:
         numeric = finite_difference_grad(f, inputs)
         assert relative_error(d_text, numeric["text"]) < 1e-6
         assert relative_error(d_image, numeric["image"]) < 1e-6
+
+
+class TestBatched:
+    """(B, ...) inputs give every post's one-post result, on one code path."""
+
+    def make_batch(self, rng, b=4, m=3, k=2, l=3, d=4):
+        token_masks = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0], [1, 1, 0]], dtype=float)[:b]
+        tag_masks = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 1], [1, 0, 0]], dtype=float)[:b]
+        text = rng.uniform(-1, 1, (b, m, d)) * token_masks[..., None]
+        image = rng.uniform(-1, 1, (b, k, d))
+        hmat = rng.uniform(-1, 1, (b, l, d)) * tag_masks[..., None]
+        return text, token_masks, image, hmat, tag_masks
+
+    def test_hga_and_sa_batch_equal_one_post_calls(self, rng):
+        store = attention_params(rng, 4, 3)
+        text, tmask, image, hmat, hmask = self.make_batch(rng)
+        d_content = rng.normal(size=(4, 4))
+        for use_pool in (True, False):
+            out, cache = hga_attention(text, tmask, image, hmat, hmask, store,
+                                       use_hashtag_pool=use_pool)
+            grads, d_text, d_image = hga_backward(d_content, cache, store)
+            summed = {name: 0.0 for name in grads}
+            for i in range(4):
+                one, one_cache = hga_attention(text[i], tmask[i], image[i], hmat[i],
+                                               hmask[i], store, use_hashtag_pool=use_pool)
+                for field in ("alpha_text", "alpha_image", "content"):
+                    assert np.allclose(getattr(out, field)[i], getattr(one, field),
+                                       rtol=0, atol=1e-12), field
+                g, dt, di = hga_backward(d_content[i], one_cache, store)
+                assert np.allclose(d_text[i], dt, rtol=0, atol=1e-12)
+                assert np.allclose(d_image[i], di, rtol=0, atol=1e-12)
+                for name in g:
+                    summed[name] = summed[name] + g[name]
+            for name in grads:
+                assert np.allclose(grads[name], summed[name], rtol=0, atol=1e-12), name
+
+    def test_empty_caption_row_contributes_nothing(self, rng):
+        store = attention_params(rng, 4, 3)
+        text, tmask, image, hmat, hmask = self.make_batch(rng)
+        out, cache = hga_attention(text, tmask, image, hmat, hmask, store)
+        assert np.all(out.alpha_text[2] == 0.0)
+        assert np.all(out.attended_text[2] == 0.0)
+        np.testing.assert_allclose(out.alpha_text.sum(axis=-1), [1.0, 1.0, 0.0, 1.0])
+        d_content = np.zeros((4, 4))
+        d_content[2] = rng.normal(size=4)
+        grads, d_text, _ = hga_backward(d_content, cache, store)
+        assert np.all(d_text[2] == 0.0)
+        for name in ("att.Ut", "att.Vt", "att.wt"):
+            assert np.all(grads[name] == 0.0), name
+
+    def test_sa_batch_matches_one_post(self, rng):
+        store = attention_params(rng, 4, 3)
+        text, tmask, image, _, _ = self.make_batch(rng)
+        out, _ = sa_attention(text, tmask, image, store)
+        for i in range(4):
+            one, _ = sa_attention(text[i], tmask[i], image[i], store)
+            assert np.allclose(out.content[i], one.content, rtol=0, atol=1e-12)
+
+    def test_na_batch_equals_one_post_calls(self, rng):
+        text, tmask, image, _, _ = self.make_batch(rng)
+        d_content = rng.normal(size=(4, 4))
+        content = na_content(text, tmask, image)
+        d_text, d_image = na_backward(d_content, tmask, 3, 2)
+        for i in range(4):
+            assert np.allclose(content[i], na_content(text[i], tmask[i], image[i]),
+                               rtol=0, atol=1e-12)
+            dt, di = na_backward(d_content[i], tmask[i], 3, 2)
+            assert np.allclose(d_text[i], dt, rtol=0, atol=1e-12)
+            assert np.allclose(d_image[i], di, rtol=0, atol=1e-12)
+
+    def test_batched_hga_gradcheck(self, rng):
+        store = attention_params(rng, 4, 3)
+        text, tmask, image, hmat, hmask = self.make_batch(rng)
+        weights = rng.normal(size=(4, 4))
+
+        def f(st):
+            out, _ = hga_attention(text, tmask, image, hmat, hmask, st)
+            return float(np.sum(out.content * weights))
+
+        _, cache = hga_attention(text, tmask, image, hmat, hmask, store)
+        grads, _, _ = hga_backward(weights, cache, store)
+        numeric = finite_difference_grad(f, store)
+        for name in ATTENTION_PARAM_NAMES:
+            assert relative_error(grads[name], numeric[name]) < 1e-6, name

@@ -202,6 +202,19 @@ class TestTrain:
         assert h1 == h2
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
+        ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),
+    ])
+    def test_nonsense_hyperparameter_exits_one(self, workspace, capsys, key, value):
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "prepare"], capsys)
+        code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}",
+                                "train"], capsys)
+        assert code == 1 and key in err
+        assert not (tmp / "model.ckpt").exists()
+
+
 class TestEvaluate:
     def test_json_contains_all_metrics(self, workspace, capsys):
         tmp, cfg = workspace
@@ -247,6 +260,19 @@ class TestEvaluate:
         code, _, err = run_cli(["--config", str(cfg), "--corpus", str(tiny),
                                 "evaluate", "--split", "val"], capsys)
         assert code == 2
+
+
+    def test_truncated_checkpoint_exits_two(self, workspace, capsys):
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "prepare"], capsys)
+        run_cli(["--config", str(cfg), "train"], capsys)
+        ckpt = tmp / "model.ckpt"
+        raw = ckpt.read_bytes()
+        for size in (10, len(raw) - 3):
+            ckpt.write_bytes(raw[:size])
+            code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
+            assert code == 2 and "truncated checkpoint" in err
+            assert "Traceback" not in err
 
 
 class TestAblate:

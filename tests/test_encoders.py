@@ -161,3 +161,66 @@ class TestProjection:
         init_projection_params(store, rng, 4, 3)
         with pytest.raises(ShapeError):
             project_regions(rng.normal(size=(5, 6)), store)
+
+
+class TestBatchedLstm:
+    """(B, M, D) tokens step all B sequences together, on the same code path."""
+
+    def test_batch_equals_one_sequence_at_a_time(self, rng):
+        store = lstm_params(rng, 3, 4)
+        tokens = rng.uniform(-1, 1, (5, 4, 3))
+        masks = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0],
+                          [1, 0, 1, 1], [1, 1, 1, 0]], dtype=float)
+        d_out = rng.normal(size=(5, 4, 4))
+        out, cache = lstm_encode(tokens, masks, store)
+        grads = lstm_backward(d_out, cache, store)
+        summed = {name: 0.0 for name in grads}
+        for i in range(5):
+            one, one_cache = lstm_encode(tokens[i], masks[i], store)
+            assert np.allclose(out[i], one, rtol=0, atol=1e-12)
+            for name, g in lstm_backward(d_out[i], one_cache, store).items():
+                summed[name] = summed[name] + g
+        for name, g in grads.items():
+            assert np.allclose(g, summed[name], rtol=0, atol=1e-12), name
+
+    def test_empty_sequence_emits_zeros_and_no_gradient(self, rng):
+        store = lstm_params(rng, 3, 2)
+        out, cache = lstm_encode(rng.uniform(-1, 1, (2, 3, 3)),
+                                 np.array([[0.0] * 3, [1.0] * 3]), store)
+        assert np.all(out[0] == 0.0)
+        grads = lstm_backward(np.stack([np.ones((3, 2)), np.zeros((3, 2))]),
+                              cache, store)
+        for name, g in grads.items():
+            assert np.all(g == 0.0), name
+
+    def test_gradcheck_with_mask_hole(self, rng):
+        # the middle step of the first sequence is masked: its state carries
+        # across the hole, and the gradient must flow back through the carry
+        store = lstm_params(rng, 3, 4)
+        tokens = rng.uniform(-1, 1, (2, 5, 3))
+        mask = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0, 0.0]])
+        weights = rng.normal(size=(2, 5, 4))
+
+        def f(st):
+            out, _ = lstm_encode(tokens, mask, st)
+            return float(np.sum(out * weights))
+
+        out, cache = lstm_encode(tokens, mask, store)
+        assert np.all(out[0, 2] == 0.0) and np.any(out[0, 3] != 0.0)
+        grads = lstm_backward(weights, cache, store)
+        numeric = finite_difference_grad(f, store)
+        for name in ("lstm.Wx", "lstm.Wh", "lstm.b"):
+            assert relative_error(grads[name], numeric[name]) < 1e-6, name
+
+    def test_batched_projection_matches_rows(self, rng):
+        store = ParamStore()
+        init_projection_params(store, rng, 5, 3)
+        regions = rng.normal(size=(4, 2, 5))
+        d_out = rng.normal(size=(4, 2, 3))
+        out = project_regions(regions, store)
+        grads = project_regions_backward(regions, d_out)
+        for i in range(4):
+            assert np.allclose(out[i], project_regions(regions[i], store), atol=1e-12)
+        one = [project_regions_backward(regions[i], d_out[i]) for i in range(4)]
+        for name in ("proj.W", "proj.b"):
+            assert np.allclose(grads[name], sum(g[name] for g in one), atol=1e-12)

@@ -4,12 +4,13 @@ import pytest
 from conftest import random_bundle, tiny_config
 from postpop.corpora import make_sample_corpus
 from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
-                           PAPER_HEAD_SIZES, batch_loss, batch_loss_and_grads,
-                           branch_forward, branch_inputs, build_caches,
+                           PAPER_HEAD_SIZES, backward_bundle, batch_loss,
+                           batch_loss_and_grads, branch_forward, branch_inputs,
+                           build_caches,
                            config_digest, extract_features, forward_bundle,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
-                           model_backward, save_checkpoint)
+                           model_backward, save_checkpoint, stack_bundles)
 from postpop.numeric import (ParamStore, conv1d_forward, finite_difference_grad,
                              relative_error, relu)
 
@@ -290,6 +291,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
 
+    def test_truncation_anywhere_rejected(self, tmp_path):
+        cfg, _, caches, params = self.make_parts()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, caches.pca, path)
+        raw = path.read_bytes()
+        # the header runs up to the end of the first parameter's shape; the
+        # payload offsets cut arrays and names in the middle
+        first = list(params.names())[0].encode("utf-8")
+        header_end = raw.index(first) + len(first) + 2 + 4 * params[params.names()[0]].ndim
+        cuts = list(range(header_end + 1)) + [header_end + 5, len(raw) // 2,
+                                              len(raw) - 9, len(raw) - 1]
+        cut = tmp_path / "cut.ckpt"
+        for size in cuts:
+            cut.write_bytes(raw[:size])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
     def test_different_config_rejected(self, tmp_path):
         cfg, _, caches, params = self.make_parts()
         path = tmp_path / "model.ckpt"
@@ -299,3 +317,77 @@ class TestCheckpoint:
             load_checkpoint(path, expected_config=other)
         loaded_params, _, _ = load_checkpoint(path, expected_config=cfg)
         assert len(loaded_params) == len(params)
+
+
+def mixed_bundles(rng, cfg):
+    """Posts covering an empty caption, zero hashtags, and full inputs."""
+    shapes = [(cfg.m, cfg.l), (0, 1), (2, 0), (0, 0), (1, cfg.l)]
+    return [random_bundle(rng, cfg, n_tokens=t, n_hashtags=h) for t, h in shapes]
+
+
+def post_rngs(n, step=3):
+    return [np.random.default_rng(np.random.SeedSequence([5, step, i])) for i in range(n)]
+
+
+class TestBatchedModel:
+    """A stacked (B, ...) batch runs the same code as B one-post calls."""
+
+    @pytest.mark.parametrize("variant", ["hga", "sa", "na"])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.4])
+    def test_batch_equals_one_post_calls(self, rng, variant, dropout_rate):
+        cfg = tiny_config(attention=variant, dropout_rate=dropout_rate)
+        params = init_model_params(cfg, seed=6)
+        bundles = mixed_bundles(rng, cfg)
+        n = len(bundles)
+        loss, grads, preds = batch_loss_and_grads(bundles, params, cfg, "train",
+                                                  post_rngs(n))
+        summed = {name: np.zeros_like(arr) for name, arr in params.items()}
+        for i, (bundle, one_rng) in enumerate(zip(bundles, post_rngs(n))):
+            y, fcache = forward_bundle(bundle, params, cfg, "train", one_rng)
+            assert abs(preds[i] - y) <= 1e-12
+            d_y = (y - bundle.target) / n
+            for name, g in backward_bundle(d_y, fcache, params, cfg).items():
+                summed[name] += g
+        for name in params.names():
+            assert np.allclose(grads[name], summed[name], rtol=0, atol=1e-12), name
+        assert loss == pytest.approx(
+            np.sum((preds - [b.target for b in bundles]) ** 2) / (2 * n), abs=0)
+
+    def test_dropout_masks_drawn_per_post(self, rng):
+        cfg = tiny_config(dropout_rate=0.5)
+        params = init_model_params(cfg, seed=6)
+        bundles = mixed_bundles(rng, cfg)[:3]
+        batch = stack_bundles(bundles)
+        _, fcache = forward_bundle(batch, params, cfg, "train", post_rngs(3))
+        for i, bundle in enumerate(bundles):
+            _, one = forward_bundle(bundle, params, cfg, "train", post_rngs(3)[i])
+            for layer, one_layer in zip(fcache.head_cache[:-1], one.head_cache[:-1]):
+                assert np.array_equal(layer[2][i], one_layer[2])
+
+    def test_stack_and_take(self, rng):
+        cfg = tiny_config()
+        bundles = mixed_bundles(rng, cfg)
+        batch = stack_bundles(bundles)
+        assert batch.tokens.shape == (len(bundles), cfg.m, cfg.d)
+        assert batch.target.shape == (len(bundles),)
+        part = batch.take(np.array([3, 1]))
+        assert list(part.post_id) == [bundles[3].post_id, bundles[1].post_id]
+        assert np.array_equal(part.regions[0], bundles[3].regions)
+        with pytest.raises(ValueError):
+            stack_bundles([])
+
+    def test_float32_gradcheck_against_float64_oracle(self, rng):
+        # the batch computes in the parameters' dtype; the float64 oracle
+        # differentiates the same function in float64
+        cfg = tiny_config()
+        params64 = init_model_params(cfg, seed=4)
+        params32 = params64.astype(np.float32)
+        bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1),
+                   random_bundle(rng, cfg, n_tokens=3, n_hashtags=2)]
+        _, grads, preds = batch_loss_and_grads(bundles, params32, cfg, "infer")
+        assert preds.dtype == np.float32
+        numeric = finite_difference_grad(
+            lambda st: batch_loss(bundles, st, cfg), params64)
+        for name in params64.names():
+            assert grads[name].dtype == np.float32, name
+            assert relative_error(grads[name], numeric[name]) < 1e-4, name

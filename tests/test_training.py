@@ -213,6 +213,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(patience=10, max_epochs=5)
 
+    @pytest.mark.parametrize("bad", [
+        {"batch_size": 0}, {"batch_size": -3}, {"max_epochs": 0, "patience": 0},
+        {"patience": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+    ])
+    def test_nonsense_hyperparameters_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
 
 class TestEvaluate:
     def test_empty_dataset_rejected(self):
