@@ -18,7 +18,8 @@ from .numeric import (ParamStore, ShapeError, conv1d_forward, dense_forward,
 from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
                         image_region_features, text_token_embeddings, tokenize)
 from .training import (AblationReport, Checkpoint, Metrics, TrainConfig,
-                       TrainResult, ablate, adam_step, compute_metrics,
-                       correlate_features, evaluate, pearson, spearman, train)
+                       TrainResult, TrainingDivergedError, ablate, adam_step,
+                       compute_metrics, correlate_features, evaluate, pearson,
+                       spearman, train)
 
 __version__ = "0.1.0"

@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -327,6 +329,13 @@ def extract_features(post: Post, caches: FeatureCaches,
 
 def extract_dataset(ds: Dataset, caches: FeatureCaches,
                     config: ModelConfig) -> list[FeatureBundle]:
+    """One bundle per post, equal to `extract_features` on each.
+
+    The pass draws each distinct provider vector (token, hashtag row, topic
+    vector) once. Its memo lives only for this call, so memory stays bounded
+    by one pass's keys; region matrices are not memoised.
+    """
+    caches = replace(caches, provider=caches.provider.for_pass())
     return [extract_features(p, caches, config) for p in ds.posts]
 
 
@@ -621,24 +630,44 @@ def _read_array(fh) -> np.ndarray:
 
 def save_checkpoint(params: ParamStore, config: ModelConfig,
                     pca: PCAModel | None, path) -> None:
+    """Write the checkpoint atomically.
+
+    The bytes go to a temporary file in the same directory, which replaces
+    `path` only once complete and synced, so an interrupted write leaves any
+    previous checkpoint at `path` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, params, config, pca)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(fh, params: ParamStore, config: ModelConfig,
+                      pca: PCAModel | None) -> None:
     blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<i", _CKPT_VERSION))
-        fh.write(struct.pack("<i", len(blob)))
-        fh.write(blob)
-        fh.write(hashlib.sha256(blob).digest())
-        fh.write(struct.pack("<B", 1 if pca is not None else 0))
-        if pca is not None:
-            _write_array(fh, pca.mean)
-            _write_array(fh, pca.components)
-            _write_array(fh, pca.explained_variance)
-        fh.write(struct.pack("<i", len(params)))
-        for name, arr in params.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<i", len(nb)))
-            fh.write(nb)
-            _write_array(fh, arr)
+    fh.write(_CKPT_MAGIC)
+    fh.write(struct.pack("<i", _CKPT_VERSION))
+    fh.write(struct.pack("<i", len(blob)))
+    fh.write(blob)
+    fh.write(hashlib.sha256(blob).digest())
+    fh.write(struct.pack("<B", 1 if pca is not None else 0))
+    if pca is not None:
+        _write_array(fh, pca.mean)
+        _write_array(fh, pca.components)
+        _write_array(fh, pca.explained_variance)
+    fh.write(struct.pack("<i", len(params)))
+    for name, arr in params.items():
+        nb = name.encode("utf-8")
+        fh.write(struct.pack("<i", len(nb)))
+        fh.write(nb)
+        _write_array(fh, arr)
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None):

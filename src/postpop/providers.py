@@ -5,10 +5,15 @@ hash-seeded uniform vector in [-1, 1], so the full pipeline runs with no
 pretrained models and reproduces bit-exactly across processes. A
 `precomputed_file` provider reads vectors from a binary key/value file
 instead, for plugging in real extractor outputs.
+
+A featurization pass works on a `for_pass()` copy of the provider, whose
+`memo_vector` draws each distinct (key, dim) once and serves repeats from a
+memo that is dropped with the copy.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import string
 import struct
@@ -48,19 +53,36 @@ def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
             fh.write(np.asarray(vec, dtype="<f4").reshape(-1).tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(
+            f"truncated feature file {path}: wanted {size} bytes at offset "
+            f"{fh.tell() - len(data)}, got {len(data)}")
+    return data
+
+
 def read_feature_file(path) -> tuple[int, dict[str, np.ndarray]]:
-    """Read a feature file written by write_feature_file."""
+    """Read a feature file written by write_feature_file.
+
+    A file that is not one, or is cut short anywhere, raises ValueError
+    naming the path.
+    """
     with Path(path).open("rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a feature file: {path}")
-        dim, count = struct.unpack("<ii", fh.read(8))
+        dim, count = struct.unpack("<ii", _read_exact(fh, 8, path))
+        if dim < 1 or count < 0:
+            raise ValueError(f"bad feature file header in {path}: dim={dim}, count={count}")
         out = {}
         for _ in range(count):
-            (klen,) = struct.unpack("<i", fh.read(4))
-            key = fh.read(klen).decode("utf-8")
-            vec = np.frombuffer(fh.read(4 * dim), dtype="<f4").astype(np.float64)
-            out[key] = vec
+            (klen,) = struct.unpack("<i", _read_exact(fh, 4, path))
+            if klen < 0:
+                raise ValueError(f"bad key length {klen} in feature file {path}")
+            key = _read_exact(fh, klen, path).decode("utf-8")
+            vec = np.frombuffer(_read_exact(fh, 4 * dim, path), dtype="<f4")
+            out[key] = vec.astype(np.float64)
     return dim, out
 
 
@@ -77,6 +99,8 @@ class EmbeddingProvider:
     seed: int = 0
     feature_path: str | None = None
     _table: dict[str, np.ndarray] | None = field(default=None, repr=False)
+    _memo: dict[tuple[str, int], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("deterministic_stub", "precomputed_file"):
@@ -103,6 +127,30 @@ class EmbeddingProvider:
         rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
         return rng.uniform(-1.0, 1.0, size=dim)
 
+    def for_pass(self) -> "EmbeddingProvider":
+        """A copy whose `memo_vector` memoises draws; drop it when the pass ends.
+
+        The copy shares this provider's stored table (read-only), so making
+        one costs no file read, and its memo is empty.
+        """
+        clone = copy.copy(self)
+        clone._memo = {}
+        return clone
+
+    def memo_vector(self, key: str, dim: int) -> np.ndarray:
+        """`vector(key, dim)`, drawn once per (key, dim) on a `for_pass()` copy.
+
+        A repeat returns a fresh copy of the first draw, so a caller that
+        writes to its result cannot change a later one. Without a memo this
+        is `vector`.
+        """
+        if self._memo is None:
+            return self.vector(key, dim)
+        hit = self._memo.get((key, dim))
+        if hit is None:
+            hit = self._memo[key, dim] = self.vector(key, dim)
+        return hit.copy()
+
     def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
         """Deterministic rows x cols matrix for a string key."""
         if self.kind == "precomputed_file":
@@ -124,7 +172,7 @@ def text_token_embeddings(caption: str, M: int, D: int,
     out = np.zeros((M, D), dtype=np.float64)
     mask = np.zeros(M, dtype=np.float64)
     for i, tok in enumerate(tokens):
-        out[i] = provider.vector(tok, D)
+        out[i] = provider.memo_vector(tok, D)
         mask[i] = 1.0
     return out, mask
 
@@ -145,6 +193,6 @@ def hashtag_embedding_matrix(hashtags, L: int, D: int,
     out = np.zeros((L, D), dtype=np.float64)
     mask = np.zeros(L, dtype=np.float64)
     for i, tag in enumerate(list(hashtags)[:L]):
-        out[i] = provider.vector(tag, D)
+        out[i] = provider.memo_vector(tag, D)
         mask[i] = 1.0
     return out, mask

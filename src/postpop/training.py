@@ -39,6 +39,10 @@ class TrainConfig:
             raise ValueError(f"patience {self.patience} > max_epochs {self.max_epochs}")
 
 
+class TrainingDivergedError(ValueError):
+    """A batch loss or validation MSE became non-finite during training."""
+
+
 @dataclass
 class Metrics:
     mse: float
@@ -176,6 +180,8 @@ def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
 
     Keeps the parameters from the best-validation epoch; stops after
     `patience` consecutive epochs without a strict val-MSE improvement.
+    Raises TrainingDivergedError at the first non-finite batch loss or
+    validation MSE, so no diverged run returns a checkpoint.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation splits must be non-empty")
@@ -203,11 +209,19 @@ def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
                 [train_config.seed, step, i])) for i in range(len(batch.target))] \
                 if config.dropout_rate > 0 else None
             loss, grads, _ = batch_loss_and_grads(batch, params, config, "train", rngs)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"training diverged: batch loss {loss!r} at epoch {epoch}, "
+                    f"step {step} (learning_rate={train_config.learning_rate!r})")
             adam_step(params, grads, state, train_config.learning_rate)
             epoch_losses.append(loss)
             step += 1
         val_preds = _predictions(val_set, params, config)
         val_mse = float(np.mean((val_preds - val_set.target) ** 2))
+        if not math.isfinite(val_mse):
+            raise TrainingDivergedError(
+                f"training diverged: validation MSE {val_mse!r} after epoch {epoch} "
+                f"(learning_rate={train_config.learning_rate!r})")
         history.append((epoch, float(np.mean(epoch_losses)), val_mse))
         if val_mse < best_val:
             best_val = val_mse

@@ -202,6 +202,15 @@ class TestTrain:
         assert h1 == h2
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_two_without_checkpoint(self, workspace, capsys):
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "prepare"], capsys)
+        code, _, err = run_cli(["--config", str(cfg), "--set", "learning_rate=1e150",
+                                "train"], capsys)
+        assert code == 2 and "diverged" in err
+        assert not (tmp / "model.ckpt").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
         ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_post
+import postpop.hashtag_graph as hg
 from postpop.data import Dataset
 from postpop.hashtag_graph import (HashtagGraph,
                                    build_cooccurrence_graph, export_edge_list,
@@ -66,7 +67,58 @@ class TestGraphBuild:
             assert g.edges == brute_force_weights(tag_lists)
 
 
+def loop_node_embeddings(g, dim, hops):
+    """Reference: the per-node loop, scanning every edge for each node's
+    neighbors in `g.edges` insertion order."""
+    tags = sorted(g.nodes)
+    state = initial_node_states(g, dim)
+    neigh = {t: [(b if a == t else a, w) for (a, b), w in g.edges.items()
+                 if t in (a, b)] for t in tags}
+    for _ in range(hops):
+        nxt = {}
+        for t in tags:
+            if not neigh[t]:
+                nxt[t] = state[t]
+                continue
+            acc = state[t].copy()
+            total = 1.0
+            for other, w in neigh[t]:
+                acc += w * state[other]
+                total += w
+            nxt[t] = np.tanh(acc / total)
+        state = nxt
+    out = {}
+    for t in tags:
+        norm = np.linalg.norm(state[t])
+        out[t] = state[t] / norm if norm > 0 else state[t]
+    return out
+
+
 class TestNodeEmbeddings:
+    # 7 floats per block: edge terms are scattered a few entries at a time
+    @pytest.mark.parametrize("scatter_floats", [hg._SCATTER_FLOATS, 7])
+    def test_bitwise_equal_to_per_node_loop(self, provider, rng, monkeypatch,
+                                            scatter_floats):
+        monkeypatch.setattr(hg, "_SCATTER_FLOATS", scatter_floats)
+        graphs = [build_cooccurrence_graph(posts_with_tags([("a", "b")]), provider)]
+        for trial in range(6):
+            vocab = [f"t{i}" for i in range(int(rng.integers(4, 40)))]
+            # few tags per post over a small vocabulary: repeated pairs give
+            # weights above 1, and one-tag posts leave isolated nodes
+            tag_lists = [tuple(rng.choice(vocab, size=int(rng.integers(1, 5))))
+                         for _ in range(int(rng.integers(5, 60)))]
+            tag_lists += [(f"solo{trial}",), (f"lone{trial}", f"lone{trial}")]
+            graphs.append(build_cooccurrence_graph(posts_with_tags(tag_lists), provider))
+        assert any(w > 1 for g in graphs for w in g.edges.values())
+        for g in graphs:
+            for dim, hops in ((1, 1), (5, 2), (7, 3)):
+                got = node_embeddings(g, dim=dim, hops=hops)
+                want = loop_node_embeddings(g, dim, hops)
+                assert got.keys() == want.keys()
+                for t in want:
+                    assert np.array_equal(got[t], want[t]), (t, dim, hops)
+
+
     def test_isolated_node_is_normalized_projection(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("solo",)]), provider)
         emb = node_embeddings(g, dim=6, hops=2)

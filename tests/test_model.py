@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+
+import postpop.model as model_mod
 
 from conftest import random_bundle, tiny_config
 from postpop.corpora import make_sample_corpus
@@ -7,12 +11,14 @@ from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            PAPER_HEAD_SIZES, backward_bundle, batch_loss,
                            batch_loss_and_grads, branch_forward, branch_inputs,
                            build_caches,
-                           config_digest, extract_features, forward_bundle,
+                           config_digest, extract_dataset, extract_features,
+                           forward_bundle,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
                            model_backward, save_checkpoint, stack_bundles)
 from postpop.numeric import (ParamStore, conv1d_forward, finite_difference_grad,
                              relative_error, relu)
+from postpop.providers import EmbeddingProvider, tokenize, write_feature_file
 
 
 def zeroed(params: ParamStore) -> ParamStore:
@@ -243,6 +249,61 @@ class TestFullModel:
         assert "social" not in branch_inputs(bundle, cfg)
 
 
+def bundles_equal(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               and np.asarray(getattr(a, f.name)).dtype
+               == np.asarray(getattr(b, f.name)).dtype
+               for f in fields(a))
+
+
+class TestExtractDataset:
+    def stored_provider(self, tmp_path, ds, cfg):
+        """A precomputed_file provider holding every key the corpus asks for."""
+        dim = cfg.d
+        assert dim == cfg.topic_dim == cfg.graph_base_dim == cfg.k * cfg.n
+        keys = {tok for p in ds.posts for tok in tokenize(p.caption)}
+        keys |= {t for p in ds.posts for t in p.hashtags}
+        keys |= {p.image_ref for p in ds.posts}
+        stub = EmbeddingProvider(seed=3)
+        path = tmp_path / "emb.bin"
+        write_feature_file(path, {k: stub.vector(k, dim).astype(np.float32)
+                                  for k in sorted(keys)})
+        return EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
+
+    @pytest.mark.parametrize("kind", ["deterministic_stub", "precomputed_file"])
+    def test_bitwise_equal_to_one_post_calls(self, tmp_path, kind):
+        cfg = tiny_config(d=8, topic_dim=8, graph_base_dim=8, k=2, n=4)
+        ds = make_sample_corpus(n=30, seed=8)
+        provider = (self.stored_provider(tmp_path, ds, cfg)
+                    if kind == "precomputed_file" else None)
+        caches = build_caches(ds.posts[:20], cfg, provider=provider)
+        bundles = extract_dataset(ds, caches, cfg)
+        assert len(bundles) == len(ds)
+        for post, bundle in zip(ds.posts, bundles):
+            assert bundles_equal(bundle, extract_features(post, caches, cfg)), post.post_id
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=20, seed=5)
+        caches = build_caches(ds.posts, cfg)
+        draws = []
+        real = EmbeddingProvider.vector
+        monkeypatch.setattr(EmbeddingProvider, "vector",
+                            lambda self, key, dim: draws.append((key, dim))
+                            or real(self, key, dim))
+        first = extract_dataset(ds, caches, cfg)
+        first_draws = list(draws)
+        draws.clear()
+        second = extract_dataset(ds, caches, cfg)
+        # region matrices (k * n wide) are drawn per post; every other
+        # (key, dim) once per call, and again by the next call
+        per_key = [d for d in first_draws if d[1] != cfg.k * cfg.n]
+        assert len(per_key) == len(set(per_key)) > 0
+        assert draws == first_draws
+        assert caches.provider._memo is None
+        assert all(map(bundles_equal, first, second))
+
+
 class TestCheckpoint:
     def make_parts(self):
         cfg = tiny_config()
@@ -307,6 +368,26 @@ class TestCheckpoint:
             cut.write_bytes(raw[:size])
             with pytest.raises(CheckpointError):
                 load_checkpoint(cut)
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg, _, caches, params = self.make_parts()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, caches.pca, path)
+        before = path.read_bytes()
+        real_write = model_mod._write_array
+        calls = {"n": 0}
+
+        def failing_write(fh, arr):
+            calls["n"] += 1
+            if calls["n"] == 5:
+                raise OSError("disk full")
+            real_write(fh, arr)
+
+        monkeypatch.setattr(model_mod, "_write_array", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(zeroed(params), cfg, caches.pca, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_different_config_rejected(self, tmp_path):
         cfg, _, caches, params = self.make_parts()

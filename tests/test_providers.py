@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,57 @@ class TestPrecomputedFile:
         path.write_bytes(b"garbage")
         with pytest.raises(ValueError):
             read_feature_file(path)
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_feature_file(path, {"a": np.arange(4, dtype=np.float32),
+                                  "bb": -np.arange(4, dtype=np.float32)})
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ValueError, match=re.escape(str(cut))):
+                read_feature_file(cut)
+        cut.write_bytes(raw)
+        assert read_feature_file(cut)[1].keys() == {"a", "bb"}
+
+
+class TestPassMemo:
+    def test_repeats_equal_fresh_draws(self, provider):
+        p = provider.for_pass()
+        for _ in range(2):
+            assert np.array_equal(p.memo_vector("k", 8), provider.vector("k", 8))
+            assert np.array_equal(p.memo_vector("k", 3), provider.vector("k", 3))
+
+    def test_each_key_drawn_once(self, provider, monkeypatch):
+        draws = []
+        real = EmbeddingProvider.vector
+        monkeypatch.setattr(EmbeddingProvider, "vector",
+                            lambda self, key, dim: draws.append((key, dim))
+                            or real(self, key, dim))
+        p = provider.for_pass()
+        text_token_embeddings("echo echo echo", 4, 8, p)
+        hashtag_embedding_matrix(["echo", "x", "x"], 4, 8, p)
+        assert draws == [("echo", 8), ("x", 8)]
+        image_region_features("img", 2, 3, p)
+        image_region_features("img", 2, 3, p)  # region matrices are not memoised
+        assert draws[2:] == [("img", 6), ("img", 6)]
+        provider.memo_vector("echo", 8)  # no memo outside a pass
+        assert draws[-1] == ("echo", 8)
+
+    def test_mutating_a_result_leaves_later_draws_unchanged(self, provider):
+        p = provider.for_pass()
+        first = p.memo_vector("k", 8)
+        first[:] = 7.0
+        assert np.array_equal(p.memo_vector("k", 8), provider.vector("k", 8))
+
+    def test_precomputed_file_through_the_memo(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_feature_file(path, {"k": np.arange(4, dtype=np.float32)})
+        stored = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
+        p = stored.for_pass()
+        p.memo_vector("k", 4)[:] = -1.0
+        assert np.array_equal(p.memo_vector("k", 4), np.arange(4.0))
+        assert np.array_equal(stored.vector("k", 4), np.arange(4.0))
+        with pytest.raises(KeyError):
+            p.memo_vector("unknown", 4)

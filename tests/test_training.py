@@ -8,9 +8,9 @@ from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
 from postpop.model import BranchSpec
 from postpop.numeric import ParamStore
-from postpop.training import (AdamState, TrainConfig, ablate, adam_step,
-                              apply_variant, compute_metrics, correlate_features,
-                              evaluate, pearson, spearman, train)
+from postpop.training import (AdamState, TrainConfig, TrainingDivergedError, ablate,
+                              adam_step, apply_variant, compute_metrics,
+                              correlate_features, evaluate, pearson, spearman, train)
 
 
 class TestAdam:
@@ -203,6 +203,25 @@ class TestTrainLoop:
         assert r1.history == r2.history
         for name, arr in r1.checkpoint.params.items():
             assert np.array_equal(arr, r2.checkpoint.params[name]), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises(self):
+        ds = make_sample_corpus(n=40, seed=13)
+        tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+        tc = TrainConfig(learning_rate=1e150, batch_size=10, max_epochs=2,
+                         patience=2, dropout=0.0, seed=0)
+        with pytest.raises(TrainingDivergedError, match="batch loss nan"):
+            train(tr, va, small_social_config(), tc)
+
+    def test_non_finite_val_mse_raises(self, monkeypatch):
+        ds = make_sample_corpus(n=40, seed=13)
+        tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+        monkeypatch.setattr(training_mod, "_predictions",
+                            lambda batch, params, config: np.full(len(batch.target), np.inf))
+        tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=2,
+                         patience=2, dropout=0.0, seed=0)
+        with pytest.raises(TrainingDivergedError, match="validation MSE inf"):
+            train(tr, va, small_social_config(), tc)
 
     def test_empty_split_rejected(self):
         ds = make_sample_corpus(n=10, seed=0)
