@@ -7,7 +7,6 @@ import numpy as np
 from postpop import (EmbeddingProvider, build_cooccurrence_graph,
                      hashtag_feature, load_dataset, node_embeddings,
                      split_dataset)
-from postpop.hashtag_graph import export_edge_list
 
 ds, _ = load_dataset("data/sample_corpus.jsonl")
 train, _, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=7)
@@ -31,6 +30,3 @@ print(f"\npost {post.post_id} hashtags {post.hashtags}")
 print(f"  topic dim: {hf.topic.shape[0]}")
 print(f"  structure dim: {hf.structure.shape[0]}")
 print(f"  combined dim: {hf.combined.shape[0]}")
-
-export_edge_list(graph, "/tmp/hashtag_graph.tsv")
-print("\nedge list exported to /tmp/hashtag_graph.tsv")

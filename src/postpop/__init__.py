@@ -12,9 +12,9 @@ from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
                     PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, branch_forward,
                     build_caches, extract_features, forward_bundle, head_forward,
                     init_model_params, load_checkpoint, loss_mse, merge,
-                    merged_length, model_backward, model_forward, save_checkpoint)
+                    merged_length, save_checkpoint)
 from .numeric import (ParamStore, ShapeError, conv1d_forward, dense_forward,
-                      dropout, finite_difference_grad, matmul, relu, softmax)
+                      dropout, finite_difference_grad, relu, softmax)
 from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
                         image_region_features, text_token_embeddings, tokenize)
 from .training import (AblationReport, Checkpoint, Metrics, TrainConfig,

@@ -1,5 +1,9 @@
-"""Command-line pipeline: prepare feature caches, train, evaluate, run
-ablations, and inspect attention weights.
+"""Command-line pipeline: train, evaluate, run ablations, and inspect
+attention weights.
+
+`train` runs straight from the corpus: it fits the frozen feature state
+(hashtag graph, node embeddings, social stats, PCA) on the training split
+itself. `evaluate` and `inspect-attention` rebuild that state the same way.
 
 Configuration is a plain-text file of `key=value` lines (# comments allowed)
 with command-line overrides via repeated --set key=value. Unknown keys are
@@ -9,18 +13,16 @@ rejected. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
-from .hashtag_graph import export_edge_list
 from .model import (CheckpointError, ModelConfig, BranchSpec,
-                    PAPER_HEAD_SIZES, build_caches, config_digest,
-                    content_forward, extract_features, load_checkpoint,
-                    save_checkpoint, stack_bundles)
+                    PAPER_HEAD_SIZES, build_caches, content_forward,
+                    extract_features, load_checkpoint, save_checkpoint,
+                    stack_bundles)
 from .providers import tokenize
 from .training import (Checkpoint, TrainConfig, ablate, evaluate, train)
 
@@ -45,7 +47,6 @@ def _parse_ints(s: str) -> tuple[int, ...]:
 DEFAULTS = {
     "corpus": (str, "data/sample_corpus.jsonl", "path to the JSON-lines corpus"),
     "lexicon": (str, "", "sentiment lexicon path (empty = bundled)"),
-    "cache_dir": (str, "out/cache", "feature cache directory"),
     "checkpoint": (str, "out/model.ckpt", "checkpoint file path"),
     "out": (str, "out", "output directory for history/metrics/reports"),
     "m": (int, "15", "max caption tokens"),
@@ -169,21 +170,6 @@ def _load_splits(rc: dict):
     return split_dataset(ds, fractions, seed=rc["split_seed"])
 
 
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _cache_digest(rc: dict, config: ModelConfig) -> str:
-    payload = {
-        "config": config_digest(config),
-        "corpus": _sha256_file(rc["corpus"]),
-        "fractions": [rc["train_frac"], rc["val_frac"], rc["test_frac"]],
-        "split_seed": rc["split_seed"],
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def _write_rows(path, header, rows):
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -192,59 +178,9 @@ def _write_rows(path, header, rows):
                               for v in row) + "\n")
 
 
-def _vector_line(vec) -> str:
-    return ",".join(repr(float(v)) for v in vec)
-
-
-def cmd_prepare(rc: dict) -> int:
-    """Build and persist the training-split feature caches."""
-    config = model_config_from(rc)
-    tr, _, _ = _load_splits(rc)
-    caches = build_caches(tr.posts, config, lexicon=_lexicon(rc))
-    cache_dir = Path(rc["cache_dir"])
-    cache_dir.mkdir(parents=True, exist_ok=True)
-
-    export_edge_list(caches.graph, cache_dir / "graph.tsv")
-    with (cache_dir / "node_embeddings.tsv").open("w", encoding="utf-8") as fh:
-        for tag in sorted(caches.node_emb):
-            fh.write(f"{tag}\t{_vector_line(caches.node_emb[tag])}\n")
-    with (cache_dir / "pca.tsv").open("w", encoding="utf-8") as fh:
-        fh.write("mean\t" + _vector_line(caches.pca.mean) + "\n")
-        fh.write("variance\t" + _vector_line(caches.pca.explained_variance) + "\n")
-        for row in caches.pca.components:
-            fh.write("component\t" + _vector_line(row) + "\n")
-    with (cache_dir / "social_stats.tsv").open("w", encoding="utf-8") as fh:
-        fh.write("mean\t" + _vector_line(caches.social_stats.mean) + "\n")
-        fh.write("std\t" + _vector_line(caches.social_stats.std) + "\n")
-
-    files = ["graph.tsv", "node_embeddings.tsv", "pca.tsv", "social_stats.tsv"]
-    manifest = {
-        "cache_digest": _cache_digest(rc, config),
-        "files": {name: _sha256_file(cache_dir / name) for name in files},
-        "train_posts": len(tr),
-    }
-    (cache_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    print(f"prepared caches for {len(tr)} training posts in {cache_dir}")
-    return 0
-
-
-def _require_caches(rc: dict, config: ModelConfig) -> None:
-    manifest_path = Path(rc["cache_dir"]) / "manifest.json"
-    if not manifest_path.exists():
-        raise CorpusError(
-            f"no cache manifest at {manifest_path}; run `postpop prepare` first")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("cache_digest") != _cache_digest(rc, config):
-        raise CorpusError(
-            "cache digest mismatch: caches were prepared under a different "
-            "corpus/config; re-run `postpop prepare`")
-
-
 def cmd_train(rc: dict) -> int:
     config = model_config_from(rc)
     tc = train_config_from(rc)
-    _require_caches(rc, config)
     print(f"run: learning_rate={tc.learning_rate} batch_size={tc.batch_size} "
           f"max_epochs={tc.max_epochs} patience={tc.patience} "
           f"dropout={tc.dropout} seed={tc.seed}")
@@ -368,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="shortcut for out=DIR")
     parser.add_argument("--seed", type=int, help="shortcut for seed=N")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prepare", help="build feature caches from the training split")
     sub.add_parser("train", help="train and write a checkpoint")
     p_eval = sub.add_parser("evaluate", help="print metrics for a split")
     p_eval.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -400,8 +335,6 @@ def main(argv=None) -> int:
         overrides["seed"] = str(args.seed)
     try:
         rc = resolve_config(args.config, overrides)
-        if args.command == "prepare":
-            return cmd_prepare(rc)
         if args.command == "train":
             return cmd_train(rc)
         if args.command == "evaluate":

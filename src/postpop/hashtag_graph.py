@@ -11,7 +11,6 @@ embedding with the averaged node embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -157,10 +156,3 @@ def hashtag_feature(post: Post, emb: dict[str, np.ndarray],
         topic=topic_embedding(post, provider, topic_dim),
         structure=structural_embedding(post, emb, structure_dim),
     )
-
-
-def export_edge_list(g: HashtagGraph, path) -> None:
-    """Write edges as `tag_a<TAB>tag_b<TAB>weight`, sorted lexically."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for (a, b) in sorted(g.edges):
-            fh.write(f"{a}\t{b}\t{g.edges[(a, b)]}\n")

@@ -526,14 +526,6 @@ def backward_bundle(d_y, fcache: ForwardCache, params: ParamStore,
     return grads
 
 
-def model_forward(post: Post, caches: FeatureCaches, params: ParamStore,
-                  config: ModelConfig, mode: str = "infer",
-                  rng: np.random.Generator | None = None) -> float:
-    bundle = extract_features(post, caches, config)
-    y_hat, _ = forward_bundle(bundle, params, config, mode, rng)
-    return y_hat
-
-
 def loss_mse(preds: np.ndarray, targets: np.ndarray) -> float:
     """Training objective: squared residuals scaled by 1/(2n)."""
     preds = np.asarray(preds, dtype=np.float64)
@@ -575,13 +567,6 @@ def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
     d_y = (preds - batch.target) / len(batch.target)
     grads = backward_bundle(d_y, fcache, params, config)
     return loss_mse(preds, batch.target), grads, preds
-
-
-def model_backward(bundles, params: ParamStore, config: ModelConfig,
-                   rngs: list | None = None) -> dict[str, np.ndarray]:
-    """Gradient store for the batch loss (train-mode forward)."""
-    _, grads, _ = batch_loss_and_grads(bundles, params, config, "train", rngs)
-    return grads
 
 
 # ---------------------------------------------------------------------------

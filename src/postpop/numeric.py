@@ -68,9 +68,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self._params.items()}
-
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for k, v in self._params.items():
@@ -87,17 +84,6 @@ class ParamStore:
         for k, v in self._params.items():
             out._params[k] = v.astype(dtype)
         return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit conformance check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def flat_rows(x: np.ndarray) -> np.ndarray:
@@ -210,10 +196,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return d_out * (x > 0)
-
-
-def tanh_elementwise(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 def dropout(x: np.ndarray, rate: float, mode: str, rng=None):

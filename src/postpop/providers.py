@@ -153,9 +153,6 @@ class EmbeddingProvider:
 
     def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
         """Deterministic rows x cols matrix for a string key."""
-        if self.kind == "precomputed_file":
-            flat = self.vector(key, rows * cols)
-            return flat.reshape(rows, cols)
         return self.vector(key, rows * cols).reshape(rows, cols)
 
 

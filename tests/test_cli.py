@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from postpop.cli import main, resolve_config, UsageError
+from postpop.cli import (main, model_config_from, resolve_config,
+                         train_config_from, UsageError)
 from postpop.corpora import make_sample_corpus
 from postpop.data import save_dataset
 
@@ -41,6 +42,8 @@ init_scale=0.3
 dropout=0.1
 """
 
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -49,7 +52,6 @@ def workspace(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"corpus={corpus}\n"
-        f"cache_dir={tmp_path / 'cache'}\n"
         f"checkpoint={tmp_path / 'model.ckpt'}\n"
         f"out={tmp_path / 'out'}\n"
         + DESK_KEYS
@@ -82,12 +84,19 @@ class TestConfigResolution:
         rc = resolve_config(cfg, {"batch_size": "7"})
         assert rc["batch_size"] == 7
 
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_resolves(self, path):
+        rc = resolve_config(path)
+        model_config_from(rc)
+        train_config_from(rc)
+
 
 class TestTopLevel:
     def test_help_exits_zero_and_documents_keys(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
-        assert "prepare" in out and "inspect-attention" in out
+        assert "train" in out and "inspect-attention" in out
+        assert "prepare" not in out and "cache_dir" not in out
         from postpop.cli import DEFAULTS
         for key in DEFAULTS:
             assert key in out, key
@@ -99,81 +108,27 @@ class TestTopLevel:
     def test_unknown_config_key_exits_one(self, workspace, capsys):
         _, cfg = workspace
         code, _, err = run_cli(["--config", str(cfg), "--set", "nope=1",
-                                "prepare"], capsys)
+                                "train"], capsys)
         assert code == 1 and "unknown configuration key" in err
 
     def test_missing_corpus_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(["--set", "corpus=/nonexistent.jsonl",
-                                "--set", "cache_dir=" + str(tmp_path / "c"),
-                                "prepare"], capsys)
+                                "--set", "checkpoint=" + str(tmp_path / "m.ckpt"),
+                                "train"], capsys)
         assert code == 2 and "not found" in err
 
 
-class TestPrepare:
-    def test_creates_cache_files(self, workspace, capsys):
-        tmp, cfg = workspace
-        code, out, _ = run_cli(["--config", str(cfg), "prepare"], capsys)
-        assert code == 0
-        cache = tmp / "cache"
-        for name in ("graph.tsv", "node_embeddings.tsv", "pca.tsv",
-                     "social_stats.tsv", "manifest.json"):
-            assert (cache / name).exists(), name
-
-    def test_idempotent_byte_for_byte(self, workspace, capsys):
-        tmp, cfg = workspace
-        assert run_cli(["--config", str(cfg), "prepare"], capsys)[0] == 0
-        cache = tmp / "cache"
-        first = {p.name: p.read_bytes() for p in cache.iterdir()}
-        assert run_cli(["--config", str(cfg), "prepare"], capsys)[0] == 0
-        second = {p.name: p.read_bytes() for p in cache.iterdir()}
-        assert first == second
-
-    def test_empty_hashtag_corpus_empty_graph(self, tmp_path, capsys):
-        ds = make_sample_corpus(n=20, seed=1)
-        stripped = [p.__class__(**{**p.__dict__, "hashtags": (),
-                                   "metadata": p.metadata.__class__(
-                                       **{**p.metadata.__dict__, "tag_count": 0})})
-                    for p in ds.posts]
-        from postpop.data import Dataset
-        corpus = tmp_path / "nohash.jsonl"
-        save_dataset(Dataset(tuple(stripped)), corpus)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"corpus={corpus}\ncache_dir={tmp_path / 'cache'}\n"
-                       + DESK_KEYS)
-        code, _, _ = run_cli(["--config", str(cfg), "prepare"], capsys)
-        assert code == 0
-        assert (tmp_path / "cache" / "graph.tsv").read_text() == ""
-
-    def test_manifest_records_cache_hash(self, workspace, capsys):
-        tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
-        manifest = json.loads((tmp / "cache" / "manifest.json").read_text())
-        assert "cache_digest" in manifest
-        import hashlib
-        for name, digest in manifest["files"].items():
-            actual = hashlib.sha256((tmp / "cache" / name).read_bytes()).hexdigest()
-            assert actual == digest
-
-
 class TestTrain:
-    def test_missing_cache_actionable_error(self, workspace, capsys):
-        _, cfg = workspace
-        code, _, err = run_cli(["--config", str(cfg), "train"], capsys)
-        assert code == 2 and "postpop prepare" in err
-
-    def test_digest_mismatch_rejected(self, workspace, capsys):
-        tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
-        code, _, err = run_cli(["--config", str(cfg), "--set", "d=4",
-                                "--set", "a=4", "--set", "n=4", "train"], capsys)
-        assert code == 2 and "digest mismatch" in err
-
     def test_writes_checkpoint_and_history(self, workspace, capsys):
+        # a fresh workspace, no earlier step: train runs from the corpus and
+        # writes nothing but the checkpoint and the history
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
+        before = set(tmp.rglob("*"))
         code, out, _ = run_cli(["--config", str(cfg), "train"], capsys)
         assert code == 0
-        assert (tmp / "model.ckpt").exists()
+        written = {p.relative_to(tmp) for p in set(tmp.rglob("*")) - before}
+        assert written == {Path("model.ckpt"), Path("out"),
+                           Path("out/history.csv")}
         history = (tmp / "out" / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_mse"
         assert len(history) >= 2
@@ -183,18 +138,16 @@ class TestTrain:
         save_dataset(make_sample_corpus(n=40, seed=13), corpus)
         cfg = tmp_path / "run.cfg"
         # no learning_rate/batch_size keys: defaults must appear in the header
-        cfg.write_text(f"corpus={corpus}\ncache_dir={tmp_path / 'cache'}\n"
+        cfg.write_text(f"corpus={corpus}\n"
                        f"checkpoint={tmp_path / 'm.ckpt'}\n"
                        f"out={tmp_path / 'out'}\n" + DESK_KEYS
                        + "max_epochs=1\npatience=1\n")
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         code, out, _ = run_cli(["--config", str(cfg), "train"], capsys)
         assert code == 0
         assert "learning_rate=0.0001" in out and "batch_size=20" in out
 
     def test_same_seed_identical_history(self, workspace, capsys):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         run_cli(["--config", str(cfg), "--seed", "5", "train"], capsys)
         h1 = (tmp / "out" / "history.csv").read_bytes()
         run_cli(["--config", str(cfg), "--seed", "5", "train"], capsys)
@@ -205,7 +158,6 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_two_without_checkpoint(self, workspace, capsys):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         code, _, err = run_cli(["--config", str(cfg), "--set", "learning_rate=1e150",
                                 "train"], capsys)
         assert code == 2 and "diverged" in err
@@ -214,10 +166,10 @@ class TestTrain:
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
         ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),
+        ("dropout", "1.5"),
     ])
     def test_nonsense_hyperparameter_exits_one(self, workspace, capsys, key, value):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}",
                                 "train"], capsys)
         assert code == 1 and key in err
@@ -227,7 +179,6 @@ class TestTrain:
 class TestEvaluate:
     def test_json_contains_all_metrics(self, workspace, capsys):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         run_cli(["--config", str(cfg), "train"], capsys)
         code, out, _ = run_cli(["--config", str(cfg), "evaluate",
                                 "--split", "val"], capsys)
@@ -247,12 +198,11 @@ class TestEvaluate:
         corpus = tmp_path / "corpus.jsonl"
         save_dataset(ds, corpus)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"corpus={corpus}\ncache_dir={tmp_path / 'cache'}\n"
+        cfg.write_text(f"corpus={corpus}\n"
                        f"checkpoint={tmp_path / 'm.ckpt'}\n"
                        f"out={tmp_path / 'out'}\n" + DESK_KEYS
                        + "learning_rate=0.02\nbatch_size=20\nmax_epochs=120\n"
                        + "patience=120\nseed=0\ndropout=0.0\n")
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         assert run_cli(["--config", str(cfg), "train"], capsys)[0] == 0
         code, out, _ = run_cli(["--config", str(cfg), "evaluate",
                                 "--split", "train"], capsys)
@@ -262,7 +212,6 @@ class TestEvaluate:
 
     def test_degenerate_split_exits_two(self, workspace, tmp_path, capsys):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         run_cli(["--config", str(cfg), "train"], capsys)
         tiny = tmp_path / "tiny.jsonl"
         save_dataset(make_sample_corpus(n=2, seed=0), tiny)
@@ -273,7 +222,6 @@ class TestEvaluate:
 
     def test_truncated_checkpoint_exits_two(self, workspace, capsys):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         run_cli(["--config", str(cfg), "train"], capsys)
         ckpt = tmp / "model.ckpt"
         raw = ckpt.read_bytes()
@@ -308,7 +256,6 @@ class TestInspectAttention:
     @pytest.fixture
     def trained(self, workspace, capsys):
         tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "prepare"], capsys)
         run_cli(["--config", str(cfg), "train"], capsys)
         return tmp, cfg
 

@@ -5,7 +5,7 @@ from conftest import make_post
 import postpop.hashtag_graph as hg
 from postpop.data import Dataset
 from postpop.hashtag_graph import (HashtagGraph,
-                                   build_cooccurrence_graph, export_edge_list,
+                                   build_cooccurrence_graph,
                                    hashtag_feature, initial_node_states,
                                    node_embeddings, structural_embedding,
                                    topic_embedding)
@@ -236,13 +236,3 @@ class TestHashtagFeature:
     def test_zero_plus_zero(self, provider):
         hf = hashtag_feature(make_post(hashtags=()), {}, provider)
         assert np.array_equal(hf.combined, np.zeros(818))
-
-
-class TestExport:
-    def test_edge_list_format(self, provider, tmp_path):
-        ds = posts_with_tags([("b", "a"), ("a", "b"), ("c", "a")])
-        g = build_cooccurrence_graph(ds, provider)
-        path = tmp_path / "graph.tsv"
-        export_edge_list(g, path)
-        lines = path.read_text().splitlines()
-        assert lines == ["a\tb\t2", "a\tc\t1"]

@@ -15,7 +15,7 @@ from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            forward_bundle,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
-                           model_backward, save_checkpoint, stack_bundles)
+                           save_checkpoint, stack_bundles)
 from postpop.numeric import (ParamStore, conv1d_forward, finite_difference_grad,
                              relative_error, relu)
 from postpop.providers import EmbeddingProvider, tokenize, write_feature_file
@@ -205,7 +205,7 @@ class TestFullModel:
         bundle = random_bundle(rng, cfg)
         y, _ = forward_bundle(bundle, params, cfg)
         bundle.target = y
-        grads = model_backward([bundle], params, cfg)
+        grads = batch_loss_and_grads([bundle], params, cfg, "train")[1]
         for name, g in grads.items():
             assert np.allclose(g, 0.0, atol=1e-10), name
 
@@ -213,8 +213,8 @@ class TestFullModel:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=2)
         bundle = random_bundle(rng, cfg)
-        g1 = model_backward([bundle], params, cfg)
-        g2 = model_backward([bundle, bundle], params, cfg)
+        g1 = batch_loss_and_grads([bundle], params, cfg, "train")[1]
+        g2 = batch_loss_and_grads([bundle, bundle], params, cfg, "train")[1]
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-12)
 

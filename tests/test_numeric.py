@@ -3,17 +3,8 @@ import pytest
 
 from postpop.numeric import (ParamStore, ShapeError, conv1d_backward,
                              conv1d_forward, dense_backward, dense_forward,
-                             dropout, finite_difference_grad, matmul,
+                             dropout, finite_difference_grad,
                              relative_error, relu, softmax, softmax_backward)
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def naive_conv1d(x, filters, bias):
@@ -28,26 +19,6 @@ def naive_conv1d(x, filters, bias):
                     acc += x[t + w, c] * filters[o, w, c]
             out[t, o] = acc
     return out
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.allclose(matmul(a, np.eye(3)), a)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_matches_naive_loop(self, rng):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            matmul(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
 
 
 class TestSoftmax:

@@ -236,6 +236,8 @@ class TestTrainLoop:
         {"batch_size": 0}, {"batch_size": -3}, {"max_epochs": 0, "patience": 0},
         {"patience": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
+        {"dropout": float("nan")},
     ])
     def test_nonsense_hyperparameters_rejected(self, bad):
         with pytest.raises(ValueError):
