@@ -14,7 +14,7 @@ from postpop.numeric import finite_difference_grad, relative_error
 
 config = ModelConfig(
     m=3, k=4, l=2, d=5, a=6, n=6, topic_dim=8, structure_dim=4, pca_k=4,
-    demographic_mode="ordinal", dropout_rate=0.0,
+    demographic_mode="ordinal",
     branch_specs={name: TINY_BRANCH_SPEC
                   for name in ("social", "demographic", "hashtag", "sentiment")},
     head_sizes=(8, 4, 1))
@@ -41,7 +41,7 @@ params = init_model_params(config, seed=3)
 print(f"parameters: {sum(v.size for _, v in params.items())} across "
       f"{len(params)} tensors")
 
-_, analytic, _ = batch_loss_and_grads([bundle], params, config, "infer")
+_, analytic, _ = batch_loss_and_grads([bundle], params, config)
 numeric = finite_difference_grad(lambda st: batch_loss([bundle], st, config),
                                  params, eps=1e-5)
 

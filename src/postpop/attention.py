@@ -3,8 +3,8 @@
 Scores mix each content row with a pooled hashtag vector through a tanh
 layer, then a masked softmax turns them into per-token and per-region
 weights; the content vector is the sum of the two attended features.
-Ablation variants: self-attention (pooled hashtag vector forced to zero)
-and no-attention (plain means). Every function runs over leading batch
+Ablation variants: self-attention (no hashtags, so the pooled hashtag vector
+is zero) and no-attention (plain means). Every function runs over leading batch
 axes: (B, M, D) text is B posts at once, (M, D) text is one post.
 """
 
@@ -48,7 +48,6 @@ class AttentionCache:
     y_image: np.ndarray
     alpha_text: np.ndarray
     alpha_image: np.ndarray
-    use_hashtag_pool: bool
 
 
 def _weighted_sum(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -64,15 +63,12 @@ def pooled_hashtag(hashtag_mat: np.ndarray, hashtag_mask: np.ndarray) -> np.ndar
 
 def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
                   hashtag_mat: np.ndarray, hashtag_mask: np.ndarray,
-                  params: ParamStore,
-                  use_hashtag_pool: bool = True) -> tuple[AttentionOutput, AttentionCache]:
+                  params: ParamStore) -> tuple[AttentionOutput, AttentionCache]:
     """Hashtag-guided attention producing the fused content vector.
 
     text: (..., M, D) with (..., M) binary mask; image: (..., K, D);
     hashtag_mat: (..., L, D) with mask. Leading axes are batch axes. A fully
     masked caption gets all-zero token weights and contributes nothing.
-    With `use_hashtag_pool` False the pooled hashtag vector is forced to
-    zero, which is the self-attention ablation.
     """
     ut, vt, wt = params["att.Ut"], params["att.Vt"], params["att.wt"]
     ui, vi, wi = params["att.Ui"], params["att.Vi"], params["att.wi"]
@@ -83,8 +79,7 @@ def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
     if hashtag_mat.shape[-1] != d:
         raise ShapeError(f"hashtag dim {hashtag_mat.shape[-1]} != D={d}")
 
-    hbar = pooled_hashtag(hashtag_mat, hashtag_mask) if use_hashtag_pool \
-        else np.zeros(image.shape[:-2] + (d,), dtype=image.dtype)
+    hbar = pooled_hashtag(hashtag_mat, hashtag_mask)
 
     y_text = np.tanh(text @ ut + (hbar @ vt)[..., None, :])
     alpha_text = softmax(y_text @ wt, text_mask, allow_empty=True)
@@ -103,8 +98,7 @@ def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
     )
     cache = AttentionCache(text=text, text_mask=text_mask, image=image,
                            pooled_hashtag=hbar, y_text=y_text, y_image=y_image,
-                           alpha_text=alpha_text, alpha_image=alpha_image,
-                           use_hashtag_pool=use_hashtag_pool)
+                           alpha_text=alpha_text, alpha_image=alpha_image)
     return out, cache
 
 
@@ -139,16 +133,15 @@ def hga_backward(d_content: np.ndarray, cache: AttentionCache,
         d_content, cache.image, cache.alpha_image, cache.y_image,
         params["att.Ui"], params["att.wi"])
     for name, d_pre in (("att.Vt", d_pre_t), ("att.Vi", d_pre_i)):
-        grads[name] = flat_rows(hbar).T @ flat_rows(d_pre.sum(axis=-2)) \
-            if cache.use_hashtag_pool else np.zeros_like(params[name])
+        grads[name] = flat_rows(hbar).T @ flat_rows(d_pre.sum(axis=-2))
     return grads, d_text, d_image
 
 
 def sa_attention(text, text_mask, image, params) -> tuple[AttentionOutput, AttentionCache]:
-    """Self-attention ablation: scoring without the hashtag signal."""
+    """Self-attention ablation: scoring without the hashtag signal. Its one
+    fully masked hashtag row pools to zero, so the V terms add nothing."""
     dummy = np.zeros(image.shape[:-2] + (1, text.shape[-1]), dtype=text.dtype)
-    return hga_attention(text, text_mask, image, dummy, dummy[..., 0], params,
-                         use_hashtag_pool=False)
+    return hga_attention(text, text_mask, image, dummy, dummy[..., 0], params)
 
 
 def na_content(text: np.ndarray, text_mask: np.ndarray,

@@ -62,7 +62,7 @@ DEFAULTS = {
     "graph_hops": (int, "2", "graph aggregation rounds"),
     "demographic_mode": (str, "onehot", "demographic encoding: onehot|ordinal"),
     "attention": (str, "hga", "attention variant: hga|sa|na"),
-    "dropout": (float, "0.2", "dropout rate"),
+    "dropout": (float, "0.2", "training dropout rate (not stored in the checkpoint)"),
     "init_scale": (float, "1.0", "parameter init range half-width"),
     "embed_seed": (int, "0", "embedding provider seed"),
     "use_content": (_parse_bool, "true", "include attended content vector"),
@@ -135,8 +135,8 @@ def model_config_from(rc: dict) -> ModelConfig:
         m=rc["m"], k=rc["k"], l=rc["l"], d=rc["d"], a=rc["a"], n=rc["n"],
         topic_dim=rc["topic_dim"], structure_dim=rc["structure_dim"],
         pca_k=rc["pca_k"], demographic_mode=rc["demographic_mode"],
-        attention=rc["attention"], dropout_rate=rc["dropout"],
-        init_scale=rc["init_scale"], embed_seed=rc["embed_seed"],
+        attention=rc["attention"], init_scale=rc["init_scale"],
+        embed_seed=rc["embed_seed"],
         graph_base_dim=rc["graph_base_dim"], graph_hops=rc["graph_hops"],
         use_content=rc["use_content"], use_hashtags=rc["use_hashtags"],
         use_social=rc["use_social"], use_demographics=rc["use_demographics"],

@@ -52,11 +52,12 @@ class PostMetadata:
     post_duration_days: float = 0.0
 
     def validate(self):
+        """Every field must be finite and in range; NaN fails every test below."""
         for name in ("avg_views", "group_count", "avg_member_count", "tag_count",
                      "title_length", "description_length", "comment_count",
                      "post_duration_days"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.tagged_people not in (0, 1):
             raise ValueError("tagged_people must be 0 or 1")
         if not 0 <= self.post_day <= 6:
@@ -156,7 +157,7 @@ def load_dataset(path, name: str | None = None) -> tuple[Dataset, int]:
             try:
                 rec = json.loads(line)
                 post = _post_from_record(rec)
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, OverflowError):
                 skipped += 1
                 continue
             if post.post_id in seen:

@@ -27,12 +27,11 @@ def _split_gates(act: np.ndarray, d_hidden: int):
 
 
 def init_lstm_params(store: ParamStore, rng, d_in: int, d_hidden: int,
-                     scale: float = 1.0, prefix: str = "lstm",
-                     dtype=np.float64):
+                     scale: float = 1.0, dtype=np.float64):
     """Fused 4-gate weights in i|f|g|o order."""
-    store.add(f"{prefix}.Wx", (d_in, 4 * d_hidden), rng, scale, dtype)
-    store.add(f"{prefix}.Wh", (d_hidden, 4 * d_hidden), rng, scale, dtype)
-    store.add(f"{prefix}.b", (4 * d_hidden,), rng, scale, dtype)
+    store.add("lstm.Wx", (d_in, 4 * d_hidden), rng, scale, dtype)
+    store.add("lstm.Wh", (d_hidden, 4 * d_hidden), rng, scale, dtype)
+    store.add("lstm.b", (4 * d_hidden,), rng, scale, dtype)
 
 
 @dataclass
@@ -47,14 +46,14 @@ class LstmCache:
     c: np.ndarray       # cell state after each step
 
 
-def lstm_encode(tokens: np.ndarray, mask: np.ndarray, params: ParamStore,
-                prefix: str = "lstm") -> tuple[np.ndarray, LstmCache]:
+def lstm_encode(tokens: np.ndarray, mask: np.ndarray,
+                params: ParamStore) -> tuple[np.ndarray, LstmCache]:
     """Encode (..., M, D_in) tokens into (..., M, D_hidden) hidden states.
 
     Every leading axis is a batch axis: all sequences step together, and a
     masked step of one sequence carries its state and emits a zero row.
     """
-    wx, wh, b = params[f"{prefix}.Wx"], params[f"{prefix}.Wh"], params[f"{prefix}.b"]
+    wx, wh, b = params["lstm.Wx"], params["lstm.Wh"], params["lstm.b"]
     *lead, m_steps, d_in = tokens.shape
     if wx.shape[0] != d_in:
         raise ShapeError(f"lstm input dim {d_in} != Wx rows {wx.shape[0]}")
@@ -87,11 +86,11 @@ def lstm_encode(tokens: np.ndarray, mask: np.ndarray, params: ParamStore,
                           gates=gates, c=c_all)
 
 
-def lstm_backward(d_out: np.ndarray, cache: LstmCache, params: ParamStore,
-                  prefix: str = "lstm") -> dict[str, np.ndarray]:
+def lstm_backward(d_out: np.ndarray, cache: LstmCache,
+                  params: ParamStore) -> dict[str, np.ndarray]:
     """Backpropagation through time for the fused-gate LSTM, summed over
     every leading (batch) axis."""
-    wh = params[f"{prefix}.Wh"]
+    wh = params["lstm.Wh"]
     d_hidden = wh.shape[0]
     live = np.asarray(cache.mask)[..., None] > 0
     dz_all = np.zeros_like(cache.gates)
@@ -114,30 +113,28 @@ def lstm_backward(d_out: np.ndarray, cache: LstmCache, params: ParamStore,
         dh_next = np.where(live_t, dz @ wh.T, dh_next)
         dc_next = np.where(live_t, dc * gf, dc_next)
     dz_rows = flat_rows(dz_all)
-    return {f"{prefix}.Wx": flat_rows(cache.tokens).T @ dz_rows,
-            f"{prefix}.Wh": flat_rows(cache.h_prev).T @ dz_rows,
-            f"{prefix}.b": dz_rows.sum(axis=0)}
+    return {"lstm.Wx": flat_rows(cache.tokens).T @ dz_rows,
+            "lstm.Wh": flat_rows(cache.h_prev).T @ dz_rows,
+            "lstm.b": dz_rows.sum(axis=0)}
 
 
 def init_projection_params(store: ParamStore, rng, n_in: int, d_out: int,
-                           scale: float = 1.0, prefix: str = "proj",
-                           dtype=np.float64):
-    store.add(f"{prefix}.W", (n_in, d_out), rng, scale, dtype)
-    store.add(f"{prefix}.b", (d_out,), rng, scale, dtype)
+                           scale: float = 1.0, dtype=np.float64):
+    store.add("proj.W", (n_in, d_out), rng, scale, dtype)
+    store.add("proj.b", (d_out,), rng, scale, dtype)
 
 
-def project_regions(regions: np.ndarray, params: ParamStore,
-                    prefix: str = "proj") -> np.ndarray:
+def project_regions(regions: np.ndarray, params: ParamStore) -> np.ndarray:
     """Map each (..., K, N) regional row through one shared affine layer."""
-    w, b = params[f"{prefix}.W"], params[f"{prefix}.b"]
+    w, b = params["proj.W"], params["proj.b"]
     if regions.shape[-1] != w.shape[0]:
         raise ShapeError(f"region dim {regions.shape[-1]} != projection rows {w.shape[0]}")
     return regions @ w + b
 
 
-def project_regions_backward(regions: np.ndarray, d_out: np.ndarray,
-                             prefix: str = "proj") -> dict[str, np.ndarray]:
+def project_regions_backward(regions: np.ndarray,
+                             d_out: np.ndarray) -> dict[str, np.ndarray]:
     return {
-        f"{prefix}.W": flat_rows(regions).T @ flat_rows(d_out),
-        f"{prefix}.b": flat_rows(d_out).sum(axis=0),
+        "proj.W": flat_rows(regions).T @ flat_rows(d_out),
+        "proj.b": flat_rows(d_out).sum(axis=0),
     }

@@ -34,6 +34,7 @@ from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
                         image_region_features, text_token_embeddings)
 
 BRANCH_ORDER = ("social", "demographic", "hashtag", "sentiment")
+BRANCH_LAYERS = 3  # conv-relu layers per branch
 
 # Published head ladder; the 27104 -> 13552 first layer halves the merged
 # vector and subsequent sizes follow the reported sequence down to the
@@ -47,6 +48,11 @@ class BranchSpec:
 
     widths: tuple[int, int, int]
     channels: tuple[int, int, int]
+
+    def __post_init__(self):
+        if not len(self.widths) == len(self.channels) == BRANCH_LAYERS:
+            raise ValueError(f"a branch has {BRANCH_LAYERS} conv layers, got widths "
+                             f"{self.widths} and channels {self.channels}")
 
     def output_length(self, input_length: int) -> int:
         length = input_length
@@ -84,7 +90,6 @@ class ModelConfig:
     pca_k: int = 6
     demographic_mode: str = "onehot"
     attention: str = "hga"
-    dropout_rate: float = 0.2
     init_scale: float = 1.0
     embed_seed: int = 0
     graph_base_dim: int = 64
@@ -364,12 +369,12 @@ def branch_inputs(bundle: FeatureBundle, config: ModelConfig) -> dict[str, np.nd
 # posts at once, an (n,) input one post. Parameter gradients are summed over
 # the batch.
 
-def branch_forward(f: np.ndarray, params: ParamStore, name: str,
-                   n_layers: int = 3) -> tuple[np.ndarray, list]:
-    """Run (..., n) feature vectors through conv-relu layers and flatten."""
+def branch_forward(f: np.ndarray, params: ParamStore,
+                   name: str) -> tuple[np.ndarray, list]:
+    """Run (..., n) feature vectors through the conv-relu layers and flatten."""
     x = f[..., None]
     layer_cache = []
-    for i in range(n_layers):
+    for i in range(BRANCH_LAYERS):
         filters = params[f"branch.{name}.conv{i}.filters"]
         bias = params[f"branch.{name}.conv{i}.bias"]
         pre = conv1d_forward(x, filters, bias)
@@ -405,11 +410,12 @@ def merge(branch_outputs: dict[str, np.ndarray], content: np.ndarray | None,
 
 
 def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
-                 mode: str = "infer", rng=None) -> tuple[np.ndarray, list]:
+                 rate: float = 0.0, rng=None) -> tuple[np.ndarray, list]:
     """Dense-relu-dropout stack with a final linear unit.
 
     Returns one prediction per row of x: an (B,) array for a (B, n) batch,
-    a scalar for one (n,) post. `rng` is as for `numeric.dropout`.
+    a scalar for one (n,) post. `rate` and `rng` are as for `numeric.dropout`
+    (rate 0 when scoring); each layer's cache keeps the rate for the backward.
     """
     cache = []
     n = len(config.head_sizes)
@@ -418,23 +424,23 @@ def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
         pre = dense_forward(x, w, b)
         if i < n - 1:
             act = relu(pre)
-            out, keep = dropout(act, config.dropout_rate, mode, rng)
+            out, keep = dropout(act, rate, rng)
         else:
             out, keep = pre, None
-        cache.append((x, pre, keep))
+        cache.append((x, pre, keep, rate))
         x = out
     return x[..., 0][()], cache  # [()] turns a one-post 0-d result into a scalar
 
 
-def head_backward(d_y, cache: list, params: ParamStore,
-                  config: ModelConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def head_backward(d_y, cache: list,
+                  params: ParamStore) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     grads = {}
     n = len(cache)
     d = np.asarray(d_y, dtype=params.dtype)[..., None]
     for i in reversed(range(n)):
-        x_in, pre, keep = cache[i]
+        x_in, pre, keep, rate = cache[i]
         if i < n - 1:
-            d = dropout_backward(d, keep, config.dropout_rate)
+            d = dropout_backward(d, keep, rate)
             d = relu_backward(pre, d)
         d_x, d_w, d_b = dense_backward(x_in, params[f"head.dense{i}.W"], d)
         grads[f"head.dense{i}.W"] = d_w
@@ -476,11 +482,11 @@ def content_forward(bundle: FeatureBundle, params: ParamStore, config: ModelConf
 
 
 def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfig,
-                   mode: str = "infer", rng=None) -> tuple[np.ndarray, ForwardCache]:
+                   rate: float = 0.0, rng=None) -> tuple[np.ndarray, ForwardCache]:
     """Predictions for a stacked (B, ...) bundle, or one post's bundle.
 
-    `rng` drives training-mode dropout: one generator per post of a stacked
-    bundle, or a single generator for one post.
+    `rate` is the head's dropout rate, 0 when scoring; `rng` draws its
+    masks: one generator per post of a stacked bundle, or one for one post.
     """
     lstm_cache = att_cache = content = None
     if config.use_content:
@@ -491,7 +497,7 @@ def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfi
     for name in inputs:
         branch_out[name], branch_caches[name] = branch_forward(inputs[name], params, name)
     merged = merge(branch_out, content, config)
-    y_hat, head_cache = head_forward(merged, params, config, mode, rng)
+    y_hat, head_cache = head_forward(merged, params, config, rate, rng)
     return y_hat, ForwardCache(bundle=bundle, lstm_cache=lstm_cache,
                                att_cache=att_cache, branch_caches=branch_caches,
                                head_cache=head_cache, inputs=inputs)
@@ -500,7 +506,7 @@ def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfi
 def backward_bundle(d_y, fcache: ForwardCache, params: ParamStore,
                     config: ModelConfig) -> dict[str, np.ndarray]:
     """Gradient of sum(d_y * y_hat) w.r.t. every parameter, over the batch."""
-    d_merged, grads = head_backward(d_y, fcache.head_cache, params, config)
+    d_merged, grads = head_backward(d_y, fcache.head_cache, params)
     offset = 0
     for name in BRANCH_ORDER:
         if name not in fcache.branch_caches:
@@ -545,25 +551,25 @@ def as_batch(bundles, params: ParamStore) -> FeatureBundle:
     return stack_bundles(bundles, params.dtype)
 
 
-def batch_loss(bundles, params: ParamStore, config: ModelConfig,
-               mode: str = "infer", rngs: list | None = None) -> float:
-    """Forward-only batch objective; used by the finite-difference oracle."""
+def batch_loss(bundles, params: ParamStore, config: ModelConfig) -> float:
+    """Dropout-free batch objective; used by the finite-difference oracle."""
     batch = as_batch(bundles, params)
-    preds, _ = forward_bundle(batch, params, config, mode, rngs)
+    preds, _ = forward_bundle(batch, params, config)
     return loss_mse(preds, batch.target)
 
 
 def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
-                         mode: str = "train", rngs: list | None = None):
+                         rate: float = 0.0, rngs: list | None = None):
     """Loss over a batch plus the summed parameter gradients.
 
-    `bundles` is a stacked bundle or a list of one-post bundles. The
+    `bundles` is a stacked bundle or a list of one-post bundles; `rate` and
+    `rngs` are the dropout rate and generators of `forward_bundle`. The
     gradient of the 1/(2n) objective w.r.t. each prediction is
     (pred - target) / n; one backward pass over the batch scales each
     post's gradient by that and sums them.
     """
     batch = as_batch(bundles, params)
-    preds, fcache = forward_bundle(batch, params, config, mode, rngs)
+    preds, fcache = forward_bundle(batch, params, config, rate, rngs)
     d_y = (preds - batch.target) / len(batch.target)
     grads = backward_bundle(d_y, fcache, params, config)
     return loss_mse(preds, batch.target), grads, preds
@@ -573,7 +579,7 @@ def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
 # checkpoint serialization
 
 _CKPT_MAGIC = b"PPCKPT1\n"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 _DTYPES = {8: np.float64, 4: np.float32}
 
 

@@ -30,9 +30,12 @@ class ParamStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         if dtype == np.float32:
-            # draw in float32 directly so huge layers never materialize in f8
-            arr = (rng.random(size=shape, dtype=np.float32) * 2.0 - 1.0) \
-                * np.float32(scale)
+            # draw in float32 and scale in place, so a huge layer never
+            # materializes in f8 or as a second copy
+            arr = rng.random(size=shape, dtype=np.float32)
+            arr *= 2.0
+            arr -= 1.0
+            arr *= np.float32(scale)
         else:
             arr = rng.uniform(-scale, scale, size=shape).astype(dtype)
         self._params[name] = arr
@@ -198,22 +201,20 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return d_out * (x > 0)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str, rng=None):
+def dropout(x: np.ndarray, rate: float, rng=None):
     """Inverted dropout. Returns (output, keep_mask).
 
-    Training mode zeroes entries with probability `rate` and scales the
-    survivors by 1/(1-rate); inference mode is the identity (mask of ones).
+    Zeroes entries with probability `rate` and scales the survivors by
+    1/(1-rate); rate 0, the inference pass, is the identity (mask of ones).
     `rng` is one generator for the whole of x, or a sequence of generators,
     one per row of a batch x (B, ...): row i's mask is drawn from rng[i].
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "infer" or rate == 0.0:
+    if rate == 0.0:
         return x, np.ones_like(x)
     if rng is None:
-        raise ValueError("training-mode dropout requires an rng")
+        raise ValueError("dropout at a nonzero rate requires an rng")
     if isinstance(rng, np.random.Generator):
         draws = rng.random(x.shape)
     else:

@@ -104,8 +104,7 @@ SCORE_BATCH = 64
 def _predictions(batch: FeatureBundle, params, config) -> np.ndarray:
     n = len(batch.target)
     return np.concatenate([
-        forward_bundle(batch.take(slice(start, start + SCORE_BATCH)), params, config,
-                       "infer")[0]
+        forward_bundle(batch.take(slice(start, start + SCORE_BATCH)), params, config)[0]
         for start in range(0, n, SCORE_BATCH)])
 
 
@@ -156,10 +155,12 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray) -> Metrics:
     targets = np.asarray(targets, dtype=np.float64)
     if preds.size == 0:
         raise ValueError("cannot evaluate an empty prediction set")
+    bad = np.count_nonzero(~np.isfinite(preds)) + np.count_nonzero(~np.isfinite(targets))
+    if bad:
+        raise ValueError(f"{bad} non-finite prediction(s) or target(s); cannot evaluate")
     err = preds - targets
     mse = float(np.mean(err ** 2))
     mae = float(np.mean(np.abs(err)))
-    assert mae ** 2 <= mse + 1e-12  # Jensen
     return Metrics(
         mse=mse,
         mae=mae,
@@ -175,7 +176,7 @@ class TrainResult:
     history: list[tuple[int, float, float]]  # (epoch, train_loss, val_mse)
 
 
-def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
+def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
           train_config: TrainConfig, caches: FeatureCaches | None = None,
           lexicon: SentimentLexicon | None = None) -> TrainResult:
     """Mini-batch Adam with per-epoch validation and early stopping.
@@ -187,7 +188,6 @@ def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation splits must be non-empty")
-    config = replace(model_config, dropout_rate=train_config.dropout)
     if caches is None:
         caches = build_caches(train_ds.posts, config, lexicon=lexicon)
     params = init_model_params(config, seed=train_config.seed)
@@ -209,8 +209,9 @@ def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
             # one dropout generator per post of the batch
             rngs = [np.random.default_rng(np.random.SeedSequence(
                 [train_config.seed, step, i])) for i in range(len(batch.target))] \
-                if config.dropout_rate > 0 else None
-            loss, grads, _ = batch_loss_and_grads(batch, params, config, "train", rngs)
+                if train_config.dropout > 0 else None
+            loss, grads, _ = batch_loss_and_grads(batch, params, config,
+                                                  train_config.dropout, rngs)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training diverged: batch loss {loss!r} at epoch {epoch}, "
@@ -240,7 +241,7 @@ def train(train_ds: Dataset, val_ds: Dataset, model_config: ModelConfig,
 
 
 def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
-    """Inference-mode metrics over a dataset."""
+    """Metrics over a dataset, scored without dropout."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     params = checkpoint.params

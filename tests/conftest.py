@@ -12,7 +12,6 @@ def tiny_config(**overrides) -> ModelConfig:
         topic_dim=8, structure_dim=4, pca_k=4,
         demographic_mode="ordinal",
         attention="hga",
-        dropout_rate=0.0,
         branch_specs={name: TINY_BRANCH_SPEC
                       for name in ("social", "demographic", "hashtag", "sentiment")},
         head_sizes=(8, 4, 1),

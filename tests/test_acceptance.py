@@ -30,13 +30,13 @@ PARAM_GROUPS = ("lstm.", "proj.", "att.", "branch.social.", "branch.demographic.
 def test_c1_gradient_fidelity():
     """Analytic full-model gradients match central differences at 1e-4."""
     start = time.monotonic()
-    config = tiny_config()  # M=3, K=4, L=2, D=5, A=6, dropout 0, float64
+    config = tiny_config()  # M=3, K=4, L=2, D=5, A=6, float64
     rng = np.random.default_rng(7)
     params = init_model_params(config, seed=3)
     bundle = random_bundle(rng, config, n_tokens=2, n_hashtags=1)
     bundles = [bundle]
 
-    _, grads, _ = batch_loss_and_grads(bundles, params, config, "infer")
+    _, grads, _ = batch_loss_and_grads(bundles, params, config)
     numeric = finite_difference_grad(
         lambda store: batch_loss(bundles, store, config), params, eps=1e-5)
 
@@ -189,7 +189,7 @@ def test_c6_overfit_one_batch():
     state = AdamState()
     mse = np.inf
     for step in range(500):
-        _, grads, preds = batch_loss_and_grads(bundles, params, config, "infer")
+        _, grads, preds = batch_loss_and_grads(bundles, params, config)
         adam_step(params, grads, state, lr=1e-2)
         mse = float(np.mean((preds - targets) ** 2))
         if mse <= 1e-3:
@@ -268,7 +268,7 @@ def test_c9_paper_scale_shape_fidelity():
     caches = build_caches(ds.posts, config)
     bundle = extract_features(ds.posts[0], caches, config)
     params = init_model_params(config, seed=0, dtype=np.float32)
-    y_hat, fcache = forward_bundle(bundle, params, config, "infer")
+    y_hat, fcache = forward_bundle(bundle, params, config)
     assert np.isfinite(y_hat)
     merged_dim = fcache.head_cache[0][0].shape[0]
     assert merged_dim == 27104

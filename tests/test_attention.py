@@ -329,14 +329,16 @@ class TestBatched:
         store = attention_params(rng, 4, 3)
         text, tmask, image, hmat, hmask = self.make_batch(rng)
         d_content = rng.normal(size=(4, 4))
-        for use_pool in (True, False):
-            out, cache = hga_attention(text, tmask, image, hmat, hmask, store,
-                                       use_hashtag_pool=use_pool)
+        hga = lambda i: hga_attention(text[i], tmask[i], image[i], hmat[i], hmask[i], store)
+        sa = lambda i: sa_attention(text[i], tmask[i], image[i], store)
+        for attend in (hga, sa):
+            out, cache = attend(slice(None))
             grads, d_text, d_image = hga_backward(d_content, cache, store)
+            if attend is sa:  # no hashtag signal reaches the V weights
+                assert not grads["att.Vt"].any() and not grads["att.Vi"].any()
             summed = {name: 0.0 for name in grads}
             for i in range(4):
-                one, one_cache = hga_attention(text[i], tmask[i], image[i], hmat[i],
-                                               hmask[i], store, use_hashtag_pool=use_pool)
+                one, one_cache = attend(i)
                 for field in ("alpha_text", "alpha_image", "content"):
                     assert np.allclose(getattr(out, field)[i], getattr(one, field),
                                        rtol=0, atol=1e-12), field

@@ -186,6 +186,16 @@ class TestEvaluate:
         payload = json.loads(out.strip().splitlines()[-1])
         assert set(payload) >= {"mse", "mae", "srcc", "pcc", "n"}
 
+    def test_dropout_override_ignored_by_evaluate(self, workspace, capsys):
+        tmp, cfg = workspace  # trained at dropout=0.1
+        run_cli(["--config", str(cfg), "train"], capsys)
+        code, plain, _ = run_cli(["--config", str(cfg), "evaluate"], capsys)
+        assert code == 0
+        code, other, err = run_cli(["--config", str(cfg), "--set", "dropout=0.3",
+                                    "evaluate"], capsys)
+        assert code == 0, err
+        assert other.strip().splitlines()[-1] == plain.strip().splitlines()[-1]
+
     def test_memorized_train_split_near_zero_mse(self, tmp_path, capsys):
         # 12 distinct feature patterns replicated 5x, so the held-out split
         # has exact twins in training and memorization carries over to it

@@ -28,7 +28,33 @@ def record(post_id="p0", **over):
     return rec
 
 
+NUMERIC_METADATA = ("avg_views", "group_count", "avg_member_count", "tag_count",
+                    "title_length", "description_length", "tagged_people",
+                    "comment_count", "post_day", "post_month", "post_hour",
+                    "post_duration_days")
+
+
 class TestLoad:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", NUMERIC_METADATA)
+    def test_non_finite_metadata_skipped(self, tmp_path, name, value):
+        path = tmp_path / "c.jsonl"
+        bad = record("p1")
+        bad["metadata"][name] = value
+        write_lines(path, [record("p0"), bad, record("p2")])
+        ds, skipped = load_dataset(path)
+        assert skipped == 1
+        assert [p.post_id for p in ds] == ["p0", "p2"]
+
+    def test_infinite_face_age_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        face = {"gender": "female", "age": float("inf"), "emotion": "neutral",
+                "race": "asian"}
+        write_lines(path, [record("p0"), record("p1", faces=[face])])
+        ds, skipped = load_dataset(path)
+        assert skipped == 1
+        assert [p.post_id for p in ds] == ["p0"]
+
     def test_three_wellformed_lines(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [record(f"p{i}") for i in range(3)])

@@ -66,6 +66,9 @@ class TestBranch:
         assert spec.output_length(10) == 4 * 2
         with pytest.raises(Exception):
             spec.output_length(5)
+        for widths, channels in (((3, 3), (1, 2)), ((1, 1, 1, 1), (1, 1, 1, 1))):
+            with pytest.raises(ValueError, match="3 conv layers"):
+                BranchSpec(widths=widths, channels=channels)
 
 
 class TestMergeAndConfig:
@@ -135,18 +138,19 @@ class TestHead:
         assert y == 0.0
 
     def test_inference_ignores_dropout(self, rng):
-        cfg = tiny_config(dropout_rate=0.5)
+        cfg = tiny_config()
         params = init_model_params(cfg, seed=0)
         x = rng.normal(size=merged_length(cfg))
-        y1, _ = head_forward(x, params, cfg, "infer")
-        y2, _ = head_forward(x, params, cfg, "infer", np.random.default_rng(1))
-        assert y1 == y2
+        y_train, _ = head_forward(x, params, cfg, 0.5, np.random.default_rng(1))
+        y1, _ = head_forward(x, params, cfg)
+        y2, _ = head_forward(x, params, cfg, rng=np.random.default_rng(1))
+        assert y1 == y2 != y_train
 
     def test_matches_hand_composed_dense(self, rng):
         cfg = tiny_config()
         params = init_model_params(cfg, seed=3)
         x = rng.normal(size=merged_length(cfg))
-        y, _ = head_forward(x, params, cfg, "infer")
+        y, _ = head_forward(x, params, cfg)
         h = x
         for i in range(2):
             h = relu(h @ params[f"head.dense{i}.W"] + params[f"head.dense{i}.b"])
@@ -154,11 +158,11 @@ class TestHead:
         assert abs(y - expect) < 1e-12
 
     def test_train_mode_rate_zero_equals_infer(self, rng):
-        cfg = tiny_config(dropout_rate=0.0)
+        cfg = tiny_config()
         params = init_model_params(cfg, seed=0)
         x = rng.normal(size=merged_length(cfg))
-        y_train, _ = head_forward(x, params, cfg, "train", np.random.default_rng(0))
-        y_infer, _ = head_forward(x, params, cfg, "infer")
+        y_train, _ = head_forward(x, params, cfg, 0.0, np.random.default_rng(0))
+        y_infer, _ = head_forward(x, params, cfg)
         assert y_train == y_infer
 
 
@@ -205,7 +209,7 @@ class TestFullModel:
         bundle = random_bundle(rng, cfg)
         y, _ = forward_bundle(bundle, params, cfg)
         bundle.target = y
-        grads = batch_loss_and_grads([bundle], params, cfg, "train")[1]
+        grads = batch_loss_and_grads([bundle], params, cfg)[1]
         for name, g in grads.items():
             assert np.allclose(g, 0.0, atol=1e-10), name
 
@@ -213,8 +217,8 @@ class TestFullModel:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=2)
         bundle = random_bundle(rng, cfg)
-        g1 = batch_loss_and_grads([bundle], params, cfg, "train")[1]
-        g2 = batch_loss_and_grads([bundle, bundle], params, cfg, "train")[1]
+        g1 = batch_loss_and_grads([bundle], params, cfg)[1]
+        g2 = batch_loss_and_grads([bundle, bundle], params, cfg)[1]
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-12)
 
@@ -223,9 +227,26 @@ class TestFullModel:
         cfg = tiny_config(attention=variant)
         params = init_model_params(cfg, seed=4)
         bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1)]
-        _, grads, _ = batch_loss_and_grads(bundles, params, cfg, "infer")
+        _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
         numeric = finite_difference_grad(
             lambda st: batch_loss(bundles, st, cfg), params)
+        for name in params.names():
+            assert relative_error(grads[name], numeric[name]) < 1e-4, name
+
+    def test_gradcheck_with_dropout(self, rng):
+        # the backward scales by the rate its forward ran with; fresh seeded
+        # generators replay the same masks for every oracle evaluation
+        cfg = tiny_config()
+        params = init_model_params(cfg, seed=4)
+        bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1) for _ in range(2)]
+        batch = stack_bundles(bundles)
+        _, grads, _ = batch_loss_and_grads(batch, params, cfg, 0.4, post_rngs(2))
+
+        def loss(st):
+            preds, _ = forward_bundle(batch, st, cfg, 0.4, post_rngs(2))
+            return loss_mse(preds, batch.target)
+
+        numeric = finite_difference_grad(loss, params)
         for name in params.names():
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
 
@@ -342,6 +363,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_old_version_rejected(self, tmp_path):
+        cfg, _, caches, params = self.make_parts()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, caches.pca, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (1).to_bytes(4, "little")  # the version after the magic
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     def test_corrupt_config_blob_rejected(self, tmp_path):
         cfg, _, caches, params = self.make_parts()
         path = tmp_path / "model.ckpt"
@@ -414,17 +445,17 @@ class TestBatchedModel:
     """A stacked (B, ...) batch runs the same code as B one-post calls."""
 
     @pytest.mark.parametrize("variant", ["hga", "sa", "na"])
-    @pytest.mark.parametrize("dropout_rate", [0.0, 0.4])
-    def test_batch_equals_one_post_calls(self, rng, variant, dropout_rate):
-        cfg = tiny_config(attention=variant, dropout_rate=dropout_rate)
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_batch_equals_one_post_calls(self, rng, variant, rate):
+        cfg = tiny_config(attention=variant)
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)
         n = len(bundles)
-        loss, grads, preds = batch_loss_and_grads(bundles, params, cfg, "train",
+        loss, grads, preds = batch_loss_and_grads(bundles, params, cfg, rate,
                                                   post_rngs(n))
         summed = {name: np.zeros_like(arr) for name, arr in params.items()}
         for i, (bundle, one_rng) in enumerate(zip(bundles, post_rngs(n))):
-            y, fcache = forward_bundle(bundle, params, cfg, "train", one_rng)
+            y, fcache = forward_bundle(bundle, params, cfg, rate, one_rng)
             assert abs(preds[i] - y) <= 1e-12
             d_y = (y - bundle.target) / n
             for name, g in backward_bundle(d_y, fcache, params, cfg).items():
@@ -435,13 +466,13 @@ class TestBatchedModel:
             np.sum((preds - [b.target for b in bundles]) ** 2) / (2 * n), abs=0)
 
     def test_dropout_masks_drawn_per_post(self, rng):
-        cfg = tiny_config(dropout_rate=0.5)
+        cfg = tiny_config()
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)[:3]
         batch = stack_bundles(bundles)
-        _, fcache = forward_bundle(batch, params, cfg, "train", post_rngs(3))
+        _, fcache = forward_bundle(batch, params, cfg, 0.5, post_rngs(3))
         for i, bundle in enumerate(bundles):
-            _, one = forward_bundle(bundle, params, cfg, "train", post_rngs(3)[i])
+            _, one = forward_bundle(bundle, params, cfg, 0.5, post_rngs(3)[i])
             for layer, one_layer in zip(fcache.head_cache[:-1], one.head_cache[:-1]):
                 assert np.array_equal(layer[2][i], one_layer[2])
 
@@ -465,7 +496,7 @@ class TestBatchedModel:
         params32 = params64.astype(np.float32)
         bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1),
                    random_bundle(rng, cfg, n_tokens=3, n_hashtags=2)]
-        _, grads, preds = batch_loss_and_grads(bundles, params32, cfg, "infer")
+        _, grads, preds = batch_loss_and_grads(bundles, params32, cfg)
         assert preds.dtype == np.float32
         numeric = finite_difference_grad(
             lambda st: batch_loss(bundles, st, cfg), params64)

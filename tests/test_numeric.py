@@ -129,25 +129,20 @@ class TestDenseAndActivations:
 
 
 class TestDropout:
-    def test_inference_mode_is_identity(self, rng):
-        x = rng.normal(size=10)
-        out, _ = dropout(x, 0.2, "infer")
-        assert np.array_equal(out, x)
-
     def test_rate_zero_is_exact_identity(self, rng):
         x = rng.normal(size=10)
-        out, _ = dropout(x, 0.0, "train", rng)
+        out, _ = dropout(x, 0.0, rng)
         assert np.array_equal(out, x)
 
     def test_seeded_reproducibility(self):
         x = np.ones(50)
-        a, _ = dropout(x, 0.4, "train", np.random.default_rng(9))
-        b, _ = dropout(x, 0.4, "train", np.random.default_rng(9))
+        a, _ = dropout(x, 0.4, np.random.default_rng(9))
+        b, _ = dropout(x, 0.4, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_survivors_scaled(self):
         x = np.ones(2000)
-        out, keep = dropout(x, 0.2, "train", np.random.default_rng(3))
+        out, keep = dropout(x, 0.2, np.random.default_rng(3))
         assert set(np.unique(out)) <= {0.0, 1.0 / 0.8}
         assert np.array_equal(out > 0, keep > 0)
 
@@ -179,6 +174,14 @@ class TestParamStore:
         assert np.all(arr <= 1.0) and np.all(arr >= -1.0)
         small = store.add("v", (200,), rng, scale=0.1)
         assert np.max(np.abs(small)) <= 0.1
+
+    def test_float32_draw_bits_match_out_of_place_form(self):
+        store = ParamStore()
+        arr = store.add("w", (300, 200), np.random.default_rng(4), 0.3, np.float32)
+        draw = np.random.default_rng(4).random(size=(300, 200), dtype=np.float32)
+        expect = (draw * 2.0 - 1.0) * np.float32(0.3)
+        assert arr.dtype == np.float32
+        assert arr.tobytes() == expect.tobytes()
 
     def test_shape_fixed_after_construction(self, rng):
         store = ParamStore()

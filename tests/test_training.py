@@ -121,6 +121,21 @@ class TestMetrics:
         assert m.srcc == pytest.approx(1.0)
         assert m.pcc < 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        for preds, targets in (([1.0, bad, 2.0], [1.0, 2.0, 3.0]),
+                               ([1.0, 2.0, 3.0], [bad, bad, 3.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                compute_metrics(np.array(preds), np.array(targets))
+
+    def test_large_equal_magnitude_errors(self):
+        # |err| = 1e8 + 259 everywhere, so MAE**2 equals MSE up to rounding
+        # of a 1e16-sized square, far above any fixed absolute slack
+        c = 100000259.0
+        m = compute_metrics(np.array([c, -c]), np.zeros(2))
+        assert m.mae == c
+        assert m.mse == pytest.approx(c * c, rel=1e-15)
+
     def test_jensen_bound(self, rng):
         for _ in range(10):
             preds = rng.normal(size=8)
