@@ -20,13 +20,13 @@ print(f"corpus: {len(ds)} posts, target variance {ds.popularity().var():.4f}")
 spec = BranchSpec(widths=(2, 2, 2), channels=(2, 2, 2))
 config = ModelConfig(
     m=5, k=4, l=2, d=8, a=8, n=8, topic_dim=8, structure_dim=4, pca_k=4,
-    init_scale=0.3, use_hashtags=False, use_social=False,
+    use_hashtags=False, use_social=False,
     use_demographics=False, use_sentiment_text=False,
     use_sentiment_hashtags=False,
     branch_specs={n: spec for n in ("social", "demographic", "hashtag", "sentiment")},
     head_sizes=(16, 8, 1))
 tconfig = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=40,
-                      patience=40, dropout=0.0, seed=0)
+                      patience=40, dropout=0.0, seed=0, init_scale=0.3)
 
 report = ablate(ds, config, tconfig, ["hga", "na"], seeds=[0, 1, 2])
 print()

@@ -63,7 +63,8 @@ DEFAULTS = {
     "demographic_mode": (str, "onehot", "demographic encoding: onehot|ordinal"),
     "attention": (str, "hga", "attention variant: hga|sa|na"),
     "dropout": (float, "0.2", "training dropout rate (not stored in the checkpoint)"),
-    "init_scale": (float, "1.0", "parameter init range half-width"),
+    "init_scale": (float, "1.0", "parameter init range half-width "
+                   "(training only; not stored in the checkpoint)"),
     "embed_seed": (int, "0", "embedding provider seed"),
     "use_content": (_parse_bool, "true", "include attended content vector"),
     "use_hashtags": (_parse_bool, "true", "include hashtag branch"),
@@ -124,26 +125,26 @@ def resolve_config(config_path=None, overrides=None) -> dict:
 
 
 def model_config_from(rc: dict) -> ModelConfig:
-    if rc["head_sizes"] == "paper":
-        head = PAPER_HEAD_SIZES
-    else:
-        head = _parse_ints(rc["head_sizes"])
-    specs = {name: BranchSpec(widths=tuple(rc[f"{name}_widths"]),
-                              channels=tuple(rc[f"{name}_channels"]))
-             for name in ("social", "demographic", "hashtag", "sentiment")}
-    return ModelConfig(
-        m=rc["m"], k=rc["k"], l=rc["l"], d=rc["d"], a=rc["a"], n=rc["n"],
-        topic_dim=rc["topic_dim"], structure_dim=rc["structure_dim"],
-        pca_k=rc["pca_k"], demographic_mode=rc["demographic_mode"],
-        attention=rc["attention"], init_scale=rc["init_scale"],
-        embed_seed=rc["embed_seed"],
-        graph_base_dim=rc["graph_base_dim"], graph_hops=rc["graph_hops"],
-        use_content=rc["use_content"], use_hashtags=rc["use_hashtags"],
-        use_social=rc["use_social"], use_demographics=rc["use_demographics"],
-        use_sentiment_text=rc["use_sentiment_text"],
-        use_sentiment_hashtags=rc["use_sentiment_hashtags"],
-        branch_specs=specs, head_sizes=head,
-    )
+    try:
+        head = (PAPER_HEAD_SIZES if rc["head_sizes"] == "paper"
+                else _parse_ints(rc["head_sizes"]))
+        specs = {name: BranchSpec(widths=tuple(rc[f"{name}_widths"]),
+                                  channels=tuple(rc[f"{name}_channels"]))
+                 for name in ("social", "demographic", "hashtag", "sentiment")}
+        return ModelConfig(
+            m=rc["m"], k=rc["k"], l=rc["l"], d=rc["d"], a=rc["a"], n=rc["n"],
+            topic_dim=rc["topic_dim"], structure_dim=rc["structure_dim"],
+            pca_k=rc["pca_k"], demographic_mode=rc["demographic_mode"],
+            attention=rc["attention"], embed_seed=rc["embed_seed"],
+            graph_base_dim=rc["graph_base_dim"], graph_hops=rc["graph_hops"],
+            use_content=rc["use_content"], use_hashtags=rc["use_hashtags"],
+            use_social=rc["use_social"], use_demographics=rc["use_demographics"],
+            use_sentiment_text=rc["use_sentiment_text"],
+            use_sentiment_hashtags=rc["use_sentiment_hashtags"],
+            branch_specs=specs, head_sizes=head,
+        )
+    except ValueError as e:
+        raise UsageError(f"bad model configuration: {e}")
 
 
 def train_config_from(rc: dict) -> TrainConfig:
@@ -151,7 +152,7 @@ def train_config_from(rc: dict) -> TrainConfig:
         return TrainConfig(learning_rate=rc["learning_rate"],
                            batch_size=rc["batch_size"], max_epochs=rc["max_epochs"],
                            patience=rc["patience"], dropout=rc["dropout"],
-                           seed=rc["seed"])
+                           init_scale=rc["init_scale"], seed=rc["seed"])
     except ValueError as e:
         raise UsageError(f"bad training configuration: {e}")
 
@@ -183,13 +184,13 @@ def cmd_train(rc: dict) -> int:
     tc = train_config_from(rc)
     print(f"run: learning_rate={tc.learning_rate} batch_size={tc.batch_size} "
           f"max_epochs={tc.max_epochs} patience={tc.patience} "
-          f"dropout={tc.dropout} seed={tc.seed}")
+          f"dropout={tc.dropout} init_scale={tc.init_scale} seed={tc.seed}")
     tr, va, _ = _load_splits(rc)
     result = train(tr, va, config, tc, lexicon=_lexicon(rc))
     out = Path(rc["out"])
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.checkpoint.params, result.checkpoint.config,
-                    result.checkpoint.caches.pca, rc["checkpoint"])
+                    rc["checkpoint"])
     _write_rows(out / "history.csv", "epoch,train_loss,val_mse", result.history)
     best = min(r[2] for r in result.history)
     print(f"trained {len(result.history)} epoch(s); best val MSE {best!r}")
@@ -199,8 +200,7 @@ def cmd_train(rc: dict) -> int:
 
 def _rebuild_checkpoint(rc: dict):
     config = model_config_from(rc)
-    params, stored_config, _ = load_checkpoint(rc["checkpoint"],
-                                               expected_config=config)
+    params, stored_config = load_checkpoint(rc["checkpoint"], expected_config=config)
     tr, va, te = _load_splits(rc)
     caches = build_caches(tr.posts, stored_config, lexicon=_lexicon(rc))
     return Checkpoint(params=params, config=stored_config, caches=caches), \

@@ -52,11 +52,16 @@ class PostMetadata:
     post_duration_days: float = 0.0
 
     def validate(self):
-        """Every field must be finite and in range; NaN fails every test below."""
+        """Every field must be finite and in range; NaN fails every test below.
+
+        An integer too large for a float raises OverflowError, a non-number
+        TypeError.
+        """
         for name in ("avg_views", "group_count", "avg_member_count", "tag_count",
                      "title_length", "description_length", "comment_count",
                      "post_duration_days"):
-            if not 0 <= getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.tagged_people not in (0, 1):
             raise ValueError("tagged_people must be 0 or 1")

@@ -9,11 +9,10 @@ nothing. At the default (paper-scale) configuration the merged vector is
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
 import os
-import struct
+import tokenize
+import zipfile
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
@@ -90,7 +89,6 @@ class ModelConfig:
     pca_k: int = 6
     demographic_mode: str = "onehot"
     attention: str = "hga"
-    init_scale: float = 1.0
     embed_seed: int = 0
     graph_base_dim: int = 64
     graph_hops: int = 2
@@ -147,11 +145,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def config_digest(config: ModelConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
 def halving_sizes(first: int, count: int) -> tuple[int, ...]:
     """Size ladder for test-scale heads: halve (ceiling) and end at 1."""
     sizes = [max(1, first)]
@@ -194,30 +187,29 @@ def merged_length(config: ModelConfig) -> int:
     return total
 
 
-def init_model_params(config: ModelConfig, seed: int = 0,
-                      dtype=np.float64) -> ParamStore:
-    """All trainable parameters, uniform in [-init_scale, init_scale]."""
+def init_model_params(config: ModelConfig, seed: int = 0, dtype=np.float64,
+                      scale: float = 1.0) -> ParamStore:
+    """All trainable parameters, uniform in [-scale, scale]."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    s = config.init_scale
     if config.use_content:
-        encoders.init_lstm_params(store, rng, config.d, config.d, s, dtype=dtype)
-        encoders.init_projection_params(store, rng, config.n, config.d, s,
+        encoders.init_lstm_params(store, rng, config.d, config.d, scale, dtype=dtype)
+        encoders.init_projection_params(store, rng, config.n, config.d, scale,
                                         dtype=dtype)
         if config.attention in ("hga", "sa"):
-            att.init_attention_params(store, rng, config.d, config.a, s, dtype)
+            att.init_attention_params(store, rng, config.d, config.a, scale, dtype)
     for name in enabled_branches(config):
         spec = config.branch_specs[name]
         ch_in = 1
         for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
             store.add(f"branch.{name}.conv{i}.filters", (ch_out, w, ch_in),
-                      rng, s, dtype)
-            store.add(f"branch.{name}.conv{i}.bias", (ch_out,), rng, s, dtype)
+                      rng, scale, dtype)
+            store.add(f"branch.{name}.conv{i}.bias", (ch_out,), rng, scale, dtype)
             ch_in = ch_out
     in_dim = merged_length(config)
     for i, out_dim in enumerate(config.head_sizes):
-        store.add(f"head.dense{i}.W", (in_dim, out_dim), rng, s, dtype)
-        store.add(f"head.dense{i}.b", (out_dim,), rng, s, dtype)
+        store.add(f"head.dense{i}.W", (in_dim, out_dim), rng, scale, dtype)
+        store.add(f"head.dense{i}.b", (out_dim,), rng, scale, dtype)
         in_dim = out_dim
     return store
 
@@ -577,50 +569,23 @@ def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
 
 # ---------------------------------------------------------------------------
 # checkpoint serialization
+#
+# A checkpoint is an uncompressed numpy .npz archive (a zip file) with the
+# members `version`, `config` (the to_dict() JSON), `names` (the parameter
+# names in order) and one `param/<name>` per parameter array. Zip's CRC-32
+# on each member catches corrupt bytes.
 
-_CKPT_MAGIC = b"PPCKPT1\n"
-_CKPT_VERSION = 2
-_DTYPES = {8: np.float64, 4: np.float32}
+_CKPT_VERSION = 3
+# What numpy and zipfile raise on an archive they cannot decode.
+_DECODE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError,
+                  TypeError, RuntimeError, NotImplementedError, tokenize.TokenError)
 
 
 class CheckpointError(ValueError):
     """Corrupt, wrong-version, or incompatible checkpoint file."""
 
 
-def _write_array(fh, arr: np.ndarray):
-    arr = np.ascontiguousarray(arr)
-    code = 8 if arr.dtype == np.float64 else 4
-    fh.write(struct.pack("<BB", code, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}i", *arr.shape))
-    fh.write(arr.astype(f"<f{code}").tobytes())
-
-
-def _read(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise CheckpointError(
-            f"truncated checkpoint: wanted {size} bytes at offset "
-            f"{fh.tell() - len(data)}, got {len(data)}")
-    return data
-
-
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
-
-
-def _read_array(fh) -> np.ndarray:
-    code, ndim = _unpack(fh, "<BB")
-    if code not in _DTYPES:
-        raise CheckpointError(f"unknown array dtype code {code}")
-    shape = _unpack(fh, f"<{ndim}i")
-    if min(shape, default=0) < 0:
-        raise CheckpointError(f"negative array shape {shape}")
-    arr = np.frombuffer(_read(fh, code * math.prod(shape)), dtype=f"<f{code}")
-    return arr.astype(_DTYPES[code]).reshape(shape)
-
-
-def save_checkpoint(params: ParamStore, config: ModelConfig,
-                    pca: PCAModel | None, path) -> None:
+def save_checkpoint(params: ParamStore, config: ModelConfig, path) -> None:
     """Write the checkpoint atomically.
 
     The bytes go to a temporary file in the same directory, which replaces
@@ -629,9 +594,13 @@ def save_checkpoint(params: ParamStore, config: ModelConfig,
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    names = params.names()
     try:
         with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, params, config, pca)
+            np.savez(fh, version=np.array(_CKPT_VERSION),
+                     config=np.array(json.dumps(config.to_dict(), sort_keys=True)),
+                     names=np.array(names),
+                     **{f"param/{name}": params[name] for name in names})
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -640,68 +609,40 @@ def save_checkpoint(params: ParamStore, config: ModelConfig,
         raise
 
 
-def _write_checkpoint(fh, params: ParamStore, config: ModelConfig,
-                      pca: PCAModel | None) -> None:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    fh.write(_CKPT_MAGIC)
-    fh.write(struct.pack("<i", _CKPT_VERSION))
-    fh.write(struct.pack("<i", len(blob)))
-    fh.write(blob)
-    fh.write(hashlib.sha256(blob).digest())
-    fh.write(struct.pack("<B", 1 if pca is not None else 0))
-    if pca is not None:
-        _write_array(fh, pca.mean)
-        _write_array(fh, pca.components)
-        _write_array(fh, pca.explained_variance)
-    fh.write(struct.pack("<i", len(params)))
-    for name, arr in params.items():
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<i", len(nb)))
-        fh.write(nb)
-        _write_array(fh, arr)
-
-
 def load_checkpoint(path, expected_config: ModelConfig | None = None):
-    """Read (params, config, pca); optionally verify config compatibility.
+    """Read (params, config); optionally verify config compatibility.
 
     A file that cannot be decoded, truncated anywhere included, raises
     CheckpointError.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise CheckpointError(f"not a checkpoint file: {path}")
-        (version,) = _unpack(fh, "<i")
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (blen,) = _unpack(fh, "<i")
-        blob = _read(fh, max(blen, 0))
-        digest = _read(fh, 32)
-        if hashlib.sha256(blob).digest() != digest:
-            raise CheckpointError(f"checkpoint config digest mismatch (corrupt file): {path}")
-        try:
-            config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
-        except (ValueError, TypeError, KeyError) as e:
-            raise CheckpointError(f"unreadable checkpoint configuration: {e}") from e
-        if expected_config is not None and config_digest(expected_config) != config_digest(config):
+        if not zipfile.is_zipfile(fh):
             raise CheckpointError(
-                "checkpoint was trained under a different configuration; "
-                "re-train or pass the matching config")
-        (has_pca,) = _unpack(fh, "<B")
-        pca = None
-        if has_pca:
-            mean = _read_array(fh)
-            components = _read_array(fh)
-            variance = _read_array(fh)
-            pca = PCAModel(mean=mean, components=components,
-                           explained_variance=variance)
-        (count,) = _unpack(fh, "<i")
-        params = ParamStore()
-        for _ in range(count):
-            (nlen,) = _unpack(fh, "<i")
-            name = _read(fh, max(nlen, 0))
-            arr = _read_array(fh)
-            try:
-                params.add_array(name.decode("utf-8"), arr)
-            except ValueError as e:  # an undecodable or repeated name
-                raise CheckpointError(f"bad parameter name {name!r}: {e}") from e
-    return params, config, pca
+                f"{path} is not a format-{_CKPT_VERSION} checkpoint: it is truncated, "
+                "corrupt or from an older version; re-train it")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                members = {name: archive[name] for name in archive.files}
+            version = int(members["version"])
+            blob = str(members["config"])
+            names = [str(name) for name in members["names"]]
+        except _DECODE_ERRORS as e:
+            raise CheckpointError(f"corrupt checkpoint {path}: {e!r}") from e
+    if version != _CKPT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}; re-train it")
+    if (len(set(names)) != len(names) or set(members) !=
+            {"version", "config", "names", *(f"param/{name}" for name in names)}):
+        raise CheckpointError(f"checkpoint members do not match its parameter names: {path}")
+    try:
+        config = ModelConfig.from_dict(json.loads(blob))
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise CheckpointError(f"unreadable checkpoint configuration: {e!r}") from e
+    if expected_config is not None and config != expected_config:
+        raise CheckpointError(
+            "checkpoint was trained under a different configuration; "
+            "re-train or pass the matching config")
+    params = ParamStore()
+    for name in names:
+        params.add_array(name, members[f"param/{name}"])
+    return params, config

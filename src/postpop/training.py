@@ -28,6 +28,7 @@ class TrainConfig:
     patience: int = 5
     dropout: float = 0.2
     seed: int = 0
+    init_scale: float = 1.0
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience"):
@@ -37,6 +38,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
         if self.patience > self.max_epochs:
             raise ValueError(f"patience {self.patience} > max_epochs {self.max_epochs}")
 
@@ -190,7 +193,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
         raise ValueError("train and validation splits must be non-empty")
     if caches is None:
         caches = build_caches(train_ds.posts, config, lexicon=lexicon)
-    params = init_model_params(config, seed=train_config.seed)
+    params = init_model_params(config, seed=train_config.seed,
+                               scale=train_config.init_scale)
     train_set = stack_bundles(extract_dataset(train_ds, caches, config), params.dtype)
     val_set = stack_bundles(extract_dataset(val_ds, caches, config), params.dtype)
     state = AdamState()

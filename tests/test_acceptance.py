@@ -180,12 +180,12 @@ def test_c6_overfit_one_batch():
     start = time.monotonic()
     ds = make_sample_corpus(n=20, seed=21)
     config = tiny_config(m=6, k=4, l=4, d=8, a=8, n=8, topic_dim=8,
-                         structure_dim=4, pca_k=6, init_scale=0.3,
+                         structure_dim=4, pca_k=6,
                          head_sizes=(16, 8, 1))  # all dims <= 16
     caches = build_caches(ds.posts, config)
     bundles = extract_dataset(ds, caches, config)
     targets = np.array([b.target for b in bundles])
-    params = init_model_params(config, seed=0)
+    params = init_model_params(config, seed=0, scale=0.3)
     state = AdamState()
     mse = np.inf
     for step in range(500):
@@ -208,12 +208,12 @@ def test_c7_hashtag_signal_separation():
     ds = make_hashtag_signal_corpus(n=400, n_targets=24, caption_tokens=5,
                                     d=8, embed_seed=0, seed=0)
     config = tiny_config(m=5, k=4, l=2, d=8, a=8, n=8, topic_dim=8,
-                         structure_dim=4, pca_k=4, init_scale=0.3,
+                         structure_dim=4, pca_k=4,
                          use_hashtags=False, use_social=False,
                          use_demographics=False, use_sentiment_text=False,
                          use_sentiment_hashtags=False, head_sizes=(16, 8, 1))
     tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=40,
-                     patience=40, dropout=0.0, seed=0)
+                     patience=40, dropout=0.0, seed=0, init_scale=0.3)
     seeds = [0, 1, 2, 3, 4]
     report = ablate(ds, config, tc, ["hga", "na"], seeds=seeds)
     hga_median = report.median("hga", "val_mse")
@@ -231,17 +231,16 @@ def test_c8_reproducibility(tmp_path):
     ds = make_sample_corpus(n=40, seed=17)
     tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
     config = tiny_config(m=6, k=4, l=4, d=8, a=8, n=8, topic_dim=8,
-                         structure_dim=4, pca_k=6, init_scale=0.3,
+                         structure_dim=4, pca_k=6,
                          head_sizes=(16, 8, 1))
     tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=4,
-                     patience=4, dropout=0.2, seed=23)
+                     patience=4, dropout=0.2, seed=23, init_scale=0.3)
     paths = []
     histories = []
     for run in range(2):
         result = train(tr, va, config, tc)
         path = tmp_path / f"run{run}.ckpt"
-        save_checkpoint(result.checkpoint.params, result.checkpoint.config,
-                        result.checkpoint.caches.pca, path)
+        save_checkpoint(result.checkpoint.params, result.checkpoint.config, path)
         paths.append(path)
         histories.append(result.history)
     assert histories[0] == histories[1]  # float64 exact equality

@@ -166,7 +166,8 @@ class TestTrain:
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
         ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),
-        ("dropout", "1.5"),
+        ("dropout", "1.5"), ("init_scale", "0"), ("init_scale", "-1"),
+        ("init_scale", "inf"),
     ])
     def test_nonsense_hyperparameter_exits_one(self, workspace, capsys, key, value):
         tmp, cfg = workspace
@@ -174,6 +175,19 @@ class TestTrain:
                                 "train"], capsys)
         assert code == 1 and key in err
         assert not (tmp / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("attention", "xyz"), ("demographic_mode", "foo"), ("social_widths", "2,2"),
+    ("head_sizes", "4,2"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value):
+    tmp, cfg = workspace
+    code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}",
+                            command], capsys)
+    assert code == 1 and "bad model configuration" in err, err
+    assert not (tmp / "model.ckpt").exists()
 
 
 class TestEvaluate:
@@ -230,6 +244,16 @@ class TestEvaluate:
         assert code == 2
 
 
+    def test_init_scale_override_ignored_by_evaluate(self, workspace, capsys):
+        tmp, cfg = workspace  # trained at init_scale=0.3
+        run_cli(["--config", str(cfg), "train"], capsys)
+        code, plain, _ = run_cli(["--config", str(cfg), "evaluate"], capsys)
+        assert code == 0
+        code, other, err = run_cli(["--config", str(cfg), "--set", "init_scale=0.5",
+                                    "evaluate"], capsys)
+        assert code == 0, err
+        assert other.strip().splitlines()[-1] == plain.strip().splitlines()[-1]
+
     def test_truncated_checkpoint_exits_two(self, workspace, capsys):
         tmp, cfg = workspace
         run_cli(["--config", str(cfg), "train"], capsys)
@@ -238,8 +262,25 @@ class TestEvaluate:
         for size in (10, len(raw) - 3):
             ckpt.write_bytes(raw[:size])
             code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
-            assert code == 2 and "truncated checkpoint" in err
+            assert code == 2 and "truncated" in err and "re-train" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt"])
+    def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "train"], capsys)
+        ckpt = tmp / "model.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        if damage == "missing":
+            ckpt.unlink()
+        elif damage == "format2":
+            ckpt.write_bytes(b"PPCKPT1\n" + (2).to_bytes(4, "little") + bytes(raw[12:]))
+        else:
+            raw[len(raw) // 2] ^= 0xFF  # inside a parameter array
+            ckpt.write_bytes(bytes(raw))
+        code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
+        assert code == 2 and err.startswith("postpop: error:")
+        assert "Traceback" not in err
 
 
 class TestAblate:

@@ -46,6 +46,17 @@ class TestLoad:
         assert skipped == 1
         assert [p.post_id for p in ds] == ["p0", "p2"]
 
+    @pytest.mark.parametrize("name", NUMERIC_METADATA + ("popularity",))
+    def test_huge_integer_skipped(self, tmp_path, name):
+        # 10**400 is finite as a Python int but overflows a float
+        path = tmp_path / "c.jsonl"
+        bad = record("p1")
+        (bad if name == "popularity" else bad["metadata"])[name] = 10 ** 400
+        write_lines(path, [record("p0"), bad, record("p2")])
+        ds, skipped = load_dataset(path)
+        assert skipped == 1
+        assert [p.post_id for p in ds] == ["p0", "p2"]
+
     def test_infinite_face_age_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         face = {"gender": "female", "age": float("inf"), "emotion": "neutral",

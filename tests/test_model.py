@@ -1,3 +1,5 @@
+import json
+import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -10,8 +12,7 @@ from postpop.corpora import make_sample_corpus
 from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            PAPER_HEAD_SIZES, backward_bundle, batch_loss,
                            batch_loss_and_grads, branch_forward, branch_inputs,
-                           build_caches,
-                           config_digest, extract_dataset, extract_features,
+                           build_caches, extract_dataset, extract_features,
                            forward_bundle,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
@@ -127,7 +128,6 @@ class TestMergeAndConfig:
         cfg = tiny_config(attention="sa", use_social=False)
         back = ModelConfig.from_dict(cfg.to_dict())
         assert back == cfg
-        assert config_digest(back) == config_digest(cfg)
 
 
 class TestHead:
@@ -325,6 +325,24 @@ class TestExtractDataset:
         assert all(map(bundles_equal, first, second))
 
 
+def two_array_params() -> ParamStore:
+    params = ParamStore()
+    params.add_array("w", np.arange(6, dtype=np.float64).reshape(2, 3) / 7)
+    params.add_array("b", np.linspace(-1, 1, 4, dtype=np.float32))
+    return params
+
+
+def member_data(path, member: str) -> tuple[int, int]:
+    """Offset and size of one archive member's stored bytes."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    raw = path.read_bytes()
+    start = info.header_offset
+    name_len = int.from_bytes(raw[start + 26:start + 28], "little")
+    extra_len = int.from_bytes(raw[start + 28:start + 30], "little")
+    return start + 30 + name_len + extra_len, info.compress_size
+
+
 class TestCheckpoint:
     def make_parts(self):
         cfg = tiny_config()
@@ -338,96 +356,140 @@ class TestCheckpoint:
         bundle = extract_features(ds.posts[3], caches, cfg)
         y_before, _ = forward_bundle(bundle, params, cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
-        params2, cfg2, pca2 = load_checkpoint(path)
+        save_checkpoint(params, cfg, path)
+        params2, cfg2 = load_checkpoint(path)
         y_after, _ = forward_bundle(bundle, params2, cfg2)
         assert y_before == y_after
-        assert np.array_equal(pca2.mean, caches.pca.mean)
-        assert np.array_equal(pca2.components, caches.pca.components)
 
     def test_round_trip_bit_exact_params(self, tmp_path):
-        cfg, _, caches, params = self.make_parts()
+        cfg = tiny_config()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
-        params2, _, _ = load_checkpoint(path)
-        for name, arr in params.items():
-            assert np.array_equal(arr, params2[name]), name
+        for dtype in (np.float64, np.float32):
+            params = init_model_params(cfg, seed=9, dtype=dtype)
+            save_checkpoint(params, cfg, path)
+            params2, cfg2 = load_checkpoint(path)
+            assert cfg2 == cfg
+            assert params2.names() == params.names()
+            for name, arr in params.items():
+                assert params2[name].dtype == arr.dtype, name
+                assert params2[name].tobytes() == arr.tobytes(), name
 
     def test_tampered_magic_rejected(self, tmp_path):
         cfg, _, caches, params = self.make_parts()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
+        save_checkpoint(params, cfg, path)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_old_version_rejected(self, tmp_path):
-        cfg, _, caches, params = self.make_parts()
+    def test_old_version_rejected(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
-        raw = bytearray(path.read_bytes())
-        raw[8:12] = (1).to_bytes(4, "little")  # the version after the magic
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        monkeypatch.setattr(model_mod, "_CKPT_VERSION", 2)
+        save_checkpoint(two_array_params(), cfg, path)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
+    def test_old_binary_format_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"PPCKPT1\n" + (2).to_bytes(4, "little") + bytes(64))
+        with pytest.raises(CheckpointError, match="re-train"):
             load_checkpoint(path)
 
     def test_corrupt_config_blob_rejected(self, tmp_path):
-        cfg, _, caches, params = self.make_parts()
+        cfg = tiny_config()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
+        save_checkpoint(two_array_params(), cfg, path)
+        start, size = member_data(path, "config.npy")
         raw = bytearray(path.read_bytes())
-        raw[20] ^= 0x01  # inside the config JSON
+        raw[start + size // 2] ^= 0x01  # inside the config JSON
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="digest"):
+        with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("members", [
+        {"extra": np.zeros(2)},  # a member `names` does not list
+        {"param/b": None},  # a listed parameter missing
+    ])
+    def test_members_must_match_names(self, tmp_path, members):
+        cfg = tiny_config()
+        arrays = {"version": np.array(model_mod._CKPT_VERSION),
+                  "config": np.array(json.dumps(cfg.to_dict(), sort_keys=True)),
+                  "names": np.array(["w", "b"]),
+                  "param/w": np.zeros((2, 3)), "param/b": np.zeros(4)}
+        arrays.update(members)
+        path = tmp_path / "model.ckpt"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+        with pytest.raises(CheckpointError, match="members"):
             load_checkpoint(path)
 
     def test_truncation_anywhere_rejected(self, tmp_path):
-        cfg, _, caches, params = self.make_parts()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
+        save_checkpoint(two_array_params(), tiny_config(), path)
         raw = path.read_bytes()
-        # the header runs up to the end of the first parameter's shape; the
-        # payload offsets cut arrays and names in the middle
-        first = list(params.names())[0].encode("utf-8")
-        header_end = raw.index(first) + len(first) + 2 + 4 * params[params.names()[0]].ndim
-        cuts = list(range(header_end + 1)) + [header_end + 5, len(raw) // 2,
-                                              len(raw) - 9, len(raw) - 1]
         cut = tmp_path / "cut.ckpt"
-        for size in cuts:
+        for size in range(len(raw)):
             cut.write_bytes(raw[:size])
             with pytest.raises(CheckpointError):
                 load_checkpoint(cut)
 
+    def test_every_byte_flip_rejected_or_harmless(self, tmp_path):
+        cfg = tiny_config()
+        params = two_array_params()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, path)
+        raw = path.read_bytes()
+        flipped = tmp_path / "flipped.ckpt"
+        harmless = 0
+        for offset in range(len(raw)):
+            bad = bytearray(raw)
+            bad[offset] ^= 0xFF
+            flipped.write_bytes(bytes(bad))
+            try:
+                params2, cfg2 = load_checkpoint(flipped)
+            except CheckpointError:
+                continue
+            harmless += 1  # zip metadata that no reader checks
+            assert cfg2 == cfg, offset
+            assert params2.names() == params.names(), offset
+            for name, arr in params.items():
+                assert params2[name].dtype == arr.dtype, (offset, name)
+                assert params2[name].tobytes() == arr.tobytes(), (offset, name)
+        assert harmless < len(raw) // 2
+
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg, _, caches, params = self.make_parts()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
+        save_checkpoint(params, cfg, path)
         before = path.read_bytes()
-        real_write = model_mod._write_array
+        real_write = np.lib.format.write_array
         calls = {"n": 0}
 
-        def failing_write(fh, arr):
+        def failing_write(fp, arr, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 5:
                 raise OSError("disk full")
-            real_write(fh, arr)
+            real_write(fp, arr, *args, **kwargs)
 
-        monkeypatch.setattr(model_mod, "_write_array", failing_write)
+        monkeypatch.setattr(np.lib.format, "write_array", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(zeroed(params), cfg, caches.pca, path)
+            save_checkpoint(zeroed(params), cfg, path)
+        assert calls["n"] == 5
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_different_config_rejected(self, tmp_path):
         cfg, _, caches, params = self.make_parts()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, caches.pca, path)
+        save_checkpoint(params, cfg, path)
         other = tiny_config(attention="na")
         with pytest.raises(CheckpointError, match="different configuration"):
             load_checkpoint(path, expected_config=other)
-        loaded_params, _, _ = load_checkpoint(path, expected_config=cfg)
+        loaded_params, _ = load_checkpoint(path, expected_config=cfg)
         assert len(loaded_params) == len(params)
 
 

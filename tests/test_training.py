@@ -148,7 +148,7 @@ def small_social_config(**over):
     spec = BranchSpec(widths=(2, 2, 2), channels=(4, 4, 4))
     base = dict(pca_k=6, use_content=False, use_hashtags=False,
                 use_demographics=False, use_sentiment_text=False,
-                use_sentiment_hashtags=False, init_scale=0.3,
+                use_sentiment_hashtags=False,
                 branch_specs={n: spec for n in
                               ("social", "demographic", "hashtag", "sentiment")},
                 head_sizes=(16, 8, 1))
@@ -162,7 +162,7 @@ class TestTrainLoop:
         ds = make_linear_social_corpus(n=200, seed=3)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=30,
-                         patience=30, dropout=0.0, seed=0)
+                         patience=30, dropout=0.0, seed=0, init_scale=0.3)
         result = train(tr, va, small_social_config(), tc)
         first = result.history[0][2]
         best = min(r[2] for r in result.history)
@@ -186,7 +186,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training_mod, "adam_step", frozen_after_first_epoch)
         tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=30,
-                         patience=3, dropout=0.0, seed=1)
+                         patience=3, dropout=0.0, seed=1, init_scale=0.3)
         result = train(tr, va, small_social_config(), tc)
         assert len(result.history) == 1 + 3
 
@@ -194,7 +194,7 @@ class TestTrainLoop:
         ds = make_sample_corpus(n=30, seed=4)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=4,
-                         patience=4, dropout=0.1, seed=0)
+                         patience=4, dropout=0.1, seed=0, init_scale=0.3)
         result = train(tr, va, small_social_config(), tc)
         assert len(result.history) <= 4
 
@@ -202,7 +202,7 @@ class TestTrainLoop:
         ds = make_linear_social_corpus(n=100, seed=5)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         tc = TrainConfig(learning_rate=3e-2, batch_size=20, max_epochs=8,
-                         patience=8, dropout=0.0, seed=0)
+                         patience=8, dropout=0.0, seed=0, init_scale=0.3)
         result = train(tr, va, small_social_config(), tc)
         best_val = evaluate(result.checkpoint, va).mse
         assert best_val <= result.history[-1][2] + 1e-12
@@ -212,7 +212,7 @@ class TestTrainLoop:
         ds = make_sample_corpus(n=40, seed=6)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=3,
-                         patience=3, dropout=0.2, seed=11)
+                         patience=3, dropout=0.2, seed=11, init_scale=0.3)
         r1 = train(tr, va, small_social_config(), tc)
         r2 = train(tr, va, small_social_config(), tc)
         assert r1.history == r2.history
@@ -224,7 +224,7 @@ class TestTrainLoop:
         ds = make_sample_corpus(n=40, seed=13)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         tc = TrainConfig(learning_rate=1e150, batch_size=10, max_epochs=2,
-                         patience=2, dropout=0.0, seed=0)
+                         patience=2, dropout=0.0, seed=0, init_scale=0.3)
         with pytest.raises(TrainingDivergedError, match="batch loss nan"):
             train(tr, va, small_social_config(), tc)
 
@@ -234,7 +234,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training_mod, "_predictions",
                             lambda batch, params, config: np.full(len(batch.target), np.inf))
         tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=2,
-                         patience=2, dropout=0.0, seed=0)
+                         patience=2, dropout=0.0, seed=0, init_scale=0.3)
         with pytest.raises(TrainingDivergedError, match="validation MSE inf"):
             train(tr, va, small_social_config(), tc)
 
@@ -252,7 +252,8 @@ class TestTrainLoop:
         {"patience": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
-        {"dropout": float("nan")},
+        {"dropout": float("nan")}, {"init_scale": 0.0}, {"init_scale": -0.3},
+        {"init_scale": float("nan")}, {"init_scale": float("inf")},
     ])
     def test_nonsense_hyperparameters_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -264,7 +265,7 @@ class TestEvaluate:
         ds = make_sample_corpus(n=30, seed=4)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=2,
-                         patience=2, dropout=0.0, seed=0)
+                         patience=2, dropout=0.0, seed=0, init_scale=0.3)
         result = train(tr, va, small_social_config(), tc)
         with pytest.raises(ValueError):
             evaluate(result.checkpoint, Dataset(()))
@@ -315,7 +316,7 @@ class TestAblate:
     def test_single_variant_one_row_per_seed(self):
         ds = make_linear_social_corpus(n=80, seed=9)
         tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=2,
-                         patience=2, dropout=0.0, seed=0)
+                         patience=2, dropout=0.0, seed=0, init_scale=0.3)
         report = ablate(ds, small_social_config(), tc, ["full"], seeds=[0])
         assert len(report.rows) == 1
         assert report.rows[0].variant == "full"
@@ -323,7 +324,7 @@ class TestAblate:
     def test_identical_variant_rows_identical(self):
         ds = make_linear_social_corpus(n=80, seed=9)
         tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=2,
-                         patience=2, dropout=0.0, seed=0)
+                         patience=2, dropout=0.0, seed=0, init_scale=0.3)
         report = ablate(ds, small_social_config(), tc, ["full", "full"], seeds=[3])
         a, b = report.rows
         assert (a.val_mse, a.val_mae, a.test_mse, a.test_mae) == \
@@ -332,7 +333,7 @@ class TestAblate:
     def test_row_order_matches_variant_order(self):
         ds = make_linear_social_corpus(n=80, seed=9)
         tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=1,
-                         patience=1, dropout=0.0, seed=0)
+                         patience=1, dropout=0.0, seed=0, init_scale=0.3)
         cfg = small_social_config(use_content=True, m=4, d=4, a=4, n=4, k=3)
         report = ablate(ds, cfg, tc, ["na", "full"], seeds=[0])
         assert [r.variant for r in report.rows] == ["na", "full"]
@@ -347,7 +348,7 @@ class TestAblate:
     def test_report_serialization(self):
         ds = make_linear_social_corpus(n=80, seed=9)
         tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=1,
-                         patience=1, dropout=0.0, seed=0)
+                         patience=1, dropout=0.0, seed=0, init_scale=0.3)
         report = ablate(ds, small_social_config(), tc, ["full"], seeds=[0, 1])
         lines = report.to_csv_lines()
         assert lines[0].startswith("variant,seed")
