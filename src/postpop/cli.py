@@ -20,8 +20,8 @@ from pathlib import Path
 from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
 from .model import (CheckpointError, ModelConfig, BranchSpec,
-                    PAPER_HEAD_SIZES, build_caches, content_forward,
-                    extract_features, load_checkpoint, save_checkpoint,
+                    PAPER_HEAD_SIZES, build_caches, extract_features,
+                    forward_bundle, load_checkpoint, save_checkpoint,
                     stack_bundles)
 from .providers import tokenize
 from .training import (Checkpoint, TrainConfig, ablate, evaluate, train)
@@ -257,10 +257,10 @@ def cmd_inspect_attention(rc: dict, post_id: str) -> int:
     config = checkpoint.config
     if config.attention == "na" or not config.use_content:
         raise UsageError("checkpoint has no attention stage to inspect")
-    batch = stack_bundles([extract_features(post, checkpoint.caches, config)],
-                          checkpoint.params.dtype)
-    _, _, att_cache = content_forward(batch, checkpoint.params, config)
-    alpha_text, alpha_image = att_cache.alpha_text[0], att_cache.alpha_image[0]
+    batch = stack_bundles([extract_features(post, checkpoint.caches, config)])
+    _, fcache = forward_bundle(batch, checkpoint.params, config)
+    alpha_text = fcache.att_cache.alpha_text[0]
+    alpha_image = fcache.att_cache.alpha_image[0]
     use_pool = config.attention == "hga"
     words = tokenize(post.caption)[:config.m]
     print(f"post {post.post_id} caption: {post.caption!r}")

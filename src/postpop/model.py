@@ -280,18 +280,14 @@ _INPUT_FIELDS = ("tokens", "token_mask", "regions", "hashtag_mat", "hashtag_mask
                  "f_sentiment_hashtags")
 
 
-def stack_bundles(bundles, dtype=np.float64) -> FeatureBundle:
-    """Stack one-post bundles into one (B, ...) bundle.
-
-    The model inputs are cast to `dtype`, the parameters' dtype, so the
-    whole forward and backward pass computes in it; targets stay float64.
-    """
+def stack_bundles(bundles) -> FeatureBundle:
+    """Stack one-post bundles into one (B, ...) bundle; targets are float64."""
     if not bundles:
         raise ValueError("empty batch")
     return FeatureBundle(
         post_id=np.array([b.post_id for b in bundles]),
         target=np.array([b.target for b in bundles], dtype=np.float64),
-        **{name: np.array([getattr(b, name) for b in bundles], dtype=dtype)
+        **{name: np.array([getattr(b, name) for b in bundles])
            for name in _INPUT_FIELDS})
 
 
@@ -477,9 +473,16 @@ def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfi
                    rate: float = 0.0, rng=None) -> tuple[np.ndarray, ForwardCache]:
     """Predictions for a stacked (B, ...) bundle, or one post's bundle.
 
-    `rate` is the head's dropout rate, 0 when scoring; `rng` draws its
-    masks: one generator per post of a stacked bundle, or one for one post.
+    This is the one place the inputs are cast: each goes to the parameters'
+    dtype (no copy when it is in it already), so the whole forward and
+    backward pass computes in that dtype. `rate` is the head's dropout rate,
+    0 when scoring; `rng` draws its masks: one generator per post of a
+    stacked bundle, or one for one post.
     """
+    bundle = FeatureBundle(
+        post_id=bundle.post_id, target=bundle.target,
+        **{name: np.asarray(getattr(bundle, name), dtype=params.dtype)
+           for name in _INPUT_FIELDS})
     lstm_cache = att_cache = content = None
     if config.use_content:
         content, lstm_cache, att_cache = content_forward(bundle, params, config)
@@ -535,17 +538,16 @@ def loss_mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sum((preds - targets) ** 2) / (2.0 * preds.size))
 
 
-def as_batch(bundles, params: ParamStore) -> FeatureBundle:
-    """A stacked bundle as is; a list of one-post bundles stacked in the
-    parameters' dtype."""
+def as_batch(bundles) -> FeatureBundle:
+    """A stacked bundle as is; a list of one-post bundles stacked."""
     if isinstance(bundles, FeatureBundle):
         return bundles
-    return stack_bundles(bundles, params.dtype)
+    return stack_bundles(bundles)
 
 
 def batch_loss(bundles, params: ParamStore, config: ModelConfig) -> float:
     """Dropout-free batch objective; used by the finite-difference oracle."""
-    batch = as_batch(bundles, params)
+    batch = as_batch(bundles)
     preds, _ = forward_bundle(batch, params, config)
     return loss_mse(preds, batch.target)
 
@@ -560,7 +562,7 @@ def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
     (pred - target) / n; one backward pass over the batch scales each
     post's gradient by that and sums them.
     """
-    batch = as_batch(bundles, params)
+    batch = as_batch(bundles)
     preds, fcache = forward_bundle(batch, params, config, rate, rngs)
     d_y = (preds - batch.target) / len(batch.target)
     grads = backward_bundle(d_y, fcache, params, config)

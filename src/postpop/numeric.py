@@ -134,9 +134,14 @@ def softmax_backward(alpha: np.ndarray, d_alpha: np.ndarray,
 
 def _conv_columns(x: np.ndarray, width: int) -> np.ndarray:
     """(..., length, ch_in) -> (..., out_len, ch_in * width): each output
-    position's input window as one row, channel-major."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=-2)
-    return windows.reshape(*windows.shape[:-2], -1)
+    position's input window as one row, channel-major.
+
+    Built from `width` shifted slices: the same layout and bits as a
+    `sliding_window_view` reshape, without its per-call set-up cost.
+    """
+    out_len = x.shape[-2] - width + 1
+    cols = np.stack([x[..., j:j + out_len, :] for j in range(width)], axis=-1)
+    return cols.reshape(*cols.shape[:-2], -1)
 
 
 def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:

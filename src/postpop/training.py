@@ -9,7 +9,7 @@ predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,29 +72,52 @@ class Checkpoint:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's moment estimates, one flat buffer each, over the parameters
+    concatenated in `ParamStore.names()` order; allocated at the first step."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
 def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
               betas=(0.9, 0.999), eps: float = 1e-8) -> AdamState:
-    """Standard bias-corrected adaptive-moment update, in place."""
+    """Standard bias-corrected adaptive-moment update, in place.
+
+    The update is elementwise, so it runs once over every gradient
+    concatenated in `params.names()` order, and each parameter then takes
+    its slice of the step. Shapes are checked before anything changes.
+    """
     b1, b2 = betas
+    pairs = list(params.items())
+    for name, p in pairs:
+        if grads[name].shape != p.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+    g = np.concatenate([grads[name].ravel() for name, _ in pairs])
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
     state.step += 1
     t = state.step
-    for name, _ in params.items():
-        g = grads[name]
-        if g.shape != params[name].shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+    # p -= lr m_hat / (sqrt(v_hat) + eps), with the operations in this order,
+    # run in place on the flat buffers to spare the temporaries
+    state.m *= b1
+    state.m += (1 - b1) * g
+    g_sq = (1 - b2) * g
+    g_sq *= g
+    state.v *= b2
+    state.v += g_sq
+    update = state.m / (1 - b1 ** t)
+    v_hat = state.v / (1 - b2 ** t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
+    update *= lr
+    update /= v_hat
+    start = 0
+    for _, p in pairs:
+        p -= update[start:start + p.size].reshape(p.shape)
+        start += p.size
     return state
 
 
@@ -195,8 +218,10 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
         caches = build_caches(train_ds.posts, config, lexicon=lexicon)
     params = init_model_params(config, seed=train_config.seed,
                                scale=train_config.init_scale)
-    train_set = stack_bundles(extract_dataset(train_ds, caches, config), params.dtype)
-    val_set = stack_bundles(extract_dataset(val_ds, caches, config), params.dtype)
+    # one featurization pass over both splits, so a shared key is drawn once
+    bundles = extract_dataset(Dataset((*train_ds.posts, *val_ds.posts)), caches, config)
+    train_set = stack_bundles(bundles[:len(train_ds)])
+    val_set = stack_bundles(bundles[len(train_ds):])
     state = AdamState()
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
@@ -248,10 +273,13 @@ def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
     """Metrics over a dataset, scored without dropout."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    params = checkpoint.params
-    batch = stack_bundles(extract_dataset(ds, checkpoint.caches, checkpoint.config),
-                          params.dtype)
-    preds = _predictions(batch, params, checkpoint.config)
+    batch = stack_bundles(extract_dataset(ds, checkpoint.caches, checkpoint.config))
+    preds = _predictions(batch, checkpoint.params, checkpoint.config)
+    bad = batch.post_id[~np.isfinite(preds)]
+    if len(bad):
+        shown = ", ".join(bad[:5]) + (", ..." if len(bad) > 5 else "")
+        raise ValueError(f"{len(bad)} of {len(preds)} prediction(s) are not finite "
+                         f"(posts {shown}); the checkpoint's weights may be corrupt")
     return compute_metrics(preds, ds.popularity())
 
 

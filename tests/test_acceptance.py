@@ -269,6 +269,7 @@ def test_c9_paper_scale_shape_fidelity():
     params = init_model_params(config, seed=0, dtype=np.float32)
     y_hat, fcache = forward_bundle(bundle, params, config)
     assert np.isfinite(y_hat)
+    assert fcache.head_cache[0][0].dtype == np.float32  # the head never upcasts
     merged_dim = fcache.head_cache[0][0].shape[0]
     assert merged_dim == 27104
     print(f"\ncriterion 9 paper-scale shape fidelity: PASS (merged {merged_dim}, "

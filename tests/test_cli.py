@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from postpop.cli import (main, model_config_from, resolve_config,
@@ -264,6 +265,19 @@ class TestEvaluate:
             code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
             assert code == 2 and "truncated" in err and "re-train" in err
             assert "Traceback" not in err
+
+    def test_non_finite_predictions_exit_two_naming_posts(self, workspace, capsys):
+        from postpop.model import load_checkpoint, save_checkpoint
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "train"], capsys)
+        params, config = load_checkpoint(tmp / "model.ckpt")
+        params["head.dense2.b"][0] = np.nan
+        save_checkpoint(params, config, tmp / "model.ckpt")
+        code, _, err = run_cli(["--config", str(cfg), "evaluate", "--split", "test"],
+                               capsys)
+        assert code == 2 and err.startswith("postpop: error:")
+        assert "prediction(s) are not finite" in err and "(posts sample" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt"])
     def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):

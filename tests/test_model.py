@@ -1,6 +1,6 @@
 import json
 import zipfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -565,3 +565,22 @@ class TestBatchedModel:
         for name in params64.names():
             assert grads[name].dtype == np.float32, name
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
+
+    def test_one_post_float64_bundle_computes_in_parameter_dtype(self, rng):
+        # extract_features gives float64 inputs; forward_bundle casts them to
+        # the parameters' dtype, so the head never runs in float64
+        cfg = tiny_config()
+        params32 = init_model_params(cfg, seed=4, dtype=np.float32)
+        bundle = random_bundle(rng, cfg, n_tokens=2, n_hashtags=1)
+        assert bundle.tokens.dtype == np.float64
+        y_hat, fcache = forward_bundle(bundle, params32, cfg)
+        assert fcache.head_cache[0][0].dtype == np.float32
+        assert np.asarray(y_hat).dtype == np.float32
+        as32 = replace(bundle, **{f.name: getattr(bundle, f.name).astype(np.float32)
+                                  for f in fields(bundle)
+                                  if f.name not in ("post_id", "target")})
+        assert np.asarray(y_hat).tobytes() == np.asarray(
+            forward_bundle(as32, params32, cfg)[0]).tobytes()
+        stacked, _ = forward_bundle(stack_bundles([as32]), params32, cfg)
+        assert stacked.dtype == np.float32
+        assert abs(float(stacked[0]) - float(y_hat)) <= 1e-5 * max(1.0, abs(float(y_hat)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from postpop.numeric import (ParamStore, ShapeError, conv1d_backward,
+from postpop.numeric import (ParamStore, ShapeError, _conv_columns, conv1d_backward,
                              conv1d_forward, dense_backward, dense_forward,
                              dropout, finite_difference_grad,
                              relative_error, relu, softmax, softmax_backward)
@@ -77,6 +77,19 @@ class TestConv1d:
         bias = rng.normal(size=4)
         assert np.allclose(conv1d_forward(x, filters, bias),
                            naive_conv1d(x, filters, bias), atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("ch_in", [1, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_columns_bitwise_equal_to_window_view(self, rng, lead, ch_in, width):
+        # reference: the channel-major windows of sliding_window_view
+        x = rng.normal(size=(*lead, 7, ch_in))
+        windows = np.lib.stride_tricks.sliding_window_view(x, width, axis=-2)
+        expected = windows.reshape(*windows.shape[:-2], -1)
+        got = _conv_columns(x, width)
+        assert got.shape == expected.shape == (*lead, 8 - width, ch_in * width)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_width_too_large(self, rng):
         with pytest.raises(ShapeError):

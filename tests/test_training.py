@@ -6,8 +6,9 @@ from conftest import make_post, tiny_config
 import postpop.training as training_mod
 from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
-from postpop.model import BranchSpec
+from postpop.model import BranchSpec, build_caches
 from postpop.numeric import ParamStore
+from postpop.providers import EmbeddingProvider, tokenize
 from postpop.training import (AdamState, TrainConfig, TrainingDivergedError, ablate,
                               adam_step, apply_variant, compute_metrics,
                               correlate_features, evaluate, pearson, spearman, train)
@@ -47,8 +48,50 @@ class TestAdam:
     def test_shape_mismatch(self, rng):
         store = ParamStore()
         store.add("w", (3,), rng)
-        with pytest.raises(ValueError):
-            adam_step(store, {"w": np.zeros(4)}, AdamState(), lr=0.1)
+        store.add("b", (2,), rng)
+        before = store.copy()
+        state = AdamState()
+        with pytest.raises(ValueError, match="mismatch for b"):
+            adam_step(store, {"w": np.ones(3), "b": np.zeros(4)}, state, lr=0.1)
+        # nothing moved: the shapes are checked before any update
+        assert state.step == 0 and state.m is None
+        assert all(np.array_equal(store[n], before[n]) for n in store.names())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_flat_update_bitwise_equal_to_per_parameter_loop(self, dtype):
+        def reference_step(params, grads, state, lr, b1=0.9, b2=0.999, eps=1e-8):
+            # the per-parameter update, one array at a time
+            state["t"] += 1
+            t = state["t"]
+            for name in params:
+                g = grads[name]
+                m = state.setdefault("m", {}).get(name, np.zeros_like(g))
+                v = state.setdefault("v", {}).get(name, np.zeros_like(g))
+                state["m"][name] = m = b1 * m + (1 - b1) * g
+                state["v"][name] = v = b2 * v + (1 - b2) * g * g
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        shapes = {"w": (3, 2), "one": (1,), "cube": (2, 1, 3), "b": (5,)}
+        store = ParamStore()
+        init = np.random.default_rng(0)
+        for name, shape in shapes.items():
+            store.add(name, shape, init, dtype=dtype)
+        reference = {name: store[name].copy() for name in shapes}
+        state, ref_state = AdamState(), {"t": 0}
+        draw = np.random.default_rng(1)
+        for _ in range(3):
+            grads = {name: draw.normal(size=shape).astype(dtype)
+                     for name, shape in shapes.items()}
+            adam_step(store, grads, state, lr=1e-2)
+            reference_step(reference, grads, ref_state, lr=1e-2)
+        assert state.step == 3
+        for name in shapes:
+            assert store[name].dtype == dtype
+            assert store[name].tobytes() == reference[name].tobytes(), name
+        assert state.m.tobytes() == np.concatenate(
+            [ref_state["m"][n].ravel() for n in shapes]).tobytes()
 
 
 class TestCorrelations:
@@ -238,6 +281,28 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="validation MSE inf"):
             train(tr, va, small_social_config(), tc)
 
+    def test_each_key_drawn_once_across_splits(self, monkeypatch):
+        # train and val are featurized in one pass: a token or hashtag the
+        # two splits share is drawn once; region matrices (k * n wide) are
+        # drawn per post
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=40, seed=2)
+        tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+        words = lambda split: {w for p in split.posts for w in tokenize(p.caption)}
+        assert words(tr) & words(va)
+        caches = build_caches(tr.posts, cfg)
+        draws = []
+        real = EmbeddingProvider.vector
+        monkeypatch.setattr(EmbeddingProvider, "vector",
+                            lambda self, key, dim: draws.append((key, dim))
+                            or real(self, key, dim))
+        tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1,
+                         patience=1, dropout=0.0, seed=0, init_scale=0.3)
+        train(tr, va, cfg, tc, caches=caches)
+        per_key = [d for d in draws if d[1] != cfg.k * cfg.n]
+        assert len(per_key) == len(set(per_key)) > 0
+        assert len(draws) - len(per_key) == len(tr) + len(va)
+
     def test_empty_split_rejected(self):
         ds = make_sample_corpus(n=10, seed=0)
         with pytest.raises(ValueError):
@@ -269,6 +334,24 @@ class TestEvaluate:
         result = train(tr, va, small_social_config(), tc)
         with pytest.raises(ValueError):
             evaluate(result.checkpoint, Dataset(()))
+
+    def test_non_finite_predictions_name_the_posts(self):
+        ds = make_sample_corpus(n=30, seed=4)
+        tr, va, te = split_dataset(ds, (0.6, 0.2, 0.2), seed=0)
+        tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1,
+                         patience=1, dropout=0.0, seed=0, init_scale=0.3)
+        checkpoint = train(tr, va, small_social_config(), tc).checkpoint
+        checkpoint.params["head.dense2.b"][0] = np.nan  # every prediction is NaN
+        with pytest.raises(ValueError) as err:
+            evaluate(checkpoint, te)
+        ids = [p.post_id for p in te.posts]
+        message = str(err.value)
+        assert f"{len(ids)} of {len(ids)} prediction(s) are not finite" in message
+        assert all(i in message for i in ids[:5])
+        assert not any(i in message for i in ids[5:]) and "..." in message
+        one = Dataset(te.posts[:1])
+        with pytest.raises(ValueError, match=f"1 of 1 .*posts {ids[0]}\\)"):
+            evaluate(checkpoint, one)
 
 
 class TestCorrelateFeatures:
