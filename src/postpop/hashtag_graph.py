@@ -45,18 +45,23 @@ class HashtagGraph:
 def build_cooccurrence_graph(posts: Dataset | list[Post],
                              provider: EmbeddingProvider,
                              base_dim: int = 64) -> HashtagGraph:
-    """Count unordered co-occurring tag pairs per post (tags deduplicated)."""
+    """Count unordered co-occurring tag pairs per post (tags deduplicated).
+
+    Each node's base feature is the provider's vector for the tag; all of
+    them are drawn in one `vectors` call.
+    """
     g = HashtagGraph(base_dim=base_dim)
+    first_seen = {}
     for post in posts:
         tags = sorted(set(post.hashtags))
-        for tag in tags:
-            if tag not in g.nodes:
-                g.nodes.add(tag)
-                g.node_features[tag] = provider.vector(tag, base_dim)
+        first_seen.update(dict.fromkeys(tags))
         for i in range(len(tags)):
             for j in range(i + 1, len(tags)):
                 key = (tags[i], tags[j])
                 g.edges[key] = g.edges.get(key, 0) + 1
+    g.nodes = set(first_seen)
+    g.node_features = dict(zip(first_seen, provider.vectors(
+        [(tag, base_dim) for tag in first_seen])))
     return g
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-import tokenize
 import zipfile
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .numeric import (ParamStore, ShapeError, conv1d_backward, conv1d_forward,
                       dense_backward, dense_forward, dropout, dropout_backward,
                       relu, relu_backward)
 from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
-                        image_region_features, text_token_embeddings)
+                        image_region_features, text_token_embeddings, tokenize)
 
 BRANCH_ORDER = ("social", "demographic", "hashtag", "sentiment")
 BRANCH_LAYERS = 3  # conv-relu layers per branch
@@ -320,15 +320,32 @@ def extract_features(post: Post, caches: FeatureCaches,
     )
 
 
+def pass_requests(posts, config: ModelConfig) -> list[tuple[str, int]]:
+    """Every (key, dim) provider draw `extract_features` makes for `posts`:
+    caption tokens and hashtag rows at d, hashtags at topic_dim, the image
+    at k * n."""
+    out = []
+    for post in posts:
+        out += [(tok, config.d) for tok in tokenize(post.caption)[:config.m]]
+        out += [(tag, config.d) for tag in post.hashtags[:config.l]]
+        out += [(tag, config.topic_dim) for tag in post.hashtags]
+        out.append((post.image_ref, config.k * config.n))
+    return out
+
+
 def extract_dataset(ds: Dataset, caches: FeatureCaches,
                     config: ModelConfig) -> list[FeatureBundle]:
     """One bundle per post, equal to `extract_features` on each.
 
     The pass draws each distinct provider vector (token, hashtag row, topic
-    vector) once. Its memo lives only for this call, so memory stays bounded
-    by one pass's keys; region matrices are not memoised.
+    vector, region matrix) once, all in one `vectors` call. Its memo lives
+    only for this call, so memory stays bounded by one pass's keys. A
+    one-post pass lists nothing and draws each key on first use, as
+    `extract_features` alone does: it has too few keys to gain from the
+    batch.
     """
-    caches = replace(caches, provider=caches.provider.for_pass())
+    requests = pass_requests(ds.posts, config) if len(ds) > 1 else ()
+    caches = replace(caches, provider=caches.provider.for_pass(requests))
     return [extract_features(p, caches, config) for p in ds.posts]
 
 
@@ -374,15 +391,15 @@ def branch_forward(f: np.ndarray, params: ParamStore,
 def branch_backward(d_flat: np.ndarray, layer_cache: list, params: ParamStore,
                     name: str) -> dict[str, np.ndarray]:
     grads = {}
-    x_last, pre_last = layer_cache[-1]
-    d = d_flat.reshape(pre_last.shape)
+    d = d_flat.reshape(layer_cache[-1][1].shape)
     for i in reversed(range(len(layer_cache))):
         x_in, pre = layer_cache[i]
         d = relu_backward(pre, d)
-        d_x, d_f, d_b = conv1d_backward(x_in, params[f"branch.{name}.conv{i}.filters"], d)
+        # the first layer's input is a feature vector, not a parameter
+        d, d_f, d_b = conv1d_backward(x_in, params[f"branch.{name}.conv{i}.filters"], d,
+                                      input_grad=i > 0)
         grads[f"branch.{name}.conv{i}.filters"] = d_f
         grads[f"branch.{name}.conv{i}.bias"] = d_b
-        d = d_x
     return grads
 
 
@@ -580,7 +597,7 @@ def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
 _CKPT_VERSION = 3
 # What numpy and zipfile raise on an archive they cannot decode.
 _DECODE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError,
-                  TypeError, RuntimeError, NotImplementedError, tokenize.TokenError)
+                  TypeError, RuntimeError, NotImplementedError, TokenError)
 
 
 class CheckpointError(ValueError):

@@ -163,15 +163,19 @@ def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.n
     return _conv_columns(x, width) @ filters.transpose(0, 2, 1).reshape(ch_out, -1).T + bias
 
 
-def conv1d_backward(x: np.ndarray, filters: np.ndarray, d_out: np.ndarray):
+def conv1d_backward(x: np.ndarray, filters: np.ndarray, d_out: np.ndarray,
+                    input_grad: bool = True):
     """Gradients of conv1d_forward. Returns (d_x, d_filters, d_bias); the
-    filter and bias gradients are summed over every leading axis of x."""
+    filter and bias gradients are summed over every leading axis of x.
+    With `input_grad` false, d_x is None and is not computed."""
     ch_out, width, ch_in = filters.shape
     out_len = d_out.shape[-2]
     # d_filters[o,w,c] = sum_t d_out[t,o] * x[t+w,c]
     d_filters = (flat_rows(d_out).T @ flat_rows(_conv_columns(x, width))) \
         .reshape(ch_out, ch_in, width).transpose(0, 2, 1)
     d_bias = flat_rows(d_out).sum(axis=0)
+    if not input_grad:
+        return None, d_filters, d_bias
     # d_x[t+w,c] += sum_o d_out[t,o] * filters[o,w,c]
     contrib = (d_out @ filters.reshape(ch_out, width * ch_in)).reshape(
         *d_out.shape[:-1], width, ch_in)

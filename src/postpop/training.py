@@ -184,9 +184,15 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray) -> Metrics:
     bad = np.count_nonzero(~np.isfinite(preds)) + np.count_nonzero(~np.isfinite(targets))
     if bad:
         raise ValueError(f"{bad} non-finite prediction(s) or target(s); cannot evaluate")
-    err = preds - targets
-    mse = float(np.mean(err ** 2))
-    mae = float(np.mean(np.abs(err)))
+    # finite inputs can still overflow: checked below, without a warning
+    with np.errstate(over="ignore"):
+        err = preds - targets
+        mse = float(np.mean(err ** 2))
+        mae = float(np.mean(np.abs(err)))
+    for name, value in (("MSE", mse), ("MAE", mae)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} over {preds.size} prediction(s) is {value!r}: the "
+                             "errors are too large for float64; cannot evaluate")
     return Metrics(
         mse=mse,
         mae=mae,
@@ -270,12 +276,20 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
 
 
 def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
-    """Metrics over a dataset, scored without dropout."""
+    """Metrics over a dataset, scored without dropout.
+
+    Posts are featurized, stacked and scored `SCORE_BATCH` at a time, so at
+    most one chunk's features are held at once.
+    """
     if len(ds) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    batch = stack_bundles(extract_dataset(ds, checkpoint.caches, checkpoint.config))
-    preds = _predictions(batch, checkpoint.params, checkpoint.config)
-    bad = batch.post_id[~np.isfinite(preds)]
+    chunks = []
+    for start in range(0, len(ds), SCORE_BATCH):
+        posts = Dataset(ds.posts[start:start + SCORE_BATCH])
+        batch = stack_bundles(extract_dataset(posts, checkpoint.caches, checkpoint.config))
+        chunks.append(forward_bundle(batch, checkpoint.params, checkpoint.config)[0])
+    preds = np.concatenate(chunks)
+    bad = np.array([p.post_id for p in ds.posts])[~np.isfinite(preds)]
     if len(bad):
         shown = ", ".join(bad[:5]) + (", ..." if len(bad) > 5 else "")
         raise ValueError(f"{len(bad)} of {len(preds)} prediction(s) are not finite "

@@ -3,6 +3,7 @@ import pytest
 
 from postpop.data import Post, PostMetadata
 from postpop.model import FeatureBundle, ModelConfig, TINY_BRANCH_SPEC
+from postpop.providers import EmbeddingProvider
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -61,3 +62,42 @@ def make_post(post_id="p0", user_id="u0", caption="hello world", hashtags=(),
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class DrawLog:
+    """The provider draws seen by the `draw_log` fixture.
+
+    `drawn` lists each (key, dim) drawn, whichever way: every request of a
+    `vectors` call, and every `vector` call made outside one. `per_key`
+    lists every `vector` call, inside `vectors` below its crossover or not.
+    """
+
+    def __init__(self):
+        self.drawn: list[tuple[str, int]] = []
+        self.per_key: list[tuple[str, int]] = []
+        self.depth = 0
+
+
+@pytest.fixture
+def draw_log(monkeypatch) -> DrawLog:
+    log = DrawLog()
+    vector, vectors = EmbeddingProvider.vector, EmbeddingProvider.vectors
+
+    def spy_vector(self, key, dim):
+        log.per_key.append((key, dim))
+        if not log.depth:
+            log.drawn.append((key, dim))
+        return vector(self, key, dim)
+
+    def spy_vectors(self, requests):
+        requests = list(requests)
+        log.drawn += requests
+        log.depth += 1
+        try:
+            return vectors(self, requests)
+        finally:
+            log.depth -= 1
+
+    monkeypatch.setattr(EmbeddingProvider, "vector", spy_vector)
+    monkeypatch.setattr(EmbeddingProvider, "vectors", spy_vectors)
+    return log

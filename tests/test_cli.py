@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postpop.cli import (main, model_config_from, resolve_config,
+from postpop.cli import (_load_splits, main, model_config_from, resolve_config,
                          train_config_from, UsageError)
 from postpop.corpora import make_sample_corpus
 from postpop.data import save_dataset
@@ -278,6 +278,23 @@ class TestEvaluate:
         assert code == 2 and err.startswith("postpop: error:")
         assert "prediction(s) are not finite" in err and "(posts sample" in err
         assert "Traceback" not in err
+
+    def test_overflowing_metric_exits_two(self, workspace, capsys):
+        # a huge but finite feature in one test post gives a finite
+        # prediction whose squared error overflows float64
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "train"], capsys)
+        _, _, te = _load_splits(resolve_config(cfg))
+        corpus = tmp / "corpus.jsonl"
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for row in rows:
+            if row["post_id"] == te.posts[0].post_id:
+                row["metadata"]["avg_views"] = 1e308
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out, err = run_cli(["--config", str(cfg), "evaluate", "--split", "test"],
+                                 capsys)
+        assert code == 2 and err.startswith("postpop: error: MSE over")
+        assert "Infinity" not in out and "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt"])
     def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):

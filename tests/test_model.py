@@ -1,6 +1,7 @@
 import json
 import zipfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +9,25 @@ import pytest
 import postpop.model as model_mod
 
 from conftest import random_bundle, tiny_config
+from postpop.cli import model_config_from, resolve_config
 from postpop.corpora import make_sample_corpus
+from postpop.data import Dataset, load_dataset
 from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            PAPER_HEAD_SIZES, backward_bundle, batch_loss,
-                           batch_loss_and_grads, branch_forward, branch_inputs,
+                           batch_loss_and_grads, branch_backward, branch_forward,
+                           branch_inputs,
                            build_caches, extract_dataset, extract_features,
                            forward_bundle,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
-                           save_checkpoint, stack_bundles)
-from postpop.numeric import (ParamStore, conv1d_forward, finite_difference_grad,
-                             relative_error, relu)
-from postpop.providers import EmbeddingProvider, tokenize, write_feature_file
+                           pass_requests, save_checkpoint, stack_bundles)
+from postpop.numeric import (ParamStore, conv1d_backward, conv1d_forward,
+                             finite_difference_grad, relative_error, relu,
+                             relu_backward)
+from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, tokenize,
+                               write_feature_file)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def zeroed(params: ParamStore) -> ParamStore:
@@ -61,6 +69,24 @@ class TestBranch:
             x = relu(conv1d_forward(x, store[f"branch.hashtag.conv{i}.filters"],
                                     store[f"branch.hashtag.conv{i}.bias"]))
         assert np.allclose(out, x.reshape(-1), atol=1e-12)
+
+    def test_backward_bitwise_equal_to_full_conv_chain(self, rng):
+        # the first layer skips its input gradient; every parameter
+        # gradient keeps the bits of a chain that computes it
+        cfg = tiny_config()
+        params = init_model_params(cfg, seed=3)
+        f = rng.uniform(-1, 1, (5, cfg.hashtag_dim))
+        out, cache = branch_forward(f, params, "hashtag")
+        d_out = rng.normal(size=out.shape)
+        grads = branch_backward(d_out, cache, params, "hashtag")
+        d = d_out.reshape(cache[-1][1].shape)
+        for i in reversed(range(len(cache))):
+            x_in, pre = cache[i]
+            d, d_f, d_b = conv1d_backward(x_in, params[f"branch.hashtag.conv{i}.filters"],
+                                          relu_backward(pre, d))
+            assert grads[f"branch.hashtag.conv{i}.filters"].tobytes() == d_f.tobytes()
+            assert grads[f"branch.hashtag.conv{i}.bias"].tobytes() == d_b.tobytes()
+        assert len(grads) == 2 * len(cache)
 
     def test_output_length_validation(self):
         spec = BranchSpec(widths=(3, 3, 3), channels=(1, 1, 2))
@@ -303,26 +329,44 @@ class TestExtractDataset:
         for post, bundle in zip(ds.posts, bundles):
             assert bundles_equal(bundle, extract_features(post, caches, cfg)), post.post_id
 
-    def test_memo_lives_for_one_call(self, monkeypatch):
+    def test_memo_lives_for_one_call(self, draw_log):
         cfg = tiny_config()
         ds = make_sample_corpus(n=20, seed=5)
         caches = build_caches(ds.posts, cfg)
-        draws = []
-        real = EmbeddingProvider.vector
-        monkeypatch.setattr(EmbeddingProvider, "vector",
-                            lambda self, key, dim: draws.append((key, dim))
-                            or real(self, key, dim))
+        draw_log.drawn.clear()
         first = extract_dataset(ds, caches, cfg)
-        first_draws = list(draws)
-        draws.clear()
+        first_draws = list(draw_log.drawn)
+        draw_log.drawn.clear()
         second = extract_dataset(ds, caches, cfg)
-        # region matrices (k * n wide) are drawn per post; every other
-        # (key, dim) once per call, and again by the next call
-        per_key = [d for d in first_draws if d[1] != cfg.k * cfg.n]
-        assert len(per_key) == len(set(per_key)) > 0
-        assert draws == first_draws
+        # every (key, dim), region matrices included, is drawn once per
+        # call, and again by the next call
+        assert len(first_draws) == len(set(first_draws)) > 0
+        assert set(first_draws) == set(pass_requests(ds.posts, cfg))
+        assert draw_log.drawn == first_draws
         assert caches.provider._memo is None
         assert all(map(bundles_equal, first, second))
+
+    @pytest.mark.parametrize("config_file", [None, "desk.cfg"])
+    def test_pass_draws_only_through_the_batch(self, draw_log, config_file):
+        # a key that `pass_requests` missed would be drawn per key on first use
+        cfg = (model_config_from(resolve_config(REPO / "configs" / config_file))
+               if config_file else tiny_config())
+        ds, _ = load_dataset(REPO / "data" / "sample_corpus.jsonl")
+        caches = build_caches(ds.posts, cfg)
+        draw_log.per_key.clear()
+        extract_dataset(ds, caches, cfg)
+        assert len(set(pass_requests(ds.posts, cfg))) >= BATCH_DRAWS
+        assert draw_log.per_key == []
+
+    def test_one_post_pass_lists_nothing(self, draw_log):
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=20, seed=5)
+        caches = build_caches(ds.posts, cfg)
+        draw_log.drawn.clear()
+        extract_dataset(Dataset(ds.posts[:1]), caches, cfg)
+        # drawn per key on first use, as extract_features alone does
+        assert draw_log.drawn == draw_log.per_key
+        assert set(draw_log.drawn) == set(pass_requests(ds.posts[:1], cfg))
 
 
 def two_array_params() -> ParamStore:

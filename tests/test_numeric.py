@@ -113,6 +113,15 @@ class TestConv1d:
         assert relative_error(d_b, num["b"]) < 1e-8
         assert relative_error(d_x, num["x"]) < 1e-8
 
+    def test_backward_without_input_grad_same_parameter_grads(self, rng):
+        x = rng.normal(size=(4, 7, 2))
+        filters = rng.normal(size=(3, 2, 2))
+        r = rng.normal(size=(4, 6, 3))
+        _, d_f, d_b = conv1d_backward(x, filters, r)
+        none, d_f2, d_b2 = conv1d_backward(x, filters, r, input_grad=False)
+        assert none is None
+        assert d_f.tobytes() == d_f2.tobytes() and d_b.tobytes() == d_b2.tobytes()
+
 
 class TestDenseAndActivations:
     def test_dense_forward(self, rng):

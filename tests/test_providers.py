@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from postpop.providers import (EmbeddingProvider, hashtag_embedding_matrix,
-                               image_region_features, read_feature_file,
-                               text_token_embeddings, tokenize,
-                               write_feature_file)
+from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, _pcg64_states,
+                               hashtag_embedding_matrix, image_region_features,
+                               read_feature_file, text_token_embeddings,
+                               tokenize, write_feature_file)
 
 
 @pytest.fixture
@@ -154,21 +154,19 @@ class TestPassMemo:
             assert np.array_equal(p.memo_vector("k", 8), provider.vector("k", 8))
             assert np.array_equal(p.memo_vector("k", 3), provider.vector("k", 3))
 
-    def test_each_key_drawn_once(self, provider, monkeypatch):
-        draws = []
-        real = EmbeddingProvider.vector
-        monkeypatch.setattr(EmbeddingProvider, "vector",
-                            lambda self, key, dim: draws.append((key, dim))
-                            or real(self, key, dim))
-        p = provider.for_pass()
-        text_token_embeddings("echo echo echo", 4, 8, p)
-        hashtag_embedding_matrix(["echo", "x", "x"], 4, 8, p)
-        assert draws == [("echo", 8), ("x", 8)]
+    def test_each_key_drawn_once(self, provider, draw_log):
+        requests = [(f"w{i}", 8) for i in range(BATCH_DRAWS)] + [("img", 6), ("w0", 8)]
+        p = provider.for_pass(requests)
+        assert draw_log.drawn == requests[:-1]  # one batch, the repeat removed
+        assert draw_log.per_key == []  # above the crossover: no per-key draw
+        text_token_embeddings("w0 w1 w0", 4, 8, p)
         image_region_features("img", 2, 3, p)
-        image_region_features("img", 2, 3, p)  # region matrices are not memoised
-        assert draws[2:] == [("img", 6), ("img", 6)]
+        image_region_features("img", 2, 3, p)  # region matrices are memoised too
+        assert draw_log.drawn == requests[:-1]
+        hashtag_embedding_matrix(["echo", "x", "x"], 4, 8, p)  # keys the pass did not list
+        assert draw_log.drawn[len(requests) - 1:] == [("echo", 8), ("x", 8)]
         provider.memo_vector("echo", 8)  # no memo outside a pass
-        assert draws[-1] == ("echo", 8)
+        assert draw_log.drawn[-2:] == [("x", 8), ("echo", 8)]
 
     def test_mutating_a_result_leaves_later_draws_unchanged(self, provider):
         p = provider.for_pass()
@@ -186,3 +184,58 @@ class TestPassMemo:
         assert np.array_equal(stored.vector("k", 4), np.arange(4.0))
         with pytest.raises(KeyError):
             p.memo_vector("unknown", 4)
+
+
+class TestBatchedDraws:
+    """`vectors` seeds many streams at once; its output must be `vector`'s."""
+
+    def requests(self, count: int, rng) -> list[tuple[str, int]]:
+        keys = ["", "é", "ünïcödé ☃ 🙂", "x" * 300, "#tag", "a b\tc"]
+        keys += [f"tok{i}" for i in range(count)]
+        dims = rng.choice([1, 2, 8, 33, 512], size=count, p=[0.3, 0.3, 0.25, 0.1, 0.05])
+        out = [(keys[int(rng.integers(len(keys)))], int(dim)) for dim in dims]
+        return out + out[:50]  # repeated requests
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 1])
+    def test_bitwise_equal_to_per_key_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        provider = EmbeddingProvider(seed=seed)
+        requests = self.requests(3400, rng)  # >= 10^4 requests over the three seeds
+        got = provider.vectors(requests)
+        assert len(got) == len(requests)
+        for vec, (key, dim) in zip(got, requests):
+            want = provider.vector(key, dim)
+            assert vec.dtype == want.dtype and vec.tobytes() == want.tobytes(), (key, dim)
+
+    @pytest.mark.parametrize("count", [0, 1, BATCH_DRAWS - 1, BATCH_DRAWS, BATCH_DRAWS + 1])
+    def test_both_sides_of_the_crossover(self, provider, draw_log, count):
+        requests = [(f"k{i}", 1 + i % 3) for i in range(count)]
+        got = provider.vectors(requests)
+        assert draw_log.per_key == ([] if count >= BATCH_DRAWS else requests)
+        assert [v.tobytes() for v in got] == [provider.vector(k, d).tobytes()
+                                             for k, d in requests]
+
+    def test_every_digest_seeds_like_pcg64(self):
+        # one-word entropy (digest < 2**32), zero, and the top of the range
+        for value in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 12345, 2 ** 64 - 1):
+            state = np.random.PCG64(value).state["state"]
+            assert _pcg64_states(value.to_bytes(8, "little")) == [
+                (state["state"], state["inc"])], value
+
+    def test_bad_dim_raises_on_both_paths(self, provider):
+        for count in (1, BATCH_DRAWS):
+            with pytest.raises(ValueError, match="dim must be >= 1"):
+                provider.vectors([("k", 4)] * (count - 1) + [("k", 0)])
+
+    def test_precomputed_file(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        stored = {f"k{i}": np.arange(4, dtype=np.float32) + i for i in range(2 * BATCH_DRAWS)}
+        write_feature_file(path, stored)
+        p = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
+        requests = [(k, 4) for k in stored] * 2
+        got = p.vectors(requests)
+        assert all(np.array_equal(v, p.vector(k, d)) for v, (k, d) in zip(got, requests))
+        got[0][:] = -1.0  # each result is its own copy
+        assert np.array_equal(p.vector("k0", 4), np.arange(4.0))
+        with pytest.raises(KeyError):
+            p.vectors(requests + [("unknown", 4)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -6,10 +8,12 @@ from conftest import make_post, tiny_config
 import postpop.training as training_mod
 from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
-from postpop.model import BranchSpec, build_caches
+from postpop.model import (BranchSpec, build_caches, extract_dataset,
+                           init_model_params, pass_requests, stack_bundles)
 from postpop.numeric import ParamStore
-from postpop.providers import EmbeddingProvider, tokenize
-from postpop.training import (AdamState, TrainConfig, TrainingDivergedError, ablate,
+from postpop.providers import tokenize
+from postpop.training import (SCORE_BATCH, AdamState, Checkpoint, TrainConfig,
+                              TrainingDivergedError, ablate,
                               adam_step, apply_variant, compute_metrics,
                               correlate_features, evaluate, pearson, spearman, train)
 
@@ -171,6 +175,17 @@ class TestMetrics:
             with pytest.raises(ValueError, match="non-finite"):
                 compute_metrics(np.array(preds), np.array(targets))
 
+    @pytest.mark.parametrize("preds, targets", [
+        ([1e308, -1e308], [0.0, 0.0]),  # the square overflows
+        ([1e200, 0.0], [0.0, 0.0]),
+        ([1e308, 0.0], [-1e308, 0.0]),  # the difference overflows
+    ])
+    def test_overflowing_error_raises_naming_the_metric(self, preds, targets):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning
+            with pytest.raises(ValueError, match="MSE over 2 prediction"):
+                compute_metrics(np.array(preds), np.array(targets))
+
     def test_large_equal_magnitude_errors(self):
         # |err| = 1e8 + 259 everywhere, so MAE**2 equals MSE up to rounding
         # of a 1e16-sized square, far above any fixed absolute slack
@@ -281,27 +296,21 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="validation MSE inf"):
             train(tr, va, small_social_config(), tc)
 
-    def test_each_key_drawn_once_across_splits(self, monkeypatch):
+    def test_each_key_drawn_once_across_splits(self, draw_log):
         # train and val are featurized in one pass: a token or hashtag the
-        # two splits share is drawn once; region matrices (k * n wide) are
-        # drawn per post
+        # two splits share is drawn once, and so is each post's image
         cfg = tiny_config()
         ds = make_sample_corpus(n=40, seed=2)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
         words = lambda split: {w for p in split.posts for w in tokenize(p.caption)}
         assert words(tr) & words(va)
         caches = build_caches(tr.posts, cfg)
-        draws = []
-        real = EmbeddingProvider.vector
-        monkeypatch.setattr(EmbeddingProvider, "vector",
-                            lambda self, key, dim: draws.append((key, dim))
-                            or real(self, key, dim))
+        draw_log.drawn.clear()
         tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1,
                          patience=1, dropout=0.0, seed=0, init_scale=0.3)
         train(tr, va, cfg, tc, caches=caches)
-        per_key = [d for d in draws if d[1] != cfg.k * cfg.n]
-        assert len(per_key) == len(set(per_key)) > 0
-        assert len(draws) - len(per_key) == len(tr) + len(va)
+        assert len(draw_log.drawn) == len(set(draw_log.drawn)) > 0
+        assert set(draw_log.drawn) == set(pass_requests(tr.posts + va.posts, cfg))
 
     def test_empty_split_rejected(self):
         ds = make_sample_corpus(n=10, seed=0)
@@ -352,6 +361,46 @@ class TestEvaluate:
         one = Dataset(te.posts[:1])
         with pytest.raises(ValueError, match=f"1 of 1 .*posts {ids[0]}\\)"):
             evaluate(checkpoint, one)
+
+
+    def chunked_checkpoint(self):
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=2 * SCORE_BATCH + 7, seed=6)
+        caches = build_caches(ds.posts, cfg)
+        params = init_model_params(cfg, seed=1, scale=0.3)
+        return Checkpoint(params=params, config=cfg, caches=caches), ds
+
+    def test_scores_one_chunk_at_a_time(self, monkeypatch):
+        checkpoint, ds = self.chunked_checkpoint()
+        cfg, params = checkpoint.config, checkpoint.params
+        whole = stack_bundles(extract_dataset(ds, checkpoint.caches, cfg))
+        expected = compute_metrics(training_mod._predictions(whole, params, cfg),
+                                   ds.popularity())
+        sizes = []
+        real = training_mod.extract_dataset
+        monkeypatch.setattr(training_mod, "extract_dataset",
+                            lambda d, c, m: sizes.append(len(d)) or real(d, c, m))
+        got = evaluate(checkpoint, ds)
+        assert sizes == [SCORE_BATCH, SCORE_BATCH, 7]
+        assert repr(got.to_dict()) == repr(expected.to_dict())  # bitwise
+
+    def test_non_finite_posts_named_across_chunks(self, monkeypatch):
+        checkpoint, ds = self.chunked_checkpoint()
+        ids = [p.post_id for p in ds.posts]
+        bad = {ids[i] for i in (3, 70, 71, 130, 131, 132)}  # in all three chunks
+        real = training_mod.forward_bundle
+
+        def forward(batch, *args):
+            preds, cache = real(batch, *args)
+            return np.where(np.isin(batch.post_id, list(bad)), np.nan, preds), cache
+
+        monkeypatch.setattr(training_mod, "forward_bundle", forward)
+        with pytest.raises(ValueError) as err:
+            evaluate(checkpoint, ds)
+        message = str(err.value)
+        assert f"6 of {len(ds)} prediction(s) are not finite" in message
+        shown = [ids[i] for i in (3, 70, 71, 130, 131)]
+        assert f"(posts {', '.join(shown)}, ...)" in message
 
 
 class TestCorrelateFeatures:
