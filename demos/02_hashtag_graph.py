@@ -25,8 +25,10 @@ print(f"\nnode embedding for #{tag}: dim={emb[tag].shape[0]}, "
       f"norm={np.linalg.norm(emb[tag]):.6f}")
 
 post = next(p for p in train.posts if len(p.hashtags) >= 2)
-hf = hashtag_feature(post, emb, provider)
+# a batch of one post: its hashtags' 768-dim topic vectors, one row per tag
+topic_rows = np.array([provider.vectors([(t, 768) for t in post.hashtags])])
+hf = hashtag_feature([post], emb, topic_rows, structure_dim=50)
 print(f"\npost {post.post_id} hashtags {post.hashtags}")
-print(f"  topic dim: {hf.topic.shape[0]}")
-print(f"  structure dim: {hf.structure.shape[0]}")
-print(f"  combined dim: {hf.combined.shape[0]}")
+print(f"  topic dim: {hf.topic.shape[1]}")
+print(f"  structure dim: {hf.structure.shape[1]}")
+print(f"  combined dim: {hf.combined.shape[1]}")

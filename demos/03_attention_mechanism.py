@@ -12,7 +12,7 @@ from postpop import EmbeddingProvider
 from postpop.attention import (hga_attention, init_attention_params,
                                na_content, sa_attention)
 from postpop.numeric import ParamStore
-from postpop.providers import hashtag_embedding_matrix, text_token_embeddings
+from postpop.providers import tokenize
 
 D, A, M, K, L = 8, 8, 6, 4, 4
 provider = EmbeddingProvider(kind="deterministic_stub", seed=0)
@@ -20,14 +20,24 @@ rng = np.random.default_rng(3)
 params = ParamStore()
 init_attention_params(params, rng, D, A, scale=0.8)
 
+
+
+def embed(keys, rows):
+    """The keys' provider vectors as a zero-padded (rows, D) matrix, and its mask."""
+    keys = keys[:rows]
+    mat = np.zeros((rows, D))
+    mat[:len(keys)] = provider.vectors([(key, D) for key in keys])
+    return mat, (np.arange(rows) < len(keys)).astype(np.float64)
+
+
 caption = "colorful festival crowd in the rain"
-tokens, mask = text_token_embeddings(caption, M, D, provider)
+tokens, mask = embed(tokenize(caption), M)
 image = rng.uniform(-1, 1, (K, D))
 words = caption.split()
 
 print(f"caption: {caption!r}\n")
 for tags in (["festival", "music"], ["rain", "weather"]):
-    hmat, hmask = hashtag_embedding_matrix(tags, L, D, provider)
+    hmat, hmask = embed(tags, L)
     out, _ = hga_attention(tokens, mask, image, hmat, hmask, params)
     print(f"hashtags {tags}:")
     for w, a in zip(words, out.alpha_text):

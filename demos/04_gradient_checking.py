@@ -5,6 +5,8 @@ analytically, then compares each parameter tensor against the
 finite-difference oracle.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from postpop.model import (ModelConfig, TINY_BRANCH_SPEC, batch_loss,
@@ -41,8 +43,11 @@ params = init_model_params(config, seed=3)
 print(f"parameters: {sum(v.size for _, v in params.items())} across "
       f"{len(params)} tensors")
 
-_, analytic, _ = batch_loss_and_grads([bundle], params, config)
-numeric = finite_difference_grad(lambda st: batch_loss([bundle], st, config),
+# a stacked batch of this one post: every field gains a leading axis of 1
+batch = FeatureBundle(**{f.name: np.asarray(getattr(bundle, f.name))[None]
+                         for f in fields(bundle)})
+_, analytic, _ = batch_loss_and_grads(batch, params, config)
+numeric = finite_difference_grad(lambda st: batch_loss(batch, st, config),
                                  params, eps=1e-5)
 
 worst = 0.0

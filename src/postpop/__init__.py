@@ -6,8 +6,7 @@ from .features import (PCAModel, SentimentLexicon, SocialStats, apply_pca,
                        demographic_vector, fit_pca, sentiment_feature,
                        sentiment_scores, social_vector)
 from .hashtag_graph import (HashtagFeature, HashtagGraph, build_cooccurrence_graph,
-                            hashtag_feature, node_embeddings, structural_embedding,
-                            topic_embedding)
+                            hashtag_feature, node_embeddings)
 from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
                     PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, branch_forward,
                     build_caches, extract_features, forward_bundle, head_forward,
@@ -15,8 +14,7 @@ from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
                     merged_length, save_checkpoint)
 from .numeric import (ParamStore, ShapeError, conv1d_forward, dense_forward,
                       dropout, finite_difference_grad, relu, softmax)
-from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
-                        image_region_features, text_token_embeddings, tokenize)
+from .providers import EmbeddingProvider, tokenize
 from .training import (AblationReport, Checkpoint, Metrics, TrainConfig,
                        TrainResult, TrainingDivergedError, ablate, adam_step,
                        compute_metrics, correlate_features, evaluate, pearson,

@@ -21,8 +21,7 @@ from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
 from .model import (CheckpointError, ModelConfig, BranchSpec,
                     PAPER_HEAD_SIZES, build_caches, extract_features,
-                    forward_bundle, load_checkpoint, save_checkpoint,
-                    stack_bundles)
+                    forward_bundle, load_checkpoint, save_checkpoint)
 from .providers import tokenize
 from .training import (Checkpoint, TrainConfig, ablate, evaluate, train)
 
@@ -257,7 +256,7 @@ def cmd_inspect_attention(rc: dict, post_id: str) -> int:
     config = checkpoint.config
     if config.attention == "na" or not config.use_content:
         raise UsageError("checkpoint has no attention stage to inspect")
-    batch = stack_bundles([extract_features(post, checkpoint.caches, config)])
+    batch = extract_features([post], checkpoint.caches, config)
     _, fcache = forward_bundle(batch, checkpoint.params, config)
     alpha_text = fcache.att_cache.alpha_text[0]
     alpha_image = fcache.att_cache.alpha_image[0]

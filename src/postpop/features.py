@@ -21,35 +21,48 @@ from .providers import tokenize
 DEMOGRAPHIC_DIM = 2 + 101 + 7 + 6  # 116
 SOCIAL_RAW_DIM = 9 + 7 + 12 + 4 + 1  # 33
 SENTIMENT_CLASSES = 5
+SOCIAL_NUMERICS = ("user_id_hash", "avg_views", "group_count", "avg_member_count",
+                   "tag_count", "title_length", "description_length",
+                   "tagged_people", "comment_count", "post_duration_days")
 
 TIME_SEGMENTS = ("night", "morning", "afternoon", "evening")  # 6-hour blocks from midnight
 
 
-def demographic_vector(faces, mode: str = "onehot") -> np.ndarray:
-    """Encode face annotations; multiple faces are averaged, none gives zeros.
+_GENDER = {g: i for i, g in enumerate(GENDERS)}
+_EMOTION = {e: i for i, e in enumerate(EMOTIONS)}
+_RACE = {r: i for i, r in enumerate(RACES)}
 
-    mode 'onehot' produces the 116-dim concatenation of one-hot blocks;
-    mode 'ordinal' produces the 4-dim (gender, age, emotion, race) indices.
+
+def demographic_vector(posts, mode: str = "onehot") -> np.ndarray:
+    """(B, dim) face encodings of a batch of posts: each post's faces are
+    averaged, and a post with none gives zeros.
+
+    mode 'onehot' averages the 116-dim concatenation of one-hot blocks;
+    mode 'ordinal' averages the 4-dim (gender, age, emotion, race) indices.
+    A post's sum is a sum of small integers, exact in float64, so dividing
+    it by the face count equals the mean of the per-face rows bit for bit.
     """
     if mode not in ("onehot", "ordinal"):
         raise ValueError(f"unknown demographic mode {mode!r}")
-    dim = DEMOGRAPHIC_DIM if mode == "onehot" else 4
-    faces = list(faces)
-    if not faces:
-        return np.zeros(dim, dtype=np.float64)
-    rows = []
-    for face in faces:
-        if mode == "ordinal":
-            rows.append([GENDERS.index(face.gender), float(face.age),
-                         EMOTIONS.index(face.emotion), RACES.index(face.race)])
-            continue
-        v = np.zeros(DEMOGRAPHIC_DIM, dtype=np.float64)
-        v[GENDERS.index(face.gender)] = 1.0
-        v[2 + face.age] = 1.0
-        v[103 + EMOTIONS.index(face.emotion)] = 1.0
-        v[110 + RACES.index(face.race)] = 1.0
-        rows.append(v)
-    return np.mean(np.asarray(rows, dtype=np.float64), axis=0)
+    onehot = mode == "onehot"
+    dim = DEMOGRAPHIC_DIM if onehot else 4
+    flat, weights, faces = [], [], []
+    for b, post in enumerate(posts):
+        faces.append(len(post.faces) or 1)
+        for face in post.faces:
+            codes = (_GENDER[face.gender], face.age, _EMOTION[face.emotion],
+                     _RACE[face.race])
+            if onehot:
+                g, age, emotion, race = codes
+                flat += (b * dim + g, b * dim + 2 + age, b * dim + 103 + emotion,
+                         b * dim + 110 + race)
+                weights += (1.0, 1.0, 1.0, 1.0)
+            else:
+                flat += range(b * dim, b * dim + 4)
+                weights += codes
+    sums = np.bincount(np.array(flat, dtype=np.intp), np.array(weights, dtype=np.float64),
+                       minlength=len(faces) * dim)
+    return sums.reshape(-1, dim) / np.array(faces, dtype=np.float64)[:, None]
 
 
 class SentimentLexicon:
@@ -83,18 +96,19 @@ class SentimentLexicon:
         return len(self.table)
 
 
-def sentiment_scores(text: str, lexicon: SentimentLexicon) -> np.ndarray:
-    """5-bin class distribution of lexicon hits with add-one smoothing.
-
-    No hits (or empty text) gives the uniform distribution.
-    """
-    counts = np.zeros(SENTIMENT_CLASSES, dtype=np.float64)
-    for tok in tokenize(text):
-        cls = lexicon.table.get(tok)
-        if cls is not None:
-            counts[cls] += 1.0
-    counts += 1.0
-    return counts / counts.sum()
+def sentiment_scores(token_lists, lexicon: SentimentLexicon) -> np.ndarray:
+    """(n, 5): each token list's class distribution of lexicon hits, with
+    add-one smoothing. No hits (or no tokens) gives the uniform distribution."""
+    table = lexicon.table
+    counts = []
+    for tokens in token_lists:
+        row = [1.0] * SENTIMENT_CLASSES
+        for cls in map(table.get, tokens):
+            if cls is not None:
+                row[cls] += 1.0
+        counts.append(row)
+    counts = np.array(counts).reshape(-1, SENTIMENT_CLASSES)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -104,15 +118,16 @@ class SentimentVector:
 
     @property
     def combined(self) -> np.ndarray:
-        return np.concatenate([self.caption_dist, self.hashtag_dist])
+        return np.concatenate([self.caption_dist, self.hashtag_dist], axis=-1)
 
 
-def sentiment_feature(post: Post, lexicon: SentimentLexicon) -> SentimentVector:
-    """Caption distribution + hashtags-as-a-sentence distribution (10 dims)."""
-    return SentimentVector(
-        caption_dist=sentiment_scores(post.caption, lexicon),
-        hashtag_dist=sentiment_scores(" ".join(post.hashtags), lexicon),
-    )
+def sentiment_feature(posts, caption_tokens, lexicon: SentimentLexicon) -> SentimentVector:
+    """Caption and hashtags-as-a-sentence distributions, (B, 5) each, for a
+    batch of posts; `caption_tokens[b]` is `tokenize(posts[b].caption)`."""
+    hashtag_tokens = [tokenize(" ".join(post.hashtags)) for post in posts]
+    dist = sentiment_scores([*caption_tokens, *hashtag_tokens], lexicon)
+    n = len(hashtag_tokens)
+    return SentimentVector(caption_dist=dist[:n], hashtag_dist=dist[n:])
 
 
 def _hash_unit(s: str) -> float:
@@ -120,20 +135,14 @@ def _hash_unit(s: str) -> float:
     return int.from_bytes(digest, "little") / 2.0 ** 64
 
 
-def social_numerics(post: Post) -> np.ndarray:
-    """The 9 raw numeric social features in fixed order."""
-    m = post.metadata
+def social_numerics(posts) -> np.ndarray:
+    """(B, 10): the 9 raw numeric social features in fixed order, then the
+    post duration in days; the columns are named by SOCIAL_NUMERICS."""
     return np.array([
-        _hash_unit(post.user_id),
-        m.avg_views,
-        m.group_count,
-        m.avg_member_count,
-        m.tag_count,
-        m.title_length,
-        m.description_length,
-        m.tagged_people,
-        m.comment_count,
-    ], dtype=np.float64)
+        (_hash_unit(post.user_id), m.avg_views, m.group_count, m.avg_member_count,
+         m.tag_count, m.title_length, m.description_length, m.tagged_people,
+         m.comment_count, m.post_duration_days)
+        for post in posts for m in (post.metadata,)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -148,12 +157,24 @@ class SocialStats:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, posts) -> "SocialStats":
-        rows = np.array([np.append(social_numerics(p), p.metadata.post_duration_days)
-                         for p in posts])
-        std = rows.std(axis=0)
+    def fit(cls, numerics: np.ndarray) -> "SocialStats":
+        """Column statistics of the training split's `social_numerics` matrix.
+
+        A column whose mean or std overflows float64 raises ValueError that
+        names it: an inf std would z-score the column to 0 for every post,
+        and an inf mean would make every social feature NaN.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = numerics.mean(axis=0)
+            std = numerics.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"social feature {SOCIAL_NUMERICS[i]!r} overflows float64 over the "
+                f"{len(numerics)} training post(s): mean {mean[i]!r}, std {std[i]!r}")
         std = np.where(std > 0, std, 1.0)  # constant features contribute 0 after centering
-        return cls(mean=rows.mean(axis=0), std=std)
+        return cls(mean=mean, std=std)
 
 
 def time_segment(hour: int) -> int:
@@ -163,18 +184,24 @@ def time_segment(hour: int) -> int:
     return hour // 6
 
 
-def social_vector(post: Post, stats: SocialStats) -> np.ndarray:
-    """33-dim raw social vector: z-scored numerics, calendar one-hots, duration."""
-    m = post.metadata
-    z = (np.append(social_numerics(post), m.post_duration_days)
-         - stats.mean) / stats.std
-    day = np.zeros(7)
-    day[m.post_day] = 1.0
-    month = np.zeros(12)
-    month[m.post_month] = 1.0
-    seg = np.zeros(4)
-    seg[time_segment(m.post_hour)] = 1.0
-    return np.concatenate([z[:9], day, month, seg, z[9:]])
+def social_vector(posts, stats: SocialStats, numerics: np.ndarray | None = None) -> np.ndarray:
+    """(B, 33) raw social vectors of a batch of posts: z-scored numerics,
+    calendar one-hots, z-scored duration. One Post gives its (33,) vector.
+
+    `numerics` is `social_numerics(posts)`, for a caller that has it already.
+    """
+    if isinstance(posts, Post):
+        return social_vector([posts], stats)[0]
+    if numerics is None:
+        numerics = social_numerics(posts)
+    z = (numerics - stats.mean) / stats.std
+    out = np.zeros((len(z), SOCIAL_RAW_DIM))
+    out[:, :9] = z[:, :9]
+    out[:, 32] = z[:, 9]
+    hot = np.array([(9 + m.post_day, 16 + m.post_month, 28 + time_segment(m.post_hour))
+                    for m in (post.metadata for post in posts)], dtype=np.intp)
+    out[np.arange(len(out))[:, None], hot] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,11 +239,16 @@ def fit_pca(rows: np.ndarray, k: int) -> PCAModel:
 
 
 def apply_pca(model: PCAModel, v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the principal axes: components @ (v - mean)."""
+    """Project vectors onto the principal axes: components @ (v - mean),
+    over any leading batch axes.
+
+    Each row is a (k, d) @ (d, 1) product, so a row rounds the same in a
+    batch of any size.
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != model.mean.shape:
+    if v.shape[-1:] != model.mean.shape:
         raise ValueError(f"vector shape {v.shape} != model dim {model.mean.shape}")
-    return model.components @ (v - model.mean)
+    return np.matmul(model.components, (v - model.mean)[..., None])[..., 0]
 
 
 def reconstruct_pca(model: PCAModel, coords: np.ndarray) -> np.ndarray:
@@ -224,6 +256,6 @@ def reconstruct_pca(model: PCAModel, coords: np.ndarray) -> np.ndarray:
     return model.mean + coords @ model.components
 
 
-def fit_social_pca(posts, stats: SocialStats, k: int = 6) -> PCAModel:
-    rows = np.array([social_vector(p, stats) for p in posts])
-    return fit_pca(rows, k)
+def fit_social_pca(posts, stats: SocialStats, numerics: np.ndarray, k: int = 6) -> PCAModel:
+    """PCA of the posts' raw social vectors; `numerics` is social_numerics(posts)."""
+    return fit_pca(social_vector(posts, stats, numerics), k)

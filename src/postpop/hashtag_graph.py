@@ -4,8 +4,8 @@ The graph is built from the training split only. Node embeddings come from
 an untrained, deterministic mean-aggregator over the weighted neighborhood
 (the GraphSAGE mean aggregator with no learned weights), run over a dense
 (nodes, dim) state with one scatter-add per hop, so its cost is linear in
-nodes plus edges. The per-post hashtag feature concatenates a pooled topic
-embedding with the averaged node embeddings.
+nodes plus edges. A post's hashtag feature concatenates its mean topic
+embedding with its mean node embedding.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Post
+from .numeric import padded_index, pooled_mean
 from .providers import EmbeddingProvider
 
-TOPIC_DIM = 768
 STRUCTURE_DIM = 50
 
 # Floats per block of gathered edge terms in `node_embeddings` (2 MB).
@@ -124,24 +124,6 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     return out
 
 
-def structural_embedding(post: Post, emb: dict[str, np.ndarray],
-                         dim: int = STRUCTURE_DIM) -> np.ndarray:
-    """Mean node embedding over the post's hashtags; zero when none are known."""
-    known = [emb[t] for t in post.hashtags if t in emb]
-    if not known:
-        return np.zeros(dim, dtype=np.float64)
-    return np.mean(known, axis=0)
-
-
-def topic_embedding(post: Post, provider: EmbeddingProvider,
-                    dim: int = TOPIC_DIM) -> np.ndarray:
-    """Mean of per-hashtag embeddings; zero vector for hashtag-free posts."""
-    if not post.hashtags:
-        return np.zeros(dim, dtype=np.float64)
-    vecs = [provider.memo_vector(t, dim) for t in post.hashtags]
-    return np.mean(vecs, axis=0)
-
-
 @dataclass(frozen=True)
 class HashtagFeature:
     topic: np.ndarray
@@ -149,15 +131,22 @@ class HashtagFeature:
 
     @property
     def combined(self) -> np.ndarray:
-        return np.concatenate([self.topic, self.structure])
+        return np.concatenate([self.topic, self.structure], axis=-1)
 
 
-def hashtag_feature(post: Post, emb: dict[str, np.ndarray],
-                    provider: EmbeddingProvider,
-                    topic_dim: int = TOPIC_DIM,
+def hashtag_feature(posts, emb: dict[str, np.ndarray], topic_rows: np.ndarray,
                     structure_dim: int = STRUCTURE_DIM) -> HashtagFeature:
-    """Topic embedding concatenated with the structural embedding (768 + 50)."""
-    return HashtagFeature(
-        topic=topic_embedding(post, provider, topic_dim),
-        structure=structural_embedding(post, emb, structure_dim),
-    )
+    """Topic and structure features of a batch of posts, (B, topic_dim) and
+    (B, structure_dim); a post gets zeros for a part it has no tags for.
+
+    The topic part is the mean of `topic_rows[b, j]`, the provider's topic
+    vector of post b's j-th hashtag (zero past its last). The structure part
+    is the mean node embedding over the post's hashtags that are in `emb`.
+    """
+    topic = pooled_mean(topic_rows, [len(post.hashtags) for post in posts])
+    nodes: dict[str, int] = {}
+    index = [[nodes.setdefault(t, len(nodes)) for t in post.hashtags if t in emb]
+             for post in posts]
+    table = np.array([*map(emb.__getitem__, nodes), np.zeros(structure_dim)])
+    structure = pooled_mean(table[padded_index(index)], list(map(len, index)))
+    return HashtagFeature(topic=topic, structure=structure)

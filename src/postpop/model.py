@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
+from itertools import islice
 from pathlib import Path
 from tokenize import TokenError
 
@@ -23,14 +24,13 @@ from . import encoders
 from .data import Dataset, Post
 from .features import (DEMOGRAPHIC_DIM, PCAModel, SentimentLexicon, SocialStats,
                        apply_pca, demographic_vector, fit_social_pca,
-                       sentiment_feature, social_vector)
+                       sentiment_feature, social_numerics, social_vector)
 from .hashtag_graph import (build_cooccurrence_graph, hashtag_feature,
                             node_embeddings)
 from .numeric import (ParamStore, ShapeError, conv1d_backward, conv1d_forward,
                       dense_backward, dense_forward, dropout, dropout_backward,
-                      relu, relu_backward)
-from .providers import (EmbeddingProvider, hashtag_embedding_matrix,
-                        image_region_features, text_token_embeddings, tokenize)
+                      padded_index, relu, relu_backward)
+from .providers import EmbeddingProvider, tokenize
 
 BRANCH_ORDER = ("social", "demographic", "hashtag", "sentiment")
 BRANCH_LAYERS = 3  # conv-relu layers per branch
@@ -102,6 +102,9 @@ class ModelConfig:
     head_sizes: tuple[int, ...] = PAPER_HEAD_SIZES
 
     def __post_init__(self):
+        for name in ("m", "k", "l", "d", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.attention not in ("hga", "sa", "na"):
             raise ValueError(f"attention must be hga|sa|na, got {self.attention!r}")
         if self.demographic_mode not in ("onehot", "ordinal"):
@@ -215,7 +218,7 @@ def init_model_params(config: ModelConfig, seed: int = 0, dtype=np.float64,
 
 
 # ---------------------------------------------------------------------------
-# feature caches and per-post bundles
+# feature caches and feature bundles
 
 @dataclass
 class FeatureCaches:
@@ -240,8 +243,9 @@ def build_caches(train_posts, config: ModelConfig,
     graph = build_cooccurrence_graph(train_posts, provider,
                                      base_dim=config.graph_base_dim)
     emb = node_embeddings(graph, dim=config.structure_dim, hops=config.graph_hops)
-    stats = SocialStats.fit(train_posts)
-    pca = fit_social_pca(train_posts, stats, k=config.pca_k)
+    numerics = social_numerics(train_posts)
+    stats = SocialStats.fit(numerics)
+    pca = fit_social_pca(train_posts, stats, numerics, k=config.pca_k)
     return FeatureCaches(provider=provider, lexicon=lexicon, graph=graph,
                          node_emb=emb, social_stats=stats, pca=pca)
 
@@ -253,7 +257,8 @@ class FeatureBundle:
     One post's bundle has unbatched arrays (tokens (M, D), f_social (P,),
     a float target); a stacked bundle of B posts gives every array a leading
     (B, ...) axis, post_id a (B,) string array and target a (B,) array.
-    Every layer runs the same code on both.
+    Every layer runs the same code on both. A stacked bundle has a length,
+    and iterates and indexes like a sequence of its posts.
     """
 
     post_id: str
@@ -269,10 +274,17 @@ class FeatureBundle:
     f_sentiment_hashtags: np.ndarray
     target: float
 
-    def take(self, index) -> "FeatureBundle":
-        """The posts at `index` (any numpy index) of a stacked bundle."""
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __getitem__(self, index) -> "FeatureBundle":
+        """The posts at `index` (any numpy index) of a stacked bundle; an
+        integer gives that post's unbatched bundle."""
         return FeatureBundle(**{f.name: getattr(self, f.name)[index]
                                 for f in fields(self)})
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 _INPUT_FIELDS = ("tokens", "token_mask", "regions", "hashtag_mat", "hashtag_mask",
@@ -280,73 +292,60 @@ _INPUT_FIELDS = ("tokens", "token_mask", "regions", "hashtag_mat", "hashtag_mask
                  "f_sentiment_hashtags")
 
 
-def stack_bundles(bundles) -> FeatureBundle:
-    """Stack one-post bundles into one (B, ...) bundle; targets are float64."""
-    if not bundles:
-        raise ValueError("empty batch")
-    return FeatureBundle(
-        post_id=np.array([b.post_id for b in bundles]),
-        target=np.array([b.target for b in bundles], dtype=np.float64),
-        **{name: np.array([getattr(b, name) for b in bundles])
-           for name in _INPUT_FIELDS})
+def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> FeatureBundle:
+    """The stacked (B, ...) bundle of a batch of posts. One Post gives its
+    unbatched bundle: row 0 of the batch [post].
 
+    Each caption is tokenized once. The pass lists its distinct (key, dim)
+    provider draws (caption tokens and hashtag rows at d, hashtags at
+    topic_dim, images at k * n) and draws them in one `vectors` call; each
+    vector field is then an index gather from its dim's table of draws.
+    Every feature family is computed whatever the config.
+    """
+    if isinstance(posts, Post):
+        return extract_features([posts], caches, config)[0]
+    if not posts:
+        raise ValueError("cannot featurize an empty batch")
+    m, l, d, k, n = config.m, config.l, config.d, config.k, config.n
+    rows: dict[int, dict[str, int]] = {}  # dim -> key -> row in that dim's table
 
-def extract_features(post: Post, caches: FeatureCaches,
-                     config: ModelConfig) -> FeatureBundle:
-    tokens, token_mask = text_token_embeddings(post.caption, config.m, config.d,
-                                               caches.provider)
-    regions = image_region_features(post.image_ref, config.k, config.n,
-                                    caches.provider)
-    hmat, hmask = hashtag_embedding_matrix(post.hashtags, config.l, config.d,
-                                           caches.provider)
-    hf = hashtag_feature(post, caches.node_emb, caches.provider,
-                         topic_dim=config.topic_dim,
+    def index(keys, dim: int) -> list[int]:
+        slots = rows.setdefault(dim, {})
+        return [slots.setdefault(key, len(slots)) for key in keys]
+
+    captions = [tokenize(post.caption) for post in posts]
+    token_index = padded_index([index(tokens[:m], d) for tokens in captions], m)
+    tag_index = padded_index([index(post.hashtags[:l], d) for post in posts], l)
+    topic_index = padded_index([index(post.hashtags, config.topic_dim) for post in posts])
+    image_index = index([post.image_ref for post in posts], k * n)
+    drawn = iter(caches.provider.vectors(
+        [(key, dim) for dim, keys in rows.items() for key in keys]))
+    # each dim's draws in row order, then the zero row that index -1 gathers
+    tables = {dim: np.array([*islice(drawn, len(keys)), np.zeros(dim)])
+              for dim, keys in rows.items()}
+    hf = hashtag_feature(posts, caches.node_emb, tables[config.topic_dim][topic_index],
                          structure_dim=config.structure_dim)
-    sent = sentiment_feature(post, caches.lexicon)
-    raw_social = social_vector(post, caches.social_stats)
+    sent = sentiment_feature(posts, captions, caches.lexicon)
     return FeatureBundle(
-        post_id=post.post_id,
-        tokens=tokens,
-        token_mask=token_mask,
-        regions=regions,
-        hashtag_mat=hmat,
-        hashtag_mask=hmask,
-        f_social=apply_pca(caches.pca, raw_social),
-        f_demographic=demographic_vector(post.faces, mode=config.demographic_mode),
+        post_id=np.array([post.post_id for post in posts]),
+        tokens=tables[d][token_index],
+        token_mask=(token_index >= 0).astype(np.float64),
+        regions=tables[k * n][image_index].reshape(-1, k, n),
+        hashtag_mat=tables[d][tag_index],
+        hashtag_mask=(tag_index >= 0).astype(np.float64),
+        f_social=apply_pca(caches.pca, social_vector(posts, caches.social_stats)),
+        f_demographic=demographic_vector(posts, mode=config.demographic_mode),
         f_hashtag=hf.combined,
         f_sentiment_text=sent.caption_dist,
         f_sentiment_hashtags=sent.hashtag_dist,
-        target=post.popularity,
+        target=np.array([post.popularity for post in posts], dtype=np.float64),
     )
 
 
-def pass_requests(posts, config: ModelConfig) -> list[tuple[str, int]]:
-    """Every (key, dim) provider draw `extract_features` makes for `posts`:
-    caption tokens and hashtag rows at d, hashtags at topic_dim, the image
-    at k * n."""
-    out = []
-    for post in posts:
-        out += [(tok, config.d) for tok in tokenize(post.caption)[:config.m]]
-        out += [(tag, config.d) for tag in post.hashtags[:config.l]]
-        out += [(tag, config.topic_dim) for tag in post.hashtags]
-        out.append((post.image_ref, config.k * config.n))
-    return out
-
-
 def extract_dataset(ds: Dataset, caches: FeatureCaches,
-                    config: ModelConfig) -> list[FeatureBundle]:
-    """One bundle per post, equal to `extract_features` on each.
-
-    The pass draws each distinct provider vector (token, hashtag row, topic
-    vector, region matrix) once, all in one `vectors` call. Its memo lives
-    only for this call, so memory stays bounded by one pass's keys. A
-    one-post pass lists nothing and draws each key on first use, as
-    `extract_features` alone does: it has too few keys to gain from the
-    batch.
-    """
-    requests = pass_requests(ds.posts, config) if len(ds) > 1 else ()
-    caches = replace(caches, provider=caches.provider.for_pass(requests))
-    return [extract_features(p, caches, config) for p in ds.posts]
+                    config: ModelConfig) -> FeatureBundle:
+    """The stacked bundle of every post of `ds`: `extract_features(ds.posts)`."""
+    return extract_features(ds.posts, caches, config)
 
 
 def branch_inputs(bundle: FeatureBundle, config: ModelConfig) -> dict[str, np.ndarray]:
@@ -555,31 +554,21 @@ def loss_mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sum((preds - targets) ** 2) / (2.0 * preds.size))
 
 
-def as_batch(bundles) -> FeatureBundle:
-    """A stacked bundle as is; a list of one-post bundles stacked."""
-    if isinstance(bundles, FeatureBundle):
-        return bundles
-    return stack_bundles(bundles)
-
-
-def batch_loss(bundles, params: ParamStore, config: ModelConfig) -> float:
+def batch_loss(batch: FeatureBundle, params: ParamStore, config: ModelConfig) -> float:
     """Dropout-free batch objective; used by the finite-difference oracle."""
-    batch = as_batch(bundles)
     preds, _ = forward_bundle(batch, params, config)
     return loss_mse(preds, batch.target)
 
 
-def batch_loss_and_grads(bundles, params: ParamStore, config: ModelConfig,
+def batch_loss_and_grads(batch: FeatureBundle, params: ParamStore, config: ModelConfig,
                          rate: float = 0.0, rngs: list | None = None):
-    """Loss over a batch plus the summed parameter gradients.
+    """Loss over a stacked batch plus the summed parameter gradients.
 
-    `bundles` is a stacked bundle or a list of one-post bundles; `rate` and
-    `rngs` are the dropout rate and generators of `forward_bundle`. The
-    gradient of the 1/(2n) objective w.r.t. each prediction is
-    (pred - target) / n; one backward pass over the batch scales each
-    post's gradient by that and sums them.
+    `rate` and `rngs` are the dropout rate and generators of
+    `forward_bundle`. The gradient of the 1/(2n) objective w.r.t. each
+    prediction is (pred - target) / n; one backward pass over the batch
+    scales each post's gradient by that and sums them.
     """
-    batch = as_batch(bundles)
     preds, fcache = forward_bundle(batch, params, config, rate, rngs)
     d_y = (preds - batch.target) / len(batch.target)
     grads = backward_bundle(d_y, fcache, params, config)

@@ -98,6 +98,29 @@ def flat_rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def padded_index(rows, width: int | None = None) -> np.ndarray:
+    """(B, width) index array of B index lists, padded with -1.
+
+    A table whose last row is zeros gathers zeros at the padding. `width`
+    defaults to the longest list.
+    """
+    if width is None:
+        width = max(map(len, rows), default=0)
+    return np.array([[*r, *(-1,) * (width - len(r))] for r in rows], dtype=np.intp)
+
+
+def pooled_mean(rows: np.ndarray, counts) -> np.ndarray:
+    """(B, n) means of the first counts[b] rows of each rows[b] in (B, T, n),
+    the rest being zeros; a count of 0 gives zeros.
+
+    The zero-padded sum over T adds each post's rows in order, then divides
+    once by the count, as np.mean(rows[b, :count], axis=0) does, bit for bit
+    when n > 1. (With n == 1 numpy sums pairwise, and the padding can move
+    the last bit.)
+    """
+    return rows.sum(axis=1) / np.array([[max(c, 1)] for c in counts], dtype=np.float64)
+
+
 def softmax(scores: np.ndarray, mask: np.ndarray | None = None,
             allow_empty: bool = False) -> np.ndarray:
     """Masked softmax over the last axis of `scores` (..., n).

@@ -14,15 +14,10 @@ arrays, one computation for every key, and gives the result to numpy's own
 generator. Its output equals `vector`'s bit for bit; that rests on NumPy's
 stream-compatibility policy for SeedSequence and PCG64 (NEP 19), and the
 oracle test in tests/test_providers.py guards it.
-
-A featurization pass works on a `for_pass(requests)` copy of the provider:
-one `vectors` call fills its memo with every distinct (key, dim) the pass
-will read, `memo_vector` serves them, and the memo is dropped with the copy.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import string
 import struct
@@ -183,8 +178,6 @@ class EmbeddingProvider:
     seed: int = 0
     feature_path: str | None = None
     _table: dict[str, np.ndarray] | None = field(default=None, repr=False)
-    _memo: dict[tuple[str, int], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("deterministic_stub", "precomputed_file"):
@@ -237,69 +230,3 @@ class EmbeddingProvider:
                           "has_uint32": 0, "uinteger": 0}
             out.append(rng.uniform(-1.0, 1.0, size=dim))
         return out
-
-    def for_pass(self, requests=()) -> "EmbeddingProvider":
-        """A copy for one featurization pass; drop it when the pass ends.
-
-        Its memo holds each distinct (key, dim) of `requests`, drawn by one
-        `vectors` call; `memo_vector` draws and keeps any other key on first
-        use. The copy shares this provider's stored table (read-only), so
-        making one costs no file read.
-        """
-        clone = copy.copy(self)
-        unique = list(dict.fromkeys(requests))
-        clone._memo = dict(zip(unique, self.vectors(unique)))
-        return clone
-
-    def memo_vector(self, key: str, dim: int) -> np.ndarray:
-        """`vector(key, dim)`, served from a `for_pass()` copy's memo.
-
-        A key the pass did not request is drawn on first use and kept. Every
-        call returns a fresh copy, so a caller that writes to its result
-        cannot change a later one. Without a memo this is `vector`.
-        """
-        if self._memo is None:
-            return self.vector(key, dim)
-        hit = self._memo.get((key, dim))
-        if hit is None:
-            hit = self._memo[key, dim] = self.vector(key, dim)
-        return hit.copy()
-
-
-def text_token_embeddings(caption: str, M: int, D: int,
-                          provider: EmbeddingProvider) -> tuple[np.ndarray, np.ndarray]:
-    """Token-embedding matrix (M x D) and binary mask of length M.
-
-    Captions shorter than M are zero-padded (mask 0); longer ones are
-    truncated to the first M tokens.
-    """
-    if M < 1 or D < 1:
-        raise ValueError(f"M and D must be >= 1, got M={M}, D={D}")
-    tokens = tokenize(caption)[:M]
-    out = np.zeros((M, D), dtype=np.float64)
-    mask = np.zeros(M, dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        out[i] = provider.memo_vector(tok, D)
-        mask[i] = 1.0
-    return out, mask
-
-
-def image_region_features(image_ref: str, K: int, N: int,
-                          provider: EmbeddingProvider) -> np.ndarray:
-    """K x N regional feature matrix keyed by image reference."""
-    if K < 1 or N < 1:
-        raise ValueError(f"K and N must be >= 1, got K={K}, N={N}")
-    return provider.memo_vector(image_ref, K * N).reshape(K, N)
-
-
-def hashtag_embedding_matrix(hashtags, L: int, D: int,
-                             provider: EmbeddingProvider) -> tuple[np.ndarray, np.ndarray]:
-    """Per-hashtag embedding matrix (L x D) with zero padding and mask."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    out = np.zeros((L, D), dtype=np.float64)
-    mask = np.zeros(L, dtype=np.float64)
-    for i, tag in enumerate(list(hashtags)[:L]):
-        out[i] = provider.memo_vector(tag, D)
-        mask[i] = 1.0
-    return out, mask

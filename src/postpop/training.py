@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, split_dataset
-from .features import SentimentLexicon, social_numerics
+from .features import SOCIAL_NUMERICS, SentimentLexicon, social_numerics
 from .model import (FeatureBundle, FeatureCaches, ModelConfig, ParamStore,
-                    batch_loss_and_grads, build_caches, extract_dataset,
-                    forward_bundle, init_model_params, stack_bundles)
+                    batch_loss_and_grads, build_caches, extract_features,
+                    forward_bundle, init_model_params)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ SCORE_BATCH = 64
 def _predictions(batch: FeatureBundle, params, config) -> np.ndarray:
     n = len(batch.target)
     return np.concatenate([
-        forward_bundle(batch.take(slice(start, start + SCORE_BATCH)), params, config)[0]
+        forward_bundle(batch[start:start + SCORE_BATCH], params, config)[0]
         for start in range(0, n, SCORE_BATCH)])
 
 
@@ -225,9 +225,9 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
     params = init_model_params(config, seed=train_config.seed,
                                scale=train_config.init_scale)
     # one featurization pass over both splits, so a shared key is drawn once
-    bundles = extract_dataset(Dataset((*train_ds.posts, *val_ds.posts)), caches, config)
-    train_set = stack_bundles(bundles[:len(train_ds)])
-    val_set = stack_bundles(bundles[len(train_ds):])
+    bundles = extract_features((*train_ds.posts, *val_ds.posts), caches, config)
+    train_set = bundles[:len(train_ds)]
+    val_set = bundles[len(train_ds):]
     state = AdamState()
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
@@ -240,7 +240,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
             np.random.SeedSequence([train_config.seed, epoch])).permutation(n)
         epoch_losses = []
         for start in range(0, n, train_config.batch_size):
-            batch = train_set.take(order[start:start + train_config.batch_size])
+            batch = train_set[order[start:start + train_config.batch_size]]
             # one dropout generator per post of the batch
             rngs = [np.random.default_rng(np.random.SeedSequence(
                 [train_config.seed, step, i])) for i in range(len(batch.target))] \
@@ -278,15 +278,15 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
 def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
     """Metrics over a dataset, scored without dropout.
 
-    Posts are featurized, stacked and scored `SCORE_BATCH` at a time, so at
-    most one chunk's features are held at once.
+    Posts are featurized and scored `SCORE_BATCH` at a time, so at most one
+    chunk's features are held at once.
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     chunks = []
     for start in range(0, len(ds), SCORE_BATCH):
-        posts = Dataset(ds.posts[start:start + SCORE_BATCH])
-        batch = stack_bundles(extract_dataset(posts, checkpoint.caches, checkpoint.config))
+        batch = extract_features(ds.posts[start:start + SCORE_BATCH], checkpoint.caches,
+                                 checkpoint.config)
         chunks.append(forward_bundle(batch, checkpoint.params, checkpoint.config)[0])
     preds = np.concatenate(chunks)
     bad = np.array([p.post_id for p in ds.posts])[~np.isfinite(preds)]
@@ -300,10 +300,8 @@ def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
 # ---------------------------------------------------------------------------
 # feature correlation analysis
 
-SCALAR_FEATURES = ("user_id_hash", "avg_views", "group_count", "avg_member_count",
-                   "tag_count", "title_length", "description_length",
-                   "tagged_people", "comment_count", "post_day", "post_month",
-                   "post_hour", "post_duration_days")
+SCALAR_FEATURES = (*SOCIAL_NUMERICS[:9], "post_day", "post_month", "post_hour",
+                   "post_duration_days")
 
 
 def correlate_features(ds: Dataset, caches: FeatureCaches | None = None,
@@ -319,7 +317,7 @@ def correlate_features(ds: Dataset, caches: FeatureCaches | None = None,
         caches = build_caches(ds.posts, config)
     y = ds.popularity()
     columns: dict[str, np.ndarray] = {}
-    numerics = np.array([social_numerics(p) for p in ds.posts])
+    numerics = social_numerics(ds.posts)
     for i, name in enumerate(SCALAR_FEATURES[:9]):
         columns[name] = numerics[:, i]
     meta = [(p.metadata.post_day, p.metadata.post_month, p.metadata.post_hour,
@@ -327,13 +325,14 @@ def correlate_features(ds: Dataset, caches: FeatureCaches | None = None,
     meta = np.array(meta, dtype=np.float64)
     for j, name in enumerate(SCALAR_FEATURES[9:]):
         columns[name] = meta[:, j]
-    bundles = extract_dataset(ds, caches, config)
-    columns["hashtag_feature"] = np.array([np.linalg.norm(b.f_hashtag) for b in bundles])
+    batch = extract_features(ds.posts, caches, config)
+    # per row: an axis-wise norm rounds differently
+    columns["hashtag_feature"] = np.array([np.linalg.norm(v) for v in batch.f_hashtag])
     columns["sentiment_feature"] = np.array(
-        [np.linalg.norm(np.concatenate([b.f_sentiment_text, b.f_sentiment_hashtags]))
-         for b in bundles])
+        [np.linalg.norm(v) for v in np.concatenate(
+            [batch.f_sentiment_text, batch.f_sentiment_hashtags], axis=1)])
     columns["demographic_feature"] = np.array(
-        [np.linalg.norm(b.f_demographic) for b in bundles])
+        [np.linalg.norm(v) for v in batch.f_demographic])
     out = []
     for name, col in columns.items():
         if np.all(col == col[0]) or np.all(y == y[0]):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from postpop.data import Post, PostMetadata
-from postpop.model import FeatureBundle, ModelConfig, TINY_BRANCH_SPEC
-from postpop.providers import EmbeddingProvider
+from postpop.model import _INPUT_FIELDS, FeatureBundle, ModelConfig, TINY_BRANCH_SPEC
+from postpop.providers import EmbeddingProvider, tokenize
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -46,6 +46,26 @@ def random_bundle(rng, config: ModelConfig, n_tokens=None, n_hashtags=None,
         f_sentiment_hashtags=rng.dirichlet(np.ones(5)),
         target=float(rng.normal()) if target is None else target,
     )
+
+
+def stack(bundles) -> FeatureBundle:
+    """One (B, ...) bundle from B one-post bundles."""
+    return FeatureBundle(
+        post_id=np.array([b.post_id for b in bundles]),
+        target=np.array([b.target for b in bundles], dtype=np.float64),
+        **{name: np.array([getattr(b, name) for b in bundles]) for name in _INPUT_FIELDS})
+
+
+def pass_requests(posts, cfg) -> list[tuple[str, int]]:
+    """Every (key, dim) draw a featurization pass needs: caption tokens and
+    hashtag rows at d, hashtags at topic_dim, the image at k * n."""
+    out = []
+    for post in posts:
+        out += [(tok, cfg.d) for tok in tokenize(post.caption)[:cfg.m]]
+        out += [(tag, cfg.d) for tag in post.hashtags[:cfg.l]]
+        out += [(tag, cfg.topic_dim) for tag in post.hashtags]
+        out.append((post.image_ref, cfg.k * cfg.n))
+    return out
 
 
 def make_post(post_id="p0", user_id="u0", caption="hello world", hashtags=(),

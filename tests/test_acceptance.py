@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_post, random_bundle, tiny_config
+from conftest import make_post, random_bundle, stack, tiny_config
 from postpop.attention import hga_attention, init_attention_params, sa_attention
 from postpop.corpora import make_hashtag_signal_corpus, make_sample_corpus
 from postpop.data import split_dataset
@@ -34,7 +34,7 @@ def test_c1_gradient_fidelity():
     rng = np.random.default_rng(7)
     params = init_model_params(config, seed=3)
     bundle = random_bundle(rng, config, n_tokens=2, n_hashtags=1)
-    bundles = [bundle]
+    bundles = stack([bundle])
 
     _, grads, _ = batch_loss_and_grads(bundles, params, config)
     numeric = finite_difference_grad(

@@ -164,6 +164,24 @@ class TestTrain:
         assert code == 2 and "diverged" in err
         assert not (tmp / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("overflowing", [1, 2])
+    def test_overflowing_training_value_exits_two_without_checkpoint(
+            self, workspace, capsys, overflowing):
+        # one training value of 1e308 overflows the column's std, two its mean
+        tmp, cfg = workspace
+        tr, _, _ = _load_splits(resolve_config(cfg))
+        ids = {p.post_id for p in tr.posts[:overflowing]}
+        corpus = tmp / "corpus.jsonl"
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for row in rows:
+            if row["post_id"] in ids:
+                row["metadata"]["avg_views"] = 1e308
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, _, err = run_cli(["--config", str(cfg), "train"], capsys)
+        assert code == 2 and "'avg_views' overflows float64" in err
+        assert "Traceback" not in err
+        assert not (tmp / "model.ckpt").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
         ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),
@@ -180,7 +198,7 @@ class TestTrain:
 
 @pytest.mark.parametrize("key,value", [
     ("attention", "xyz"), ("demographic_mode", "foo"), ("social_widths", "2,2"),
-    ("head_sizes", "4,2"),
+    ("head_sizes", "4,2"), ("m", "0"), ("l", "0"), ("k", "-1"),
 ])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value):

@@ -1,13 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import make_post
 from postpop.data import FaceAnnotation
 from postpop.features import (DEMOGRAPHIC_DIM, SentimentLexicon, SocialStats,
-                              apply_pca, demographic_vector, fit_pca,
-                              reconstruct_pca, sentiment_feature,
-                              sentiment_scores, social_numerics, social_vector,
-                              time_segment)
+                              apply_pca, fit_pca, reconstruct_pca,
+                              sentiment_feature, sentiment_scores,
+                              social_numerics, social_vector, time_segment)
+from postpop.features import demographic_vector as batch_demographic_vector
+from postpop.providers import tokenize
+
+
+def demographic_vector(faces, mode="onehot"):
+    """One post's row of the batched encoder."""
+    return batch_demographic_vector([make_post(faces=faces)], mode)[0]
 
 
 class TestDemographic:
@@ -54,49 +62,80 @@ class TestDemographic:
         assert np.array_equal(v, [1.0, 30.0, 2.0, 2.0])
         assert demographic_vector([], mode="ordinal").shape == (4,)
 
+    @pytest.mark.parametrize("mode", ["onehot", "ordinal"])
+    def test_batch_rows_equal_per_face_means(self, mode):
+        # no faces, one face, two faces, and three faces sharing an index
+        f = [FaceAnnotation("female", 30, "happiness", "asian"),
+             FaceAnnotation("male", 77, "fear", "black"),
+             FaceAnnotation("female", 30, "neutral", "asian")]
+        face_lists = [(), (f[0],), (f[0], f[1]), tuple(f), ()]
+        batch = batch_demographic_vector([make_post(faces=fs) for fs in face_lists], mode)
+        assert batch.shape == (5, DEMOGRAPHIC_DIM if mode == "onehot" else 4)
+        for row, faces in zip(batch, face_lists):
+            one = [demographic_vector([face], mode) for face in faces]
+            expected = np.mean(one, axis=0) if one else np.zeros(batch.shape[1])
+            assert np.array_equal(row, expected)
+        if mode == "ordinal":  # female 1, happiness 2, fear 0, neutral 6, asian 2, black 0
+            assert np.array_equal(batch[3], [2 / 3, (30 + 77 + 30) / 3, 8 / 3, 4 / 3])
+        else:
+            assert batch[3, 2 + 30] == 2 / 3 and batch[3, 2 + 77] == 1 / 3
+
 
 @pytest.fixture(scope="module")
 def lexicon():
     return SentimentLexicon.bundled()
 
 
+def scores(text, lexicon):
+    return sentiment_scores([tokenize(text)], lexicon)[0]
+
+
+def one_post_sentiment(post, lexicon):
+    sv = sentiment_feature([post], [tokenize(post.caption)], lexicon)
+    return type(sv)(caption_dist=sv.caption_dist[0], hashtag_dist=sv.hashtag_dist[0])
+
+
 class TestSentiment:
     def test_no_hits_uniform(self, lexicon):
-        assert np.allclose(sentiment_scores("zxqv qqq", lexicon), 0.2)
-        assert np.allclose(sentiment_scores("", lexicon), 0.2)
+        assert np.allclose(scores("zxqv qqq", lexicon), 0.2)
+        assert np.allclose(scores("", lexicon), 0.2)
 
     def test_single_class4_hit_argmax(self, lexicon):
-        out = sentiment_scores("what an amazing day", lexicon)
+        out = scores("what an amazing day", lexicon)
         assert np.argmax(out) == 4
 
     def test_hand_tally_with_smoothing(self):
         lex = SentimentLexicon({"bleak": 0, "grim": 0, "stellar": 4})
-        out = sentiment_scores("bleak grim and stellar", lex)
-        assert np.allclose(out, np.array([3, 1, 1, 1, 2]) / 8.0)
+        out = scores("bleak grim and stellar", lex)
+        assert np.array_equal(out, np.array([3, 1, 1, 1, 2]) / 8.0)
+        # a batch of token lists: each row is its own list's distribution
+        batch = sentiment_scores([["bleak"], [], ["stellar", "stellar", "bleak"]], lex)
+        assert np.array_equal(batch, np.array([[2, 1, 1, 1, 1], [1, 1, 1, 1, 1],
+                                               [2, 1, 1, 1, 3]]) / [[6], [5], [8]])
 
     def test_simplex(self, lexicon, rng):
         words = list(lexicon.table)
         for _ in range(10):
             text = " ".join(rng.choice(words, size=rng.integers(0, 8)))
-            out = sentiment_scores(text, lexicon)
+            out = scores(text, lexicon)
             assert abs(out.sum() - 1.0) < 1e-9
             assert np.all(out >= 0)
 
     def test_feature_dims_and_blocks(self, lexicon):
         post = make_post(caption="wonderful sunset", hashtags=("awful", "grim"))
-        sv = sentiment_feature(post, lexicon)
+        sv = one_post_sentiment(post, lexicon)
         assert sv.combined.shape == (10,)
         assert np.array_equal(sv.combined[:5], sv.caption_dist)
         assert np.array_equal(sv.combined[5:], sv.hashtag_dist)
 
     def test_disjoint_hits_differ(self, lexicon):
         post = make_post(caption="wonderful amazing", hashtags=("awful",))
-        sv = sentiment_feature(post, lexicon)
+        sv = one_post_sentiment(post, lexicon)
         assert not np.allclose(sv.caption_dist, sv.hashtag_dist)
 
     def test_empty_post_two_uniform_blocks(self, lexicon):
         post = make_post(caption="", hashtags=())
-        sv = sentiment_feature(post, lexicon)
+        sv = one_post_sentiment(post, lexicon)
         assert np.allclose(sv.combined, 0.2)
 
     def test_bundled_lexicon_size(self, lexicon):
@@ -115,7 +154,7 @@ class TestSocial:
     def test_vector_layout(self):
         posts = [make_post(post_id=f"p{i}", comment_count=i,
                            post_duration_days=float(i)) for i in range(5)]
-        stats = SocialStats.fit(posts)
+        stats = SocialStats.fit(social_numerics(posts))
         post = make_post(post_day=0, post_month=3, post_hour=14,
                          post_duration_days=12.5)
         v = social_vector(post, stats)
@@ -130,7 +169,7 @@ class TestSocial:
 
     def test_determinism(self):
         posts = [make_post(post_id=f"p{i}", avg_views=10.0 * i) for i in range(4)]
-        stats = SocialStats.fit(posts)
+        stats = SocialStats.fit(social_numerics(posts))
         a = social_vector(posts[1], stats)
         b = social_vector(posts[1], stats)
         assert np.array_equal(a, b)
@@ -138,16 +177,27 @@ class TestSocial:
     def test_zscoring_uses_training_stats(self):
         posts = [make_post(post_id=f"p{i}", comment_count=c)
                  for i, c in enumerate([0, 10, 20, 30])]
-        stats = SocialStats.fit(posts)
-        rows = np.array([social_vector(p, stats) for p in posts])
+        stats = SocialStats.fit(social_numerics(posts))
+        rows = social_vector(posts, stats)
+        assert np.array_equal(rows, [social_vector(p, stats) for p in posts])
         comment_col = rows[:, 8]
         assert abs(comment_col.mean()) < 1e-12
         assert abs(comment_col.std() - 1.0) < 1e-12
 
     def test_user_hash_in_unit_interval(self):
         for uid in ("alice", "bob", "u123"):
-            v = social_numerics(make_post(user_id=uid))
-            assert 0.0 <= v[0] < 1.0
+            v = social_numerics([make_post(user_id=uid)])
+            assert v.shape == (1, 10) and 0.0 <= v[0, 0] < 1.0
+
+    @pytest.mark.parametrize("overflowing", [1, 2])
+    def test_overflowing_column_named(self, overflowing):
+        # one value of 1e308 overflows the column's std; two overflow its mean
+        posts = [make_post(post_id=f"p{i}", avg_views=1e308 if i < overflowing else 1.0)
+                 for i in range(5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'avg_views' overflows float64"):
+                SocialStats.fit(social_numerics(posts))
 
 
 class TestPCA:

@@ -7,8 +7,7 @@ from postpop.data import Dataset
 from postpop.hashtag_graph import (HashtagGraph,
                                    build_cooccurrence_graph,
                                    hashtag_feature, initial_node_states,
-                                   node_embeddings, structural_embedding,
-                                   topic_embedding)
+                                   node_embeddings)
 from postpop.providers import EmbeddingProvider
 
 
@@ -170,6 +169,25 @@ class TestNodeEmbeddings:
             assert np.all(np.isfinite(v))
 
 
+def topic_rows(posts, provider, dim):
+    """Each post's provider vectors of its hashtags, zero-padded: (B, T, dim)."""
+    width = max(len(p.hashtags) for p in posts)
+    out = np.zeros((len(posts), width, dim))
+    for b, post in enumerate(posts):
+        for j, tag in enumerate(post.hashtags):
+            out[b, j] = provider.vector(tag, dim)
+    return out
+
+
+def structural_embedding(post, emb, dim):
+    return hashtag_feature([post], emb, np.zeros((1, len(post.hashtags), 1)),
+                           structure_dim=dim).structure[0]
+
+
+def topic_embedding(post, provider, dim):
+    return hashtag_feature([post], {}, topic_rows([post], provider, dim)).topic[0]
+
+
 class TestStructuralEmbedding:
     def test_no_hashtags_zero_vector(self):
         post = make_post(hashtags=())
@@ -221,18 +239,32 @@ class TestHashtagFeature:
     def test_default_dims(self, provider):
         post = make_post(hashtags=("sun",))
         emb = {"sun": np.ones(50)}
-        hf = hashtag_feature(post, emb, provider)
-        assert hf.topic.shape == (768,)
-        assert hf.structure.shape == (50,)
-        assert hf.combined.shape == (818,)
+        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768))
+        assert hf.topic.shape == (1, 768)
+        assert hf.structure.shape == (1, 50)
+        assert hf.combined.shape == (1, 818)
 
     def test_concatenation_layout(self, provider):
         post = make_post(hashtags=("sun",))
         emb = {"sun": np.full(50, 0.25)}
-        hf = hashtag_feature(post, emb, provider)
-        assert np.array_equal(hf.combined[:768], hf.topic)
-        assert np.array_equal(hf.combined[768:], hf.structure)
+        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768))
+        assert np.array_equal(hf.combined[:, :768], hf.topic)
+        assert np.array_equal(hf.combined[:, 768:], hf.structure)
 
     def test_zero_plus_zero(self, provider):
-        hf = hashtag_feature(make_post(hashtags=()), {}, provider)
-        assert np.array_equal(hf.combined, np.zeros(818))
+        hf = hashtag_feature([make_post(hashtags=())], {}, np.zeros((1, 0, 768)))
+        assert np.array_equal(hf.combined, np.zeros((1, 818)))
+
+    def test_batch_rows_equal_one_post_calls(self, provider):
+        # posts with no tags, unknown tags, repeated tags and differing counts
+        # pad to one width; each row is bitwise its one-post result
+        emb = {t: provider.vector(t, 5) for t in ("a", "b", "c")}
+        posts = [make_post(hashtags=tags) for tags in
+                 [(), ("a",), ("b", "mystery", "b"), ("mystery",), ("c", "a", "b", "a")]]
+        batch = hashtag_feature(posts, emb, topic_rows(posts, provider, 8), 5)
+        for b, post in enumerate(posts):
+            one = hashtag_feature([post], emb, topic_rows([post], provider, 8), 5)
+            assert np.array_equal(batch.combined[b], one.combined[0])
+            known = [emb[t] for t in post.hashtags if t in emb]
+            assert np.array_equal(batch.structure[b],
+                                  np.mean(known, axis=0) if known else np.zeros(5))

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import postpop.features as features_mod
 import postpop.model as model_mod
 
-from conftest import random_bundle, tiny_config
+from conftest import make_post, pass_requests, random_bundle, stack, tiny_config
 from postpop.cli import model_config_from, resolve_config
 from postpop.corpora import make_sample_corpus
-from postpop.data import Dataset, load_dataset
+from postpop.data import Dataset, FaceAnnotation, load_dataset
+from postpop.features import SentimentLexicon, apply_pca, social_vector
 from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            PAPER_HEAD_SIZES, backward_bundle, batch_loss,
                            batch_loss_and_grads, branch_backward, branch_forward,
@@ -20,7 +22,7 @@ from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            forward_bundle,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
-                           pass_requests, save_checkpoint, stack_bundles)
+                           save_checkpoint)
 from postpop.numeric import (ParamStore, conv1d_backward, conv1d_forward,
                              finite_difference_grad, relative_error, relu,
                              relu_backward)
@@ -235,7 +237,7 @@ class TestFullModel:
         bundle = random_bundle(rng, cfg)
         y, _ = forward_bundle(bundle, params, cfg)
         bundle.target = y
-        grads = batch_loss_and_grads([bundle], params, cfg)[1]
+        grads = batch_loss_and_grads(stack([bundle]), params, cfg)[1]
         for name, g in grads.items():
             assert np.allclose(g, 0.0, atol=1e-10), name
 
@@ -243,8 +245,8 @@ class TestFullModel:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=2)
         bundle = random_bundle(rng, cfg)
-        g1 = batch_loss_and_grads([bundle], params, cfg)[1]
-        g2 = batch_loss_and_grads([bundle, bundle], params, cfg)[1]
+        g1 = batch_loss_and_grads(stack([bundle]), params, cfg)[1]
+        g2 = batch_loss_and_grads(stack([bundle, bundle]), params, cfg)[1]
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-12)
 
@@ -252,7 +254,7 @@ class TestFullModel:
     def test_gradcheck_every_variant(self, rng, variant):
         cfg = tiny_config(attention=variant)
         params = init_model_params(cfg, seed=4)
-        bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1)]
+        bundles = stack([random_bundle(rng, cfg, n_tokens=2, n_hashtags=1)])
         _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
         numeric = finite_difference_grad(
             lambda st: batch_loss(bundles, st, cfg), params)
@@ -265,7 +267,7 @@ class TestFullModel:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=4)
         bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1) for _ in range(2)]
-        batch = stack_bundles(bundles)
+        batch = stack(bundles)
         _, grads, _ = batch_loss_and_grads(batch, params, cfg, 0.4, post_rngs(2))
 
         def loss(st):
@@ -328,6 +330,8 @@ class TestExtractDataset:
         assert len(bundles) == len(ds)
         for post, bundle in zip(ds.posts, bundles):
             assert bundles_equal(bundle, extract_features(post, caches, cfg)), post.post_id
+        with pytest.raises(ValueError, match="empty batch"):
+            extract_features([], caches, cfg)
 
     def test_memo_lives_for_one_call(self, draw_log):
         cfg = tiny_config()
@@ -343,30 +347,108 @@ class TestExtractDataset:
         assert len(first_draws) == len(set(first_draws)) > 0
         assert set(first_draws) == set(pass_requests(ds.posts, cfg))
         assert draw_log.drawn == first_draws
-        assert caches.provider._memo is None
         assert all(map(bundles_equal, first, second))
 
     @pytest.mark.parametrize("config_file", [None, "desk.cfg"])
     def test_pass_draws_only_through_the_batch(self, draw_log, config_file):
-        # a key that `pass_requests` missed would be drawn per key on first use
         cfg = (model_config_from(resolve_config(REPO / "configs" / config_file))
                if config_file else tiny_config())
         ds, _ = load_dataset(REPO / "data" / "sample_corpus.jsonl")
         caches = build_caches(ds.posts, cfg)
+        draw_log.drawn.clear()
         draw_log.per_key.clear()
         extract_dataset(ds, caches, cfg)
         assert len(set(pass_requests(ds.posts, cfg))) >= BATCH_DRAWS
+        assert sorted(draw_log.drawn) == sorted(set(pass_requests(ds.posts, cfg)))
         assert draw_log.per_key == []
 
-    def test_one_post_pass_lists_nothing(self, draw_log):
+    def test_one_post_pass_draws_per_key_below_the_crossover(self, draw_log):
+        # a one-post pass lists its keys in one `vectors` call like any pass;
+        # with fewer than BATCH_DRAWS of them, that call draws each per key
         cfg = tiny_config()
         ds = make_sample_corpus(n=20, seed=5)
         caches = build_caches(ds.posts, cfg)
         draw_log.drawn.clear()
+        draw_log.per_key.clear()
         extract_dataset(Dataset(ds.posts[:1]), caches, cfg)
-        # drawn per key on first use, as extract_features alone does
-        assert draw_log.drawn == draw_log.per_key
+        assert len(draw_log.drawn) < BATCH_DRAWS
+        assert draw_log.per_key == draw_log.drawn
         assert set(draw_log.drawn) == set(pass_requests(ds.posts[:1], cfg))
+
+    @pytest.mark.parametrize("config_file", [None, "desk.cfg"])
+    def test_tokenizes_each_caption_once(self, monkeypatch, config_file):
+        # one call per caption, plus one per post for its hashtag sentence
+        cfg = (model_config_from(resolve_config(REPO / "configs" / config_file))
+               if config_file else tiny_config())
+        ds = make_sample_corpus(n=30, seed=5)
+        caches = build_caches(ds.posts, cfg)
+        texts = []
+
+        def spy(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(model_mod, "tokenize", spy)
+        monkeypatch.setattr(features_mod, "tokenize", spy)
+        extract_dataset(ds, caches, cfg)
+        assert sorted(texts) == sorted([p.caption for p in ds.posts]
+                                       + [" ".join(p.hashtags) for p in ds.posts])
+        texts.clear()
+        extract_features(ds.posts[0], caches, cfg)
+        assert len(texts) == 2
+
+    def test_hand_computed_cases(self):
+        provider = EmbeddingProvider(seed=4)
+        cfg = tiny_config(m=3, l=2, d=4, topic_dim=3, structure_dim=2, k=2, n=2)
+        fit_posts = [make_post(post_id=f"t{i}", hashtags=("sun", "sea"),
+                               comment_count=i) for i in range(6)]
+        caches = build_caches(fit_posts, cfg, provider=provider)
+        emb = caches.node_emb
+        lexicon = SentimentLexicon({"good": 4, "bad": 0, "sun": 3})
+        caches.lexicon = lexicon
+        female = FaceAnnotation("female", 30, "happiness", "asian")
+        male = FaceAnnotation("male", 70, "fear", "black")
+        posts = [
+            make_post(post_id="empty", caption="", hashtags=()),
+            make_post(post_id="long", caption="Good, bad good. Echo x y",
+                      hashtags=("sun", "sea", "sun"), faces=(female,)),
+            make_post(post_id="unknown", caption="echo echo",
+                      hashtags=("mystery", "sun"), faces=(female, male)),
+        ]
+        b = extract_features(posts, caches, cfg)
+        vec = provider.vector
+        zero = np.zeros(cfg.d)
+        # captions: empty, longer than m (truncated), a repeated token
+        assert np.array_equal(b.tokens, [[zero] * 3,
+                                         [vec("good", 4), vec("bad", 4), vec("good", 4)],
+                                         [vec("echo", 4), vec("echo", 4), zero]])
+        assert np.array_equal(b.token_mask, [[0, 0, 0], [1, 1, 1], [1, 1, 0]])
+        # hashtag rows: none, more tags than l, a tag unknown to the graph
+        assert np.array_equal(b.hashtag_mat, [[zero] * 2, [vec("sun", 4), vec("sea", 4)],
+                                              [vec("mystery", 4), vec("sun", 4)]])
+        assert np.array_equal(b.hashtag_mask, [[0, 0], [1, 1], [1, 1]])
+        # topic averages every tag; structure only the tags the graph knows
+        topic = [np.zeros(3), (vec("sun", 3) + vec("sea", 3) + vec("sun", 3)) / 3,
+                 (vec("mystery", 3) + vec("sun", 3)) / 2]
+        structure = [np.zeros(2), (emb["sun"] + emb["sea"] + emb["sun"]) / 3, emb["sun"]]
+        assert np.array_equal(b.f_hashtag, np.concatenate([topic, structure], axis=1))
+        assert np.array_equal(b.regions[1], vec("img0", 4).reshape(2, 2))
+        # sentiment: good good bad -> (2, 1, 1, 1, 3) / 8; hashtags: sun sun -> class 3
+        assert np.array_equal(b.f_sentiment_text,
+                              [[0.2] * 5, np.array([2, 1, 1, 1, 3]) / 8, [0.2] * 5])
+        assert np.array_equal(b.f_sentiment_hashtags,
+                              [[0.2] * 5, np.array([1, 1, 1, 3, 1]) / 7,
+                               np.array([1, 1, 1, 2, 1]) / 6])
+        # ordinal demographics: no faces, one face, the mean of two faces
+        assert np.array_equal(b.f_demographic, [[0, 0, 0, 0], [1, 30, 2, 2],
+                                                [0.5, 50, 1, 1]])
+        assert np.array_equal(b.f_social, apply_pca(
+            caches.pca, [social_vector(p, caches.social_stats) for p in posts]))
+        assert list(b.post_id) == ["empty", "long", "unknown"]
+        onehot = extract_features(posts, caches, replace(cfg, demographic_mode="onehot"))
+        assert np.array_equal(np.nonzero(onehot.f_demographic[2])[0],
+                              [0, 1, 2 + 30, 2 + 70, 103, 105, 110, 112])
+        assert np.array_equal(onehot.f_demographic[2, [0, 1, 32, 72]], [0.5] * 4)
 
 
 def two_array_params() -> ParamStore:
@@ -557,7 +639,7 @@ class TestBatchedModel:
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)
         n = len(bundles)
-        loss, grads, preds = batch_loss_and_grads(bundles, params, cfg, rate,
+        loss, grads, preds = batch_loss_and_grads(stack(bundles), params, cfg, rate,
                                                   post_rngs(n))
         summed = {name: np.zeros_like(arr) for name, arr in params.items()}
         for i, (bundle, one_rng) in enumerate(zip(bundles, post_rngs(n))):
@@ -575,7 +657,7 @@ class TestBatchedModel:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)[:3]
-        batch = stack_bundles(bundles)
+        batch = stack(bundles)
         _, fcache = forward_bundle(batch, params, cfg, 0.5, post_rngs(3))
         for i, bundle in enumerate(bundles):
             _, one = forward_bundle(bundle, params, cfg, 0.5, post_rngs(3)[i])
@@ -583,16 +665,20 @@ class TestBatchedModel:
                 assert np.array_equal(layer[2][i], one_layer[2])
 
     def test_stack_and_take(self, rng):
+        # a stacked bundle has a length, and indexes and iterates by post
         cfg = tiny_config()
         bundles = mixed_bundles(rng, cfg)
-        batch = stack_bundles(bundles)
+        batch = stack(bundles)
+        assert len(batch) == len(bundles)
         assert batch.tokens.shape == (len(bundles), cfg.m, cfg.d)
         assert batch.target.shape == (len(bundles),)
-        part = batch.take(np.array([3, 1]))
+        part = batch[np.array([3, 1])]
         assert list(part.post_id) == [bundles[3].post_id, bundles[1].post_id]
         assert np.array_equal(part.regions[0], bundles[3].regions)
-        with pytest.raises(ValueError):
-            stack_bundles([])
+        assert len(batch[1:3]) == 2
+        assert all(bundles_equal(one, b) for one, b in zip(batch, bundles))
+        assert len(list(batch)) == len(bundles)
+        assert bundles_equal(batch[-1], bundles[-1])
 
     def test_float32_gradcheck_against_float64_oracle(self, rng):
         # the batch computes in the parameters' dtype; the float64 oracle
@@ -600,8 +686,8 @@ class TestBatchedModel:
         cfg = tiny_config()
         params64 = init_model_params(cfg, seed=4)
         params32 = params64.astype(np.float32)
-        bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1),
-                   random_bundle(rng, cfg, n_tokens=3, n_hashtags=2)]
+        bundles = stack([random_bundle(rng, cfg, n_tokens=2, n_hashtags=1),
+                         random_bundle(rng, cfg, n_tokens=3, n_hashtags=2)])
         _, grads, preds = batch_loss_and_grads(bundles, params32, cfg)
         assert preds.dtype == np.float32
         numeric = finite_difference_grad(
@@ -625,6 +711,6 @@ class TestBatchedModel:
                                   if f.name not in ("post_id", "target")})
         assert np.asarray(y_hat).tobytes() == np.asarray(
             forward_bundle(as32, params32, cfg)[0]).tobytes()
-        stacked, _ = forward_bundle(stack_bundles([as32]), params32, cfg)
+        stacked, _ = forward_bundle(stack([as32]), params32, cfg)
         assert stacked.dtype == np.float32
         assert abs(float(stacked[0]) - float(y_hat)) <= 1e-5 * max(1.0, abs(float(y_hat)))

@@ -3,8 +3,9 @@ import pytest
 
 from postpop.numeric import (ParamStore, ShapeError, _conv_columns, conv1d_backward,
                              conv1d_forward, dense_backward, dense_forward,
-                             dropout, finite_difference_grad,
-                             relative_error, relu, softmax, softmax_backward)
+                             dropout, finite_difference_grad, padded_index,
+                             pooled_mean, relative_error, relu, softmax,
+                             softmax_backward)
 
 
 def naive_conv1d(x, filters, bias):
@@ -210,3 +211,22 @@ class TestParamStore:
         store.add("w", (2, 2), rng)
         with pytest.raises(ShapeError):
             store["w"] = np.zeros((3, 3))
+
+
+class TestPooling:
+    def test_padded_index(self):
+        assert np.array_equal(padded_index([[3, 1], [], [2]]), [[3, 1], [-1, -1], [2, -1]])
+        assert padded_index([[], []]).shape == (2, 0)
+        assert np.array_equal(padded_index([[5]], width=3), [[5, -1, -1]])
+
+    @pytest.mark.parametrize("dim", [2, 8, 768])
+    def test_pooled_mean_bitwise_equals_np_mean(self, dim):
+        rng = np.random.default_rng(dim)
+        counts = [0, 1, 2, 9, 69]
+        rows = np.zeros((len(counts), max(counts), dim))
+        for b, c in enumerate(counts):
+            rows[b, :c] = rng.uniform(-1, 1, (c, dim))
+        got = pooled_mean(rows, counts)
+        assert np.array_equal(got[0], np.zeros(dim))
+        for b, c in enumerate(counts[1:], start=1):
+            assert np.array_equal(got[b], np.mean(list(rows[b, :c]), axis=0))

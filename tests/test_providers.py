@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import make_post, tiny_config
+from postpop.model import FeatureBundle, build_caches, extract_features
 from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, _pcg64_states,
-                               hashtag_embedding_matrix, image_region_features,
-                               read_feature_file, text_token_embeddings,
-                               tokenize, write_feature_file)
+                               read_feature_file, tokenize, write_feature_file)
 
 
 @pytest.fixture
@@ -23,60 +23,74 @@ class TestTokenize:
         assert tokenize("...  !!") == []
 
 
+def featurize(posts, provider, **overrides) -> FeatureBundle:
+    """The stacked bundle of `posts` under a tiny config, drawing from
+    `provider`. The feature state is fitted on hashtag-free posts, so
+    fitting it draws nothing."""
+    cfg = tiny_config(**overrides)
+    fit_posts = [make_post(post_id=f"t{i}", comment_count=i) for i in range(6)]
+    return extract_features(posts, build_caches(fit_posts, cfg, provider=provider), cfg)
+
+
 class TestTextEmbeddings:
     def test_padding_and_mask(self, provider):
-        mat, mask = text_token_embeddings("holi festival in madrid", 15, 8, provider)
+        b = featurize([make_post(caption="holi festival in madrid")], provider, m=15, d=8)
+        mat, mask = b.tokens[0], b.token_mask[0]
         assert mat.shape == (15, 8) and mask.shape == (15,)
         assert np.all(mask[:4] == 1) and np.all(mask[4:] == 0)
         assert np.all(np.any(mat[:4] != 0, axis=1))
         assert np.all(mat[4:] == 0)
 
     def test_empty_caption(self, provider):
-        mat, mask = text_token_embeddings("", 5, 4, provider)
-        assert np.all(mat == 0) and np.all(mask == 0)
+        b = featurize([make_post(caption="")], provider, m=5, d=4)
+        assert np.all(b.tokens == 0) and np.all(b.token_mask == 0)
 
     def test_truncation_matches_token_slice(self, provider):
         words = [f"w{i}" for i in range(20)]
-        mat, mask = text_token_embeddings(" ".join(words), 15, 6, provider)
+        b = featurize([make_post(caption=" ".join(words))], provider, m=15, d=6)
+        mat, mask = b.tokens[0], b.token_mask[0]
         assert mat.shape == (15, 6) and np.all(mask == 1)
         expected = np.array([provider.vector(w, 6) for w in words[:15]])
         assert np.array_equal(mat, expected)
 
     def test_same_token_same_row(self, provider):
-        mat, _ = text_token_embeddings("echo echo", 4, 8, provider)
-        assert np.array_equal(mat[0], mat[1])
+        b = featurize([make_post(caption="echo echo")], provider, m=4, d=8)
+        assert np.array_equal(b.tokens[0, 0], b.tokens[0, 1])
 
 
 class TestImageFeatures:
     def test_determinism(self, provider):
-        a = image_region_features("imgX", 7, 5, provider)
-        b = image_region_features("imgX", 7, 5, provider)
-        assert np.array_equal(a, b)
+        a = featurize([make_post(image_ref="imgX")], provider, k=7, n=5).regions
+        b = featurize([make_post(image_ref="imgX")], provider, k=7, n=5).regions
+        assert a.shape == (1, 7, 5) and np.array_equal(a, b)
+        assert np.array_equal(a[0], provider.vector("imgX", 35).reshape(7, 5))
 
     def test_paper_default_shape(self, provider):
-        mat = image_region_features("imgX", 49, 512, provider)
-        assert mat.shape == (49, 512)
+        b = featurize([make_post(image_ref="imgX")], provider, k=49, n=512)
+        assert b.regions.shape == (1, 49, 512)
 
     def test_distinct_refs_differ(self, provider):
-        a = image_region_features("imgA", 4, 4, provider)
-        b = image_region_features("imgB", 4, 4, provider)
-        assert np.any(a != b)
+        b = featurize([make_post(post_id="a", image_ref="imgA"),
+                       make_post(post_id="b", image_ref="imgB")], provider, k=4, n=4)
+        assert np.any(b.regions[0] != b.regions[1])
 
 
 class TestHashtagMatrix:
     def test_padding(self, provider):
-        mat, mask = hashtag_embedding_matrix(["a", "b", "c"], 60, 8, provider)
+        b = featurize([make_post(hashtags=("a", "b", "c"))], provider, l=60, d=8)
+        mat, mask = b.hashtag_mat[0], b.hashtag_mask[0]
         assert mat.shape == (60, 8)
         assert mask.sum() == 3
         assert np.any(mat[:3] != 0) and np.all(mat[3:] == 0)
 
     def test_empty_list(self, provider):
-        mat, mask = hashtag_embedding_matrix([], 10, 4, provider)
-        assert np.all(mat == 0) and np.all(mask == 0)
+        b = featurize([make_post(hashtags=())], provider, l=10, d=4)
+        assert np.all(b.hashtag_mat == 0) and np.all(b.hashtag_mask == 0)
 
     def test_truncation(self, provider):
         tags = [f"t{i}" for i in range(70)]
-        mat, mask = hashtag_embedding_matrix(tags, 60, 4, provider)
+        b = featurize([make_post(hashtags=tags)], provider, l=60, d=4)
+        mat, mask = b.hashtag_mat[0], b.hashtag_mask[0]
         assert mat.shape == (60, 4) and mask.sum() == 60
         expected = np.array([provider.vector(t, 4) for t in tags[:60]])
         assert np.array_equal(mat, expected)
@@ -117,8 +131,8 @@ class TestPrecomputedFile:
         path = tmp_path / "emb.bin"
         write_feature_file(path, {"img0": np.arange(12, dtype=np.float32)})
         p = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
-        mat = image_region_features("img0", 3, 4, p)
-        assert np.allclose(mat, np.arange(12).reshape(3, 4))
+        b = featurize([make_post(caption="", image_ref="img0")], p, k=3, n=4)
+        assert np.array_equal(b.regions[0], np.arange(12.0).reshape(3, 4))
 
     def test_missing_key_raises(self, tmp_path):
         path = tmp_path / "emb.bin"
@@ -148,42 +162,47 @@ class TestPrecomputedFile:
 
 
 class TestPassMemo:
+    """A featurization pass draws each distinct (key, dim) once, in one
+    `vectors` call, and keeps nothing after it returns."""
+
     def test_repeats_equal_fresh_draws(self, provider):
-        p = provider.for_pass()
+        post = make_post(caption="k x k", hashtags=("k", "k"))
         for _ in range(2):
-            assert np.array_equal(p.memo_vector("k", 8), provider.vector("k", 8))
-            assert np.array_equal(p.memo_vector("k", 3), provider.vector("k", 3))
+            b = featurize([post, post], provider, m=3, l=2, d=8, topic_dim=3)
+            assert np.array_equal(b.tokens[1, 2], provider.vector("k", 8))
+            assert np.array_equal(b.hashtag_mat[0, 1], provider.vector("k", 8))
+            assert np.array_equal(b.f_hashtag[0, :3], provider.vector("k", 3))
 
     def test_each_key_drawn_once(self, provider, draw_log):
-        requests = [(f"w{i}", 8) for i in range(BATCH_DRAWS)] + [("img", 6), ("w0", 8)]
-        p = provider.for_pass(requests)
-        assert draw_log.drawn == requests[:-1]  # one batch, the repeat removed
-        assert draw_log.per_key == []  # above the crossover: no per-key draw
-        text_token_embeddings("w0 w1 w0", 4, 8, p)
-        image_region_features("img", 2, 3, p)
-        image_region_features("img", 2, 3, p)  # region matrices are memoised too
-        assert draw_log.drawn == requests[:-1]
-        hashtag_embedding_matrix(["echo", "x", "x"], 4, 8, p)  # keys the pass did not list
-        assert draw_log.drawn[len(requests) - 1:] == [("echo", 8), ("x", 8)]
-        provider.memo_vector("echo", 8)  # no memo outside a pass
-        assert draw_log.drawn[-2:] == [("x", 8), ("echo", 8)]
+        words = [f"w{i}" for i in range(BATCH_DRAWS)]
+        posts = [make_post(post_id="a", caption=" ".join(words), image_ref="img"),
+                 make_post(post_id="b", caption="w0 w1 w0", hashtags=("w0", "x", "x"),
+                           image_ref="img")]
+        for _ in range(2):  # and again by the next pass
+            draw_log.drawn.clear()
+            featurize(posts, provider, m=BATCH_DRAWS, l=4, d=8, topic_dim=8, k=2, n=3)
+            assert draw_log.drawn == [(w, 8) for w in words] + [("x", 8), ("img", 6)]
+            assert draw_log.per_key == []  # above the crossover: no per-key draw
 
     def test_mutating_a_result_leaves_later_draws_unchanged(self, provider):
-        p = provider.for_pass()
-        first = p.memo_vector("k", 8)
-        first[:] = 7.0
-        assert np.array_equal(p.memo_vector("k", 8), provider.vector("k", 8))
+        post = make_post(caption="k")
+        first = featurize([post], provider, d=8)
+        first.tokens[:] = 7.0
+        assert np.array_equal(featurize([post], provider, d=8).tokens[0, 0],
+                              provider.vector("k", 8))
 
     def test_precomputed_file_through_the_memo(self, tmp_path):
         path = tmp_path / "emb.bin"
-        write_feature_file(path, {"k": np.arange(4, dtype=np.float32)})
+        write_feature_file(path, {"k": np.arange(4, dtype=np.float32),
+                                  "img0": np.ones(4, dtype=np.float32)})
         stored = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
-        p = stored.for_pass()
-        p.memo_vector("k", 4)[:] = -1.0
-        assert np.array_equal(p.memo_vector("k", 4), np.arange(4.0))
+        b = featurize([make_post(caption="k k")], stored, d=4, k=2, n=2)
+        b.tokens[:] = -1.0
+        b = featurize([make_post(caption="k k")], stored, d=4, k=2, n=2)
+        assert np.array_equal(b.tokens[0, :2], [np.arange(4.0)] * 2)
         assert np.array_equal(stored.vector("k", 4), np.arange(4.0))
         with pytest.raises(KeyError):
-            p.memo_vector("unknown", 4)
+            featurize([make_post(caption="unknown")], stored, d=4, k=2, n=2)
 
 
 class TestBatchedDraws:

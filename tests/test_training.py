@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import make_post, tiny_config
+from conftest import make_post, pass_requests, tiny_config
 import postpop.training as training_mod
 from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
 from postpop.model import (BranchSpec, build_caches, extract_dataset,
-                           init_model_params, pass_requests, stack_bundles)
+                           init_model_params)
 from postpop.numeric import ParamStore
 from postpop.providers import tokenize
 from postpop.training import (SCORE_BATCH, AdamState, Checkpoint, TrainConfig,
@@ -373,12 +373,12 @@ class TestEvaluate:
     def test_scores_one_chunk_at_a_time(self, monkeypatch):
         checkpoint, ds = self.chunked_checkpoint()
         cfg, params = checkpoint.config, checkpoint.params
-        whole = stack_bundles(extract_dataset(ds, checkpoint.caches, cfg))
+        whole = extract_dataset(ds, checkpoint.caches, cfg)
         expected = compute_metrics(training_mod._predictions(whole, params, cfg),
                                    ds.popularity())
         sizes = []
-        real = training_mod.extract_dataset
-        monkeypatch.setattr(training_mod, "extract_dataset",
+        real = training_mod.extract_features
+        monkeypatch.setattr(training_mod, "extract_features",
                             lambda d, c, m: sizes.append(len(d)) or real(d, c, m))
         got = evaluate(checkpoint, ds)
         assert sizes == [SCORE_BATCH, SCORE_BATCH, 7]
