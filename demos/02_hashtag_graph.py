@@ -26,7 +26,8 @@ print(f"\nnode embedding for #{tag}: dim={emb[tag].shape[0]}, "
 
 post = next(p for p in train.posts if len(p.hashtags) >= 2)
 # a batch of one post: its hashtags' 768-dim topic vectors, one row per tag
-topic_rows = np.array([provider.vectors([(t, 768) for t in post.hashtags])])
+# (the table's last row is the zero row that padding gathers)
+topic_rows = provider.tables({768: post.hashtags})[768][None, :-1]
 hf = hashtag_feature([post], emb, topic_rows, structure_dim=50)
 print(f"\npost {post.post_id} hashtags {post.hashtags}")
 print(f"  topic dim: {hf.topic.shape[1]}")

@@ -26,7 +26,7 @@ def embed(keys, rows):
     """The keys' provider vectors as a zero-padded (rows, D) matrix, and its mask."""
     keys = keys[:rows]
     mat = np.zeros((rows, D))
-    mat[:len(keys)] = provider.vectors([(key, D) for key in keys])
+    mat[:len(keys)] = provider.tables({D: keys})[D][:-1]
     return mat, (np.arange(rows) < len(keys)).astype(np.float64)
 
 

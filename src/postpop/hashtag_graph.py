@@ -48,7 +48,7 @@ def build_cooccurrence_graph(posts: Dataset | list[Post],
     """Count unordered co-occurring tag pairs per post (tags deduplicated).
 
     Each node's base feature is the provider's vector for the tag; all of
-    them are drawn in one `vectors` call.
+    them are drawn in one `tables` call.
     """
     g = HashtagGraph(base_dim=base_dim)
     first_seen = {}
@@ -60,8 +60,7 @@ def build_cooccurrence_graph(posts: Dataset | list[Post],
                 key = (tags[i], tags[j])
                 g.edges[key] = g.edges.get(key, 0) + 1
     g.nodes = set(first_seen)
-    g.node_features = dict(zip(first_seen, provider.vectors(
-        [(tag, base_dim) for tag in first_seen])))
+    g.node_features = dict(zip(first_seen, provider.tables({base_dim: first_seen})[base_dim]))
     return g
 
 

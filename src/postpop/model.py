@@ -13,7 +13,6 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field, fields, asdict
-from itertools import islice
 from pathlib import Path
 from tokenize import TokenError
 
@@ -298,7 +297,7 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
 
     Each caption is tokenized once. The pass lists its distinct (key, dim)
     provider draws (caption tokens and hashtag rows at d, hashtags at
-    topic_dim, images at k * n) and draws them in one `vectors` call; each
+    topic_dim, images at k * n) and draws them in one `tables` call; each
     vector field is then an index gather from its dim's table of draws.
     Every feature family is computed whatever the config.
     """
@@ -318,11 +317,8 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
     tag_index = padded_index([index(post.hashtags[:l], d) for post in posts], l)
     topic_index = padded_index([index(post.hashtags, config.topic_dim) for post in posts])
     image_index = index([post.image_ref for post in posts], k * n)
-    drawn = iter(caches.provider.vectors(
-        [(key, dim) for dim, keys in rows.items() for key in keys]))
     # each dim's draws in row order, then the zero row that index -1 gathers
-    tables = {dim: np.array([*islice(drawn, len(keys)), np.zeros(dim)])
-              for dim, keys in rows.items()}
+    tables = caches.provider.tables(rows)
     hf = hashtag_feature(posts, caches.node_emb, tables[config.topic_dim][topic_index],
                          structure_dim=config.structure_dim)
     sent = sentiment_feature(posts, captions, caches.lexicon)
@@ -381,8 +377,8 @@ def branch_forward(f: np.ndarray, params: ParamStore,
     for i in range(BRANCH_LAYERS):
         filters = params[f"branch.{name}.conv{i}.filters"]
         bias = params[f"branch.{name}.conv{i}.bias"]
-        pre = conv1d_forward(x, filters, bias)
-        layer_cache.append((x, pre))
+        pre, cols = conv1d_forward(x, filters, bias)
+        layer_cache.append((cols, pre))
         x = relu(pre)
     return x.reshape(*x.shape[:-2], -1), layer_cache
 
@@ -392,10 +388,10 @@ def branch_backward(d_flat: np.ndarray, layer_cache: list, params: ParamStore,
     grads = {}
     d = d_flat.reshape(layer_cache[-1][1].shape)
     for i in reversed(range(len(layer_cache))):
-        x_in, pre = layer_cache[i]
+        cols, pre = layer_cache[i]
         d = relu_backward(pre, d)
         # the first layer's input is a feature vector, not a parameter
-        d, d_f, d_b = conv1d_backward(x_in, params[f"branch.{name}.conv{i}.filters"], d,
+        d, d_f, d_b = conv1d_backward(cols, params[f"branch.{name}.conv{i}.filters"], d,
                                       input_grad=i > 0)
         grads[f"branch.{name}.conv{i}.filters"] = d_f
         grads[f"branch.{name}.conv{i}.bias"] = d_b
@@ -414,21 +410,27 @@ def merge(branch_outputs: dict[str, np.ndarray], content: np.ndarray | None,
 
 
 def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
-                 rate: float = 0.0, rng=None) -> tuple[np.ndarray, list]:
+                 rate: float = 0.0, draws: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Dense-relu-dropout stack with a final linear unit.
 
     Returns one prediction per row of x: an (B,) array for a (B, n) batch,
-    a scalar for one (n,) post. `rate` and `rng` are as for `numeric.dropout`
-    (rate 0 when scoring); each layer's cache keeps the rate for the backward.
+    a scalar for one (n,) post. `rate` is the dropout rate (0 when scoring);
+    `draws` (..., H) holds its uniform draws in [0, 1), H being the summed
+    width of the hidden layers, and each hidden layer reads its own columns
+    in order. Each layer's cache keeps the rate for the backward.
     """
     cache = []
     n = len(config.head_sizes)
+    start = 0
     for i in range(n):
         w, b = params[f"head.dense{i}.W"], params[f"head.dense{i}.b"]
         pre = dense_forward(x, w, b)
         if i < n - 1:
             act = relu(pre)
-            out, keep = dropout(act, rate, rng)
+            width = pre.shape[-1]
+            out, keep = dropout(act, rate, None if draws is None
+                                else draws[..., start:start + width])
+            start += width
         else:
             out, keep = pre, None
         cache.append((x, pre, keep, rate))
@@ -486,14 +488,15 @@ def content_forward(bundle: FeatureBundle, params: ParamStore, config: ModelConf
 
 
 def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfig,
-                   rate: float = 0.0, rng=None) -> tuple[np.ndarray, ForwardCache]:
+                   rate: float = 0.0,
+                   draws: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Predictions for a stacked (B, ...) bundle, or one post's bundle.
 
     This is the one place the inputs are cast: each goes to the parameters'
     dtype (no copy when it is in it already), so the whole forward and
     backward pass computes in that dtype. `rate` is the head's dropout rate,
-    0 when scoring; `rng` draws its masks: one generator per post of a
-    stacked bundle, or one for one post.
+    0 when scoring; `draws` are its uniforms, (B, H) for a stacked bundle or
+    (H,) for one post (see `head_forward`).
     """
     bundle = FeatureBundle(
         post_id=bundle.post_id, target=bundle.target,
@@ -508,7 +511,7 @@ def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfi
     for name in inputs:
         branch_out[name], branch_caches[name] = branch_forward(inputs[name], params, name)
     merged = merge(branch_out, content, config)
-    y_hat, head_cache = head_forward(merged, params, config, rate, rng)
+    y_hat, head_cache = head_forward(merged, params, config, rate, draws)
     return y_hat, ForwardCache(bundle=bundle, lstm_cache=lstm_cache,
                                att_cache=att_cache, branch_caches=branch_caches,
                                head_cache=head_cache, inputs=inputs)
@@ -561,15 +564,15 @@ def batch_loss(batch: FeatureBundle, params: ParamStore, config: ModelConfig) ->
 
 
 def batch_loss_and_grads(batch: FeatureBundle, params: ParamStore, config: ModelConfig,
-                         rate: float = 0.0, rngs: list | None = None):
+                         rate: float = 0.0, draws: np.ndarray | None = None):
     """Loss over a stacked batch plus the summed parameter gradients.
 
-    `rate` and `rngs` are the dropout rate and generators of
+    `rate` and `draws` are the dropout rate and uniforms of
     `forward_bundle`. The gradient of the 1/(2n) objective w.r.t. each
     prediction is (pred - target) / n; one backward pass over the batch
     scales each post's gradient by that and sums them.
     """
-    preds, fcache = forward_bundle(batch, params, config, rate, rngs)
+    preds, fcache = forward_bundle(batch, params, config, rate, draws)
     d_y = (preds - batch.target) / len(batch.target)
     grads = backward_bundle(d_y, fcache, params, config)
     return loss_mse(preds, batch.target), grads, preds

@@ -167,12 +167,13 @@ def _conv_columns(x: np.ndarray, width: int) -> np.ndarray:
     return cols.reshape(*cols.shape[:-2], -1)
 
 
-def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray):
     """Valid (no padding) stride-1 cross-correlation over the rows of x.
 
     x: (..., length, ch_in); filters: (ch_out, width, ch_in); bias: (ch_out,).
-    Returns (..., length - width + 1, ch_out) pre-activations; the caller
-    applies any nonlinearity.
+    Returns (pre, cols): the (..., length - width + 1, ch_out)
+    pre-activations, which the caller applies any nonlinearity to, and x's
+    `_conv_columns`, which `conv1d_backward` takes in place of x.
     """
     x = np.asarray(x)
     filters = np.asarray(filters)
@@ -182,19 +183,21 @@ def conv1d_forward(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.n
         raise ShapeError(f"conv1d channel mismatch: input {ch_in}, filters {f_ch_in}")
     if width > length:
         raise ShapeError(f"conv1d width {width} exceeds input length {length}")
+    cols = _conv_columns(x, width)
     # filters reordered to (ch_out, ch_in * width), the column layout
-    return _conv_columns(x, width) @ filters.transpose(0, 2, 1).reshape(ch_out, -1).T + bias
+    return cols @ filters.transpose(0, 2, 1).reshape(ch_out, -1).T + bias, cols
 
 
-def conv1d_backward(x: np.ndarray, filters: np.ndarray, d_out: np.ndarray,
+def conv1d_backward(cols: np.ndarray, filters: np.ndarray, d_out: np.ndarray,
                     input_grad: bool = True):
-    """Gradients of conv1d_forward. Returns (d_x, d_filters, d_bias); the
-    filter and bias gradients are summed over every leading axis of x.
-    With `input_grad` false, d_x is None and is not computed."""
+    """Gradients of conv1d_forward, from the input columns it returned.
+    Returns (d_x, d_filters, d_bias); the filter and bias gradients are
+    summed over every leading axis of x. With `input_grad` false, d_x is
+    None and is not computed."""
     ch_out, width, ch_in = filters.shape
     out_len = d_out.shape[-2]
     # d_filters[o,w,c] = sum_t d_out[t,o] * x[t+w,c]
-    d_filters = (flat_rows(d_out).T @ flat_rows(_conv_columns(x, width))) \
+    d_filters = (flat_rows(d_out).T @ flat_rows(cols)) \
         .reshape(ch_out, ch_in, width).transpose(0, 2, 1)
     d_bias = flat_rows(d_out).sum(axis=0)
     if not input_grad:
@@ -202,7 +205,7 @@ def conv1d_backward(x: np.ndarray, filters: np.ndarray, d_out: np.ndarray,
     # d_x[t+w,c] += sum_o d_out[t,o] * filters[o,w,c]
     contrib = (d_out @ filters.reshape(ch_out, width * ch_in)).reshape(
         *d_out.shape[:-1], width, ch_in)
-    d_x = np.zeros_like(x)
+    d_x = np.zeros((*cols.shape[:-2], out_len + width - 1, ch_in), dtype=cols.dtype)
     for w in range(width):
         d_x[..., w:w + out_len, :] += contrib[..., w, :]
     return d_x, d_filters, d_bias
@@ -233,26 +236,20 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return d_out * (x > 0)
 
 
-def dropout(x: np.ndarray, rate: float, rng=None):
+def dropout(x: np.ndarray, rate: float, draws: np.ndarray | None = None):
     """Inverted dropout. Returns (output, keep_mask).
 
-    Zeroes entries with probability `rate` and scales the survivors by
-    1/(1-rate); rate 0, the inference pass, is the identity (mask of ones).
-    `rng` is one generator for the whole of x, or a sequence of generators,
-    one per row of a batch x (B, ...): row i's mask is drawn from rng[i].
+    Zeroes the entries whose uniform draw in [0, 1) is below `rate` and
+    scales the survivors by 1/(1-rate); `draws` has x's shape. Rate 0, the
+    inference pass, is the identity (mask of ones) and needs no draws.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x, np.ones_like(x)
-    if rng is None:
-        raise ValueError("dropout at a nonzero rate requires an rng")
-    if isinstance(rng, np.random.Generator):
-        draws = rng.random(x.shape)
-    else:
-        if len(rng) != x.shape[0]:
-            raise ValueError(f"{len(rng)} dropout generators for {x.shape[0]} rows")
-        draws = np.stack([r.random(x.shape[1:]) for r in rng])
+    if draws is None or np.shape(draws) != x.shape:
+        raise ShapeError(f"dropout at rate {rate} needs draws of shape {x.shape}, "
+                         f"got {None if draws is None else np.shape(draws)}")
     keep = (draws >= rate).astype(x.dtype)
     return x * keep / (1.0 - rate), keep
 

@@ -7,13 +7,14 @@ pretrained models and reproduces bit-exactly across processes. A
 instead, for plugging in real extractor outputs.
 
 `vector(key, dim)` is one draw: a blake2b digest of (seed, dim, key) seeds a
-numpy PCG64 stream. Most of a draw's cost is numpy's SeedSequence hash
-inside `PCG64(int)`, so `vectors(requests)` seeds many streams at once: it
-runs SeedSequence's documented pool mix and PCG64's seeding on uint32/uint64
-arrays, one computation for every key, and gives the result to numpy's own
-generator. Its output equals `vector`'s bit for bit; that rests on NumPy's
-stream-compatibility policy for SeedSequence and PCG64 (NEP 19), and the
-oracle test in tests/test_providers.py guards it.
+numpy PCG64 stream. A featurization pass needs many draws, so
+`tables(keys_by_dim)` makes them all at once: `streams.pcg64_states` seeds
+every key's stream in one array computation, `streams.read_raw` reads their
+raw words into one buffer, and the buffer is converted to doubles once, into
+one `(len(keys) + 1, dim)` table per dim whose last row is zeros. Its rows
+equal `vector`'s bit for bit; that rests on NumPy's stream-compatibility
+policy for SeedSequence and PCG64 (NEP 19), and the oracle tests in
+tests/test_providers.py and tests/test_streams.py guard it.
 """
 
 from __future__ import annotations
@@ -26,94 +27,30 @@ from pathlib import Path
 
 import numpy as np
 
+from . import streams
+
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 _MAGIC = b"PPEMB1"
 
-# numpy's seeding constants: SeedSequence's hashmix and mix
-# (numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-# (numpy/random/src/pcg64/pcg64.h).
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_POOL = 4  # SeedSequence's pool size in uint32 words
-
-# Stub draws from which `vectors` seeds in one array computation. Measured at
-# dim 8 (numpy 2.4, one BLAS thread, 2-vCPU Xeon): the batch costs about
-# 90-130 us fixed plus 5-6 us a draw, `vector` 15-17 us a draw, so they break
-# even near 10 draws. Below this count `vectors` calls `vector` per key.
+# Stub draws, counted over every dim of a `tables` call, from which it seeds
+# in one array computation; below this count it calls `vector` per key.
+# Measured at dim 8 (numpy 2.4, one BLAS thread, 2-vCPU Xeon): the batch
+# costs about 70 us fixed plus 4 us a draw, `vector` 14 us a draw, so they
+# break even near 8 draws. The crossover stays at 12, where it was set when
+# a batched draw cost more, so that a one-post pass of a few draws still
+# takes the per-key path that the benchmark's traced runs count.
 BATCH_DRAWS = 12
 
 
-def _hash_constants(init: int, mult: int, count: int):
-    """The (xor, multiplier) of `count` successive hashmix calls, as uint32
-    column vectors: the hash constant advances the same way whatever the
-    data, so every call's constants are known in advance."""
-    xor, mul = [], []
-    for _ in range(count):
-        xor.append(init)
-        init = init * mult & _MASK32
-        mul.append(init)
-    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
-
-
-# mix_entropy makes 4 hashmix calls to fill the pool, then 3 per source word
-_MIX_XOR, _MIX_MUL = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-# generate_state(8): PCG64 asks for 4 uint64 words
-_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
-_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix on uint32 arrays (array arithmetic wraps
-    silently; numpy scalars would warn on the wraparound)."""
-    out = words ^ xor
-    out *= mul
-    out ^= out >> 16
-    return out
-
-
-def _pcg64_states(digests: bytes) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) after `PCG64(int.from_bytes(d, "little"))`, for
-    each 8-byte digest d of `digests`.
-
-    `SeedSequence(v)` takes a 64-bit v as its uint32 words, low first (one
-    word when v < 2**32, which pads to the same pool). Its pool mix and
-    `generate_state(8)` run here on (words, keys) arrays: within one source
-    word's round the three destination updates are independent, so each
-    round is one array step. PCG64 then seeds as `srandom` does.
-    """
-    pool = np.zeros((_POOL, len(digests) // 8), dtype=np.uint32)
-    pool[:2] = np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T
-    pool = _hashmix(pool, _MIX_XOR[:_POOL], _MIX_MUL[:_POOL])
-    for src in range(_POOL):
-        rows = slice(_POOL + 3 * src, _POOL + 3 * src + 3)
-        dst = _OTHERS[src]
-        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(
-            pool[src], _MIX_XOR[rows], _MIX_MUL[rows])
-        mixed ^= mixed >> 16
-        pool[dst] = mixed
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MUL)
-    # little-endian uint32 pairs -> the 4 uint64 words of generate_state
-    w = (state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32).tolist()
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*w):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return out
-
-
 def tokenize(text: str) -> list[str]:
-    """Whitespace tokenization with lowercasing and punctuation stripping."""
-    tokens = []
-    for raw in text.lower().split():
-        tok = raw.translate(_PUNCT_TABLE)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    """Whitespace tokenization with lowercasing and punctuation stripping.
+
+    Deleting ASCII punctuation never removes or adds whitespace, so doing it
+    once over the whole text, then splitting, gives each whitespace token
+    stripped, and drops the tokens that were only punctuation.
+    """
+    return text.lower().translate(_PUNCT_TABLE).split()
 
 
 def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
@@ -207,26 +144,44 @@ class EmbeddingProvider:
         return hashlib.blake2b(
             f"{self.seed}:{dim}:{key}".encode("utf-8"), digest_size=8).digest()
 
-    def vectors(self, requests) -> list[np.ndarray]:
-        """`[self.vector(key, dim) for key, dim in requests]`, bit for bit.
+    def tables(self, keys_by_dim) -> dict[int, np.ndarray]:
+        """One `(len(keys) + 1, dim)` table per dim of `keys_by_dim` (a
+        mapping of dim to an iterable of keys): row j is
+        `self.vector(keys[j], dim)` bit for bit, and the last row is zeros,
+        so index -1 gathers zeros.
 
-        From `BATCH_DRAWS` stub requests on, every stream is seeded in one
-        array computation (`_pcg64_states`), and one reused PCG64 generator,
-        set to each stream's state in turn, draws each vector. Shorter lists
-        and the `precomputed_file` provider call `vector` per request.
+        From `BATCH_DRAWS` stub keys in all on, every stream is seeded in one
+        array computation and read into one raw-word buffer, which is
+        converted once; the tables are views of one array. Fewer keys and
+        the `precomputed_file` provider call `vector` per key.
         """
-        requests = list(requests)
-        if self.kind == "precomputed_file" or len(requests) < BATCH_DRAWS:
-            return [self.vector(key, dim) for key, dim in requests]
-        for _, dim in requests:
+        keys_by_dim = {dim: list(keys) for dim, keys in keys_by_dim.items()}
+        for dim in keys_by_dim:
             if dim < 1:
                 raise ValueError(f"dim must be >= 1, got {dim}")
-        states = _pcg64_states(b"".join(self._digest(key, dim) for key, dim in requests))
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        out = []
-        for (_, dim), (state, inc) in zip(requests, states):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            out.append(rng.uniform(-1.0, 1.0, size=dim))
+        count = sum(map(len, keys_by_dim.values()))
+        if self.kind == "precomputed_file" or count < BATCH_DRAWS:
+            out = {}
+            for dim, keys in keys_by_dim.items():
+                out[dim] = table = np.zeros((len(keys) + 1, dim))
+                for j, key in enumerate(keys):
+                    table[j] = self.vector(key, dim)
+            return out
+        digests = b"".join(self._digest(key, dim)
+                           for dim, keys in keys_by_dim.items() for key in keys)
+        slots, starts, start = [], [], 0
+        for dim, keys in keys_by_dim.items():
+            starts.append(start)
+            slots += [(start + j * dim, dim) for j in range(len(keys))]
+            start += (len(keys) + 1) * dim
+        raw = streams.read_raw(streams.pcg64_states(
+            np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T), slots, start)
+        # -1 + 2u, as Generator.uniform(-1, 1) computes it (2u is exact)
+        flat = streams.unit_floats(raw)
+        flat *= 2.0
+        flat -= 1.0
+        out = {}
+        for (dim, keys), begin in zip(keys_by_dim.items(), starts):
+            out[dim] = table = flat[begin:begin + (len(keys) + 1) * dim].reshape(-1, dim)
+            table[-1] = 0.0
         return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import streams
 from .data import Dataset, split_dataset
 from .features import SOCIAL_NUMERICS, SentimentLexicon, social_numerics
 from .model import (FeatureBundle, FeatureCaches, ModelConfig, ParamStore,
@@ -36,6 +37,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
@@ -228,6 +231,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
     bundles = extract_features((*train_ds.posts, *val_ds.posts), caches, config)
     train_set = bundles[:len(train_ds)]
     val_set = bundles[len(train_ds):]
+    hidden = sum(config.head_sizes[:-1])  # the head's dropout draws per post
     state = AdamState()
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
@@ -241,12 +245,11 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
         epoch_losses = []
         for start in range(0, n, train_config.batch_size):
             batch = train_set[order[start:start + train_config.batch_size]]
-            # one dropout generator per post of the batch
-            rngs = [np.random.default_rng(np.random.SeedSequence(
-                [train_config.seed, step, i])) for i in range(len(batch.target))] \
+            # post i's dropout uniforms: default_rng(SeedSequence([seed, step, i]))
+            draws = streams.uniform_rows((train_config.seed, step), len(batch), hidden) \
                 if train_config.dropout > 0 else None
             loss, grads, _ = batch_loss_and_grads(batch, params, config,
-                                                  train_config.dropout, rngs)
+                                                  train_config.dropout, draws)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training diverged: batch loss {loss!r} at epoch {epoch}, "

@@ -87,9 +87,9 @@ def rng():
 class DrawLog:
     """The provider draws seen by the `draw_log` fixture.
 
-    `drawn` lists each (key, dim) drawn, whichever way: every request of a
-    `vectors` call, and every `vector` call made outside one. `per_key`
-    lists every `vector` call, inside `vectors` below its crossover or not.
+    `drawn` lists each (key, dim) drawn, whichever way: every key of a
+    `tables` call, and every `vector` call made outside one. `per_key`
+    lists every `vector` call, inside `tables` below its crossover or not.
     """
 
     def __init__(self):
@@ -101,7 +101,7 @@ class DrawLog:
 @pytest.fixture
 def draw_log(monkeypatch) -> DrawLog:
     log = DrawLog()
-    vector, vectors = EmbeddingProvider.vector, EmbeddingProvider.vectors
+    vector, tables = EmbeddingProvider.vector, EmbeddingProvider.tables
 
     def spy_vector(self, key, dim):
         log.per_key.append((key, dim))
@@ -109,15 +109,15 @@ def draw_log(monkeypatch) -> DrawLog:
             log.drawn.append((key, dim))
         return vector(self, key, dim)
 
-    def spy_vectors(self, requests):
-        requests = list(requests)
-        log.drawn += requests
+    def spy_tables(self, keys_by_dim):
+        keys_by_dim = {dim: list(keys) for dim, keys in keys_by_dim.items()}
+        log.drawn += [(key, dim) for dim, keys in keys_by_dim.items() for key in keys]
         log.depth += 1
         try:
-            return vectors(self, requests)
+            return tables(self, keys_by_dim)
         finally:
             log.depth -= 1
 
     monkeypatch.setattr(EmbeddingProvider, "vector", spy_vector)
-    monkeypatch.setattr(EmbeddingProvider, "vectors", spy_vectors)
+    monkeypatch.setattr(EmbeddingProvider, "tables", spy_tables)
     return log

@@ -186,7 +186,7 @@ class TestTrain:
         ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
         ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),
         ("dropout", "1.5"), ("init_scale", "0"), ("init_scale", "-1"),
-        ("init_scale", "inf"),
+        ("init_scale", "inf"), ("seed", "-1"),
     ])
     def test_nonsense_hyperparameter_exits_one(self, workspace, capsys, key, value):
         tmp, cfg = workspace

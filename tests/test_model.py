@@ -23,7 +23,7 @@ from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
                            halving_sizes, head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
                            save_checkpoint)
-from postpop.numeric import (ParamStore, conv1d_backward, conv1d_forward,
+from postpop.numeric import (ParamStore, _conv_columns, conv1d_backward, conv1d_forward,
                              finite_difference_grad, relative_error, relu,
                              relu_backward)
 from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, tokenize,
@@ -69,7 +69,7 @@ class TestBranch:
         x = f.reshape(-1, 1)
         for i in range(3):
             x = relu(conv1d_forward(x, store[f"branch.hashtag.conv{i}.filters"],
-                                    store[f"branch.hashtag.conv{i}.bias"]))
+                                    store[f"branch.hashtag.conv{i}.bias"])[0])
         assert np.allclose(out, x.reshape(-1), atol=1e-12)
 
     def test_backward_bitwise_equal_to_full_conv_chain(self, rng):
@@ -82,10 +82,14 @@ class TestBranch:
         d_out = rng.normal(size=out.shape)
         grads = branch_backward(d_out, cache, params, "hashtag")
         d = d_out.reshape(cache[-1][1].shape)
+        # each layer's cached columns are its input's, built once
+        inputs = [f[..., None]] + [relu(pre) for _, pre in cache[:-1]]
         for i in reversed(range(len(cache))):
-            x_in, pre = cache[i]
-            d, d_f, d_b = conv1d_backward(x_in, params[f"branch.hashtag.conv{i}.filters"],
-                                          relu_backward(pre, d))
+            cols, pre = cache[i]
+            filters = params[f"branch.hashtag.conv{i}.filters"]
+            rebuilt = _conv_columns(inputs[i], filters.shape[1])
+            assert cols.tobytes() == rebuilt.tobytes()
+            d, d_f, d_b = conv1d_backward(rebuilt, filters, relu_backward(pre, d))
             assert grads[f"branch.hashtag.conv{i}.filters"].tobytes() == d_f.tobytes()
             assert grads[f"branch.hashtag.conv{i}.bias"].tobytes() == d_b.tobytes()
         assert len(grads) == 2 * len(cache)
@@ -169,9 +173,10 @@ class TestHead:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=0)
         x = rng.normal(size=merged_length(cfg))
-        y_train, _ = head_forward(x, params, cfg, 0.5, np.random.default_rng(1))
+        draws = np.random.default_rng(1).random(sum(cfg.head_sizes[:-1]))
+        y_train, _ = head_forward(x, params, cfg, 0.5, draws)
         y1, _ = head_forward(x, params, cfg)
-        y2, _ = head_forward(x, params, cfg, rng=np.random.default_rng(1))
+        y2, _ = head_forward(x, params, cfg, draws=draws)
         assert y1 == y2 != y_train
 
     def test_matches_hand_composed_dense(self, rng):
@@ -189,7 +194,8 @@ class TestHead:
         cfg = tiny_config()
         params = init_model_params(cfg, seed=0)
         x = rng.normal(size=merged_length(cfg))
-        y_train, _ = head_forward(x, params, cfg, 0.0, np.random.default_rng(0))
+        draws = np.random.default_rng(0).random(sum(cfg.head_sizes[:-1]))
+        y_train, _ = head_forward(x, params, cfg, 0.0, draws)
         y_infer, _ = head_forward(x, params, cfg)
         assert y_train == y_infer
 
@@ -262,16 +268,17 @@ class TestFullModel:
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
 
     def test_gradcheck_with_dropout(self, rng):
-        # the backward scales by the rate its forward ran with; fresh seeded
-        # generators replay the same masks for every oracle evaluation
+        # the backward scales by the rate its forward ran with; every oracle
+        # evaluation replays the same draws, so the same masks
         cfg = tiny_config()
         params = init_model_params(cfg, seed=4)
         bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1) for _ in range(2)]
         batch = stack(bundles)
-        _, grads, _ = batch_loss_and_grads(batch, params, cfg, 0.4, post_rngs(2))
+        draws = post_draws(2, cfg)
+        _, grads, _ = batch_loss_and_grads(batch, params, cfg, 0.4, draws)
 
         def loss(st):
-            preds, _ = forward_bundle(batch, st, cfg, 0.4, post_rngs(2))
+            preds, _ = forward_bundle(batch, st, cfg, 0.4, draws)
             return loss_mse(preds, batch.target)
 
         numeric = finite_difference_grad(loss, params)
@@ -363,7 +370,7 @@ class TestExtractDataset:
         assert draw_log.per_key == []
 
     def test_one_post_pass_draws_per_key_below_the_crossover(self, draw_log):
-        # a one-post pass lists its keys in one `vectors` call like any pass;
+        # a one-post pass lists its keys in one `tables` call like any pass;
         # with fewer than BATCH_DRAWS of them, that call draws each per key
         cfg = tiny_config()
         ds = make_sample_corpus(n=20, seed=5)
@@ -625,8 +632,10 @@ def mixed_bundles(rng, cfg):
     return [random_bundle(rng, cfg, n_tokens=t, n_hashtags=h) for t, h in shapes]
 
 
-def post_rngs(n, step=3):
-    return [np.random.default_rng(np.random.SeedSequence([5, step, i])) for i in range(n)]
+def post_draws(n, cfg, step=3):
+    """(n, H) dropout uniforms: row i from post i's own seeded generator."""
+    return np.array([np.random.default_rng(np.random.SeedSequence([5, step, i]))
+                     .random(sum(cfg.head_sizes[:-1])) for i in range(n)])
 
 
 class TestBatchedModel:
@@ -639,11 +648,11 @@ class TestBatchedModel:
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)
         n = len(bundles)
-        loss, grads, preds = batch_loss_and_grads(stack(bundles), params, cfg, rate,
-                                                  post_rngs(n))
+        draws = post_draws(n, cfg)
+        loss, grads, preds = batch_loss_and_grads(stack(bundles), params, cfg, rate, draws)
         summed = {name: np.zeros_like(arr) for name, arr in params.items()}
-        for i, (bundle, one_rng) in enumerate(zip(bundles, post_rngs(n))):
-            y, fcache = forward_bundle(bundle, params, cfg, rate, one_rng)
+        for i, bundle in enumerate(bundles):
+            y, fcache = forward_bundle(bundle, params, cfg, rate, draws[i])
             assert abs(preds[i] - y) <= 1e-12
             d_y = (y - bundle.target) / n
             for name, g in backward_bundle(d_y, fcache, params, cfg).items():
@@ -654,15 +663,22 @@ class TestBatchedModel:
             np.sum((preds - [b.target for b in bundles]) ** 2) / (2 * n), abs=0)
 
     def test_dropout_masks_drawn_per_post(self, rng):
-        cfg = tiny_config()
+        # post i's masks are its own row of draws, and hidden layer j reads
+        # the next head_sizes[j] columns: the values a per-post generator
+        # gives when drawn layer by layer
+        cfg = tiny_config(head_sizes=(8, 5, 3, 1))
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)[:3]
         batch = stack(bundles)
-        _, fcache = forward_bundle(batch, params, cfg, 0.5, post_rngs(3))
+        draws = post_draws(3, cfg)
+        _, fcache = forward_bundle(batch, params, cfg, 0.5, draws)
         for i, bundle in enumerate(bundles):
-            _, one = forward_bundle(bundle, params, cfg, 0.5, post_rngs(3)[i])
+            _, one = forward_bundle(bundle, params, cfg, 0.5, draws[i])
+            gen = np.random.default_rng(np.random.SeedSequence([5, 3, i]))
             for layer, one_layer in zip(fcache.head_cache[:-1], one.head_cache[:-1]):
                 assert np.array_equal(layer[2][i], one_layer[2])
+                want = gen.random(one_layer[2].shape) >= 0.5
+                assert np.array_equal(one_layer[2], want)
 
     def test_stack_and_take(self, rng):
         # a stacked bundle has a length, and indexes and iterates by post

@@ -63,20 +63,21 @@ class TestConv1d:
     def test_identity_filter(self, rng):
         x = rng.normal(size=(5, 1))
         filters = np.ones((1, 1, 1))
-        out = conv1d_forward(x, filters, np.zeros(1))
+        out, _ = conv1d_forward(x, filters, np.zeros(1))
         assert np.allclose(out, x)
 
     def test_width2_averaging(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         filters = np.full((1, 2, 1), 0.5)
-        out = conv1d_forward(x, filters, np.zeros(1))
+        out, cols = conv1d_forward(x, filters, np.zeros(1))
         assert np.allclose(out[:, 0], [1.5, 2.5, 3.5])
+        assert np.array_equal(cols, [[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
 
     def test_matches_naive_loop(self, rng):
         x = rng.normal(size=(7, 3))
         filters = rng.normal(size=(4, 3, 3))
         bias = rng.normal(size=4)
-        assert np.allclose(conv1d_forward(x, filters, bias),
+        assert np.allclose(conv1d_forward(x, filters, bias)[0],
                            naive_conv1d(x, filters, bias), atol=1e-12)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
@@ -108,8 +109,9 @@ class TestConv1d:
         store.add_array("b", bias.copy())
         store.add_array("x", x.copy())
         num = finite_difference_grad(
-            lambda st: float(np.sum(conv1d_forward(st["x"], st["f"], st["b"]) * r)), store)
-        d_x, d_f, d_b = conv1d_backward(x, filters, r)
+            lambda st: float(np.sum(conv1d_forward(st["x"], st["f"], st["b"])[0] * r)), store)
+        d_x, d_f, d_b = conv1d_backward(_conv_columns(x, 2), filters, r)
+        assert d_x.shape == x.shape and d_x.dtype == x.dtype
         assert relative_error(d_f, num["f"]) < 1e-8
         assert relative_error(d_b, num["b"]) < 1e-8
         assert relative_error(d_x, num["x"]) < 1e-8
@@ -118,8 +120,9 @@ class TestConv1d:
         x = rng.normal(size=(4, 7, 2))
         filters = rng.normal(size=(3, 2, 2))
         r = rng.normal(size=(4, 6, 3))
-        _, d_f, d_b = conv1d_backward(x, filters, r)
-        none, d_f2, d_b2 = conv1d_backward(x, filters, r, input_grad=False)
+        cols = conv1d_forward(x, filters, np.zeros(3))[1]
+        _, d_f, d_b = conv1d_backward(cols, filters, r)
+        none, d_f2, d_b2 = conv1d_backward(cols, filters, r, input_grad=False)
         assert none is None
         assert d_f.tobytes() == d_f2.tobytes() and d_b.tobytes() == d_b2.tobytes()
 
@@ -154,20 +157,34 @@ class TestDenseAndActivations:
 class TestDropout:
     def test_rate_zero_is_exact_identity(self, rng):
         x = rng.normal(size=10)
-        out, _ = dropout(x, 0.0, rng)
-        assert np.array_equal(out, x)
+        for draws in (None, rng.random(10)):
+            out, keep = dropout(x, 0.0, draws)
+            assert np.array_equal(out, x) and np.array_equal(keep, np.ones(10))
 
     def test_seeded_reproducibility(self):
         x = np.ones(50)
-        a, _ = dropout(x, 0.4, np.random.default_rng(9))
-        b, _ = dropout(x, 0.4, np.random.default_rng(9))
+        a, _ = dropout(x, 0.4, np.random.default_rng(9).random(50))
+        b, _ = dropout(x, 0.4, np.random.default_rng(9).random(50))
         assert np.array_equal(a, b)
 
     def test_survivors_scaled(self):
         x = np.ones(2000)
-        out, keep = dropout(x, 0.2, np.random.default_rng(3))
+        out, keep = dropout(x, 0.2, np.random.default_rng(3).random(2000))
         assert set(np.unique(out)) <= {0.0, 1.0 / 0.8}
         assert np.array_equal(out > 0, keep > 0)
+
+    def test_keeps_the_draws_at_or_above_the_rate(self):
+        x = np.arange(1.0, 7.0).reshape(2, 3)
+        draws = np.array([[0.0, 0.25, 0.2499], [0.9, 0.25000001, 0.1]])
+        out, keep = dropout(x, 0.25, draws)
+        assert np.array_equal(keep, [[0, 1, 0], [1, 1, 0]])
+        assert np.array_equal(out, x * keep / 0.75)
+
+    def test_draws_must_match_the_input(self):
+        x = np.ones((2, 3))
+        for draws in (None, np.zeros(3), np.zeros((3, 2))):
+            with pytest.raises(ShapeError, match="needs draws of shape"):
+                dropout(x, 0.5, draws)
 
 
 class TestFiniteDifference:

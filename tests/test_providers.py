@@ -1,12 +1,14 @@
 import re
+import string
 
 import numpy as np
 import pytest
 
 from conftest import make_post, tiny_config
 from postpop.model import FeatureBundle, build_caches, extract_features
-from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, _pcg64_states,
-                               read_feature_file, tokenize, write_feature_file)
+from postpop import streams
+from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, read_feature_file,
+                               tokenize, write_feature_file)
 
 
 @pytest.fixture
@@ -21,6 +23,36 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("...  !!") == []
+
+    @staticmethod
+    def per_token(text: str) -> list[str]:
+        """Reference: split the lowercased text, then strip each token."""
+        out = []
+        for raw in text.lower().split():
+            tok = "".join(c for c in raw if c not in string.punctuation)
+            if tok:
+                out.append(tok)
+        return out
+
+    @pytest.mark.parametrize("text", [
+        "Holi Festival, in Madrid!",
+        "a,b c.d !!! e-f (g) [h]{i} #tag @user 'q' \"r\" x/y z\\w",
+        "tab\tnew\nline\rcr\x0bvt\x0cff",
+        "nbsp\u00a0em\u2003ideo\u3000line\u2028para\u2029end\u0085nel",
+        "¡Olé! «guillemets» — dash… ‘curly’ “quotes” ¿qué?",
+        "... ,,, !!! ?? ---", "ÉCOLE Straße İstanbul ΣΊΣΥΦΟΣ",
+        "  lead and trail  ", "emoji 🙂 ☃ ok", "",
+    ])
+    def test_matches_the_per_token_reference(self, text):
+        assert tokenize(text) == self.per_token(text)
+
+    def test_matches_the_per_token_reference_on_random_text(self):
+        rng = np.random.default_rng(11)
+        alphabet = list(string.ascii_letters + string.punctuation + " \t\n") + [
+            "\u00a0", "\u2003", "\u3000", "é", "ß", "İ", "—", "…", "¡", "🙂"]
+        for _ in range(500):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 40))))
+            assert tokenize(text) == self.per_token(text), repr(text)
 
 
 def featurize(posts, provider, **overrides) -> FeatureBundle:
@@ -206,55 +238,80 @@ class TestPassMemo:
 
 
 class TestBatchedDraws:
-    """`vectors` seeds many streams at once; its output must be `vector`'s."""
+    """`tables` draws a pass's keys at once; its rows must be `vector`'s."""
 
-    def requests(self, count: int, rng) -> list[tuple[str, int]]:
+    def keys_by_dim(self, count: int, rng) -> dict[int, list[str]]:
         keys = ["", "é", "ünïcödé ☃ 🙂", "x" * 300, "#tag", "a b\tc"]
         keys += [f"tok{i}" for i in range(count)]
         dims = rng.choice([1, 2, 8, 33, 512], size=count, p=[0.3, 0.3, 0.25, 0.1, 0.05])
-        out = [(keys[int(rng.integers(len(keys)))], int(dim)) for dim in dims]
-        return out + out[:50]  # repeated requests
+        out: dict[int, list[str]] = {}
+        for dim in dims:
+            out.setdefault(int(dim), []).append(keys[int(rng.integers(len(keys)))])
+        return {dim: keys + keys[:10] for dim, keys in out.items()}  # repeated keys
+
+    @staticmethod
+    def stacked(provider, keys_by_dim) -> dict[int, np.ndarray]:
+        """Reference: each dim's `vector` rows stacked, then a zero row."""
+        return {dim: np.array([*(provider.vector(k, dim) for k in keys), np.zeros(dim)])
+                for dim, keys in keys_by_dim.items()}
+
+    def assert_tables_equal(self, got, want):
+        assert list(got) == list(want)
+        for dim in want:
+            assert got[dim].dtype == want[dim].dtype == np.float64
+            assert got[dim].shape == want[dim].shape, dim
+            assert got[dim].tobytes() == want[dim].tobytes(), dim
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 1])
     def test_bitwise_equal_to_per_key_draws(self, seed):
         rng = np.random.default_rng(seed)
         provider = EmbeddingProvider(seed=seed)
-        requests = self.requests(3400, rng)  # >= 10^4 requests over the three seeds
-        got = provider.vectors(requests)
-        assert len(got) == len(requests)
-        for vec, (key, dim) in zip(got, requests):
-            want = provider.vector(key, dim)
-            assert vec.dtype == want.dtype and vec.tobytes() == want.tobytes(), (key, dim)
+        keys_by_dim = self.keys_by_dim(3400, rng)  # >= 10^4 keys over the three seeds
+        self.assert_tables_equal(provider.tables(keys_by_dim),
+                                 self.stacked(provider, keys_by_dim))
 
     @pytest.mark.parametrize("count", [0, 1, BATCH_DRAWS - 1, BATCH_DRAWS, BATCH_DRAWS + 1])
     def test_both_sides_of_the_crossover(self, provider, draw_log, count):
-        requests = [(f"k{i}", 1 + i % 3) for i in range(count)]
-        got = provider.vectors(requests)
+        # the crossover counts the keys of every dim together
+        keys_by_dim = {1: [], 2: [], 3: []}
+        for i in range(count):
+            keys_by_dim[1 + i % 3].append(f"k{i}")
+        got = provider.tables(keys_by_dim)
+        requests = [(k, dim) for dim, keys in keys_by_dim.items() for k in keys]
         assert draw_log.per_key == ([] if count >= BATCH_DRAWS else requests)
-        assert [v.tobytes() for v in got] == [provider.vector(k, d).tobytes()
-                                             for k, d in requests]
+        draw_log.per_key.clear()
+        self.assert_tables_equal(got, self.stacked(provider, keys_by_dim))
+
+    def test_empty_dim_is_one_zero_row(self, provider):
+        keys = [f"k{i}" for i in range(BATCH_DRAWS)]
+        for got in (provider.tables({4: []}), provider.tables({4: [], 2: keys})):
+            assert got[4].shape == (1, 4) and not got[4].any()
 
     def test_every_digest_seeds_like_pcg64(self):
         # one-word entropy (digest < 2**32), zero, and the top of the range
-        for value in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 12345, 2 ** 64 - 1):
-            state = np.random.PCG64(value).state["state"]
-            assert _pcg64_states(value.to_bytes(8, "little")) == [
-                (state["state"], state["inc"])], value
+        values = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 12345, 2 ** 64 - 1)
+        digests = b"".join(value.to_bytes(8, "little") for value in values)
+        words = np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T
+        want = [np.random.PCG64(value).state["state"] for value in values]
+        assert streams.pcg64_states(words) == [(s["state"], s["inc"]) for s in want]
 
     def test_bad_dim_raises_on_both_paths(self, provider):
         for count in (1, BATCH_DRAWS):
             with pytest.raises(ValueError, match="dim must be >= 1"):
-                provider.vectors([("k", 4)] * (count - 1) + [("k", 0)])
+                provider.tables({4: ["k"] * (count - 1), 0: ["k"]})
 
-    def test_precomputed_file(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        stored = {f"k{i}": np.arange(4, dtype=np.float32) + i for i in range(2 * BATCH_DRAWS)}
-        write_feature_file(path, stored)
-        p = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
-        requests = [(k, 4) for k in stored] * 2
-        got = p.vectors(requests)
-        assert all(np.array_equal(v, p.vector(k, d)) for v, (k, d) in zip(got, requests))
-        got[0][:] = -1.0  # each result is its own copy
-        assert np.array_equal(p.vector("k0", 4), np.arange(4.0))
-        with pytest.raises(KeyError):
-            p.vectors(requests + [("unknown", 4)])
+    def test_precomputed_file(self, tmp_path, draw_log):
+        for count in (BATCH_DRAWS - 1, 2 * BATCH_DRAWS):  # per key on both sides
+            path = tmp_path / f"emb{count}.bin"
+            stored = {f"k{i}": np.arange(4, dtype=np.float32) + i for i in range(count)}
+            write_feature_file(path, stored)
+            p = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
+            keys_by_dim = {4: list(stored)[::-1] + list(stored)[:3]}
+            draw_log.per_key.clear()
+            got = p.tables(keys_by_dim)
+            assert draw_log.per_key == [(k, 4) for k in keys_by_dim[4]]
+            self.assert_tables_equal(got, self.stacked(p, keys_by_dim))
+            got[4][:] = -1.0  # each result is its own copy
+            assert np.array_equal(p.vector("k0", 4), np.arange(4.0))
+            with pytest.raises(KeyError):
+                p.tables({4: [*stored, "unknown"]})
