@@ -21,8 +21,8 @@ import numpy as np
 from . import attention as att
 from . import encoders
 from .data import Dataset, Post
-from .features import (DEMOGRAPHIC_DIM, PCAModel, SentimentLexicon, SocialStats,
-                       apply_pca, demographic_vector, fit_social_pca,
+from .features import (DEMOGRAPHIC_DIM, SOCIAL_RAW_DIM, PCAModel, SentimentLexicon,
+                       SocialStats, apply_pca, demographic_vector, fit_social_pca,
                        sentiment_feature, social_numerics, social_vector)
 from .hashtag_graph import (build_cooccurrence_graph, hashtag_feature,
                             node_embeddings)
@@ -101,9 +101,12 @@ class ModelConfig:
     head_sizes: tuple[int, ...] = PAPER_HEAD_SIZES
 
     def __post_init__(self):
-        for name in ("m", "k", "l", "d", "n"):
+        for name in ("m", "k", "l", "d", "a", "n", "topic_dim", "structure_dim",
+                     "graph_base_dim", "graph_hops"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1 <= self.pca_k <= SOCIAL_RAW_DIM:
+            raise ValueError(f"pca_k must be in [1, {SOCIAL_RAW_DIM}], got {self.pca_k}")
         if self.attention not in ("hga", "sa", "na"):
             raise ValueError(f"attention must be hga|sa|na, got {self.attention!r}")
         if self.demographic_mode not in ("onehot", "ordinal"):

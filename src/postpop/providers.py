@@ -8,11 +8,13 @@ instead, for plugging in real extractor outputs.
 
 `vector(key, dim)` is one draw: a blake2b digest of (seed, dim, key) seeds a
 numpy PCG64 stream. A featurization pass needs many draws, so
-`tables(keys_by_dim)` makes them all at once: `streams.pcg64_states` seeds
-every key's stream in one array computation, `streams.read_raw` reads their
-raw words into one buffer, and the buffer is converted to doubles once, into
-one `(len(keys) + 1, dim)` table per dim whose last row is zeros. Its rows
-equal `vector`'s bit for bit; that rests on NumPy's stream-compatibility
+`tables(keys_by_dim)` makes them all at once: the digests continue one
+hashed `seed:dim:` prefix per dim, `streams.pcg64_states` seeds every key's
+stream in one array computation, and `streams.read_raw` computes every raw
+word with array arithmetic, word j of a stream being XSL-RR of its PCG64
+state jumped ahead j + 1 steps. The buffer is converted to doubles once,
+into one `(len(keys) + 1, dim)` table per dim whose last row is zeros. Its
+rows equal `vector`'s bit for bit; that rests on NumPy's stream-compatibility
 policy for SeedSequence and PCG64 (NEP 19), and the oracle tests in
 tests/test_providers.py and tests/test_streams.py guard it.
 """
@@ -34,12 +36,14 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _MAGIC = b"PPEMB1"
 
 # Stub draws, counted over every dim of a `tables` call, from which it seeds
-# in one array computation; below this count it calls `vector` per key.
-# Measured at dim 8 (numpy 2.4, one BLAS thread, 2-vCPU Xeon): the batch
-# costs about 70 us fixed plus 4 us a draw, `vector` 14 us a draw, so they
-# break even near 8 draws. The crossover stays at 12, where it was set when
-# a batched draw cost more, so that a one-post pass of a few draws still
-# takes the per-key path that the benchmark's traced runs count.
+# and reads every stream as array arithmetic; below this count it calls
+# `vector` per key. Measured on graph-pass keys (dims 8 and 32; numpy 2.4,
+# one BLAS thread, a shared 2-vCPU host on which `vector` took 25 us): the
+# batch takes about 240 us at 12 keys (as the per-stream reader it replaced
+# did), 430 us at 95 and 810 us at 332, so it wins from about 10 keys on.
+# The cut-off stays at 12 so that a one-post pass of a few draws still takes
+# the per-key path: the benchmark's traced runs require the
+# `providers.vector` span, and only that path reaches it.
 BATCH_DRAWS = 12
 
 
@@ -115,6 +119,8 @@ class EmbeddingProvider:
     seed: int = 0
     feature_path: str | None = None
     _table: dict[str, np.ndarray] | None = field(default=None, repr=False)
+    # blake2b states that have hashed `seed:dim:`, by (seed, dim)
+    _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("deterministic_stub", "precomputed_file"):
@@ -137,12 +143,23 @@ class EmbeddingProvider:
                     f"stored dim {vec.shape[0]} != requested {dim} for key {key!r}")
             return vec.copy()
         rng = np.random.Generator(np.random.PCG64(
-            int.from_bytes(self._digest(key, dim), "little")))
+            int.from_bytes(self._digests(dim, [key]), "little")))
         return rng.uniform(-1.0, 1.0, size=dim)
 
-    def _digest(self, key: str, dim: int) -> bytes:
-        return hashlib.blake2b(
-            f"{self.seed}:{dim}:{key}".encode("utf-8"), digest_size=8).digest()
+    def _digests(self, dim: int, keys) -> bytes:
+        """The 8-byte blake2b digests of `f"{seed}:{dim}:{key}"` for each key,
+        concatenated: the `seed:dim:` prefix is hashed once per (seed, dim),
+        and each key continues a copy of that state."""
+        prefix = self._prefixes.get((self.seed, dim))
+        if prefix is None:
+            prefix = hashlib.blake2b(f"{self.seed}:{dim}:".encode(), digest_size=8)
+            self._prefixes[self.seed, dim] = prefix
+        out = []
+        for key in keys:
+            digest = prefix.copy()
+            digest.update(key.encode())
+            out.append(digest.digest())
+        return b"".join(out)
 
     def tables(self, keys_by_dim) -> dict[int, np.ndarray]:
         """One `(len(keys) + 1, dim)` table per dim of `keys_by_dim` (a
@@ -167,21 +184,22 @@ class EmbeddingProvider:
                 for j, key in enumerate(keys):
                     table[j] = self.vector(key, dim)
             return out
-        digests = b"".join(self._digest(key, dim)
-                           for dim, keys in keys_by_dim.items() for key in keys)
-        slots, starts, start = [], [], 0
+        digests = b"".join(self._digests(dim, keys) for dim, keys in keys_by_dim.items())
+        # key j of a dim's table starts at that table's offset + j * dim
+        starts, counts, offsets, size = [], [], [], 0
         for dim, keys in keys_by_dim.items():
-            starts.append(start)
-            slots += [(start + j * dim, dim) for j in range(len(keys))]
-            start += (len(keys) + 1) * dim
-        raw = streams.read_raw(streams.pcg64_states(
-            np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T), slots, start)
+            offsets.append(size)
+            starts += range(size, size + dim * len(keys), dim)
+            counts += [dim] * len(keys)
+            size += (len(keys) + 1) * dim
+        states = streams.pcg64_states(np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T)
+        raw = streams.read_raw(states, starts, counts, size)
         # -1 + 2u, as Generator.uniform(-1, 1) computes it (2u is exact)
         flat = streams.unit_floats(raw)
         flat *= 2.0
         flat -= 1.0
         out = {}
-        for (dim, keys), begin in zip(keys_by_dim.items(), starts):
+        for (dim, keys), begin in zip(keys_by_dim.items(), offsets):
             out[dim] = table = flat[begin:begin + (len(keys) + 1) * dim].reshape(-1, dim)
             table[-1] = 0.0
         return out

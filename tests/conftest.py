@@ -79,6 +79,14 @@ def make_post(post_id="p0", user_id="u0", caption="hello world", hashtags=(),
     )
 
 
+def pcg64_ints(streams) -> list[tuple[int, int]]:
+    """Each of `streams.pcg64_states`' streams as the 128-bit ints
+    (state, inc) that `PCG64(...).state["state"]` holds."""
+    def ints(pair):
+        return [hi << 64 | lo for hi, lo in zip(pair[0].tolist(), pair[1].tolist())]
+    return list(zip(ints(streams.state), ints(streams.inc)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -196,9 +196,16 @@ class TestTrain:
         assert not (tmp / "model.ckpt").exists()
 
 
+# keys whose error names them; the rest fail in a check of a derived value
+NAMED_KEYS = {"attention", "m", "l", "k", "a", "topic_dim", "structure_dim",
+              "graph_base_dim", "graph_hops", "pca_k"}
+
+
 @pytest.mark.parametrize("key,value", [
     ("attention", "xyz"), ("demographic_mode", "foo"), ("social_widths", "2,2"),
     ("head_sizes", "4,2"), ("m", "0"), ("l", "0"), ("k", "-1"),
+    ("a", "0"), ("topic_dim", "0"), ("structure_dim", "0"), ("graph_base_dim", "0"),
+    ("graph_hops", "0"), ("pca_k", "0"), ("pca_k", "34"),
 ])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value):
@@ -206,6 +213,7 @@ def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value
     code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}",
                             command], capsys)
     assert code == 1 and "bad model configuration" in err, err
+    assert key not in NAMED_KEYS or f"{key} must be" in err, err
     assert not (tmp / "model.ckpt").exists()
 
 

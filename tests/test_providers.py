@@ -1,10 +1,11 @@
+import hashlib
 import re
 import string
 
 import numpy as np
 import pytest
 
-from conftest import make_post, tiny_config
+from conftest import make_post, pcg64_ints, tiny_config
 from postpop.model import FeatureBundle, build_caches, extract_features
 from postpop import streams
 from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, read_feature_file,
@@ -293,7 +294,16 @@ class TestBatchedDraws:
         digests = b"".join(value.to_bytes(8, "little") for value in values)
         words = np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T
         want = [np.random.PCG64(value).state["state"] for value in values]
-        assert streams.pcg64_states(words) == [(s["state"], s["inc"]) for s in want]
+        assert pcg64_ints(streams.pcg64_states(words)) == [(s["state"], s["inc"]) for s in want]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
+    def test_prefix_digests_equal_one_shot_digests(self, seed):
+        keys = ["", ":", "a:b", "::x:", "é", "ünïcödé ☃ 🙂", "x" * 300, "tok1"]
+        provider = EmbeddingProvider(seed=seed)
+        for dim in (1, 8, 25088):
+            want = b"".join(hashlib.blake2b(f"{seed}:{dim}:{key}".encode("utf-8"),
+                                            digest_size=8).digest() for key in keys)
+            assert provider._digests(dim, keys) == want
 
     def test_bad_dim_raises_on_both_paths(self, provider):
         for count in (1, BATCH_DRAWS):

@@ -43,7 +43,7 @@ def test_featurization_spans_called(bench):
     ds = corpora.make_sample_corpus(n=40, seed=1)
     tr, va, te = data.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
     # one post of few draws: a one-post pass reaches `vector` only through
-    # the per-key fallback of `vectors` below BATCH_DRAWS
+    # the per-key fallback of `tables` below BATCH_DRAWS
     five_tags = make_post(caption="one two", hashtags=("a", "b", "c", "d", "e"))
     assert mc.d == mc.topic_dim and 2 + 5 + 1 < providers.BATCH_DRAWS
     with spans.Tracer() as tracer:
