@@ -36,7 +36,8 @@ print(f"\nmedian val MSE: hga={report.median('hga'):.4f} "
 
 print("\nfeature correlations with popularity (planted-signal corpus):")
 small = ModelConfig(m=5, k=4, l=2, d=8, a=8, n=8, topic_dim=8,
-                    structure_dim=4, pca_k=4, head_sizes=(8, 4, 1))
+                    structure_dim=4, pca_k=4, branch_specs=config.branch_specs,
+                    head_sizes=(8, 4, 1))
 for name, srcc in correlate_features(ds, config=small):
     label = "undefined (constant)" if np.isnan(srcc) else f"{srcc:+.3f}"
     print(f"  {name:<22} {label}")

@@ -23,7 +23,7 @@ from .model import (CheckpointError, ModelConfig, BranchSpec,
                     PAPER_HEAD_SIZES, build_caches, extract_features,
                     forward_bundle, load_checkpoint, save_checkpoint)
 from .providers import tokenize
-from .training import (Checkpoint, TrainConfig, ablate, evaluate, train)
+from .training import VARIANTS, Checkpoint, TrainConfig, ablate, evaluate, train
 
 
 class UsageError(ValueError):
@@ -40,6 +40,21 @@ def _parse_bool(s: str) -> bool:
 
 def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in s.split(","))
+
+
+def _parse_head(s: str) -> tuple[int, ...]:
+    return PAPER_HEAD_SIZES if s == "paper" else _parse_ints(s)
+
+
+def _parse_seeds(s: str) -> list[int]:
+    try:
+        seeds = list(_parse_ints(s))
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 0, got {s!r}")
+    return seeds
 
 
 # key -> (parser, default, help)
@@ -71,7 +86,7 @@ DEFAULTS = {
     "use_demographics": (_parse_bool, "true", "include demographic branch"),
     "use_sentiment_text": (_parse_bool, "true", "include caption sentiment block"),
     "use_sentiment_hashtags": (_parse_bool, "true", "include hashtag sentiment block"),
-    "head_sizes": (str, "paper", "comma-separated head sizes or 'paper'"),
+    "head_sizes": (_parse_head, "paper", "comma-separated head sizes or 'paper'"),
     "social_widths": (_parse_ints, "1,3,3", "social branch conv widths"),
     "social_channels": (_parse_ints, "1,2,4", "social branch conv channels"),
     "demographic_widths": (_parse_ints, "3,3,3", "demographic branch conv widths"),
@@ -125,8 +140,6 @@ def resolve_config(config_path=None, overrides=None) -> dict:
 
 def model_config_from(rc: dict) -> ModelConfig:
     try:
-        head = (PAPER_HEAD_SIZES if rc["head_sizes"] == "paper"
-                else _parse_ints(rc["head_sizes"]))
         specs = {name: BranchSpec(widths=tuple(rc[f"{name}_widths"]),
                                   channels=tuple(rc[f"{name}_channels"]))
                  for name in ("social", "demographic", "hashtag", "sentiment")}
@@ -140,7 +153,7 @@ def model_config_from(rc: dict) -> ModelConfig:
             use_social=rc["use_social"], use_demographics=rc["use_demographics"],
             use_sentiment_text=rc["use_sentiment_text"],
             use_sentiment_hashtags=rc["use_sentiment_hashtags"],
-            branch_specs=specs, head_sizes=head,
+            branch_specs=specs, head_sizes=rc["head_sizes"],
         )
     except ValueError as e:
         raise UsageError(f"bad model configuration: {e}")
@@ -307,9 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="print metrics for a split")
     p_eval.add_argument("--split", default="test", choices=("train", "val", "test"))
     p_abl = sub.add_parser("ablate", help="train and compare model variants")
-    p_abl.add_argument("--variant", action="append", default=[],
-                       help="variant name (repeatable); default full,na")
-    p_abl.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_abl.add_argument("--variant", action="append", default=[], choices=VARIANTS,
+                       metavar="NAME", help="variant name (repeatable): "
+                       f"{', '.join(VARIANTS)}; default full,na")
+    p_abl.add_argument("--seeds", default="0", type=_parse_seeds,
+                       help="comma-separated seeds >= 0")
     p_insp = sub.add_parser("inspect-attention",
                             help="dump attention weights for one post")
     p_insp.add_argument("--post-id", required=True)
@@ -339,9 +354,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(rc, args.split)
         if args.command == "ablate":
-            variants = args.variant or ["full", "na"]
-            seeds = [int(s) for s in args.seeds.split(",")]
-            return cmd_ablate(rc, variants, seeds)
+            return cmd_ablate(rc, args.variant or ["full", "na"], args.seeds)
         if args.command == "inspect-attention":
             return cmd_inspect_attention(rc, args.post_id)
         raise UsageError(f"unknown command {args.command!r}")

@@ -25,8 +25,6 @@ SOCIAL_NUMERICS = ("user_id_hash", "avg_views", "group_count", "avg_member_count
                    "tag_count", "title_length", "description_length",
                    "tagged_people", "comment_count", "post_duration_days")
 
-TIME_SEGMENTS = ("night", "morning", "afternoon", "evening")  # 6-hour blocks from midnight
-
 
 _GENDER = {g: i for i, g in enumerate(GENDERS)}
 _EMOTION = {e: i for i, e in enumerate(EMOTIONS)}

@@ -37,10 +37,6 @@ class HashtagGraph:
     node_features: dict[str, np.ndarray] = field(default_factory=dict)
     base_dim: int = 64
 
-    def weight(self, a: str, b: str) -> int:
-        key = (a, b) if a < b else (b, a)
-        return self.edges.get(key, 0)
-
 
 def build_cooccurrence_graph(posts: Dataset | list[Post],
                              provider: EmbeddingProvider,

@@ -42,21 +42,15 @@ PAPER_HEAD_SIZES = (13552, 6776, 3388, 1694, 847, 424, 212, 106, 53, 27, 13, 1)
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """Three valid conv1d layers: per-layer widths and output channels."""
+    """Three valid conv1d layers: per-layer widths and output channels.
+    `ModelConfig` checks them, naming the branch."""
 
     widths: tuple[int, int, int]
     channels: tuple[int, int, int]
 
-    def __post_init__(self):
-        if not len(self.widths) == len(self.channels) == BRANCH_LAYERS:
-            raise ValueError(f"a branch has {BRANCH_LAYERS} conv layers, got widths "
-                             f"{self.widths} and channels {self.channels}")
-
     def output_length(self, input_length: int) -> int:
         length = input_length
         for w in self.widths:
-            if w < 1:
-                raise ValueError(f"conv width must be >= 1, got {w}")
             if w > length:
                 raise ShapeError(
                     f"branch input of length {input_length} too short for widths {self.widths}")
@@ -110,15 +104,26 @@ class ModelConfig:
         if self.attention not in ("hga", "sa", "na"):
             raise ValueError(f"attention must be hga|sa|na, got {self.attention!r}")
         if self.demographic_mode not in ("onehot", "ordinal"):
-            raise ValueError(f"unknown demographic mode {self.demographic_mode!r}")
+            raise ValueError(
+                f"demographic_mode must be onehot|ordinal, got {self.demographic_mode!r}")
         if not any([self.use_content, self.use_hashtags, self.use_social,
                     self.use_demographics, self.use_sentiment_text,
                     self.use_sentiment_hashtags]):
             raise ValueError("at least one feature must be enabled")
-        if len(self.head_sizes) < 3:
-            raise ValueError(f"head needs >= 3 layers, got {len(self.head_sizes)}")
-        if self.head_sizes[-1] != 1:
-            raise ValueError(f"final head layer must have size 1, got {self.head_sizes[-1]}")
+        if len(self.head_sizes) < 3 or min(self.head_sizes) < 1 or self.head_sizes[-1] != 1:
+            raise ValueError("head_sizes must be >= 3 sizes, each >= 1, ending in 1, "
+                             f"got {self.head_sizes}")
+        for name, spec in self.branch_specs.items():
+            for key, values in ((f"{name}_widths", spec.widths),
+                                (f"{name}_channels", spec.channels)):
+                if len(values) != BRANCH_LAYERS or min(values) < 1:
+                    raise ValueError(f"{key} must be one value >= 1 for each of the "
+                                     f"{BRANCH_LAYERS} conv layers, got {values}")
+        for name in enabled_branches(self):
+            widths, length = self.branch_specs[name].widths, branch_input_dim(self, name)
+            if length - sum(w - 1 for w in widths) < 1:
+                raise ValueError(f"{name}_widths must fit the {name} branch input of "
+                                 f"length {length}, got {widths}")
 
     @property
     def demographic_dim(self) -> int:
@@ -589,7 +594,7 @@ def batch_loss_and_grads(batch: FeatureBundle, params: ParamStore, config: Model
 # names in order) and one `param/<name>` per parameter array. Zip's CRC-32
 # on each member catches corrupt bytes.
 
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 # What numpy and zipfile raise on an archive they cannot decode.
 _DECODE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError,
                   TypeError, RuntimeError, NotImplementedError, TokenError)

@@ -1,22 +1,18 @@
 """Embedding providers.
 
 The default provider is a deterministic stub: every string maps to a
-hash-seeded uniform vector in [-1, 1], so the full pipeline runs with no
+hash-keyed uniform vector in [-1, 1), so the full pipeline runs with no
 pretrained models and reproduces bit-exactly across processes. A
 `precomputed_file` provider reads vectors from a binary key/value file
 instead, for plugging in real extractor outputs.
 
-`vector(key, dim)` is one draw: a blake2b digest of (seed, dim, key) seeds a
-numpy PCG64 stream. A featurization pass needs many draws, so
-`tables(keys_by_dim)` makes them all at once: the digests continue one
-hashed `seed:dim:` prefix per dim, `streams.pcg64_states` seeds every key's
-stream in one array computation, and `streams.read_raw` computes every raw
-word with array arithmetic, word j of a stream being XSL-RR of its PCG64
-state jumped ahead j + 1 steps. The buffer is converted to doubles once,
-into one `(len(keys) + 1, dim)` table per dim whose last row is zeros. Its
-rows equal `vector`'s bit for bit; that rests on NumPy's stream-compatibility
-policy for SeedSequence and PCG64 (NEP 19), and the oracle tests in
-tests/test_providers.py and tests/test_streams.py guard it.
+A stub vector is `2u - 1` for the first dim doubles u of the counter-based
+stream (`streams.unit_floats`) keyed by the 8-byte blake2b digest of
+`seed:dim:key`. `vector(key, dim)` draws one key; a featurization pass
+needs many, so `tables(keys_by_dim)` draws each dim's keys in one array
+computation, into a `(len(keys) + 1, dim)` table whose last row is zeros.
+Both run the same rule on the same words, so its rows equal `vector`'s bit
+for bit. The digests continue one hashed `seed:dim:` prefix per dim.
 """
 
 from __future__ import annotations
@@ -35,13 +31,12 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 _MAGIC = b"PPEMB1"
 
-# Stub draws, counted over every dim of a `tables` call, from which it seeds
-# and reads every stream as array arithmetic; below this count it calls
-# `vector` per key. Measured on graph-pass keys (dims 8 and 32; numpy 2.4,
-# one BLAS thread, a shared 2-vCPU host on which `vector` took 25 us): the
-# batch takes about 240 us at 12 keys (as the per-stream reader it replaced
-# did), 430 us at 95 and 810 us at 332, so it wins from about 10 keys on.
-# The cut-off stays at 12 so that a one-post pass of a few draws still takes
+# Stub draws, counted over every dim of a `tables` call, from which it draws
+# each dim's keys in one `streams.unit_floats` call; below this count it calls
+# `vector` per key. The batch is never the slower path (numpy 2.4, one BLAS
+# thread, a shared 2-vCPU host): one `vector` takes about 22 us, a 12-key
+# `tables` call over two dims about 60 us and a 332-key one about 210 us.
+# The cut-off exists only so that a one-post pass of a few draws still takes
 # the per-key path: the benchmark's traced runs require the
 # `providers.vector` span, and only that path reaches it.
 BATCH_DRAWS = 12
@@ -131,7 +126,7 @@ class EmbeddingProvider:
             _, self._table = read_feature_file(self.feature_path)
 
     def vector(self, key: str, dim: int) -> np.ndarray:
-        """Deterministic dim-vector for a string key, entries in [-1, 1]."""
+        """Deterministic dim-vector for a string key, entries in [-1, 1)."""
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if self.kind == "precomputed_file":
@@ -142,9 +137,16 @@ class EmbeddingProvider:
                 raise ValueError(
                     f"stored dim {vec.shape[0]} != requested {dim} for key {key!r}")
             return vec.copy()
-        rng = np.random.Generator(np.random.PCG64(
-            int.from_bytes(self._digests(dim, [key]), "little")))
-        return rng.uniform(-1.0, 1.0, size=dim)
+        return self._draw(dim, self._digests(dim, [key]))[0]
+
+    @staticmethod
+    def _draw(dim: int, digests: bytes) -> np.ndarray:
+        """One stub vector per 8-byte digest, as rows: `2u - 1` (exact) for
+        the doubles u of the stream the digest keys."""
+        out = streams.unit_floats(np.frombuffer(digests, dtype="<u8"), dim)
+        out *= 2.0
+        out -= 1.0
+        return out
 
     def _digests(self, dim: int, keys) -> bytes:
         """The 8-byte blake2b digests of `f"{seed}:{dim}:{key}"` for each key,
@@ -154,12 +156,7 @@ class EmbeddingProvider:
         if prefix is None:
             prefix = hashlib.blake2b(f"{self.seed}:{dim}:".encode(), digest_size=8)
             self._prefixes[self.seed, dim] = prefix
-        out = []
-        for key in keys:
-            digest = prefix.copy()
-            digest.update(key.encode())
-            out.append(digest.digest())
-        return b"".join(out)
+        return streams.digests(prefix, keys)
 
     def tables(self, keys_by_dim) -> dict[int, np.ndarray]:
         """One `(len(keys) + 1, dim)` table per dim of `keys_by_dim` (a
@@ -167,39 +164,24 @@ class EmbeddingProvider:
         `self.vector(keys[j], dim)` bit for bit, and the last row is zeros,
         so index -1 gathers zeros.
 
-        From `BATCH_DRAWS` stub keys in all on, every stream is seeded in one
-        array computation and read into one raw-word buffer, which is
-        converted once; the tables are views of one array. Fewer keys and
-        the `precomputed_file` provider call `vector` per key.
+        From `BATCH_DRAWS` stub keys in all on, each dim's keys are drawn in
+        one array computation. Fewer keys and the `precomputed_file`
+        provider call `vector` per key.
         """
         keys_by_dim = {dim: list(keys) for dim, keys in keys_by_dim.items()}
         for dim in keys_by_dim:
             if dim < 1:
                 raise ValueError(f"dim must be >= 1, got {dim}")
-        count = sum(map(len, keys_by_dim.values()))
-        if self.kind == "precomputed_file" or count < BATCH_DRAWS:
-            out = {}
-            for dim, keys in keys_by_dim.items():
+        per_key = (self.kind == "precomputed_file"
+                   or sum(map(len, keys_by_dim.values())) < BATCH_DRAWS)
+        out = {}
+        for dim, keys in keys_by_dim.items():
+            if per_key:
                 out[dim] = table = np.zeros((len(keys) + 1, dim))
                 for j, key in enumerate(keys):
                     table[j] = self.vector(key, dim)
-            return out
-        digests = b"".join(self._digests(dim, keys) for dim, keys in keys_by_dim.items())
-        # key j of a dim's table starts at that table's offset + j * dim
-        starts, counts, offsets, size = [], [], [], 0
-        for dim, keys in keys_by_dim.items():
-            offsets.append(size)
-            starts += range(size, size + dim * len(keys), dim)
-            counts += [dim] * len(keys)
-            size += (len(keys) + 1) * dim
-        states = streams.pcg64_states(np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T)
-        raw = streams.read_raw(states, starts, counts, size)
-        # -1 + 2u, as Generator.uniform(-1, 1) computes it (2u is exact)
-        flat = streams.unit_floats(raw)
-        flat *= 2.0
-        flat -= 1.0
-        out = {}
-        for (dim, keys), begin in zip(keys_by_dim.items(), offsets):
-            out[dim] = table = flat[begin:begin + (len(keys) + 1) * dim].reshape(-1, dim)
-            table[-1] = 0.0
+            else:
+                # one more row, drawn from a zero digest, becomes the zero row
+                out[dim] = table = self._draw(dim, self._digests(dim, keys) + bytes(8))
+                table[-1] = 0.0
         return out

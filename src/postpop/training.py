@@ -245,7 +245,7 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
         epoch_losses = []
         for start in range(0, n, train_config.batch_size):
             batch = train_set[order[start:start + train_config.batch_size]]
-            # post i's dropout uniforms: default_rng(SeedSequence([seed, step, i]))
+            # post i's dropout uniforms: the stream keyed by (seed, step, i)
             draws = streams.uniform_rows((train_config.seed, step), len(batch), hidden) \
                 if train_config.dropout > 0 else None
             loss, grads, _ = batch_loss_and_grads(batch, params, config,

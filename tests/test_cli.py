@@ -196,16 +196,14 @@ class TestTrain:
         assert not (tmp / "model.ckpt").exists()
 
 
-# keys whose error names them; the rest fail in a check of a derived value
-NAMED_KEYS = {"attention", "m", "l", "k", "a", "topic_dim", "structure_dim",
-              "graph_base_dim", "graph_hops", "pca_k"}
-
-
 @pytest.mark.parametrize("key,value", [
     ("attention", "xyz"), ("demographic_mode", "foo"), ("social_widths", "2,2"),
     ("head_sizes", "4,2"), ("m", "0"), ("l", "0"), ("k", "-1"),
     ("a", "0"), ("topic_dim", "0"), ("structure_dim", "0"), ("graph_base_dim", "0"),
     ("graph_hops", "0"), ("pca_k", "0"), ("pca_k", "34"),
+    ("head_sizes", "16,0,1"), ("head_sizes", "16,-2,1"), ("head_sizes", "16,8,2"),
+    ("social_channels", "0,2,2"), ("social_widths", "0,2,2"), ("social_widths", "3,3,3"),
+    ("hashtag_channels", "2,2"),
 ])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value):
@@ -213,7 +211,19 @@ def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value
     code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}",
                             command], capsys)
     assert code == 1 and "bad model configuration" in err, err
-    assert key not in NAMED_KEYS or f"{key} must be" in err, err
+    assert f"{key} must" in err, err
+    assert "Traceback" not in err
+    assert not (tmp / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("head_sizes", "abc"), ("head_sizes", "16,,1"), ("social_widths", "a,b,c"), ("m", "x"),
+])
+def test_unparseable_value_exits_one_naming_its_key(workspace, capsys, key, value):
+    tmp, cfg = workspace
+    code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}", "train"],
+                           capsys)
+    assert code == 1 and f"bad value for {key}" in err, err
     assert not (tmp / "model.ckpt").exists()
 
 
@@ -322,6 +332,18 @@ class TestEvaluate:
         assert code == 2 and err.startswith("postpop: error: MSE over")
         assert "Infinity" not in out and "Traceback" not in err
 
+    def test_format3_checkpoint_exits_two_asking_to_retrain(self, workspace, capsys,
+                                                           monkeypatch):
+        # format 3 was trained on the stub features of the older draw rule
+        import postpop.model as model_mod
+        tmp, cfg = workspace
+        monkeypatch.setattr(model_mod, "_CKPT_VERSION", 3)
+        run_cli(["--config", str(cfg), "train"], capsys)
+        monkeypatch.undo()
+        code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
+        assert code == 2 and "unsupported checkpoint version 3" in err
+        assert "re-train" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt"])
     def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):
         tmp, cfg = workspace
@@ -358,6 +380,26 @@ class TestAblate:
         assert "seeds=[0, 1]" in out
         lines = (tmp / "out" / "ablation.csv").read_text().splitlines()
         assert len(lines) == 3  # header + one row per seed
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seeds", "x"], "--seeds"), (["--seeds", "-1"], "--seeds"),
+        (["--seeds", "0,,1"], "--seeds"), (["--seeds", ""], "--seeds"),
+        (["--variant", "bogus"], "--variant"),
+        (["--variant", "full", "--variant", "bogus"], "--variant"),
+    ])
+    def test_bad_flags_exit_one_before_loading(self, workspace, capsys, monkeypatch,
+                                               flags, message):
+        tmp, cfg = workspace
+        import postpop.cli as cli_mod
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli_mod, "load_dataset", no_load)
+        code, out, err = run_cli(["--config", str(cfg), "ablate", *flags], capsys)
+        assert code == 1 and message in err, err
+        assert "ablation over" not in out
+        assert not (tmp / "out" / "ablation.csv").exists()
 
 
 class TestInspectAttention:

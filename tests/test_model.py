@@ -11,6 +11,7 @@ import postpop.model as model_mod
 
 from conftest import make_post, pass_requests, random_bundle, stack, tiny_config
 from postpop.cli import model_config_from, resolve_config
+from postpop import streams
 from postpop.corpora import make_sample_corpus
 from postpop.data import Dataset, FaceAnnotation, load_dataset
 from postpop.features import SentimentLexicon, apply_pca, social_vector
@@ -99,9 +100,11 @@ class TestBranch:
         assert spec.output_length(10) == 4 * 2
         with pytest.raises(Exception):
             spec.output_length(5)
+        # the configuration checks each spec, naming its branch
         for widths, channels in (((3, 3), (1, 2)), ((1, 1, 1, 1), (1, 1, 1, 1))):
-            with pytest.raises(ValueError, match="3 conv layers"):
-                BranchSpec(widths=widths, channels=channels)
+            bad = BranchSpec(widths=widths, channels=channels)
+            with pytest.raises(ValueError, match="hashtag_widths .*3 conv layers"):
+                tiny_config(branch_specs={**tiny_config().branch_specs, "hashtag": bad})
 
 
 class TestMergeAndConfig:
@@ -633,9 +636,9 @@ def mixed_bundles(rng, cfg):
 
 
 def post_draws(n, cfg, step=3):
-    """(n, H) dropout uniforms: row i from post i's own seeded generator."""
-    return np.array([np.random.default_rng(np.random.SeedSequence([5, step, i]))
-                     .random(sum(cfg.head_sizes[:-1])) for i in range(n)])
+    """(n, H) dropout uniforms as `train()` draws them at seed 5: row i from
+    post i's own stream."""
+    return streams.uniform_rows((5, step), n, sum(cfg.head_sizes[:-1]))
 
 
 class TestBatchedModel:
@@ -664,8 +667,7 @@ class TestBatchedModel:
 
     def test_dropout_masks_drawn_per_post(self, rng):
         # post i's masks are its own row of draws, and hidden layer j reads
-        # the next head_sizes[j] columns: the values a per-post generator
-        # gives when drawn layer by layer
+        # the next head_sizes[j] columns
         cfg = tiny_config(head_sizes=(8, 5, 3, 1))
         params = init_model_params(cfg, seed=6)
         bundles = mixed_bundles(rng, cfg)[:3]
@@ -674,11 +676,12 @@ class TestBatchedModel:
         _, fcache = forward_bundle(batch, params, cfg, 0.5, draws)
         for i, bundle in enumerate(bundles):
             _, one = forward_bundle(bundle, params, cfg, 0.5, draws[i])
-            gen = np.random.default_rng(np.random.SeedSequence([5, 3, i]))
+            start = 0
             for layer, one_layer in zip(fcache.head_cache[:-1], one.head_cache[:-1]):
                 assert np.array_equal(layer[2][i], one_layer[2])
-                want = gen.random(one_layer[2].shape) >= 0.5
-                assert np.array_equal(one_layer[2], want)
+                width = one_layer[2].shape[-1]
+                assert np.array_equal(one_layer[2], draws[i, start:start + width] >= 0.5)
+                start += width
 
     def test_stack_and_take(self, rng):
         # a stacked bundle has a length, and indexes and iterates by post

@@ -5,7 +5,7 @@ import string
 import numpy as np
 import pytest
 
-from conftest import make_post, pcg64_ints, tiny_config
+from conftest import make_post, tiny_config
 from postpop.model import FeatureBundle, build_caches, extract_features
 from postpop import streams
 from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, read_feature_file,
@@ -149,6 +149,17 @@ class TestStubProperties:
         with pytest.raises(ValueError):
             provider.vector("x", 0)
 
+    def test_uniform_on_minus_one_to_one(self, provider):
+        values = provider.tables({100: [f"k{i}" for i in range(1000)]})[100][:-1].ravel()
+        assert values.size == 10 ** 5
+        assert values.min() >= -1.0 and values.max() < 1.0
+        assert abs(values.mean()) < 0.01
+        assert abs(values.var() - 1 / 3) < 1 / 300
+
+    def test_distinct_keys_give_distinct_vectors(self, provider):
+        table = provider.tables({4: [f"k{i}" for i in range(10 ** 4)]})[4][:-1]
+        assert len(np.unique(table, axis=0)) == 10 ** 4
+
 
 class TestPrecomputedFile:
     def test_round_trip(self, tmp_path):
@@ -196,7 +207,7 @@ class TestPrecomputedFile:
 
 class TestPassMemo:
     """A featurization pass draws each distinct (key, dim) once, in one
-    `vectors` call, and keeps nothing after it returns."""
+    `tables` call, and keeps nothing after it returns."""
 
     def test_repeats_equal_fresh_draws(self, provider):
         post = make_post(caption="k x k", hashtags=("k", "k"))
@@ -288,13 +299,14 @@ class TestBatchedDraws:
         for got in (provider.tables({4: []}), provider.tables({4: [], 2: keys})):
             assert got[4].shape == (1, 4) and not got[4].any()
 
-    def test_every_digest_seeds_like_pcg64(self):
-        # one-word entropy (digest < 2**32), zero, and the top of the range
-        values = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 12345, 2 ** 64 - 1)
-        digests = b"".join(value.to_bytes(8, "little") for value in values)
-        words = np.frombuffer(digests, dtype="<u4").reshape(-1, 2).T
-        want = [np.random.PCG64(value).state["state"] for value in values]
-        assert pcg64_ints(streams.pcg64_states(words)) == [(s["state"], s["inc"]) for s in want]
+    def test_every_digest_keys_its_stream(self):
+        # a vector is 2u - 1 for the doubles u of the stream keyed by the
+        # little-endian blake2b digest of seed:dim:key
+        provider = EmbeddingProvider(seed=3)
+        for key, dim in (("", 1), ("tok", 8), ("é", 5), ("img0", 600)):
+            digest = hashlib.blake2b(f"3:{dim}:{key}".encode(), digest_size=8).digest()
+            u = streams.unit_floats([int.from_bytes(digest, "little")], dim)[0]
+            assert provider.vector(key, dim).tobytes() == (2.0 * u - 1.0).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
     def test_prefix_digests_equal_one_shot_digests(self, seed):
