@@ -86,7 +86,7 @@ class Post:
 
     def validate(self):
         for tag in self.hashtags:
-            if not tag or any(c.isspace() for c in tag):
+            if tag.split() != [tag]:  # empty, or holds a str.isspace character
                 raise ValueError(f"hashtag {tag!r} is empty or contains whitespace")
         if not math.isfinite(self.popularity):
             raise ValueError("popularity must be finite")
@@ -114,11 +114,7 @@ class Dataset:
 
 
 def _normalize_hashtags(raw) -> tuple[str, ...]:
-    tags = []
-    for tag in raw:
-        tag = str(tag).lstrip("#").lower()
-        tags.append(tag)
-    return tuple(tags)
+    return tuple(str(tag).lstrip("#").lower() for tag in raw)
 
 
 def _post_from_record(rec: dict) -> Post:

@@ -211,6 +211,22 @@ class TrainResult:
     history: list[tuple[int, float, float]]  # (epoch, train_loss, val_mse)
 
 
+def _check_targets(posts) -> None:
+    """Reject a popularity too large for the objective to square.
+
+    The batch loss and the validation MSE each sum at most len(posts)
+    squared errors, so every |popularity| must be at most sqrt(max / n) for
+    the sum to stay finite in float64.
+    """
+    limit = math.sqrt(np.finfo(np.float64).max / len(posts))
+    for post in posts:
+        if abs(post.popularity) > limit:
+            raise ValueError(
+                f"post {post.post_id}: popularity {post.popularity!r} is too large to "
+                f"train on; the squared errors of {len(posts)} posts overflow float64 "
+                f"unless every |popularity| <= {limit:.4g}")
+
+
 def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
           train_config: TrainConfig, caches: FeatureCaches | None = None,
           lexicon: SentimentLexicon | None = None) -> TrainResult:
@@ -219,10 +235,12 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
     Keeps the parameters from the best-validation epoch; stops after
     `patience` consecutive epochs without a strict val-MSE improvement.
     Raises TrainingDivergedError at the first non-finite batch loss or
-    validation MSE, so no diverged run returns a checkpoint.
+    validation MSE, so no diverged run returns a checkpoint, and ValueError
+    naming the post when a popularity is too large for the loss to square.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation splits must be non-empty")
+    _check_targets((*train_ds.posts, *val_ds.posts))
     if caches is None:
         caches = build_caches(train_ds.posts, config, lexicon=lexicon)
     params = init_model_params(config, seed=train_config.seed,

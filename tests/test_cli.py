@@ -182,6 +182,22 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp / "model.ckpt").exists()
 
+    def test_overflowing_popularity_exits_two_naming_the_post(self, workspace, capsys):
+        tmp, cfg = workspace
+        tr, _, _ = _load_splits(resolve_config(cfg))
+        post_id = tr.posts[0].post_id
+        corpus = tmp / "corpus.jsonl"
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for row in rows:
+            if row["post_id"] == post_id:
+                row["popularity"] = 1e308
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, _, err = run_cli(["--config", str(cfg), "train"], capsys)
+        assert code == 2
+        assert f"post {post_id}: popularity 1e+308 is too large to train on" in err
+        assert "diverged" not in err and "Traceback" not in err
+        assert not (tmp / "model.ckpt").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("max_epochs", "0"), ("patience", "0"),
         ("learning_rate", "nan"), ("learning_rate", "0"), ("learning_rate", "-0.1"),

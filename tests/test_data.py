@@ -111,6 +111,19 @@ class TestLoad:
         ds, skipped = load_dataset(path)
         assert len(ds) == 1 and skipped == 1
 
+    def test_rejected_hashtags_are_exactly_the_whitespace_ones(self):
+        # a tag is rejected when it is empty or holds a character that
+        # str.isspace accepts, alone, leading, trailing or inside a word,
+        # and a tag of any other code points is accepted
+        space = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+        bad = [""] + [t for c in space for t in (c, c + "a", "a" + c, "a" + c + "b")]
+        for tag in bad:
+            with pytest.raises(ValueError, match="empty or contains whitespace"):
+                make_post(hashtags=[tag]).validate()
+        others = "".join(chr(cp) for cp in range(0x110000) if not chr(cp).isspace())
+        make_post(hashtags=[others[i:i + 4096]
+                            for i in range(0, len(others), 4096)]).validate()
+
     def test_tag_count_mismatch_is_malformed(self, tmp_path):
         path = tmp_path / "c.jsonl"
         bad = record("p1")

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,147 @@ def scalar_lstm_step(x, h_prev, c_prev, wx, wh, b):
         c_new[u] = gf * c_prev[u] + gi * gg
         h_new[u] = go * np.tanh(c_new[u])
     return np.array(h_new), np.array(c_new)
+
+
+def reference_lstm_encode(tokens, mask, params):
+    """The plain per-step LSTM: fresh arrays and `np.where` on every step.
+
+    The kernel's forward must equal it bit for bit, and its gradients
+    (`reference_lstm_backward`) up to rounding.
+    """
+    wx, wh, b = params["lstm.Wx"], params["lstm.Wh"], params["lstm.b"]
+    *lead, m_steps, _ = tokens.shape
+    d_hidden = wh.shape[0]
+    xz = tokens @ wx + b
+    live = np.asarray(mask)[..., None] > 0
+    h = np.zeros((*lead, d_hidden), dtype=wx.dtype)
+    c = np.zeros_like(h)
+    h_prev = np.zeros((*lead, m_steps, d_hidden), dtype=xz.dtype)
+    c_prev = np.zeros_like(h_prev)
+    c_all = np.zeros_like(h_prev)
+    gates = np.zeros_like(xz)
+    out = np.zeros_like(h_prev)
+    g_slice = slice(2 * d_hidden, 3 * d_hidden)
+    for t in np.flatnonzero(live.reshape(-1, m_steps).any(axis=0)):
+        z = xz[..., t, :] + h @ wh
+        act = gates[..., t, :]
+        np.divide(1.0, 1.0 + np.exp(-z), out=act)
+        np.tanh(z[..., g_slice], out=act[..., g_slice])
+        gi, gf, gg, go = np.split(act, 4, axis=-1)
+        c_new = gf * c + gi * gg
+        h_new = go * np.tanh(c_new)
+        h_prev[..., t, :], c_prev[..., t, :], c_all[..., t, :] = h, c, c_new
+        live_t = live[..., t, :]
+        out[..., t, :] = np.where(live_t, h_new, 0.0)
+        h = np.where(live_t, h_new, h)
+        c = np.where(live_t, c_new, c)
+    return out, SimpleNamespace(tokens=tokens, live=live, h_prev=h_prev,
+                                c_prev=c_prev, gates=gates, c=c_all)
+
+
+def reference_lstm_backward(d_out, cache, params):
+    """Backpropagation through time for `reference_lstm_encode`."""
+    wh = params["lstm.Wh"]
+    live = cache.live
+    dz_all = np.zeros_like(cache.gates)
+    dh_next = np.zeros_like(cache.h_prev[..., 0, :])
+    dc_next = np.zeros_like(dh_next)
+    for t in np.flatnonzero(live.reshape(-1, live.shape[-2]).any(axis=0))[::-1]:
+        gi, gf, gg, go = np.split(cache.gates[..., t, :], 4, axis=-1)
+        dh = d_out[..., t, :] + dh_next
+        tanh_c = np.tanh(cache.c[..., t, :])
+        dc = dh * go * (1.0 - tanh_c ** 2) + dc_next
+        dz = np.concatenate([
+            dc * gg * gi * (1.0 - gi),
+            dc * cache.c_prev[..., t, :] * gf * (1.0 - gf),
+            dc * gi * (1.0 - gg ** 2),
+            dh * tanh_c * go * (1.0 - go),
+        ], axis=-1)
+        live_t = live[..., t, :]
+        dz_all[..., t, :] = np.where(live_t, dz, 0.0)
+        dh_next = np.where(live_t, dz @ wh.T, dh_next)
+        dc_next = np.where(live_t, dc * gf, dc_next)
+    dz_rows = dz_all.reshape(-1, dz_all.shape[-1])
+    return {"lstm.Wx": cache.tokens.reshape(-1, cache.tokens.shape[-1]).T @ dz_rows,
+            "lstm.Wh": cache.h_prev.reshape(-1, cache.h_prev.shape[-1]).T @ dz_rows,
+            "lstm.b": dz_rows.sum(axis=0)}
+
+
+# Six sequences of six steps: a hole, trailing dead steps, an all-dead row,
+# a step (2) that no sequence uses, and partly live steps 1, 3, 4 and 5.
+MASKS = np.array([[1, 1, 0, 1, 1, 0],
+                  [1, 1, 0, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 0],
+                  [1, 1, 0, 1, 1, 1],
+                  [1, 0, 0, 1, 0, 0],
+                  [1, 1, 0, 1, 1, 1]], dtype=float)
+LEAD_MASKS = {
+    "one": MASKS[0],                       # lead (): a hole then a dead tail
+    "batch": MASKS,                        # lead (B,)
+    "grid": MASKS.reshape(2, 3, 6),        # lead (B1, B2)
+    "all_live": np.ones((4, 6)),
+    "unused_tail": np.array([[1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0]], dtype=float),
+}
+
+
+class TestAgainstReference:
+    """The kernel against `reference_lstm_encode`/`reference_lstm_backward`."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(LEAD_MASKS))
+    def test_forward_bitwise_and_gradients_close(self, rng, case, dtype):
+        mask = LEAD_MASKS[case]
+        store = ParamStore()
+        init_lstm_params(store, rng, 3, 4, 0.8, dtype)
+        tokens = rng.uniform(-1, 1, (*mask.shape, 3)).astype(dtype)
+        out, cache = lstm_encode(tokens, mask, store)
+        ref, ref_cache = reference_lstm_encode(tokens, mask, store)
+        assert out.dtype == ref.dtype == dtype and out.shape == ref.shape
+        assert out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+        d_out = rng.normal(size=out.shape).astype(dtype)
+        grads = lstm_backward(d_out, cache, store)
+        ref_grads = reference_lstm_backward(d_out, ref_cache, store)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for name, g in ref_grads.items():
+            assert grads[name].dtype == dtype and grads[name].shape == g.shape
+            assert relative_error(grads[name], g) <= tol, name
+
+    def test_gradcheck_across_an_unused_middle_step(self, rng):
+        # no sequence uses step 2: each state carries across it untouched,
+        # and so does each gradient
+        store = lstm_params(rng, 3, 4)
+        tokens = rng.uniform(-1, 1, (6, 6, 3))
+        weights = rng.normal(size=(6, 6, 4))
+
+        def f(st):
+            out, _ = lstm_encode(tokens, MASKS, st)
+            return float(np.sum(out * weights))
+
+        out, cache = lstm_encode(tokens, MASKS, store)
+        assert np.all(out[:, 2] == 0.0) and np.all(out[2] == 0.0)
+        grads = lstm_backward(weights, cache, store)
+        numeric = finite_difference_grad(f, store)
+        for name in ("lstm.Wx", "lstm.Wh", "lstm.b"):
+            assert relative_error(grads[name], numeric[name]) < 1e-6, name
+
+    def test_float32_params_keep_float32_states(self, rng):
+        store64 = lstm_params(rng, 3, 4)
+        store32 = ParamStore()
+        for name, arr in store64.items():
+            store32.add_array(name, arr.astype(np.float32))
+        tokens = rng.uniform(-1, 1, (6, 6, 3))
+        d_out = rng.normal(size=(6, 6, 4))
+        out64, cache64 = lstm_encode(tokens, MASKS, store64)
+        out32, cache32 = lstm_encode(tokens.astype(np.float32), MASKS, store32)
+        for arr in (out32, cache32.h, cache32.c, cache32.gates):
+            assert arr.dtype == np.float32
+        assert np.max(np.abs(out32 - out64)) < 1e-5
+        grads64 = lstm_backward(d_out, cache64, store64)
+        grads32 = lstm_backward(d_out.astype(np.float32), cache32, store32)
+        for name, g in grads64.items():
+            assert grads32[name].dtype == np.float32
+            assert relative_error(grads32[name], g) < 1e-5, name
 
 
 class TestLstmForward:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -285,6 +286,24 @@ class TestTrainLoop:
                          patience=2, dropout=0.0, seed=0, init_scale=0.3)
         with pytest.raises(TrainingDivergedError, match="batch loss nan"):
             train(tr, va, small_social_config(), tc)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_overflowing_popularity_names_the_post(self, split):
+        # its squared error overflows float64: a data error naming the post,
+        # raised before any numpy arithmetic can warn
+        ds = make_sample_corpus(n=40, seed=13)
+        splits = dict(zip(("train", "val"), split_dataset(ds, (0.8, 0.1, 0.1), seed=0)))
+        post = splits[split].posts[1]
+        splits[split] = Dataset(tuple(dataclasses.replace(p, popularity=1e308)
+                                      if p is post else p for p in splits[split].posts))
+        tc = TrainConfig(learning_rate=1e-3, batch_size=10, max_epochs=1,
+                         patience=1, dropout=0.0, seed=0, init_scale=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"post {post.post_id}: popularity "
+                                                 r"1e\+308 is too large") as info:
+                train(splits["train"], splits["val"], small_social_config(), tc)
+        assert not isinstance(info.value, TrainingDivergedError)
 
     def test_non_finite_val_mse_raises(self, monkeypatch):
         ds = make_sample_corpus(n=40, seed=13)
