@@ -34,12 +34,12 @@ lexicon = SentimentLexicon.bundled()
 sent = sentiment_feature([post], [tokenize(post.caption)], lexicon)
 print(f"sentiment caption block:  {np.round(sent.caption_dist[0], 3)}")
 print(f"sentiment hashtag block:  {np.round(sent.hashtag_dist[0], 3)}")
-print(f"combined dim: {sent.combined.shape[1]}")
+print(f"combined dim: {sent.caption_dist.shape[1] + sent.hashtag_dist.shape[1]}")
 
 # social vector: 9 z-scored numerics + day(7) + month(12) + segment(4) + duration
 numerics = social_numerics(train.posts)
 stats = SocialStats.fit(numerics)
-raw = social_vector(post, stats)
+raw = social_vector([post], stats)[0]
 pca = fit_social_pca(train.posts, stats, numerics, k=6)
 reduced = apply_pca(pca, raw)
 print(f"\nsocial vector: raw dim={raw.shape[0]} -> reduced dim={reduced.shape[0]}")

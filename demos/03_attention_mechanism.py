@@ -11,13 +11,12 @@ import numpy as np
 from postpop import EmbeddingProvider
 from postpop.attention import (hga_attention, init_attention_params,
                                na_content, sa_attention)
-from postpop.numeric import ParamStore
 from postpop.providers import tokenize
 
 D, A, M, K, L = 8, 8, 6, 4, 4
 provider = EmbeddingProvider(kind="deterministic_stub", seed=0)
 rng = np.random.default_rng(3)
-params = ParamStore()
+params = {}
 init_attention_params(params, rng, D, A, scale=0.8)
 
 
@@ -38,18 +37,20 @@ words = caption.split()
 print(f"caption: {caption!r}\n")
 for tags in (["festival", "music"], ["rain", "weather"]):
     hmat, hmask = embed(tags, L)
-    out, _ = hga_attention(tokens, mask, image, hmat, hmask, params)
+    _, cache = hga_attention(tokens, mask, image, hmat, hmask, params)
     print(f"hashtags {tags}:")
-    for w, a in zip(words, out.alpha_text):
+    for w, a in zip(words, cache.alpha_text):
         print(f"  {w:<10} {a:.4f}")
-    print(f"  (sum {out.alpha_text.sum():.6f})\n")
+    print(f"  (sum {cache.alpha_text.sum():.6f})\n")
 
-sa, _ = sa_attention(tokens, mask, image, params)
+sa, sa_cache = sa_attention(tokens, mask, image, params)
 print("self-attention (no hashtag signal):")
-for w, a in zip(words, sa.alpha_text):
+for w, a in zip(words, sa_cache.alpha_text):
     print(f"  {w:<10} {a:.4f}")
 
 na = na_content(tokens, mask, image)
 print(f"\nno-attention content vector = token mean + region mean, dim {na.shape[0]}")
+attended_text = (sa_cache.alpha_text[None] @ tokens)[0]
+attended_image = (sa_cache.alpha_image[None] @ image)[0]
 print(f"content additivity: content == attended_text + attended_image -> "
-      f"{np.array_equal(sa.content, sa.attended_text + sa.attended_image)}")
+      f"{np.array_equal(sa, attended_text + attended_image)}")

@@ -12,8 +12,8 @@ from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
                     build_caches, extract_features, forward_bundle, head_forward,
                     init_model_params, load_checkpoint, loss_mse, merge,
                     merged_length, save_checkpoint)
-from .numeric import (ParamStore, ShapeError, conv1d_forward, dense_forward,
-                      dropout, finite_difference_grad, relu, softmax)
+from .numeric import (ShapeError, conv1d_forward, dense_forward, dropout,
+                      finite_difference_grad, relu, softmax)
 from .providers import EmbeddingProvider, tokenize
 from .training import (AblationReport, Checkpoint, Metrics, TrainConfig,
                        TrainResult, TrainingDivergedError, ablate, adam_step,

@@ -3,9 +3,11 @@
 Scores mix each content row with a pooled hashtag vector through a tanh
 layer, then a masked softmax turns them into per-token and per-region
 weights; the content vector is the sum of the two attended features.
-Ablation variants: self-attention (no hashtags, so the pooled hashtag vector
-is zero) and no-attention (plain means). Every function runs over leading batch
-axes: (B, M, D) text is B posts at once, (M, D) text is one post.
+`hga_attention` and `sa_attention` return (content, AttentionCache), and the
+cache holds the token and region weights. Ablation variants: self-attention
+(no hashtags, so the pooled hashtag vector is zero) and no-attention (plain
+means). Every function runs over leading batch axes: (B, M, D) text is B
+posts at once, (M, D) text is one post.
 """
 
 from __future__ import annotations
@@ -14,28 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ParamStore, ShapeError, flat_rows, softmax, softmax_backward
-
-ATTENTION_PARAM_NAMES = ("att.Ut", "att.Vt", "att.wt", "att.Ui", "att.Vi", "att.wi")
+from .numeric import ShapeError, flat_rows, softmax, softmax_backward, uniform_param
 
 
-def init_attention_params(store: ParamStore, rng, d: int, a: int,
+def init_attention_params(params: dict, rng, d: int, a: int,
                           scale: float = 1.0, dtype=np.float64):
-    store.add("att.Ut", (d, a), rng, scale, dtype)
-    store.add("att.Vt", (d, a), rng, scale, dtype)
-    store.add("att.wt", (a,), rng, scale, dtype)
-    store.add("att.Ui", (d, a), rng, scale, dtype)
-    store.add("att.Vi", (d, a), rng, scale, dtype)
-    store.add("att.wi", (a,), rng, scale, dtype)
-
-
-@dataclass(frozen=True)
-class AttentionOutput:
-    alpha_text: np.ndarray
-    alpha_image: np.ndarray
-    attended_text: np.ndarray
-    attended_image: np.ndarray
-    content: np.ndarray
+    params["att.Ut"] = uniform_param(rng, (d, a), scale, dtype)
+    params["att.Vt"] = uniform_param(rng, (d, a), scale, dtype)
+    params["att.wt"] = uniform_param(rng, (a,), scale, dtype)
+    params["att.Ui"] = uniform_param(rng, (d, a), scale, dtype)
+    params["att.Vi"] = uniform_param(rng, (d, a), scale, dtype)
+    params["att.wi"] = uniform_param(rng, (a,), scale, dtype)
 
 
 @dataclass
@@ -63,8 +54,9 @@ def pooled_hashtag(hashtag_mat: np.ndarray, hashtag_mask: np.ndarray) -> np.ndar
 
 def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
                   hashtag_mat: np.ndarray, hashtag_mask: np.ndarray,
-                  params: ParamStore) -> tuple[AttentionOutput, AttentionCache]:
-    """Hashtag-guided attention producing the fused content vector.
+                  params: dict) -> tuple[np.ndarray, AttentionCache]:
+    """Hashtag-guided attention: the fused (..., D) content vector and the
+    cache its backward pass reads.
 
     text: (..., M, D) with (..., M) binary mask; image: (..., K, D);
     hashtag_mat: (..., L, D) with mask. Leading axes are batch axes. A fully
@@ -82,24 +74,16 @@ def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
     hbar = pooled_hashtag(hashtag_mat, hashtag_mask)
 
     y_text = np.tanh(text @ ut + (hbar @ vt)[..., None, :])
-    alpha_text = softmax(y_text @ wt, text_mask, allow_empty=True)
-    attended_text = _weighted_sum(alpha_text, text)
+    alpha_text = softmax(y_text @ wt, text_mask)
 
     y_image = np.tanh(image @ ui + (hbar @ vi)[..., None, :])
     alpha_image = softmax(y_image @ wi)
-    attended_image = _weighted_sum(alpha_image, image)
 
-    out = AttentionOutput(
-        alpha_text=alpha_text,
-        alpha_image=alpha_image,
-        attended_text=attended_text,
-        attended_image=attended_image,
-        content=attended_text + attended_image,
-    )
+    content = _weighted_sum(alpha_text, text) + _weighted_sum(alpha_image, image)
     cache = AttentionCache(text=text, text_mask=text_mask, image=image,
                            pooled_hashtag=hbar, y_text=y_text, y_image=y_image,
                            alpha_text=alpha_text, alpha_image=alpha_image)
-    return out, cache
+    return content, cache
 
 
 def _score_backward(d_content, rows, alpha, y, u, w, mask=None):
@@ -119,7 +103,7 @@ def _score_backward(d_content, rows, alpha, y, u, w, mask=None):
 
 
 def hga_backward(d_content: np.ndarray, cache: AttentionCache,
-                 params: ParamStore) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+                 params: dict) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of the content vector w.r.t. attention params, text, image.
 
     Parameter gradients are summed over every leading (batch) axis.
@@ -137,7 +121,7 @@ def hga_backward(d_content: np.ndarray, cache: AttentionCache,
     return grads, d_text, d_image
 
 
-def sa_attention(text, text_mask, image, params) -> tuple[AttentionOutput, AttentionCache]:
+def sa_attention(text, text_mask, image, params) -> tuple[np.ndarray, AttentionCache]:
     """Self-attention ablation: scoring without the hashtag signal. Its one
     fully masked hashtag row pools to zero, so the V terms add nothing."""
     dummy = np.zeros(image.shape[:-2] + (1, text.shape[-1]), dtype=text.dtype)

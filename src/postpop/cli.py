@@ -19,9 +19,8 @@ from pathlib import Path
 
 from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
-from .model import (CheckpointError, ModelConfig, BranchSpec,
-                    PAPER_HEAD_SIZES, build_caches, extract_features,
-                    forward_bundle, load_checkpoint, save_checkpoint)
+from .model import (ModelConfig, BranchSpec, PAPER_HEAD_SIZES, build_caches,
+                    extract_features, forward_bundle, load_checkpoint, save_checkpoint)
 from .providers import tokenize
 from .training import VARIANTS, Checkpoint, TrainConfig, ablate, evaluate, train
 
@@ -221,8 +220,6 @@ def _rebuild_checkpoint(rc: dict):
 
 def cmd_evaluate(rc: dict, split: str) -> int:
     checkpoint, splits = _rebuild_checkpoint(rc)
-    if split not in splits:
-        raise UsageError(f"split must be one of train|val|test, got {split!r}")
     ds = splits[split]
     if len(ds) == 0:
         raise CorpusError(f"{split} split is empty")
@@ -355,13 +352,11 @@ def main(argv=None) -> int:
             return cmd_evaluate(rc, args.split)
         if args.command == "ablate":
             return cmd_ablate(rc, args.variant or ["full", "na"], args.seeds)
-        if args.command == "inspect-attention":
-            return cmd_inspect_attention(rc, args.post_id)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_inspect_attention(rc, args.post_id)
     except UsageError as e:
         print(f"postpop: error: {e}", file=sys.stderr)
         return 1
-    except (CorpusError, CheckpointError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # CorpusError and CheckpointError included
         print(f"postpop: error: {e}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ParamStore, ShapeError, flat_rows
+from .numeric import ShapeError, flat_rows, uniform_param
 
 
 def _schedule(live: np.ndarray) -> list[tuple[int, bool]]:
@@ -48,12 +48,12 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return x.transpose(x.ndim - 2, *range(x.ndim - 2), x.ndim - 1)
 
 
-def init_lstm_params(store: ParamStore, rng, d_in: int, d_hidden: int,
+def init_lstm_params(params: dict, rng, d_in: int, d_hidden: int,
                      scale: float = 1.0, dtype=np.float64):
     """Fused 4-gate weights in i|f|g|o order."""
-    store.add("lstm.Wx", (d_in, 4 * d_hidden), rng, scale, dtype)
-    store.add("lstm.Wh", (d_hidden, 4 * d_hidden), rng, scale, dtype)
-    store.add("lstm.b", (4 * d_hidden,), rng, scale, dtype)
+    params["lstm.Wx"] = uniform_param(rng, (d_in, 4 * d_hidden), scale, dtype)
+    params["lstm.Wh"] = uniform_param(rng, (d_hidden, 4 * d_hidden), scale, dtype)
+    params["lstm.b"] = uniform_param(rng, (4 * d_hidden,), scale, dtype)
 
 
 @dataclass
@@ -75,7 +75,7 @@ class LstmCache:
 
 
 def lstm_encode(tokens: np.ndarray, mask: np.ndarray,
-                params: ParamStore) -> tuple[np.ndarray, LstmCache]:
+                params: dict) -> tuple[np.ndarray, LstmCache]:
     """Encode (..., M, D_in) tokens into (..., M, D_hidden) hidden states.
 
     Every leading axis is a batch axis: all sequences step together, and a
@@ -131,7 +131,7 @@ def lstm_encode(tokens: np.ndarray, mask: np.ndarray,
 
 
 def lstm_backward(d_out: np.ndarray, cache: LstmCache,
-                  params: ParamStore) -> dict[str, np.ndarray]:
+                  params: dict) -> dict[str, np.ndarray]:
     """Backpropagation through time for the fused-gate LSTM, summed over
     every leading (batch) axis."""
     h, c, gates = cache.h, cache.c, cache.gates
@@ -183,13 +183,13 @@ def lstm_backward(d_out: np.ndarray, cache: LstmCache,
             "lstm.b": dz_rows.sum(axis=0)}
 
 
-def init_projection_params(store: ParamStore, rng, n_in: int, d_out: int,
+def init_projection_params(params: dict, rng, n_in: int, d_out: int,
                            scale: float = 1.0, dtype=np.float64):
-    store.add("proj.W", (n_in, d_out), rng, scale, dtype)
-    store.add("proj.b", (d_out,), rng, scale, dtype)
+    params["proj.W"] = uniform_param(rng, (n_in, d_out), scale, dtype)
+    params["proj.b"] = uniform_param(rng, (d_out,), scale, dtype)
 
 
-def project_regions(regions: np.ndarray, params: ParamStore) -> np.ndarray:
+def project_regions(regions: np.ndarray, params: dict) -> np.ndarray:
     """Map each (..., K, N) regional row through one shared affine layer."""
     w, b = params["proj.W"], params["proj.b"]
     if regions.shape[-1] != w.shape[0]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EMOTIONS, GENDERS, RACES, Post
+from .data import EMOTIONS, GENDERS, RACES
 from .providers import tokenize
 
 DEMOGRAPHIC_DIM = 2 + 101 + 7 + 6  # 116
@@ -114,10 +114,6 @@ class SentimentVector:
     caption_dist: np.ndarray
     hashtag_dist: np.ndarray
 
-    @property
-    def combined(self) -> np.ndarray:
-        return np.concatenate([self.caption_dist, self.hashtag_dist], axis=-1)
-
 
 def sentiment_feature(posts, caption_tokens, lexicon: SentimentLexicon) -> SentimentVector:
     """Caption and hashtags-as-a-sentence distributions, (B, 5) each, for a
@@ -184,12 +180,10 @@ def time_segment(hour: int) -> int:
 
 def social_vector(posts, stats: SocialStats, numerics: np.ndarray | None = None) -> np.ndarray:
     """(B, 33) raw social vectors of a batch of posts: z-scored numerics,
-    calendar one-hots, z-scored duration. One Post gives its (33,) vector.
+    calendar one-hots, z-scored duration.
 
     `numerics` is `social_numerics(posts)`, for a caller that has it already.
     """
-    if isinstance(posts, Post):
-        return social_vector([posts], stats)[0]
     if numerics is None:
         numerics = social_numerics(posts)
     z = (numerics - stats.mean) / stats.std
@@ -209,10 +203,6 @@ class PCAModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
 
 
 def fit_pca(rows: np.ndarray, k: int) -> PCAModel:
@@ -247,11 +237,6 @@ def apply_pca(model: PCAModel, v: np.ndarray) -> np.ndarray:
     if v.shape[-1:] != model.mean.shape:
         raise ValueError(f"vector shape {v.shape} != model dim {model.mean.shape}")
     return np.matmul(model.components, (v - model.mean)[..., None])[..., 0]
-
-
-def reconstruct_pca(model: PCAModel, coords: np.ndarray) -> np.ndarray:
-    """Inverse map from component coordinates back to the data space."""
-    return model.mean + coords @ model.components
 
 
 def fit_social_pca(posts, stats: SocialStats, numerics: np.ndarray, k: int = 6) -> PCAModel:

@@ -26,9 +26,9 @@ from .features import (DEMOGRAPHIC_DIM, SOCIAL_RAW_DIM, PCAModel, SentimentLexic
                        sentiment_feature, social_numerics, social_vector)
 from .hashtag_graph import (build_cooccurrence_graph, hashtag_feature,
                             node_embeddings)
-from .numeric import (ParamStore, ShapeError, conv1d_backward, conv1d_forward,
-                      dense_backward, dense_forward, dropout, dropout_backward,
-                      padded_index, relu, relu_backward)
+from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backward,
+                      dense_forward, dropout, dropout_backward, padded_index, relu,
+                      relu_backward, uniform_param)
 from .providers import EmbeddingProvider, tokenize
 
 BRANCH_ORDER = ("social", "demographic", "hashtag", "sentiment")
@@ -65,8 +65,6 @@ PAPER_BRANCH_SPECS = {
     "hashtag": BranchSpec(widths=(3, 5, 5), channels=(8, 16, 32)),
     "sentiment": BranchSpec(widths=(1, 1, 3), channels=(1, 2, 4)),
 }
-
-TINY_BRANCH_SPEC = BranchSpec(widths=(2, 2, 2), channels=(2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -155,15 +153,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def halving_sizes(first: int, count: int) -> tuple[int, ...]:
-    """Size ladder for test-scale heads: halve (ceiling) and end at 1."""
-    sizes = [max(1, first)]
-    for _ in range(count - 2):
-        sizes.append(max(1, -(-sizes[-1] // 2)))
-    sizes.append(1)
-    return tuple(sizes)
-
-
 def enabled_branches(config: ModelConfig) -> list[str]:
     out = []
     if config.use_social:
@@ -198,30 +187,33 @@ def merged_length(config: ModelConfig) -> int:
 
 
 def init_model_params(config: ModelConfig, seed: int = 0, dtype=np.float64,
-                      scale: float = 1.0) -> ParamStore:
-    """All trainable parameters, uniform in [-scale, scale]."""
+                      scale: float = 1.0) -> dict[str, np.ndarray]:
+    """All trainable parameters, uniform in [-scale, scale], by name. The
+    dict's order is the order of the draws, of a checkpoint's arrays and of
+    Adam's flat buffers."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    params = {}
     if config.use_content:
-        encoders.init_lstm_params(store, rng, config.d, config.d, scale, dtype=dtype)
-        encoders.init_projection_params(store, rng, config.n, config.d, scale,
+        encoders.init_lstm_params(params, rng, config.d, config.d, scale, dtype=dtype)
+        encoders.init_projection_params(params, rng, config.n, config.d, scale,
                                         dtype=dtype)
         if config.attention in ("hga", "sa"):
-            att.init_attention_params(store, rng, config.d, config.a, scale, dtype)
+            att.init_attention_params(params, rng, config.d, config.a, scale, dtype)
     for name in enabled_branches(config):
         spec = config.branch_specs[name]
         ch_in = 1
         for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
-            store.add(f"branch.{name}.conv{i}.filters", (ch_out, w, ch_in),
-                      rng, scale, dtype)
-            store.add(f"branch.{name}.conv{i}.bias", (ch_out,), rng, scale, dtype)
+            params[f"branch.{name}.conv{i}.filters"] = uniform_param(
+                rng, (ch_out, w, ch_in), scale, dtype)
+            params[f"branch.{name}.conv{i}.bias"] = uniform_param(
+                rng, (ch_out,), scale, dtype)
             ch_in = ch_out
     in_dim = merged_length(config)
     for i, out_dim in enumerate(config.head_sizes):
-        store.add(f"head.dense{i}.W", (in_dim, out_dim), rng, scale, dtype)
-        store.add(f"head.dense{i}.b", (out_dim,), rng, scale, dtype)
+        params[f"head.dense{i}.W"] = uniform_param(rng, (in_dim, out_dim), scale, dtype)
+        params[f"head.dense{i}.b"] = uniform_param(rng, (out_dim,), scale, dtype)
         in_dim = out_dim
-    return store
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +369,7 @@ def branch_inputs(bundle: FeatureBundle, config: ModelConfig) -> dict[str, np.nd
 # posts at once, an (n,) input one post. Parameter gradients are summed over
 # the batch.
 
-def branch_forward(f: np.ndarray, params: ParamStore,
+def branch_forward(f: np.ndarray, params: dict,
                    name: str) -> tuple[np.ndarray, list]:
     """Run (..., n) feature vectors through the conv-relu layers and flatten."""
     x = f[..., None]
@@ -391,7 +383,7 @@ def branch_forward(f: np.ndarray, params: ParamStore,
     return x.reshape(*x.shape[:-2], -1), layer_cache
 
 
-def branch_backward(d_flat: np.ndarray, layer_cache: list, params: ParamStore,
+def branch_backward(d_flat: np.ndarray, layer_cache: list, params: dict,
                     name: str) -> dict[str, np.ndarray]:
     grads = {}
     d = d_flat.reshape(layer_cache[-1][1].shape)
@@ -417,7 +409,7 @@ def merge(branch_outputs: dict[str, np.ndarray], content: np.ndarray | None,
     return np.concatenate(parts, axis=-1)
 
 
-def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
+def head_forward(x: np.ndarray, params: dict, config: ModelConfig,
                  rate: float = 0.0, draws: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Dense-relu-dropout stack with a final linear unit.
 
@@ -447,10 +439,11 @@ def head_forward(x: np.ndarray, params: ParamStore, config: ModelConfig,
 
 
 def head_backward(d_y, cache: list,
-                  params: ParamStore) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                  params: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     grads = {}
     n = len(cache)
-    d = np.asarray(d_y, dtype=params.dtype)[..., None]
+    # in the compute dtype: that of the last layer's pre-activation
+    d = np.asarray(d_y, dtype=cache[-1][1].dtype)[..., None]
     for i in reversed(range(n)):
         x_in, pre, keep, rate = cache[i]
         if i < n - 1:
@@ -476,7 +469,7 @@ class ForwardCache:
     inputs: dict
 
 
-def content_forward(bundle: FeatureBundle, params: ParamStore, config: ModelConfig):
+def content_forward(bundle: FeatureBundle, params: dict, config: ModelConfig):
     """The content stage: caption LSTM, region projection, then attention.
 
     Returns (content, lstm_cache, att_cache). For hga/sa the attention cache
@@ -487,28 +480,29 @@ def content_forward(bundle: FeatureBundle, params: ParamStore, config: ModelConf
     if config.attention == "na":
         return att.na_content(text, bundle.token_mask, image), lstm_cache, None
     if config.attention == "hga":
-        out, att_cache = att.hga_attention(text, bundle.token_mask, image,
-                                           bundle.hashtag_mat, bundle.hashtag_mask,
-                                           params)
+        content, att_cache = att.hga_attention(text, bundle.token_mask, image,
+                                               bundle.hashtag_mat, bundle.hashtag_mask,
+                                               params)
     else:
-        out, att_cache = att.sa_attention(text, bundle.token_mask, image, params)
-    return out.content, lstm_cache, att_cache
+        content, att_cache = att.sa_attention(text, bundle.token_mask, image, params)
+    return content, lstm_cache, att_cache
 
 
-def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfig,
+def forward_bundle(bundle: FeatureBundle, params: dict, config: ModelConfig,
                    rate: float = 0.0,
                    draws: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Predictions for a stacked (B, ...) bundle, or one post's bundle.
 
     This is the one place the inputs are cast: each goes to the parameters'
-    dtype (no copy when it is in it already), so the whole forward and
-    backward pass computes in that dtype. `rate` is the head's dropout rate,
-    0 when scoring; `draws` are its uniforms, (B, H) for a stacked bundle or
-    (H,) for one post (see `head_forward`).
+    dtype, read from the first parameter (no copy when it is in it already),
+    so the whole forward and backward pass computes in that dtype. `rate` is
+    the head's dropout rate, 0 when scoring; `draws` are its uniforms, (B, H)
+    for a stacked bundle or (H,) for one post (see `head_forward`).
     """
+    dtype = next(iter(params.values())).dtype
     bundle = FeatureBundle(
         post_id=bundle.post_id, target=bundle.target,
-        **{name: np.asarray(getattr(bundle, name), dtype=params.dtype)
+        **{name: np.asarray(getattr(bundle, name), dtype=dtype)
            for name in _INPUT_FIELDS})
     lstm_cache = att_cache = content = None
     if config.use_content:
@@ -525,7 +519,7 @@ def forward_bundle(bundle: FeatureBundle, params: ParamStore, config: ModelConfi
                                head_cache=head_cache, inputs=inputs)
 
 
-def backward_bundle(d_y, fcache: ForwardCache, params: ParamStore,
+def backward_bundle(d_y, fcache: ForwardCache, params: dict,
                     config: ModelConfig) -> dict[str, np.ndarray]:
     """Gradient of sum(d_y * y_hat) w.r.t. every parameter, over the batch."""
     d_merged, grads = head_backward(d_y, fcache.head_cache, params)
@@ -565,13 +559,7 @@ def loss_mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sum((preds - targets) ** 2) / (2.0 * preds.size))
 
 
-def batch_loss(batch: FeatureBundle, params: ParamStore, config: ModelConfig) -> float:
-    """Dropout-free batch objective; used by the finite-difference oracle."""
-    preds, _ = forward_bundle(batch, params, config)
-    return loss_mse(preds, batch.target)
-
-
-def batch_loss_and_grads(batch: FeatureBundle, params: ParamStore, config: ModelConfig,
+def batch_loss_and_grads(batch: FeatureBundle, params: dict, config: ModelConfig,
                          rate: float = 0.0, draws: np.ndarray | None = None):
     """Loss over a stacked batch plus the summed parameter gradients.
 
@@ -604,7 +592,7 @@ class CheckpointError(ValueError):
     """Corrupt, wrong-version, or incompatible checkpoint file."""
 
 
-def save_checkpoint(params: ParamStore, config: ModelConfig, path) -> None:
+def save_checkpoint(params: dict, config: ModelConfig, path) -> None:
     """Write the checkpoint atomically.
 
     The bytes go to a temporary file in the same directory, which replaces
@@ -613,7 +601,7 @@ def save_checkpoint(params: ParamStore, config: ModelConfig, path) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    names = params.names()
+    names = list(params)
     try:
         with open(tmp, "wb") as fh:
             np.savez(fh, version=np.array(_CKPT_VERSION),
@@ -661,7 +649,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
         raise CheckpointError(
             "checkpoint was trained under a different configuration; "
             "re-train or pass the matching config")
-    params = ParamStore()
-    for name in names:
-        params.add_array(name, members[f"param/{name}"])
-    return params, config
+    return {name: members[f"param/{name}"] for name in names}, config

@@ -1,9 +1,10 @@
-"""Dense-layer primitives, parameter storage, and a finite-difference gradient oracle.
+"""Dense-layer primitives, parameter init, and a finite-difference gradient oracle.
 
 Everything trainable in the model is built from the forward/backward pairs in
-this module. Backward passes are hand-derived per layer (the model graph is
-static); `finite_difference_grad` is the independent check they are verified
-against.
+this module. Parameters are a plain dict of name -> array, in insertion
+order, each drawn by `uniform_param`. Backward passes are hand-derived per
+layer (the model graph is static); `finite_difference_grad` is the
+independent check they are verified against.
 """
 
 from __future__ import annotations
@@ -15,78 +16,21 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
 
 
-class ParamStore:
-    """Named collection of parameter arrays with fixed shapes.
+def uniform_param(rng: np.random.Generator, shape, scale: float = 1.0,
+                  dtype=np.float64) -> np.ndarray:
+    """A parameter array drawn uniform in [-scale, scale].
 
-    Initialization draws uniform values in [-scale, scale]; the default
-    scale of 1.0 gives the wide [-1, 1] init the model trains from.
+    The default scale of 1.0 gives the wide [-1, 1] init the model trains
+    from. A float32 array is drawn in float32 and scaled in place, so a huge
+    layer never materializes in f8 or as a second copy.
     """
-
-    def __init__(self):
-        self._params: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, shape, rng: np.random.Generator,
-            scale: float = 1.0, dtype=np.float64) -> np.ndarray:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        if dtype == np.float32:
-            # draw in float32 and scale in place, so a huge layer never
-            # materializes in f8 or as a second copy
-            arr = rng.random(size=shape, dtype=np.float32)
-            arr *= 2.0
-            arr -= 1.0
-            arr *= np.float32(scale)
-        else:
-            arr = rng.uniform(-scale, scale, size=shape).astype(dtype)
-        self._params[name] = arr
+    if dtype == np.float32:
+        arr = rng.random(size=shape, dtype=np.float32)
+        arr *= 2.0
+        arr -= 1.0
+        arr *= np.float32(scale)
         return arr
-
-    def add_array(self, name: str, arr: np.ndarray) -> np.ndarray:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        self._params[name] = np.asarray(arr)
-        return self._params[name]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
-
-    def __setitem__(self, name: str, value: np.ndarray):
-        if name not in self._params:
-            raise KeyError(f"unknown parameter: {name}")
-        if self._params[name].shape != np.shape(value):
-            raise ShapeError(
-                f"parameter {name}: shape {np.shape(value)} does not match "
-                f"fixed shape {self._params[name].shape}")
-        self._params[name] = np.asarray(value)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for k, v in self._params.items():
-            out._params[k] = v.copy()
-        return out
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The compute dtype: every layer runs in the parameters' dtype."""
-        return next(iter(self._params.values())).dtype
-
-    def astype(self, dtype) -> "ParamStore":
-        out = ParamStore()
-        for k, v in self._params.items():
-            out._params[k] = v.astype(dtype)
-        return out
+    return rng.uniform(-scale, scale, size=shape).astype(dtype)
 
 
 def flat_rows(x: np.ndarray) -> np.ndarray:
@@ -121,13 +65,12 @@ def pooled_mean(rows: np.ndarray, counts) -> np.ndarray:
     return rows.sum(axis=1) / np.array([[max(c, 1)] for c in counts], dtype=np.float64)
 
 
-def softmax(scores: np.ndarray, mask: np.ndarray | None = None,
-            allow_empty: bool = False) -> np.ndarray:
+def softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Masked softmax over the last axis of `scores` (..., n).
 
     Masked positions get weight exactly 0; unmasked weights are shifted by
     the row's unmasked max before exponentiation. A row with no live entry
-    raises, unless `allow_empty`, in which case its weights are all zero.
+    gets all-zero weights.
     """
     scores = np.asarray(scores)
     if mask is None:
@@ -136,8 +79,6 @@ def softmax(scores: np.ndarray, mask: np.ndarray | None = None,
     live = np.asarray(mask) > 0
     if live.shape != scores.shape:
         raise ShapeError(f"mask shape {live.shape} != scores shape {scores.shape}")
-    if not allow_empty and not live.any(axis=-1).all():
-        raise ValueError("softmax over a fully masked vector")
     top = np.max(scores, axis=-1, keepdims=True, where=live, initial=-np.inf)
     e = np.subtract(scores, top, out=np.zeros_like(scores), where=live)
     np.exp(e, out=e, where=live)
@@ -260,23 +201,24 @@ def dropout_backward(d_out: np.ndarray, keep_mask: np.ndarray, rate: float) -> n
     return d_out * keep_mask / (1.0 - rate)
 
 
-def finite_difference_grad(f, store: ParamStore, eps: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradient of a scalar function of a ParamStore.
+def finite_difference_grad(f, params: dict[str, np.ndarray],
+                           eps: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central-difference gradient of a scalar function of a parameter dict.
 
-    Perturbs one coordinate at a time: (f(p+eps) - f(p-eps)) / (2 eps).
+    Perturbs one coordinate at a time, in place: (f(p+eps) - f(p-eps)) / (2 eps).
     Intended as the independent oracle for every analytic backward pass.
     """
     grads = {}
-    for name, arr in store.items():
+    for name, arr in params.items():
         g = np.zeros_like(arr, dtype=np.float64)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = f(store)
+            up = f(params)
             flat[i] = orig - eps
-            down = f(store)
+            down = f(params)
             flat[i] = orig
             gflat[i] = (up - down) / (2.0 * eps)
         grads[name] = g

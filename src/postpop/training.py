@@ -16,9 +16,8 @@ import numpy as np
 from . import streams
 from .data import Dataset, split_dataset
 from .features import SOCIAL_NUMERICS, SentimentLexicon, social_numerics
-from .model import (FeatureBundle, FeatureCaches, ModelConfig, ParamStore,
-                    batch_loss_and_grads, build_caches, extract_features,
-                    forward_bundle, init_model_params)
+from .model import (FeatureBundle, FeatureCaches, ModelConfig, batch_loss_and_grads,
+                    build_caches, extract_features, forward_bundle, init_model_params)
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class Metrics:
 class Checkpoint:
     """In-memory training artifact: parameters plus the frozen feature state."""
 
-    params: ParamStore
+    params: dict[str, np.ndarray]
     config: ModelConfig
     caches: FeatureCaches
 
@@ -76,19 +75,19 @@ class Checkpoint:
 @dataclass
 class AdamState:
     """Adam's moment estimates, one flat buffer each, over the parameters
-    concatenated in `ParamStore.names()` order; allocated at the first step."""
+    concatenated in the parameter dict's order; allocated at the first step."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step: int = 0
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               betas=(0.9, 0.999), eps: float = 1e-8) -> AdamState:
     """Standard bias-corrected adaptive-moment update, in place.
 
     The update is elementwise, so it runs once over every gradient
-    concatenated in `params.names()` order, and each parameter then takes
+    concatenated in the order of `params`, and each parameter then takes
     its slice of the step. Shapes are checked before anything changes.
     """
     b1, b2 = betas
@@ -237,6 +236,8 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
     Raises TrainingDivergedError at the first non-finite batch loss or
     validation MSE, so no diverged run returns a checkpoint, and ValueError
     naming the post when a popularity is too large for the loss to square.
+    The epochs run with numpy's overflow and invalid-value warnings off, so
+    those checks, not a warning, end a diverging run.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation splits must be non-empty")
@@ -252,44 +253,44 @@ def train(train_ds: Dataset, val_ds: Dataset, config: ModelConfig,
     hidden = sum(config.head_sizes[:-1])  # the head's dropout draws per post
     state = AdamState()
     history: list[tuple[int, float, float]] = []
-    best_val = math.inf
-    best_params = params.copy()
+    best_val = math.inf  # so epoch 1 always sets best_params
     stale = 0
     step = 0
     n = len(train_set.target)
-    for epoch in range(1, train_config.max_epochs + 1):
-        order = np.random.default_rng(
-            np.random.SeedSequence([train_config.seed, epoch])).permutation(n)
-        epoch_losses = []
-        for start in range(0, n, train_config.batch_size):
-            batch = train_set[order[start:start + train_config.batch_size]]
-            # post i's dropout uniforms: the stream keyed by (seed, step, i)
-            draws = streams.uniform_rows((train_config.seed, step), len(batch), hidden) \
-                if train_config.dropout > 0 else None
-            loss, grads, _ = batch_loss_and_grads(batch, params, config,
-                                                  train_config.dropout, draws)
-            if not math.isfinite(loss):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, train_config.max_epochs + 1):
+            order = np.random.default_rng(
+                np.random.SeedSequence([train_config.seed, epoch])).permutation(n)
+            epoch_losses = []
+            for start in range(0, n, train_config.batch_size):
+                batch = train_set[order[start:start + train_config.batch_size]]
+                # post i's dropout uniforms: the stream keyed by (seed, step, i)
+                draws = streams.uniform_rows((train_config.seed, step), len(batch),
+                                             hidden) if train_config.dropout > 0 else None
+                loss, grads, _ = batch_loss_and_grads(batch, params, config,
+                                                      train_config.dropout, draws)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"training diverged: batch loss {loss!r} at epoch {epoch}, "
+                        f"step {step} (learning_rate={train_config.learning_rate!r})")
+                adam_step(params, grads, state, train_config.learning_rate)
+                epoch_losses.append(loss)
+                step += 1
+            val_preds = _predictions(val_set, params, config)
+            val_mse = float(np.mean((val_preds - val_set.target) ** 2))
+            if not math.isfinite(val_mse):
                 raise TrainingDivergedError(
-                    f"training diverged: batch loss {loss!r} at epoch {epoch}, "
-                    f"step {step} (learning_rate={train_config.learning_rate!r})")
-            adam_step(params, grads, state, train_config.learning_rate)
-            epoch_losses.append(loss)
-            step += 1
-        val_preds = _predictions(val_set, params, config)
-        val_mse = float(np.mean((val_preds - val_set.target) ** 2))
-        if not math.isfinite(val_mse):
-            raise TrainingDivergedError(
-                f"training diverged: validation MSE {val_mse!r} after epoch {epoch} "
-                f"(learning_rate={train_config.learning_rate!r})")
-        history.append((epoch, float(np.mean(epoch_losses)), val_mse))
-        if val_mse < best_val:
-            best_val = val_mse
-            best_params = params.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= train_config.patience:
-                break
+                    f"training diverged: validation MSE {val_mse!r} after epoch {epoch} "
+                    f"(learning_rate={train_config.learning_rate!r})")
+            history.append((epoch, float(np.mean(epoch_losses)), val_mse))
+            if val_mse < best_val:
+                best_val = val_mse
+                best_params = {name: p.copy() for name, p in params.items()}
+                stale = 0
+            else:
+                stale += 1
+                if stale >= train_config.patience:
+                    break
     return TrainResult(
         checkpoint=Checkpoint(params=best_params, config=config, caches=caches),
         history=history,
@@ -300,7 +301,9 @@ def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
     """Metrics over a dataset, scored without dropout.
 
     Posts are featurized and scored `SCORE_BATCH` at a time, so at most one
-    chunk's features are held at once.
+    chunk's features are held at once. The forward passes run with numpy's
+    overflow and invalid-value warnings off: a non-finite prediction raises
+    ValueError naming its posts instead.
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate an empty dataset")
@@ -308,7 +311,8 @@ def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
     for start in range(0, len(ds), SCORE_BATCH):
         batch = extract_features(ds.posts[start:start + SCORE_BATCH], checkpoint.caches,
                                  checkpoint.config)
-        chunks.append(forward_bundle(batch, checkpoint.params, checkpoint.config)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunks.append(forward_bundle(batch, checkpoint.params, checkpoint.config)[0])
     preds = np.concatenate(chunks)
     bad = np.array([p.post_id for p in ds.posts])[~np.isfinite(preds)]
     if len(bad):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from postpop.data import Post, PostMetadata
-from postpop.model import _INPUT_FIELDS, FeatureBundle, ModelConfig, TINY_BRANCH_SPEC
+from postpop.model import (_INPUT_FIELDS, BranchSpec, FeatureBundle, ModelConfig,
+                           forward_bundle, loss_mse)
 from postpop.providers import EmbeddingProvider, tokenize
 
 
@@ -13,12 +14,19 @@ def tiny_config(**overrides) -> ModelConfig:
         topic_dim=8, structure_dim=4, pca_k=4,
         demographic_mode="ordinal",
         attention="hga",
-        branch_specs={name: TINY_BRANCH_SPEC
+        branch_specs={name: BranchSpec(widths=(2, 2, 2), channels=(2, 2, 2))
                       for name in ("social", "demographic", "hashtag", "sentiment")},
         head_sizes=(8, 4, 1),
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def batch_loss(batch: FeatureBundle, params: dict, config: ModelConfig) -> float:
+    """Dropout-free batch objective: what the finite-difference oracle
+    differentiates."""
+    preds, _ = forward_bundle(batch, params, config)
+    return loss_mse(preds, batch.target)
 
 
 def random_bundle(rng, config: ModelConfig, n_tokens=None, n_hashtags=None,

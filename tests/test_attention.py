@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 
-from postpop.attention import (ATTENTION_PARAM_NAMES, hga_attention, hga_backward,
-                               init_attention_params, na_backward, na_content,
-                               pooled_hashtag, sa_attention)
-from postpop.numeric import (ParamStore, finite_difference_grad, relative_error)
+from postpop.attention import (hga_attention, hga_backward, init_attention_params,
+                               na_backward, na_content, pooled_hashtag, sa_attention)
+from postpop.numeric import finite_difference_grad, relative_error
+
+ATTENTION_PARAM_NAMES = ("att.Ut", "att.Vt", "att.wt", "att.Ui", "att.Vi", "att.wi")
 
 
 def attention_params(rng, d, a, scale=0.7):
-    store = ParamStore()
+    store = {}
     init_attention_params(store, rng, d, a, scale)
     return store
+
+
+def attended(alpha, rows):
+    """sum_i alpha[..., i] * rows[..., i, :], as the attention layer sums it."""
+    return (alpha[..., None, :] @ rows)[..., 0, :]
 
 
 def loop_hga(text, text_mask, image, hashtag_mat, hashtag_mask,
@@ -66,34 +72,30 @@ class TestHgaForward:
         text[3:] = 0.0
         image = rng.uniform(-1, 1, (3, d))
         hmat = rng.uniform(-1, 1, (2, d))
-        out, _ = hga_attention(text, mask, image, hmat, np.ones(2), store)
-        assert np.allclose(out.alpha_text[:3], 1.0 / 3.0)
-        assert np.all(out.alpha_text[3:] == 0.0)
+        _, cache = hga_attention(text, mask, image, hmat, np.ones(2), store)
+        assert np.allclose(cache.alpha_text[:3], 1.0 / 3.0)
+        assert np.all(cache.alpha_text[3:] == 0.0)
 
     def test_tiny_case_matches_scalar_oracle(self):
         # hand-set parameters, M=2, K=2, L=1, D=2, A=1
-        store = ParamStore()
-        store.add_array("att.Ut", np.array([[0.3], [-0.5]]))
-        store.add_array("att.Vt", np.array([[0.2], [0.7]]))
-        store.add_array("att.wt", np.array([0.9]))
-        store.add_array("att.Ui", np.array([[-0.4], [0.6]]))
-        store.add_array("att.Vi", np.array([[0.1], [-0.8]]))
-        store.add_array("att.wi", np.array([-1.1]))
+        store = {"att.Ut": np.array([[0.3], [-0.5]]), "att.Vt": np.array([[0.2], [0.7]]),
+                 "att.wt": np.array([0.9]), "att.Ui": np.array([[-0.4], [0.6]]),
+                 "att.Vi": np.array([[0.1], [-0.8]]), "att.wi": np.array([-1.1])}
         text = np.array([[0.5, -0.2], [0.1, 0.9]])
         mask = np.ones(2)
         image = np.array([[-0.7, 0.3], [0.2, 0.4]])
         hmat = np.array([[0.6, -0.6]])
         hmask = np.ones(1)
-        out, _ = hga_attention(text, mask, image, hmat, hmask, store)
-        a_t, a_i, t_vec, i_vec, content = loop_hga(
+        content, cache = hga_attention(text, mask, image, hmat, hmask, store)
+        a_t, a_i, t_vec, i_vec, expected = loop_hga(
             text, mask, image, hmat, hmask,
             store["att.Ut"], store["att.Vt"], store["att.wt"],
             store["att.Ui"], store["att.Vi"], store["att.wi"])
-        assert np.allclose(out.alpha_text, a_t, atol=1e-12)
-        assert np.allclose(out.alpha_image, a_i, atol=1e-12)
-        assert np.allclose(out.attended_text, t_vec, atol=1e-12)
-        assert np.allclose(out.attended_image, i_vec, atol=1e-12)
-        assert np.allclose(out.content, content, atol=1e-12)
+        assert np.allclose(cache.alpha_text, a_t, atol=1e-12)
+        assert np.allclose(cache.alpha_image, a_i, atol=1e-12)
+        assert np.allclose(attended(cache.alpha_text, text), t_vec, atol=1e-12)
+        assert np.allclose(attended(cache.alpha_image, image), i_vec, atol=1e-12)
+        assert np.allclose(content, expected, atol=1e-12)
 
     def test_random_cases_match_scalar_oracle(self, rng):
         for _ in range(5):
@@ -104,36 +106,33 @@ class TestHgaForward:
             image = rng.uniform(-1, 1, (k, d))
             hmask = np.array([1.0, 0.0])
             hmat = rng.uniform(-1, 1, (l, d)) * hmask[:, None]
-            out, _ = hga_attention(text, mask, image, hmat, hmask, store)
+            content, cache = hga_attention(text, mask, image, hmat, hmask, store)
             expected = loop_hga(text, mask, image, hmat, hmask,
                                 store["att.Ut"], store["att.Vt"], store["att.wt"],
                                 store["att.Ui"], store["att.Vi"], store["att.wi"])
-            assert np.allclose(out.alpha_text, expected[0], atol=1e-12)
-            assert np.allclose(out.content, expected[4], atol=1e-12)
+            assert np.allclose(cache.alpha_text, expected[0], atol=1e-12)
+            assert np.allclose(content, expected[4], atol=1e-12)
 
     def test_no_hashtags_equals_zeroed_v(self, rng):
         d, a = 4, 3
         store = attention_params(rng, d, a)
         text = rng.uniform(-1, 1, (3, d))
         image = rng.uniform(-1, 1, (2, d))
-        out1, _ = hga_attention(text, np.ones(3), image,
-                                np.zeros((2, d)), np.zeros(2), store)
-        zeroed = store.copy()
-        zeroed["att.Vt"] = np.zeros((d, a))
-        zeroed["att.Vi"] = np.zeros((d, a))
-        out2, _ = hga_attention(text, np.ones(3), image,
-                                rng.uniform(-1, 1, (2, d)), np.zeros(2), zeroed)
-        assert np.allclose(out1.content, out2.content, atol=1e-12)
+        content1, _ = hga_attention(text, np.ones(3), image,
+                                    np.zeros((2, d)), np.zeros(2), store)
+        zeroed = {**store, "att.Vt": np.zeros((d, a)), "att.Vi": np.zeros((d, a))}
+        content2, _ = hga_attention(text, np.ones(3), image,
+                                    rng.uniform(-1, 1, (2, d)), np.zeros(2), zeroed)
+        assert np.allclose(content1, content2, atol=1e-12)
 
     def test_fully_masked_caption_falls_back_to_image(self, rng):
         d = 4
         store = attention_params(rng, d, 3)
-        out, _ = hga_attention(np.zeros((3, d)), np.zeros(3),
-                               rng.uniform(-1, 1, (2, d)),
-                               rng.uniform(-1, 1, (2, d)), np.ones(2), store)
-        assert np.all(out.alpha_text == 0.0)
-        assert np.all(out.attended_text == 0.0)
-        assert np.allclose(out.content, out.attended_image)
+        image = rng.uniform(-1, 1, (2, d))
+        content, cache = hga_attention(np.zeros((3, d)), np.zeros(3), image,
+                                       rng.uniform(-1, 1, (2, d)), np.ones(2), store)
+        assert np.all(cache.alpha_text == 0.0)
+        assert np.allclose(content, attended(cache.alpha_image, image))
 
 
 class TestInvariants:
@@ -149,11 +148,11 @@ class TestInvariants:
             hmask = np.zeros(2)
             hmask[:rng.integers(0, 3)] = 1.0
             hmat = rng.uniform(-1, 1, (2, d)) * hmask[:, None]
-            out, _ = hga_attention(text, mask, image, hmat, hmask, store)
-            assert abs(out.alpha_text.sum() - 1.0) < 1e-9
-            assert abs(out.alpha_image.sum() - 1.0) < 1e-9
-            assert np.all(out.alpha_text >= 0) and np.all(out.alpha_image >= 0)
-            assert np.all(out.alpha_text[mask == 0] == 0.0)
+            _, cache = hga_attention(text, mask, image, hmat, hmask, store)
+            assert abs(cache.alpha_text.sum() - 1.0) < 1e-9
+            assert abs(cache.alpha_image.sum() - 1.0) < 1e-9
+            assert np.all(cache.alpha_text >= 0) and np.all(cache.alpha_image >= 0)
+            assert np.all(cache.alpha_text[mask == 0] == 0.0)
 
     def test_hashtag_permutation_invariance(self, rng):
         d = 4
@@ -162,21 +161,23 @@ class TestInvariants:
         image = rng.uniform(-1, 1, (2, d))
         hmat = rng.uniform(-1, 1, (4, d))
         hmask = np.array([1.0, 1.0, 1.0, 0.0])
-        out1, _ = hga_attention(text, np.ones(3), image, hmat, hmask, store)
+        content1, cache1 = hga_attention(text, np.ones(3), image, hmat, hmask, store)
         perm = np.array([2, 0, 1, 3])
-        out2, _ = hga_attention(text, np.ones(3), image, hmat[perm],
-                                hmask[perm], store)
-        assert np.allclose(out1.content, out2.content, atol=1e-12)
-        assert np.allclose(out1.alpha_text, out2.alpha_text, atol=1e-12)
+        content2, cache2 = hga_attention(text, np.ones(3), image, hmat[perm],
+                                         hmask[perm], store)
+        assert np.allclose(content1, content2, atol=1e-12)
+        assert np.allclose(cache1.alpha_text, cache2.alpha_text, atol=1e-12)
 
     def test_content_additivity(self, rng):
         d = 4
         store = attention_params(rng, d, 3)
-        out, _ = hga_attention(rng.uniform(-1, 1, (3, d)), np.ones(3),
-                               rng.uniform(-1, 1, (2, d)),
-                               rng.uniform(-1, 1, (2, d)), np.ones(2), store)
-        assert np.array_equal(out.content, out.attended_text + out.attended_image)
-        residual = out.content - out.attended_text - out.attended_image
+        text, image = rng.uniform(-1, 1, (3, d)), rng.uniform(-1, 1, (2, d))
+        content, cache = hga_attention(text, np.ones(3), image,
+                                       rng.uniform(-1, 1, (2, d)), np.ones(2), store)
+        attended_text = attended(cache.alpha_text, text)
+        attended_image = attended(cache.alpha_image, image)
+        assert np.array_equal(content, attended_text + attended_image)
+        residual = content - attended_text - attended_image
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_score_scale_preserves_argmax(self, rng):
@@ -185,11 +186,10 @@ class TestInvariants:
         text = rng.uniform(-1, 1, (4, d))
         image = rng.uniform(-1, 1, (2, d))
         hmat = rng.uniform(-1, 1, (2, d))
-        out1, _ = hga_attention(text, np.ones(4), image, hmat, np.ones(2), store)
-        scaled = store.copy()
-        scaled["att.wt"] = 3.7 * scaled["att.wt"]
-        out2, _ = hga_attention(text, np.ones(4), image, hmat, np.ones(2), scaled)
-        assert np.argmax(out1.alpha_text) == np.argmax(out2.alpha_text)
+        _, cache1 = hga_attention(text, np.ones(4), image, hmat, np.ones(2), store)
+        scaled = {**store, "att.wt": 3.7 * store["att.wt"]}
+        _, cache2 = hga_attention(text, np.ones(4), image, hmat, np.ones(2), scaled)
+        assert np.argmax(cache1.alpha_text) == np.argmax(cache2.alpha_text)
 
     def test_pooled_hashtag_masked_mean(self, rng):
         hmat = rng.uniform(-1, 1, (3, 4))
@@ -229,23 +229,23 @@ class TestVariants:
         store = attention_params(rng, d, 3)
         text = rng.uniform(-1, 1, (3, d))
         image = rng.uniform(-1, 1, (2, d))
-        hga_out, _ = hga_attention(text, np.ones(3), image,
-                                   np.zeros((2, d)), np.zeros(2), store)
-        sa_out, _ = sa_attention(text, np.ones(3), image, store)
-        assert np.allclose(hga_out.content, sa_out.content, atol=1e-12)
+        hga_content, _ = hga_attention(text, np.ones(3), image,
+                                       np.zeros((2, d)), np.zeros(2), store)
+        sa_content, _ = sa_attention(text, np.ones(3), image, store)
+        assert np.allclose(hga_content, sa_content, atol=1e-12)
 
     def test_sa_matches_scalar_oracle_with_zero_pool(self, rng):
         d, a = 3, 2
         store = attention_params(rng, d, a)
         text = rng.uniform(-1, 1, (2, d))
         image = rng.uniform(-1, 1, (2, d))
-        out, _ = sa_attention(text, np.ones(2), image, store)
+        content, cache = sa_attention(text, np.ones(2), image, store)
         expected = loop_hga(text, np.ones(2), image,
                             np.zeros((1, d)), np.zeros(1),
                             store["att.Ut"], store["att.Vt"], store["att.wt"],
                             store["att.Ui"], store["att.Vi"], store["att.wi"])
-        assert np.allclose(out.content, expected[4], atol=1e-12)
-        assert abs(out.alpha_text.sum() - 1.0) < 1e-12
+        assert np.allclose(content, expected[4], atol=1e-12)
+        assert abs(cache.alpha_text.sum() - 1.0) < 1e-12
 
 
 class TestGradients:
@@ -260,13 +260,12 @@ class TestGradients:
         weights = rng.normal(size=d)
 
         def f(st):
-            out, _ = hga_attention(text, mask, image, hmat, hmask, st)
-            return float(out.content @ weights)
+            return float(hga_attention(text, mask, image, hmat, hmask, st)[0] @ weights)
 
         _, cache = hga_attention(text, mask, image, hmat, hmask, store)
         grads, _, _ = hga_backward(weights, cache, store)
         numeric = finite_difference_grad(f, store)
-        for name in ("att.Ut", "att.Vt", "att.wt", "att.Ui", "att.Vi", "att.wi"):
+        for name in ATTENTION_PARAM_NAMES:
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
             assert np.max(np.abs(numeric[name])) > 0, f"vacuous check for {name}"
 
@@ -280,13 +279,11 @@ class TestGradients:
         hmat = rng.uniform(-1, 1, (l, d))
         weights = rng.normal(size=d)
 
-        inputs = ParamStore()
-        inputs.add_array("text", text)
-        inputs.add_array("image", image)
+        inputs = {"text": text, "image": image}
 
         def f(st):
-            out, _ = hga_attention(st["text"], mask, st["image"], hmat, hmask, store)
-            return float(out.content @ weights)
+            content, _ = hga_attention(st["text"], mask, st["image"], hmat, hmask, store)
+            return float(content @ weights)
 
         _, cache = hga_attention(text, mask, image, hmat, hmask, store)
         _, d_text, d_image = hga_backward(weights, cache, store)
@@ -301,9 +298,7 @@ class TestGradients:
         image = rng.uniform(-1, 1, (k, d))
         weights = rng.normal(size=d)
 
-        inputs = ParamStore()
-        inputs.add_array("text", text)
-        inputs.add_array("image", image)
+        inputs = {"text": text, "image": image}
 
         def f(st):
             return float(na_content(st["text"], mask, st["image"]) @ weights)
@@ -332,15 +327,16 @@ class TestBatched:
         hga = lambda i: hga_attention(text[i], tmask[i], image[i], hmat[i], hmask[i], store)
         sa = lambda i: sa_attention(text[i], tmask[i], image[i], store)
         for attend in (hga, sa):
-            out, cache = attend(slice(None))
+            content, cache = attend(slice(None))
             grads, d_text, d_image = hga_backward(d_content, cache, store)
             if attend is sa:  # no hashtag signal reaches the V weights
                 assert not grads["att.Vt"].any() and not grads["att.Vi"].any()
             summed = {name: 0.0 for name in grads}
             for i in range(4):
                 one, one_cache = attend(i)
-                for field in ("alpha_text", "alpha_image", "content"):
-                    assert np.allclose(getattr(out, field)[i], getattr(one, field),
+                assert np.allclose(content[i], one, rtol=0, atol=1e-12)
+                for field in ("alpha_text", "alpha_image"):
+                    assert np.allclose(getattr(cache, field)[i], getattr(one_cache, field),
                                        rtol=0, atol=1e-12), field
                 g, dt, di = hga_backward(d_content[i], one_cache, store)
                 assert np.allclose(d_text[i], dt, rtol=0, atol=1e-12)
@@ -353,10 +349,10 @@ class TestBatched:
     def test_empty_caption_row_contributes_nothing(self, rng):
         store = attention_params(rng, 4, 3)
         text, tmask, image, hmat, hmask = self.make_batch(rng)
-        out, cache = hga_attention(text, tmask, image, hmat, hmask, store)
-        assert np.all(out.alpha_text[2] == 0.0)
-        assert np.all(out.attended_text[2] == 0.0)
-        np.testing.assert_allclose(out.alpha_text.sum(axis=-1), [1.0, 1.0, 0.0, 1.0])
+        _, cache = hga_attention(text, tmask, image, hmat, hmask, store)
+        assert np.all(cache.alpha_text[2] == 0.0)
+        assert np.all(attended(cache.alpha_text, text)[2] == 0.0)
+        np.testing.assert_allclose(cache.alpha_text.sum(axis=-1), [1.0, 1.0, 0.0, 1.0])
         d_content = np.zeros((4, 4))
         d_content[2] = rng.normal(size=4)
         grads, d_text, _ = hga_backward(d_content, cache, store)
@@ -367,10 +363,10 @@ class TestBatched:
     def test_sa_batch_matches_one_post(self, rng):
         store = attention_params(rng, 4, 3)
         text, tmask, image, _, _ = self.make_batch(rng)
-        out, _ = sa_attention(text, tmask, image, store)
+        content, _ = sa_attention(text, tmask, image, store)
         for i in range(4):
             one, _ = sa_attention(text[i], tmask[i], image[i], store)
-            assert np.allclose(out.content[i], one.content, rtol=0, atol=1e-12)
+            assert np.allclose(content[i], one, rtol=0, atol=1e-12)
 
     def test_na_batch_equals_one_post_calls(self, rng):
         text, tmask, image, _, _ = self.make_batch(rng)
@@ -390,8 +386,8 @@ class TestBatched:
         weights = rng.normal(size=(4, 4))
 
         def f(st):
-            out, _ = hga_attention(text, tmask, image, hmat, hmask, st)
-            return float(np.sum(out.content * weights))
+            return float(np.sum(hga_attention(text, tmask, image, hmat, hmask, st)[0]
+                                * weights))
 
         _, cache = hga_attention(text, tmask, image, hmat, hmask, store)
         grads, _, _ = hga_backward(weights, cache, store)

@@ -156,7 +156,6 @@ class TestTrain:
         assert h1 == h2
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_two_without_checkpoint(self, workspace, capsys):
         tmp, cfg = workspace
         code, _, err = run_cli(["--config", str(cfg), "--set", "learning_rate=1e150",
@@ -241,6 +240,22 @@ def test_unparseable_value_exits_one_naming_its_key(workspace, capsys, key, valu
                            capsys)
     assert code == 1 and f"bad value for {key}" in err, err
     assert not (tmp / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("key", ["config", "corpus", "checkpoint"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_directory_where_a_file_belongs_exits_two(workspace, capsys, command, key):
+    tmp, cfg = workspace
+    if command == "evaluate" and key == "corpus":
+        run_cli(["--config", str(cfg), "train"], capsys)  # a checkpoint to load first
+    folder = tmp / "folder"
+    folder.mkdir()
+    argv = (["--config", str(folder)] if key == "config"
+            else ["--config", str(cfg), "--set", f"{key}={folder}"])
+    code, _, err = run_cli(argv + [command], capsys)
+    assert code == 2 and err.startswith("postpop: error:"), err
+    assert "Is a directory" in err and "Traceback" not in err
+    assert not list(tmp.glob(".*.tmp"))
 
 
 class TestEvaluate:

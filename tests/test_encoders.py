@@ -6,12 +6,12 @@ import pytest
 from postpop.encoders import (init_lstm_params, init_projection_params,
                               lstm_backward, lstm_encode, project_regions,
                               project_regions_backward)
-from postpop.numeric import (ParamStore, ShapeError, dense_forward,
-                             finite_difference_grad, relative_error)
+from postpop.numeric import (ShapeError, dense_forward, finite_difference_grad,
+                             relative_error)
 
 
 def lstm_params(rng, d_in, d_hidden, scale=0.6):
-    store = ParamStore()
+    store = {}
     init_lstm_params(store, rng, d_in, d_hidden, scale)
     return store
 
@@ -131,7 +131,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("case", sorted(LEAD_MASKS))
     def test_forward_bitwise_and_gradients_close(self, rng, case, dtype):
         mask = LEAD_MASKS[case]
-        store = ParamStore()
+        store = {}
         init_lstm_params(store, rng, 3, 4, 0.8, dtype)
         tokens = rng.uniform(-1, 1, (*mask.shape, 3)).astype(dtype)
         out, cache = lstm_encode(tokens, mask, store)
@@ -167,9 +167,7 @@ class TestAgainstReference:
 
     def test_float32_params_keep_float32_states(self, rng):
         store64 = lstm_params(rng, 3, 4)
-        store32 = ParamStore()
-        for name, arr in store64.items():
-            store32.add_array(name, arr.astype(np.float32))
+        store32 = {name: arr.astype(np.float32) for name, arr in store64.items()}
         tokens = rng.uniform(-1, 1, (6, 6, 3))
         d_out = rng.normal(size=(6, 6, 4))
         out64, cache64 = lstm_encode(tokens, MASKS, store64)
@@ -254,14 +252,14 @@ class TestLstmBackward:
 
 class TestProjection:
     def test_zero_weights(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 4, 3)
         store["proj.W"] = np.zeros((4, 3))
         store["proj.b"] = np.zeros(3)
         assert np.allclose(project_regions(rng.normal(size=(5, 4)), store), 0.0)
 
     def test_identity(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 4, 4)
         store["proj.W"] = np.eye(4)
         store["proj.b"] = np.zeros(4)
@@ -269,7 +267,7 @@ class TestProjection:
         assert np.allclose(project_regions(regions, store), regions)
 
     def test_matches_per_row_dense(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 5, 3)
         regions = rng.normal(size=(7, 5))
         out = project_regions(regions, store)
@@ -278,7 +276,7 @@ class TestProjection:
             assert np.allclose(out[i], row, atol=1e-12)
 
     def test_linearity_without_bias(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 4, 3)
         store["proj.b"] = np.zeros(3)
         x = rng.normal(size=(5, 4))
@@ -286,7 +284,7 @@ class TestProjection:
                            3.5 * project_regions(x, store), atol=1e-10)
 
     def test_gradcheck(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 4, 3)
         regions = rng.normal(size=(5, 4))
         weights = rng.normal(size=(5, 3))
@@ -300,7 +298,7 @@ class TestProjection:
         assert relative_error(grads["proj.b"], numeric["proj.b"]) < 1e-6
 
     def test_shape_mismatch(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 4, 3)
         with pytest.raises(ShapeError):
             project_regions(rng.normal(size=(5, 6)), store)
@@ -356,7 +354,7 @@ class TestBatchedLstm:
             assert relative_error(grads[name], numeric[name]) < 1e-6, name
 
     def test_batched_projection_matches_rows(self, rng):
-        store = ParamStore()
+        store = {}
         init_projection_params(store, rng, 5, 3)
         regions = rng.normal(size=(4, 2, 5))
         d_out = rng.normal(size=(4, 2, 3))

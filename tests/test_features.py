@@ -6,7 +6,7 @@ import pytest
 from conftest import make_post
 from postpop.data import FaceAnnotation
 from postpop.features import (DEMOGRAPHIC_DIM, SentimentLexicon, SocialStats,
-                              apply_pca, fit_pca, reconstruct_pca,
+                              apply_pca, fit_pca,
                               sentiment_feature, sentiment_scores,
                               social_numerics, social_vector, time_segment)
 from postpop.features import demographic_vector as batch_demographic_vector
@@ -124,9 +124,7 @@ class TestSentiment:
     def test_feature_dims_and_blocks(self, lexicon):
         post = make_post(caption="wonderful sunset", hashtags=("awful", "grim"))
         sv = one_post_sentiment(post, lexicon)
-        assert sv.combined.shape == (10,)
-        assert np.array_equal(sv.combined[:5], sv.caption_dist)
-        assert np.array_equal(sv.combined[5:], sv.hashtag_dist)
+        assert sv.caption_dist.shape == sv.hashtag_dist.shape == (5,)
 
     def test_disjoint_hits_differ(self, lexicon):
         post = make_post(caption="wonderful amazing", hashtags=("awful",))
@@ -136,7 +134,7 @@ class TestSentiment:
     def test_empty_post_two_uniform_blocks(self, lexicon):
         post = make_post(caption="", hashtags=())
         sv = one_post_sentiment(post, lexicon)
-        assert np.allclose(sv.combined, 0.2)
+        assert np.allclose(sv.caption_dist, 0.2) and np.allclose(sv.hashtag_dist, 0.2)
 
     def test_bundled_lexicon_size(self, lexicon):
         assert len(lexicon) >= 150
@@ -157,7 +155,7 @@ class TestSocial:
         stats = SocialStats.fit(social_numerics(posts))
         post = make_post(post_day=0, post_month=3, post_hour=14,
                          post_duration_days=12.5)
-        v = social_vector(post, stats)
+        v = social_vector([post], stats)[0]
         assert v.shape == (33,)
         day = v[9:16]
         month = v[16:28]
@@ -170,8 +168,8 @@ class TestSocial:
     def test_determinism(self):
         posts = [make_post(post_id=f"p{i}", avg_views=10.0 * i) for i in range(4)]
         stats = SocialStats.fit(social_numerics(posts))
-        a = social_vector(posts[1], stats)
-        b = social_vector(posts[1], stats)
+        a = social_vector(posts[1:2], stats)
+        b = social_vector(posts[1:2], stats)
         assert np.array_equal(a, b)
 
     def test_zscoring_uses_training_stats(self):
@@ -179,7 +177,7 @@ class TestSocial:
                  for i, c in enumerate([0, 10, 20, 30])]
         stats = SocialStats.fit(social_numerics(posts))
         rows = social_vector(posts, stats)
-        assert np.array_equal(rows, [social_vector(p, stats) for p in posts])
+        assert np.array_equal(rows, [social_vector([p], stats)[0] for p in posts])
         comment_col = rows[:, 8]
         assert abs(comment_col.mean()) < 1e-12
         assert abs(comment_col.std() - 1.0) < 1e-12
@@ -198,6 +196,11 @@ class TestSocial:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="'avg_views' overflows float64"):
                 SocialStats.fit(social_numerics(posts))
+
+
+def reconstruct(model, coords):
+    """Inverse PCA map from component coordinates back to the data space."""
+    return model.mean + coords @ model.components
 
 
 class TestPCA:
@@ -231,7 +234,7 @@ class TestPCA:
         errs = []
         for k in range(1, 9):
             model = fit_pca(rows, k=k)
-            rec = np.array([reconstruct_pca(model, apply_pca(model, r)) for r in rows])
+            rec = np.array([reconstruct(model, apply_pca(model, r)) for r in rows])
             errs.append(np.sum((rows - rec) ** 2))
         assert all(errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1))
 
@@ -258,7 +261,7 @@ class TestPCA:
         rows = coords @ basis + 3.0
         model = fit_pca(rows, k=2)
         v = rows[4]
-        assert np.allclose(reconstruct_pca(model, apply_pca(model, v)), v, atol=1e-8)
+        assert np.allclose(reconstruct(model, apply_pca(model, v)), v, atol=1e-8)
 
     def test_k_out_of_range(self, rng):
         rows = rng.normal(size=(5, 3))

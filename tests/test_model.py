@@ -9,62 +9,60 @@ import pytest
 import postpop.features as features_mod
 import postpop.model as model_mod
 
-from conftest import make_post, pass_requests, random_bundle, stack, tiny_config
+from conftest import (batch_loss, make_post, pass_requests, random_bundle, stack,
+                      tiny_config)
 from postpop.cli import model_config_from, resolve_config
 from postpop import streams
 from postpop.corpora import make_sample_corpus
 from postpop.data import Dataset, FaceAnnotation, load_dataset
 from postpop.features import SentimentLexicon, apply_pca, social_vector
 from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
-                           PAPER_HEAD_SIZES, backward_bundle, batch_loss,
+                           PAPER_HEAD_SIZES, backward_bundle,
                            batch_loss_and_grads, branch_backward, branch_forward,
                            branch_inputs,
                            build_caches, extract_dataset, extract_features,
                            forward_bundle,
-                           halving_sizes, head_forward, init_model_params,
+                           head_forward, init_model_params,
                            load_checkpoint, loss_mse, merge, merged_length,
                            save_checkpoint)
-from postpop.numeric import (ParamStore, _conv_columns, conv1d_backward, conv1d_forward,
+from postpop.numeric import (_conv_columns, conv1d_backward, conv1d_forward,
                              finite_difference_grad, relative_error, relu,
-                             relu_backward)
+                             relu_backward, uniform_param)
 from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, tokenize,
                                write_feature_file)
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def zeroed(params: ParamStore) -> ParamStore:
-    out = params.copy()
-    for name, arr in out.items():
-        out[name] = np.zeros_like(arr)
-    return out
+def zeroed(params: dict) -> dict:
+    return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
 class TestBranch:
     def test_identity_width1_filters_nonneg_input(self, rng):
-        store = ParamStore()
+        store = {}
         for i in range(3):
-            store.add_array(f"branch.social.conv{i}.filters", np.ones((1, 1, 1)))
-            store.add_array(f"branch.social.conv{i}.bias", np.zeros(1))
+            store[f"branch.social.conv{i}.filters"] = np.ones((1, 1, 1))
+            store[f"branch.social.conv{i}.bias"] = np.zeros(1)
         f = rng.uniform(0, 1, 6)
         out, _ = branch_forward(f, store, "social")
         assert np.allclose(out, f)
 
     def test_zero_filters_zero_output(self, rng):
-        store = ParamStore()
+        store = {}
         for i in range(3):
-            store.add_array(f"branch.social.conv{i}.filters", np.zeros((2, 2, 1 if i == 0 else 2)))
-            store.add_array(f"branch.social.conv{i}.bias", np.zeros(2))
+            store[f"branch.social.conv{i}.filters"] = np.zeros((2, 2, 1 if i == 0 else 2))
+            store[f"branch.social.conv{i}.bias"] = np.zeros(2)
         out, _ = branch_forward(rng.uniform(-1, 1, 6), store, "social")
         assert np.allclose(out, 0.0)
 
     def test_matches_composed_naive_conv(self, rng):
-        store = ParamStore()
+        store = {}
         chans = [(2, 1), (3, 2), (2, 3)]
         widths = [2, 3, 2]
         for i, ((co, ci), w) in enumerate(zip(chans, widths)):
-            store.add(f"branch.hashtag.conv{i}.filters", (co, w, ci), rng)
-            store.add(f"branch.hashtag.conv{i}.bias", (co,), rng)
+            store[f"branch.hashtag.conv{i}.filters"] = uniform_param(rng, (co, w, ci))
+            store[f"branch.hashtag.conv{i}.bias"] = uniform_param(rng, (co,))
         f = rng.uniform(-1, 1, 12)
         out, _ = branch_forward(f, store, "hashtag")
         x = f.reshape(-1, 1)
@@ -150,10 +148,6 @@ class TestMergeAndConfig:
         with pytest.raises(ValueError):
             tiny_config(head_sizes=(8, 4, 2))
 
-    def test_halving_sizes(self):
-        assert halving_sizes(16, 5) == (16, 8, 4, 2, 1)
-        assert halving_sizes(13552, 12)[:5] == (13552, 6776, 3388, 1694, 847)
-
     def test_paper_head_sizes_published_sequence(self):
         assert ModelConfig().head_sizes == PAPER_HEAD_SIZES
         assert PAPER_HEAD_SIZES == (13552, 6776, 3388, 1694, 847, 424, 212,
@@ -213,9 +207,8 @@ class TestLoss:
     def test_gradient_is_residual_over_n(self, rng):
         preds = rng.normal(size=4)
         targets = rng.normal(size=4)
-        store = ParamStore()
-        store.add_array("p", preds.copy())
-        num = finite_difference_grad(lambda st: loss_mse(st["p"], targets), store)
+        num = finite_difference_grad(lambda st: loss_mse(st["p"], targets),
+                                     {"p": preds.copy()})
         assert relative_error((preds - targets) / 4.0, num["p"]) < 1e-8
 
     def test_errors(self):
@@ -267,7 +260,7 @@ class TestFullModel:
         _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
         numeric = finite_difference_grad(
             lambda st: batch_loss(bundles, st, cfg), params)
-        for name in params.names():
+        for name in params:
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
 
     def test_gradcheck_with_dropout(self, rng):
@@ -285,7 +278,7 @@ class TestFullModel:
             return loss_mse(preds, batch.target)
 
         numeric = finite_difference_grad(loss, params)
-        for name in params.names():
+        for name in params:
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
 
     def test_extract_features_shapes(self):
@@ -453,7 +446,7 @@ class TestExtractDataset:
         assert np.array_equal(b.f_demographic, [[0, 0, 0, 0], [1, 30, 2, 2],
                                                 [0.5, 50, 1, 1]])
         assert np.array_equal(b.f_social, apply_pca(
-            caches.pca, [social_vector(p, caches.social_stats) for p in posts]))
+            caches.pca, [social_vector([p], caches.social_stats)[0] for p in posts]))
         assert list(b.post_id) == ["empty", "long", "unknown"]
         onehot = extract_features(posts, caches, replace(cfg, demographic_mode="onehot"))
         assert np.array_equal(np.nonzero(onehot.f_demographic[2])[0],
@@ -461,11 +454,9 @@ class TestExtractDataset:
         assert np.array_equal(onehot.f_demographic[2, [0, 1, 32, 72]], [0.5] * 4)
 
 
-def two_array_params() -> ParamStore:
-    params = ParamStore()
-    params.add_array("w", np.arange(6, dtype=np.float64).reshape(2, 3) / 7)
-    params.add_array("b", np.linspace(-1, 1, 4, dtype=np.float32))
-    return params
+def two_array_params() -> dict:
+    return {"w": np.arange(6, dtype=np.float64).reshape(2, 3) / 7,
+            "b": np.linspace(-1, 1, 4, dtype=np.float32)}
 
 
 def member_data(path, member: str) -> tuple[int, int]:
@@ -505,7 +496,7 @@ class TestCheckpoint:
             save_checkpoint(params, cfg, path)
             params2, cfg2 = load_checkpoint(path)
             assert cfg2 == cfg
-            assert params2.names() == params.names()
+            assert list(params2) == list(params)
             for name, arr in params.items():
                 assert params2[name].dtype == arr.dtype, name
                 assert params2[name].tobytes() == arr.tobytes(), name
@@ -591,7 +582,7 @@ class TestCheckpoint:
                 continue
             harmless += 1  # zip metadata that no reader checks
             assert cfg2 == cfg, offset
-            assert params2.names() == params.names(), offset
+            assert list(params2) == list(params), offset
             for name, arr in params.items():
                 assert params2[name].dtype == arr.dtype, (offset, name)
                 assert params2[name].tobytes() == arr.tobytes(), (offset, name)
@@ -660,7 +651,7 @@ class TestBatchedModel:
             d_y = (y - bundle.target) / n
             for name, g in backward_bundle(d_y, fcache, params, cfg).items():
                 summed[name] += g
-        for name in params.names():
+        for name in params:
             assert np.allclose(grads[name], summed[name], rtol=0, atol=1e-12), name
         assert loss == pytest.approx(
             np.sum((preds - [b.target for b in bundles]) ** 2) / (2 * n), abs=0)
@@ -704,14 +695,14 @@ class TestBatchedModel:
         # differentiates the same function in float64
         cfg = tiny_config()
         params64 = init_model_params(cfg, seed=4)
-        params32 = params64.astype(np.float32)
+        params32 = {name: arr.astype(np.float32) for name, arr in params64.items()}
         bundles = stack([random_bundle(rng, cfg, n_tokens=2, n_hashtags=1),
                          random_bundle(rng, cfg, n_tokens=3, n_hashtags=2)])
         _, grads, preds = batch_loss_and_grads(bundles, params32, cfg)
         assert preds.dtype == np.float32
         numeric = finite_difference_grad(
             lambda st: batch_loss(bundles, st, cfg), params64)
-        for name in params64.names():
+        for name in params64:
             assert grads[name].dtype == np.float32, name
             assert relative_error(grads[name], numeric[name]) < 1e-4, name
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from postpop.numeric import (ParamStore, ShapeError, _conv_columns, conv1d_backward,
+from postpop.numeric import (ShapeError, _conv_columns, conv1d_backward,
                              conv1d_forward, dense_backward, dense_forward,
                              dropout, finite_difference_grad, padded_index,
                              pooled_mean, relative_error, relu, softmax,
-                             softmax_backward)
+                             softmax_backward, uniform_param)
 
 
 def naive_conv1d(x, filters, bias):
@@ -42,18 +42,19 @@ class TestSoftmax:
         assert out[1] == 0.0 and out[3] == 0.0
         assert abs(out.sum() - 1.0) < 1e-12
 
-    def test_all_masked_raises(self):
-        with pytest.raises(ValueError):
-            softmax(np.ones(3), np.zeros(3))
+    def test_all_masked_row_gets_zero_weights(self):
+        out = softmax(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]),
+                      np.array([[0, 0, 0], [1, 0, 1.0]]))
+        assert np.array_equal(out[0], np.zeros(3))
+        assert out[1, 1] == 0.0 and abs(out[1].sum() - 1.0) < 1e-12
 
     def test_backward_matches_fd(self, rng):
         s = rng.normal(size=5)
         mask = np.array([1, 1, 0, 1, 1.0])
         r = rng.normal(size=5)
 
-        store = ParamStore()
-        store.add_array("s", s.copy())
-        num = finite_difference_grad(lambda st: float(softmax(st["s"], mask) @ r), store)
+        num = finite_difference_grad(lambda st: float(softmax(st["s"], mask) @ r),
+                                     {"s": s.copy()})
         alpha = softmax(s, mask)
         ds = softmax_backward(alpha, r, mask)
         assert relative_error(ds, num["s"]) < 1e-7
@@ -104,10 +105,7 @@ class TestConv1d:
         bias = rng.normal(size=3)
         r = rng.normal(size=(5, 3))
 
-        store = ParamStore()
-        store.add_array("f", filters.copy())
-        store.add_array("b", bias.copy())
-        store.add_array("x", x.copy())
+        store = {"f": filters.copy(), "b": bias.copy(), "x": x.copy()}
         num = finite_difference_grad(
             lambda st: float(np.sum(conv1d_forward(st["x"], st["f"], st["b"])[0] * r)), store)
         d_x, d_f, d_b = conv1d_backward(_conv_columns(x, 2), filters, r)
@@ -139,10 +137,7 @@ class TestDenseAndActivations:
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=3)
         r = rng.normal(size=3)
-        store = ParamStore()
-        store.add_array("w", w.copy())
-        store.add_array("b", b.copy())
-        store.add_array("x", x.copy())
+        store = {"w": w.copy(), "b": b.copy(), "x": x.copy()}
         num = finite_difference_grad(
             lambda st: float(dense_forward(st["x"], st["w"], st["b"]) @ r), store)
         d_x, d_w, d_b = dense_backward(x, w, r)
@@ -189,45 +184,29 @@ class TestDropout:
 
 class TestFiniteDifference:
     def test_quadratic(self):
-        store = ParamStore()
-        store.add_array("theta", np.array([3.0]))
-        g = finite_difference_grad(lambda st: float(st["theta"][0] ** 2), store)
+        g = finite_difference_grad(lambda st: float(st["theta"][0] ** 2),
+                                   {"theta": np.array([3.0])})
         assert abs(g["theta"][0] - 6.0) < 1e-6
 
     def test_constant_function(self, rng):
-        store = ParamStore()
-        store.add_array("theta", rng.normal(size=(2, 2)))
-        g = finite_difference_grad(lambda st: 4.2, store)
+        g = finite_difference_grad(lambda st: 4.2, {"theta": rng.normal(size=(2, 2))})
         assert np.allclose(g["theta"], 0.0)
 
 
-class TestParamStore:
-    def test_duplicate_name_rejected(self, rng):
-        store = ParamStore()
-        store.add("w", (2, 2), rng)
-        with pytest.raises(ValueError):
-            store.add("w", (2, 2), rng)
-
+class TestUniformParam:
     def test_init_range_and_scale(self, rng):
-        store = ParamStore()
-        arr = store.add("w", (200,), rng, scale=1.0)
+        arr = uniform_param(rng, (200,), scale=1.0)
+        assert arr.dtype == np.float64
         assert np.all(arr <= 1.0) and np.all(arr >= -1.0)
-        small = store.add("v", (200,), rng, scale=0.1)
+        small = uniform_param(rng, (200,), scale=0.1)
         assert np.max(np.abs(small)) <= 0.1
 
     def test_float32_draw_bits_match_out_of_place_form(self):
-        store = ParamStore()
-        arr = store.add("w", (300, 200), np.random.default_rng(4), 0.3, np.float32)
+        arr = uniform_param(np.random.default_rng(4), (300, 200), 0.3, np.float32)
         draw = np.random.default_rng(4).random(size=(300, 200), dtype=np.float32)
         expect = (draw * 2.0 - 1.0) * np.float32(0.3)
         assert arr.dtype == np.float32
         assert arr.tobytes() == expect.tobytes()
-
-    def test_shape_fixed_after_construction(self, rng):
-        store = ParamStore()
-        store.add("w", (2, 2), rng)
-        with pytest.raises(ShapeError):
-            store["w"] = np.zeros((3, 3))
 
 
 class TestPooling:

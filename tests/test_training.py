@@ -11,7 +11,7 @@ from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
 from postpop.model import (BranchSpec, build_caches, extract_dataset,
                            init_model_params)
-from postpop.numeric import ParamStore
+from postpop.numeric import uniform_param
 from postpop.providers import tokenize
 from postpop.training import (SCORE_BATCH, AdamState, Checkpoint, TrainConfig,
                               TrainingDivergedError, ablate,
@@ -21,8 +21,7 @@ from postpop.training import (SCORE_BATCH, AdamState, Checkpoint, TrainConfig,
 
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self, rng):
-        store = ParamStore()
-        store.add("w", (3, 2), rng)
+        store = {"w": uniform_param(rng, (3, 2))}
         before = store["w"].copy()
         state = AdamState()
         adam_step(store, {"w": np.zeros((3, 2))}, state, lr=0.1)
@@ -32,8 +31,7 @@ class TestAdam:
     def test_first_step_scalar_oracle(self):
         # m1 = 0.1 g, v1 = 0.001 g^2; bias correction recovers g and g^2,
         # so the first update is -lr * g / (|g| + eps)
-        store = ParamStore()
-        store.add_array("w", np.array([2.0]))
+        store = {"w": np.array([2.0])}
         g = np.array([0.5])
         adam_step(store, {"w": g}, AdamState(), lr=0.01)
         expected = 2.0 - 0.01 * 0.5 / (0.5 + 1e-8)
@@ -41,8 +39,7 @@ class TestAdam:
 
     def test_trajectory_determinism(self, rng):
         def run():
-            store = ParamStore()
-            store.add("w", (4,), np.random.default_rng(0))
+            store = {"w": uniform_param(np.random.default_rng(0), (4,))}
             state = AdamState()
             for step in range(20):
                 g = np.sin(np.arange(4.0) + step)
@@ -51,16 +48,14 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self, rng):
-        store = ParamStore()
-        store.add("w", (3,), rng)
-        store.add("b", (2,), rng)
-        before = store.copy()
+        store = {"w": uniform_param(rng, (3,)), "b": uniform_param(rng, (2,))}
+        before = {name: arr.copy() for name, arr in store.items()}
         state = AdamState()
         with pytest.raises(ValueError, match="mismatch for b"):
             adam_step(store, {"w": np.ones(3), "b": np.zeros(4)}, state, lr=0.1)
         # nothing moved: the shapes are checked before any update
         assert state.step == 0 and state.m is None
-        assert all(np.array_equal(store[n], before[n]) for n in store.names())
+        assert all(np.array_equal(store[n], before[n]) for n in store)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_flat_update_bitwise_equal_to_per_parameter_loop(self, dtype):
@@ -79,10 +74,9 @@ class TestAdam:
                 params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
         shapes = {"w": (3, 2), "one": (1,), "cube": (2, 1, 3), "b": (5,)}
-        store = ParamStore()
         init = np.random.default_rng(0)
-        for name, shape in shapes.items():
-            store.add(name, shape, init, dtype=dtype)
+        store = {name: uniform_param(init, shape, dtype=dtype)
+                 for name, shape in shapes.items()}
         reference = {name: store[name].copy() for name in shapes}
         state, ref_state = AdamState(), {"t": 0}
         draw = np.random.default_rng(1)
@@ -278,7 +272,6 @@ class TestTrainLoop:
         for name, arr in r1.checkpoint.params.items():
             assert np.array_equal(arr, r2.checkpoint.params[name]), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises(self):
         ds = make_sample_corpus(n=40, seed=13)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
@@ -380,6 +373,20 @@ class TestEvaluate:
         one = Dataset(te.posts[:1])
         with pytest.raises(ValueError, match=f"1 of 1 .*posts {ids[0]}\\)"):
             evaluate(checkpoint, one)
+
+    def test_overflowing_lstm_weights_raise_no_runtime_warning(self):
+        # every LSTM pre-activation overflows: the saturated gates still give
+        # finite predictions, scored without a numpy warning
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=20, seed=6)
+        params = init_model_params(cfg, seed=1, scale=0.3)
+        params["lstm.Wx"][...] = 1e300
+        checkpoint = Checkpoint(params=params, config=cfg,
+                                caches=build_caches(ds.posts, cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            metrics = evaluate(checkpoint, ds)
+        assert metrics.n == len(ds) and np.isfinite(metrics.mse)
 
 
     def chunked_checkpoint(self):
