@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -190,6 +191,22 @@ def _write_rows(path, header, rows):
                               for v in row) + "\n")
 
 
+def _output_dir(rc: dict, report: str, *files: Path) -> Path:
+    """Create the `out` directory and check that `report` in it and each of
+    `files` can be written, so a run that could not save its results stops
+    before it trains. Raises OSError (exit 2) naming the path."""
+    out = Path(rc["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for path in (out / report, *files):
+        if path.is_dir():
+            raise IsADirectoryError(f"{path}: Is a directory, not a file to write")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{path}: its directory {path.parent} does not exist")
+        if not os.access(path.parent, os.W_OK | os.X_OK):
+            raise PermissionError(f"{path}: its directory {path.parent} is not writable")
+    return out
+
+
 def cmd_train(rc: dict) -> int:
     config = model_config_from(rc)
     tc = train_config_from(rc)
@@ -197,9 +214,8 @@ def cmd_train(rc: dict) -> int:
           f"max_epochs={tc.max_epochs} patience={tc.patience} "
           f"dropout={tc.dropout} init_scale={tc.init_scale} seed={tc.seed}")
     tr, va, _ = _load_splits(rc)
+    out = _output_dir(rc, "history.csv", Path(rc["checkpoint"]))
     result = train(tr, va, config, tc, lexicon=_lexicon(rc))
-    out = Path(rc["out"])
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.checkpoint.params, result.checkpoint.config,
                     rc["checkpoint"])
     _write_rows(out / "history.csv", "epoch,train_loss,val_mse", result.history)
@@ -246,11 +262,10 @@ def cmd_ablate(rc: dict, variants: list[str], seeds: list[int]) -> int:
     if skipped:
         print(f"skipped {skipped} malformed line(s)", file=sys.stderr)
     fractions = (rc["train_frac"], rc["val_frac"], rc["test_frac"])
+    out = _output_dir(rc, "ablation.csv")
     print(f"ablation over variants={variants} seeds={seeds}")
     report = ablate(ds, config, tc, variants, seeds, fractions=fractions,
                     lexicon=_lexicon(rc))
-    out = Path(rc["out"])
-    out.mkdir(parents=True, exist_ok=True)
     (out / "ablation.csv").write_text("\n".join(report.to_csv_lines()) + "\n")
     print(report.to_table())
     print(f"report: {out / 'ablation.csv'}")

@@ -378,8 +378,9 @@ def branch_forward(f: np.ndarray, params: dict,
         filters = params[f"branch.{name}.conv{i}.filters"]
         bias = params[f"branch.{name}.conv{i}.bias"]
         pre, cols = conv1d_forward(x, filters, bias)
-        layer_cache.append((cols, pre))
-        x = relu(pre)
+        # relu in place: the backward's mask act > 0 is pre > 0
+        x = np.maximum(pre, 0.0, out=pre)
+        layer_cache.append((cols, x))
     return x.reshape(*x.shape[:-2], -1), layer_cache
 
 
@@ -388,8 +389,8 @@ def branch_backward(d_flat: np.ndarray, layer_cache: list, params: dict,
     grads = {}
     d = d_flat.reshape(layer_cache[-1][1].shape)
     for i in reversed(range(len(layer_cache))):
-        cols, pre = layer_cache[i]
-        d = relu_backward(pre, d)
+        cols, act = layer_cache[i]
+        d = relu_backward(act, d)
         # the first layer's input is a feature vector, not a parameter
         d, d_f, d_b = conv1d_backward(cols, params[f"branch.{name}.conv{i}.filters"], d,
                                       input_grad=i > 0)

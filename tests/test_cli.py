@@ -258,6 +258,50 @@ def test_directory_where_a_file_belongs_exits_two(workspace, capsys, command, ke
     assert not list(tmp.glob(".*.tmp"))
 
 
+@pytest.mark.parametrize("command,key,target,kind", [
+    ("train", "checkpoint", "folder", "directory"),
+    ("train", "checkpoint", "missing/m.ckpt", None),
+    ("train", "out", "taken", "file"),
+    ("ablate", "out", "taken", "file"),
+    ("ablate", "out", "taken/ablation.csv", "directory"),
+])
+def test_unwritable_output_exits_two_before_training(workspace, capsys, monkeypatch,
+                                                     command, key, target, kind):
+    # the paths are checked before any training: a run that could not save
+    # its results must not first spend its epochs
+    tmp, cfg = workspace
+    import postpop.cli as cli_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(cli_mod, "train", no_training)
+    monkeypatch.setattr(cli_mod, "ablate", no_training)
+    path = tmp / target
+    if kind == "directory":
+        path.mkdir(parents=True)
+    elif kind == "file":
+        path.write_text("")
+    value = path.parent if target.endswith("ablation.csv") else path
+    argv = ["--config", str(cfg), "--set", f"{key}={value}", command]
+    code, _, err = run_cli(argv + (["--variant", "full"] if command == "ablate" else []),
+                           capsys)
+    assert code == 2 and err.startswith("postpop: error:"), err
+    assert str(path) in err and "Traceback" not in err
+    assert not list(tmp.rglob("history.csv")) and not list(tmp.rglob("*.ckpt"))
+    assert not [p for p in tmp.rglob("ablation.csv") if p.is_file()]
+
+
+def test_unwritable_checkpoint_directory_exits_two(workspace, capsys, monkeypatch):
+    tmp, cfg = workspace
+    import postpop.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: Path(path) != tmp)
+    code, _, err = run_cli(["--config", str(cfg), "train"], capsys)
+    assert code == 2 and f"its directory {tmp} is not writable" in err, err
+    assert not (tmp / "model.ckpt").exists()
+
+
 class TestEvaluate:
     def test_json_contains_all_metrics(self, workspace, capsys):
         tmp, cfg = workspace

@@ -93,6 +93,32 @@ class TestBranch:
             assert grads[f"branch.hashtag.conv{i}.bias"].tobytes() == d_b.tobytes()
         assert len(grads) == 2 * len(cache)
 
+    @pytest.mark.parametrize("name", ["social", "demographic", "hashtag", "sentiment"])
+    def test_desk_branch_backward_matches_fd(self, rng, name):
+        # every desk branch spec on a B=3 batch; the demographic rows are the
+        # 116-long one-hot face encodings, mostly zeros
+        cfg = model_config_from(resolve_config(REPO / "configs" / "desk.cfg"))
+        length = model_mod.branch_input_dim(cfg, name)
+        if name == "demographic":
+            faces = [FaceAnnotation("female", 31, "happiness", "asian"),
+                     FaceAnnotation("male", 64, "neutral", "latino"),
+                     FaceAnnotation("female", 7, "fear", "white")]
+            posts = [make_post(faces=faces[:n]) for n in (1, 2, 3)]
+            f = features_mod.demographic_vector(posts)
+        else:
+            f = rng.uniform(-1, 1, (3, length))
+        assert f.shape == (3, length)
+        store = {key: arr for key, arr in init_model_params(cfg, seed=4).items()
+                 if key.startswith(f"branch.{name}.")}
+        out, cache = branch_forward(f, store, name)
+        r = rng.normal(size=out.shape)
+        grads = branch_backward(r, cache, store, name)
+        num = finite_difference_grad(
+            lambda st: float(np.sum(branch_forward(f, st, name)[0] * r)), store)
+        assert set(grads) == set(store)
+        for key in store:
+            assert relative_error(grads[key], num[key]) < 1e-7, key
+
     def test_output_length_validation(self):
         spec = BranchSpec(widths=(3, 3, 3), channels=(1, 1, 2))
         assert spec.output_length(10) == 4 * 2

@@ -3,7 +3,7 @@ import pytest
 
 from postpop.numeric import (ShapeError, _conv_columns, conv1d_backward,
                              conv1d_forward, dense_backward, dense_forward,
-                             dropout, finite_difference_grad, padded_index,
+                             dropout, finite_difference_grad, flat_rows, padded_index,
                              pooled_mean, relative_error, relu, softmax,
                              softmax_backward, uniform_param)
 
@@ -20,6 +20,44 @@ def naive_conv1d(x, filters, bias):
                     acc += x[t + w, c] * filters[o, w, c]
             out[t, o] = acc
     return out
+
+
+# The conv kernel as it was before its channel-axis loops were removed:
+# columns by `np.stack`, the bias as a broadcast add, and d_x as one strided
+# add per tap. The kernel must keep its forward bits and its gradients to
+# rounding.
+def reference_conv1d_columns(x, width):
+    out_len = x.shape[-2] - width + 1
+    cols = np.stack([x[..., j:j + out_len, :] for j in range(width)], axis=-1)
+    return cols.reshape(*cols.shape[:-2], -1)
+
+
+def reference_conv1d_forward(x, filters, bias):
+    ch_out = filters.shape[0]
+    cols = reference_conv1d_columns(x, filters.shape[1])
+    return cols @ filters.transpose(0, 2, 1).reshape(ch_out, -1).T + bias, cols
+
+
+def reference_conv1d_backward(cols, filters, d_out, input_grad=True):
+    ch_out, width, ch_in = filters.shape
+    out_len = d_out.shape[-2]
+    d_filters = (flat_rows(d_out).T @ flat_rows(cols)) \
+        .reshape(ch_out, ch_in, width).transpose(0, 2, 1)
+    d_bias = flat_rows(d_out).sum(axis=0)
+    if not input_grad:
+        return None, d_filters, d_bias
+    contrib = (d_out @ filters.reshape(ch_out, width * ch_in)).reshape(
+        *d_out.shape[:-1], width, ch_in)
+    d_x = np.zeros((*cols.shape[:-2], out_len + width - 1, ch_in), dtype=cols.dtype)
+    for w in range(width):
+        d_x[..., w:w + out_len, :] += contrib[..., w, :]
+    return d_x, d_filters, d_bias
+
+
+# a gradient's rounding may change with the kernel's summation order: by at
+# most this much relative to its largest entry
+GRAD_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+CONV_CHANNELS = [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4), (3, 8), (8, 1), (8, 8)]
 
 
 class TestSoftmax:
@@ -93,6 +131,37 @@ class TestConv1d:
         assert got.shape == expected.shape == (*lead, 8 - width, ch_in * width)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_kernel_matches_reference(self, lead, width, dtype):
+        # forward: the same bytes; backward: the same gradients to rounding
+        rng = np.random.default_rng([width, len(lead)])
+        tol = GRAD_RTOL[dtype]
+        for ch_in, ch_out in CONV_CHANNELS:
+            length = width + 6
+            x = rng.normal(size=(*lead, length, ch_in)).astype(dtype)
+            filters = rng.normal(size=(ch_out, width, ch_in)).astype(dtype)
+            bias = rng.normal(size=ch_out).astype(dtype)
+            pre, cols = conv1d_forward(x, filters, bias)
+            ref_pre, ref_cols = reference_conv1d_forward(x, filters, bias)
+            assert pre.dtype == ref_pre.dtype == dtype and cols.dtype == dtype
+            assert pre.shape == ref_pre.shape and cols.shape == ref_cols.shape
+            assert pre.tobytes() == ref_pre.tobytes()
+            assert cols.tobytes() == ref_cols.tobytes()
+            d_out = rng.normal(size=pre.shape).astype(dtype)
+            for input_grad in (True, False):
+                got = conv1d_backward(cols, filters, d_out, input_grad)
+                want = reference_conv1d_backward(ref_cols, filters, d_out, input_grad)
+                assert (got[0] is None) == (not input_grad)
+                for g, w in zip(got, want):
+                    if w is None:
+                        continue
+                    assert g.shape == w.shape and g.dtype == w.dtype == dtype
+                    scale = np.max(np.abs(w.astype(np.float64)))
+                    diff = np.max(np.abs(g.astype(np.float64) - w))
+                    assert diff <= tol * scale, (ch_in, ch_out, input_grad)
 
     def test_width_too_large(self, rng):
         with pytest.raises(ShapeError):

@@ -1,10 +1,12 @@
-"""The benchmark's featurization spans stay called.
+"""The benchmark's expected spans stay called.
 
 A traced benchmark run marks a workload incorrect when one of its expected
 spans is never called, but only CI's traced step runs it. This runs the
 benchmark's own tracer, unchanged, over the calls its gated workloads make:
-one desk train() step, a batch and a one-post evaluate(), and a one-post
-extract_features() on a 5-tag post.
+a load_dataset() of a saved corpus, one desk train() step with hga attention
+and one with na, a batch and a one-post evaluate(), and a one-post
+extract_features() on a 5-tag post. Every expected span of every gated
+workload, featurization and model layers alike, must be called at least once.
 """
 
 import sys
@@ -19,8 +21,6 @@ from postpop.model import extract_features
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GATED = ("desk_train", "signal_ablate", "graph_featurize")
-FEATURIZATION = ("providers.", "hashtag_graph.", "features.", "model.build_caches",
-                 "model.extract_features")
 
 
 @pytest.fixture(scope="module")
@@ -34,25 +34,31 @@ def bench():
         sys.path.remove(str(PERFBENCH))
 
 
-def test_featurization_spans_called(bench):
+def test_expected_spans_called(bench, tmp_path):
     spans, workloads = bench
-    expected = {name for w in GATED for name in workloads.WORKLOADS[w].expected_spans
-                if name.startswith(FEATURIZATION)}
-    assert "providers.vector" in expected
+    expected = {name for w in GATED for name in workloads.WORKLOADS[w].expected_spans}
+    assert {"providers.vector", "data.load_dataset", "model.branch_forward",
+            "model.branch_backward", "attention.na_content",
+            "attention.na_backward"} <= expected
     mc, tc = workloads.config("desk.cfg")
-    ds = corpora.make_sample_corpus(n=40, seed=1)
-    tr, va, te = data.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+    corpus = tmp_path / "corpus.jsonl"
+    data.save_dataset(corpora.make_sample_corpus(n=40, seed=1), corpus)
     # one post of few draws: a one-post pass reaches `vector` only through
     # the per-key fallback of `tables` below BATCH_DRAWS
     five_tags = make_post(caption="one two", hashtags=("a", "b", "c", "d", "e"))
     assert mc.d == mc.topic_dim and 2 + 5 + 1 < providers.BATCH_DRAWS
+    step = replace(tc, max_epochs=1, patience=1)
     with spans.Tracer() as tracer:
-        result = training.train(data.Dataset(tr.posts[:tc.batch_size]),
-                                data.Dataset(va.posts[:5]), mc,
-                                replace(tc, max_epochs=1, patience=1))
+        ds, skipped = data.load_dataset(corpus)
+        assert skipped == 0
+        tr, va, te = data.split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
+        batch, val = data.Dataset(tr.posts[:tc.batch_size]), data.Dataset(va.posts[:5])
+        result = training.train(batch, val, mc, step)
+        training.train(batch, val, training.apply_variant(mc, "na"), step,
+                       caches=result.checkpoint.caches)
         training.evaluate(result.checkpoint, te)
         training.evaluate(result.checkpoint, data.Dataset(te.posts[:1]))
         extract_features(five_tags, result.checkpoint.caches, mc)
     calls = {name: s["calls"] for name, s in tracer.summary().items()}
     assert not tracer.absent & expected
-    assert [name for name in sorted(expected) if calls[name] == 0] == []
+    assert [name for name in sorted(expected) if calls.get(name, 0) == 0] == []
