@@ -9,15 +9,15 @@ the token weights.
 import numpy as np
 
 from postpop import EmbeddingProvider
-from postpop.attention import (hga_attention, init_attention_params,
-                               na_content, sa_attention)
+from postpop.attention import (attention_param_shapes, hga_attention, na_content,
+                               sa_attention)
+from postpop.numeric import uniform_params
 from postpop.providers import tokenize
 
 D, A, M, K, L = 8, 8, 6, 4, 4
 provider = EmbeddingProvider(kind="deterministic_stub", seed=0)
 rng = np.random.default_rng(3)
-params = {}
-init_attention_params(params, rng, D, A, scale=0.8)
+params = uniform_params(rng, attention_param_shapes(D, A), scale=0.8)
 
 
 

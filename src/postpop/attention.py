@@ -16,17 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ShapeError, flat_rows, softmax, softmax_backward, uniform_param
+from .numeric import ShapeError, flat_rows, softmax, softmax_backward
 
 
-def init_attention_params(params: dict, rng, d: int, a: int,
-                          scale: float = 1.0, dtype=np.float64):
-    params["att.Ut"] = uniform_param(rng, (d, a), scale, dtype)
-    params["att.Vt"] = uniform_param(rng, (d, a), scale, dtype)
-    params["att.wt"] = uniform_param(rng, (a,), scale, dtype)
-    params["att.Ui"] = uniform_param(rng, (d, a), scale, dtype)
-    params["att.Vi"] = uniform_param(rng, (d, a), scale, dtype)
-    params["att.wi"] = uniform_param(rng, (a,), scale, dtype)
+def attention_param_shapes(d: int, a: int) -> dict[str, tuple[int, ...]]:
+    return {"att.Ut": (d, a), "att.Vt": (d, a), "att.wt": (a,),
+            "att.Ui": (d, a), "att.Vi": (d, a), "att.wi": (a,)}
 
 
 @dataclass

@@ -175,10 +175,26 @@ def _lexicon(rc: dict) -> SentimentLexicon:
     return SentimentLexicon.bundled()
 
 
-def _load_splits(rc: dict):
-    ds, skipped = load_dataset(rc["corpus"])
+# Skipped corpus lines reported one by one; the rest are only counted.
+SHOWN_SKIPS = 10
+
+
+def _load_corpus(rc: dict):
+    """The corpus, after reporting its skipped lines on stderr: the count,
+    then the line number and reason of the first SHOWN_SKIPS."""
+    problems = []
+    ds, skipped = load_dataset(rc["corpus"], problems=problems)
     if skipped:
-        print(f"skipped {skipped} malformed line(s)", file=sys.stderr)
+        print(f"skipped {skipped} malformed line(s) of {rc['corpus']}", file=sys.stderr)
+        for number, reason in problems[:SHOWN_SKIPS]:
+            print(f"  line {number}: {reason}", file=sys.stderr)
+        if skipped > SHOWN_SKIPS:
+            print(f"  ... and {skipped - SHOWN_SKIPS} more", file=sys.stderr)
+    return ds
+
+
+def _load_splits(rc: dict):
+    ds = _load_corpus(rc)
     fractions = (rc["train_frac"], rc["val_frac"], rc["test_frac"])
     return split_dataset(ds, fractions, seed=rc["split_seed"])
 
@@ -258,9 +274,7 @@ def cmd_evaluate(rc: dict, split: str) -> int:
 def cmd_ablate(rc: dict, variants: list[str], seeds: list[int]) -> int:
     config = model_config_from(rc)
     tc = train_config_from(rc)
-    ds, skipped = load_dataset(rc["corpus"])
-    if skipped:
-        print(f"skipped {skipped} malformed line(s)", file=sys.stderr)
+    ds = _load_corpus(rc)
     fractions = (rc["train_frac"], rc["val_frac"], rc["test_frac"])
     out = _output_dir(rc, "ablation.csv")
     print(f"ablation over variants={variants} seeds={seeds}")

@@ -1,4 +1,10 @@
-"""Post records, JSON-lines corpus ingestion, and deterministic splitting."""
+"""Post records, JSON-lines corpus ingestion, and deterministic splitting.
+
+A corpus line is one JSON object per post. `load_dataset` decodes each
+line once with `json`, builds its frozen records positionally and
+validates them; a malformed line is skipped, counted, and reported with
+its line number and a reason that names the failing field.
+"""
 
 from __future__ import annotations
 
@@ -36,6 +42,12 @@ class FaceAnnotation:
             raise ValueError(f"unknown race {self.race!r}")
 
 
+# The PostMetadata fields that must be finite and >= 0, in `validate`'s order.
+_NONNEGATIVE = ("avg_views", "group_count", "avg_member_count", "tag_count",
+                "title_length", "description_length", "comment_count",
+                "post_duration_days")
+
+
 @dataclass(frozen=True)
 class PostMetadata:
     avg_views: float = 0.0
@@ -54,23 +66,29 @@ class PostMetadata:
     def validate(self):
         """Every field must be finite and in range; NaN fails every test below.
 
-        An integer too large for a float raises OverflowError, a non-number
-        TypeError.
+        A failure raises ValueError naming the field, also for a value that
+        is not a number or an integer too large for a float.
         """
-        for name in ("avg_views", "group_count", "avg_member_count", "tag_count",
-                     "title_length", "description_length", "comment_count",
-                     "post_duration_days"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+        counts = (self.avg_views, self.group_count, self.avg_member_count, self.tag_count,
+                  self.title_length, self.description_length, self.comment_count,
+                  self.post_duration_days)
+        try:
+            for i, value in enumerate(counts):
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError
+        except (ValueError, TypeError, OverflowError):  # or a non-number, or a huge int
+            raise ValueError(f"{_NONNEGATIVE[i]} must be finite and >= 0") from None
         if self.tagged_people not in (0, 1):
             raise ValueError("tagged_people must be 0 or 1")
-        if not 0 <= self.post_day <= 6:
-            raise ValueError("post_day outside 0..6")
-        if not 0 <= self.post_month <= 11:
-            raise ValueError("post_month outside 0..11")
-        if not 0 <= self.post_hour <= 23:
-            raise ValueError("post_hour outside 0..23")
+        for name, value, high in (("post_day", self.post_day, 6),
+                                  ("post_month", self.post_month, 11),
+                                  ("post_hour", self.post_hour, 23)):
+            try:
+                ok = 0 <= value <= high
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} outside 0..{high}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +103,15 @@ class Post:
     popularity: float
 
     def validate(self):
-        for tag in self.hashtags:
-            if tag.split() != [tag]:  # empty, or holds a str.isspace character
-                raise ValueError(f"hashtag {tag!r} is empty or contains whitespace")
+        """Raise ValueError naming the first field out of range.
+
+        Joining the tags with spaces and splitting on whitespace gives the
+        tags back exactly when none is empty or holds a `str.isspace`
+        character, so one split checks them all.
+        """
+        if " ".join(self.hashtags).split() != list(self.hashtags):
+            bad = next(tag for tag in self.hashtags if tag.split() != [tag])
+            raise ValueError(f"hashtag {bad!r} is empty or contains whitespace")
         if not math.isfinite(self.popularity):
             raise ValueError("popularity must be finite")
         if self.metadata.tag_count != len(self.hashtags):
@@ -113,36 +137,45 @@ class Dataset:
         return np.array([p.popularity for p in self.posts], dtype=np.float64)
 
 
-def _normalize_hashtags(raw) -> tuple[str, ...]:
-    return tuple(str(tag).lstrip("#").lower() for tag in raw)
+def _post_from_record(rec) -> Post:
+    """The validated Post of one decoded corpus line.
 
-
-def _post_from_record(rec: dict) -> Post:
-    faces = tuple(
-        FaceAnnotation(gender=f["gender"], age=int(f["age"]),
-                       emotion=f["emotion"], race=f["race"])
-        for f in rec.get("faces", []))
-    meta = PostMetadata(**{k: rec["metadata"][k] for k in rec["metadata"]})
-    post = Post(
-        post_id=str(rec["post_id"]),
-        user_id=str(rec["user_id"]),
-        caption=str(rec["caption"]),
-        hashtags=_normalize_hashtags(rec["hashtags"]),
-        image_ref=str(rec["image_ref"]),
-        faces=faces,
-        metadata=meta,
-        popularity=float(rec["popularity"]),
-    )
+    Hashtags lose a leading '#' and are lowercased; ids, caption and image
+    reference are taken as strings. A bad record raises KeyError for a
+    missing field, or ValueError whose message names the field.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError(f"a record is a JSON object, not {type(rec).__name__}")
+    field = "faces"
+    try:
+        faces = tuple([FaceAnnotation(f["gender"], int(f["age"]), f["emotion"], f["race"])
+                       for f in rec.get("faces", ())])
+        field = "metadata"
+        meta = PostMetadata(**rec["metadata"])
+        field = "hashtags"
+        hashtags = tuple([str(tag).lstrip("#").lower() for tag in rec["hashtags"]])
+        field = "popularity"
+        popularity = float(rec["popularity"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    post = Post(str(rec["post_id"]), str(rec["user_id"]), str(rec["caption"]), hashtags,
+                str(rec["image_ref"]), faces, meta, popularity)
     post.validate()
     return post
 
 
-def load_dataset(path, name: str | None = None) -> tuple[Dataset, int]:
+_JSON = json.JSONDecoder()
+
+
+def load_dataset(path, name: str | None = None,
+                 problems: list | None = None) -> tuple[Dataset, int]:
     """Load a JSON-lines corpus.
 
-    Returns (dataset, skipped) where `skipped` counts malformed lines.
-    Raises CorpusError for a missing file, duplicate post ids, or a file
-    with no valid records.
+    Returns (dataset, skipped) where `skipped` counts malformed lines; blank
+    lines are neither read nor counted. When `problems` is a list, each
+    skipped line's (line number, reason) is appended to it; line numbers
+    start at 1 and count blank lines. Raises CorpusError for a missing
+    file, duplicate post ids, or a file with no valid records.
     """
     p = Path(path)
     if not p.exists():
@@ -151,20 +184,33 @@ def load_dataset(path, name: str | None = None) -> tuple[Dataset, int]:
     seen: set[str] = set()
     skipped = 0
     with p.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                # json.loads without its whitespace scans: the line is stripped
+                rec, end = _JSON.raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
                 post = _post_from_record(rec)
-            except (ValueError, KeyError, TypeError, OverflowError):
-                skipped += 1
+            except json.JSONDecodeError as exc:
+                reason = f"not valid JSON: {exc.msg} at column {exc.colno}"
+            except RecursionError:
+                reason = "not valid JSON: nested too deeply"
+            except KeyError as exc:
+                reason = f"missing field {exc}"
+            except (ValueError, TypeError, OverflowError) as exc:
+                reason = str(exc)
+            else:
+                if post.post_id in seen:
+                    raise CorpusError(f"duplicate post_id {post.post_id!r} in {p}")
+                seen.add(post.post_id)
+                posts.append(post)
                 continue
-            if post.post_id in seen:
-                raise CorpusError(f"duplicate post_id {post.post_id!r} in {p}")
-            seen.add(post.post_id)
-            posts.append(post)
+            skipped += 1
+            if problems is not None:
+                problems.append((number, reason))
     if not posts:
         raise CorpusError(f"no valid records in {p}")
     return Dataset(posts=tuple(posts), name=name or p.stem), skipped

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ShapeError, flat_rows, uniform_param
+from .numeric import ShapeError, flat_rows
 
 
 def _schedule(live: np.ndarray) -> list[tuple[int, bool]]:
@@ -48,12 +48,10 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return x.transpose(x.ndim - 2, *range(x.ndim - 2), x.ndim - 1)
 
 
-def init_lstm_params(params: dict, rng, d_in: int, d_hidden: int,
-                     scale: float = 1.0, dtype=np.float64):
+def lstm_param_shapes(d_in: int, d_hidden: int) -> dict[str, tuple[int, ...]]:
     """Fused 4-gate weights in i|f|g|o order."""
-    params["lstm.Wx"] = uniform_param(rng, (d_in, 4 * d_hidden), scale, dtype)
-    params["lstm.Wh"] = uniform_param(rng, (d_hidden, 4 * d_hidden), scale, dtype)
-    params["lstm.b"] = uniform_param(rng, (4 * d_hidden,), scale, dtype)
+    return {"lstm.Wx": (d_in, 4 * d_hidden), "lstm.Wh": (d_hidden, 4 * d_hidden),
+            "lstm.b": (4 * d_hidden,)}
 
 
 @dataclass
@@ -183,10 +181,8 @@ def lstm_backward(d_out: np.ndarray, cache: LstmCache,
             "lstm.b": dz_rows.sum(axis=0)}
 
 
-def init_projection_params(params: dict, rng, n_in: int, d_out: int,
-                           scale: float = 1.0, dtype=np.float64):
-    params["proj.W"] = uniform_param(rng, (n_in, d_out), scale, dtype)
-    params["proj.b"] = uniform_param(rng, (d_out,), scale, dtype)
+def projection_param_shapes(n_in: int, d_out: int) -> dict[str, tuple[int, ...]]:
+    return {"proj.W": (n_in, d_out), "proj.b": (d_out,)}
 
 
 def project_regions(regions: np.ndarray, params: dict) -> np.ndarray:

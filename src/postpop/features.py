@@ -131,9 +131,13 @@ def _hash_unit(s: str) -> float:
 
 def social_numerics(posts) -> np.ndarray:
     """(B, 10): the 9 raw numeric social features in fixed order, then the
-    post duration in days; the columns are named by SOCIAL_NUMERICS."""
+    post duration in days; the columns are named by SOCIAL_NUMERICS.
+
+    Each distinct user id is hashed once per call.
+    """
+    unit = {user: _hash_unit(user) for user in {post.user_id for post in posts}}
     return np.array([
-        (_hash_unit(post.user_id), m.avg_views, m.group_count, m.avg_member_count,
+        (unit[post.user_id], m.avg_views, m.group_count, m.avg_member_count,
          m.tag_count, m.title_length, m.description_length, m.tagged_people,
          m.comment_count, m.post_duration_days)
         for post in posts for m in (post.metadata,)], dtype=np.float64)

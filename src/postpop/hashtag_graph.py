@@ -10,7 +10,9 @@ embedding with its mean node embedding.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -43,28 +45,44 @@ def build_cooccurrence_graph(posts: Dataset | list[Post],
                              base_dim: int = 64) -> HashtagGraph:
     """Count unordered co-occurring tag pairs per post (tags deduplicated).
 
-    Each node's base feature is the provider's vector for the tag; all of
-    them are drawn in one `tables` call.
+    Each post's distinct tags are sorted and their pairs counted in one
+    `Counter` pass over every post's `combinations`, so `edges` lists the
+    pairs in the order they are first seen, as a loop over the posts'
+    sorted pairs would insert them. Each node's base feature is the
+    provider's vector for the tag; all of them are drawn in one `tables`
+    call.
     """
     g = HashtagGraph(base_dim=base_dim)
-    first_seen = {}
-    for post in posts:
-        tags = sorted(set(post.hashtags))
-        first_seen.update(dict.fromkeys(tags))
-        for i in range(len(tags)):
-            for j in range(i + 1, len(tags)):
-                key = (tags[i], tags[j])
-                g.edges[key] = g.edges.get(key, 0) + 1
+    tag_sets = [sorted(set(post.hashtags)) for post in posts]
+    # a plain dict: a Counter would answer 0 for a pair that never occurs
+    g.edges = dict(Counter(chain.from_iterable(map(combinations, tag_sets, repeat(2)))))
+    first_seen = dict.fromkeys(chain.from_iterable(tag_sets))
     g.nodes = set(first_seen)
     g.node_features = dict(zip(first_seen, provider.tables({base_dim: first_seen})[base_dim]))
     return g
 
 
-def initial_node_states(g: HashtagGraph, dim: int) -> dict[str, np.ndarray]:
-    """Base node features mapped to `dim` by a fixed random projection."""
+def _initial_rows(g: HashtagGraph, tags: list[str], dim: int) -> np.ndarray:
+    """(len(tags), dim): the base features of `tags`, in that order, times a
+    fixed random projection.
+
+    Each row is its own (1, base_dim) @ (base_dim, dim) product in one
+    stacked matmul, which runs the kernel a one-row product runs, so a row
+    equals `g.node_features[t] @ projection` bit for bit. A plain
+    (nodes, base_dim) @ (base_dim, dim) product blocks the sums differently.
+    """
     proj_rng = np.random.default_rng(np.random.SeedSequence([g.base_dim, dim]))
     projection = proj_rng.uniform(-1.0, 1.0, size=(g.base_dim, dim)) / np.sqrt(g.base_dim)
-    return {t: g.node_features[t] @ projection for t in sorted(g.nodes)}
+    if not tags:
+        return np.zeros((0, dim))
+    base = np.array(list(map(g.node_features.__getitem__, tags)))
+    return np.matmul(base[:, None, :], projection)[:, 0]
+
+
+def initial_node_states(g: HashtagGraph, dim: int) -> dict[str, np.ndarray]:
+    """Base node features mapped to `dim` by a fixed random projection."""
+    tags = sorted(g.nodes)
+    return dict(zip(tags, _initial_rows(g, tags, dim)))
 
 
 def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
@@ -87,14 +105,13 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     tags = sorted(g.nodes)
     if not tags:
         return {}
-    initial = initial_node_states(g, dim)
-    state = np.array([initial[t] for t in tags])
-    index = {t: i for i, t in enumerate(tags)}
+    state = _initial_rows(g, tags, dim)
+    index = dict(zip(tags, range(len(tags))))
     # Edge k = (a, b) becomes entries 2k (a <- b) and 2k+1 (b <- a).
-    ends = np.array([(index[a], index[b]) for a, b in g.edges], dtype=np.intp).reshape(-1, 2)
-    rows = ends.reshape(-1)
-    cols = ends[:, ::-1].reshape(-1)
-    w = np.repeat(np.array(list(g.edges.values()), dtype=np.float64), 2)
+    rows = np.fromiter(map(index.__getitem__, chain.from_iterable(g.edges)),
+                       dtype=np.intp, count=2 * len(g.edges))
+    cols = rows.reshape(-1, 2)[:, ::-1].reshape(-1)
+    w = np.repeat(np.fromiter(g.edges.values(), dtype=np.float64, count=len(g.edges)), 2)
     total = 1.0 + np.bincount(rows, weights=w, minlength=len(tags))
     linked = np.bincount(rows, minlength=len(tags)) > 0
     # Edge terms are gathered a bounded block at a time, in order, so a hop
@@ -112,11 +129,13 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
             np.add.at(acc.reshape(-1), flat, terms.reshape(-1))
         acc[linked] = np.tanh(acc[linked] / total[linked, None])
         state = acc
-    out = {}
-    for t, v in zip(tags, state):
-        norm = np.linalg.norm(v)  # per row: an axis-wise norm rounds differently
-        out[t] = v / norm if norm > 0 else v.copy()
-    return out
+    # Each row's norm is its own (1, dim) @ (dim, 1) product in one stacked
+    # matmul: the dot kernel `np.linalg.norm` runs on one row, so the bits
+    # match it. An axis-wise `np.linalg.norm(state, axis=1)` squares and sums
+    # in another order and rounds differently.
+    norm = np.sqrt(np.matmul(state[:, None, :], state[:, :, None]))[:, 0]
+    np.divide(state, norm, out=state, where=norm > 0)
+    return dict(zip(tags, state))
 
 
 @dataclass(frozen=True)

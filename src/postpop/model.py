@@ -28,7 +28,7 @@ from .hashtag_graph import (build_cooccurrence_graph, hashtag_feature,
                             node_embeddings)
 from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backward,
                       dense_forward, dropout, dropout_backward, padded_index, relu,
-                      relu_backward, uniform_param)
+                      relu_backward, uniform_params)
 from .providers import EmbeddingProvider, tokenize
 
 BRANCH_ORDER = ("social", "demographic", "hashtag", "sentiment")
@@ -186,34 +186,35 @@ def merged_length(config: ModelConfig) -> int:
     return total
 
 
-def init_model_params(config: ModelConfig, seed: int = 0, dtype=np.float64,
-                      scale: float = 1.0) -> dict[str, np.ndarray]:
-    """All trainable parameters, uniform in [-scale, scale], by name. The
-    dict's order is the order of the draws, of a checkpoint's arrays and of
-    Adam's flat buffers."""
-    rng = np.random.default_rng(seed)
-    params = {}
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every trainable parameter's shape, by name, in the order of the draws,
+    of a checkpoint's arrays and of Adam's flat buffers."""
+    shapes = {}
     if config.use_content:
-        encoders.init_lstm_params(params, rng, config.d, config.d, scale, dtype=dtype)
-        encoders.init_projection_params(params, rng, config.n, config.d, scale,
-                                        dtype=dtype)
+        shapes.update(encoders.lstm_param_shapes(config.d, config.d))
+        shapes.update(encoders.projection_param_shapes(config.n, config.d))
         if config.attention in ("hga", "sa"):
-            att.init_attention_params(params, rng, config.d, config.a, scale, dtype)
+            shapes.update(att.attention_param_shapes(config.d, config.a))
     for name in enabled_branches(config):
         spec = config.branch_specs[name]
         ch_in = 1
         for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
-            params[f"branch.{name}.conv{i}.filters"] = uniform_param(
-                rng, (ch_out, w, ch_in), scale, dtype)
-            params[f"branch.{name}.conv{i}.bias"] = uniform_param(
-                rng, (ch_out,), scale, dtype)
+            shapes[f"branch.{name}.conv{i}.filters"] = (ch_out, w, ch_in)
+            shapes[f"branch.{name}.conv{i}.bias"] = (ch_out,)
             ch_in = ch_out
     in_dim = merged_length(config)
     for i, out_dim in enumerate(config.head_sizes):
-        params[f"head.dense{i}.W"] = uniform_param(rng, (in_dim, out_dim), scale, dtype)
-        params[f"head.dense{i}.b"] = uniform_param(rng, (out_dim,), scale, dtype)
+        shapes[f"head.dense{i}.W"] = (in_dim, out_dim)
+        shapes[f"head.dense{i}.b"] = (out_dim,)
         in_dim = out_dim
-    return params
+    return shapes
+
+
+def init_model_params(config: ModelConfig, seed: int = 0, dtype=np.float64,
+                      scale: float = 1.0) -> dict[str, np.ndarray]:
+    """All trainable parameters, uniform in [-scale, scale], by name, in
+    `param_shapes` order: views of one draw."""
+    return uniform_params(np.random.default_rng(seed), param_shapes(config), scale, dtype)
 
 
 # ---------------------------------------------------------------------------

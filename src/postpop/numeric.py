@@ -2,12 +2,14 @@
 
 Everything trainable in the model is built from the forward/backward pairs in
 this module. Parameters are a plain dict of name -> array, in insertion
-order, each drawn by `uniform_param`. Backward passes are hand-derived per
-layer (the model graph is static); `finite_difference_grad` is the
-independent check they are verified against.
+order, drawn by `uniform_params` as views of one `uniform_param` draw.
+Backward passes are hand-derived per layer (the model graph is static);
+`finite_difference_grad` is the independent check they are verified against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,7 +32,25 @@ def uniform_param(rng: np.random.Generator, shape, scale: float = 1.0,
         arr -= 1.0
         arr *= np.float32(scale)
         return arr
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+    return rng.uniform(-scale, scale, size=shape).astype(dtype, copy=False)
+
+
+def uniform_params(rng: np.random.Generator, shapes: dict, scale: float = 1.0,
+                   dtype=np.float64) -> dict[str, np.ndarray]:
+    """Parameters of `shapes` (name -> shape), in its order, uniform in
+    [-scale, scale]: reshaped consecutive views of one `uniform_param` draw.
+
+    The generator hands out the same stream of doubles, and of float32
+    draws, however the draws are split, so every parameter equals the one
+    that a `uniform_param` call per shape, in this order, would draw.
+    """
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = uniform_param(rng, (sum(sizes),), scale, dtype)
+    params, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        params[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return params
 
 
 def flat_rows(x: np.ndarray) -> np.ndarray:

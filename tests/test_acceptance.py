@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import batch_loss, make_post, random_bundle, stack, tiny_config
-from postpop.attention import hga_attention, init_attention_params, sa_attention
+from postpop.attention import attention_param_shapes, hga_attention, sa_attention
 from postpop.corpora import make_hashtag_signal_corpus, make_sample_corpus
 from postpop.data import split_dataset
 from postpop.features import fit_pca, social_vector
@@ -18,7 +18,7 @@ from postpop.model import (ModelConfig, batch_loss_and_grads,
                            build_caches, extract_dataset, extract_features,
                            forward_bundle, init_model_params, merged_length,
                            save_checkpoint)
-from postpop.numeric import finite_difference_grad, relative_error
+from postpop.numeric import finite_difference_grad, relative_error, uniform_params
 from postpop.providers import EmbeddingProvider
 from postpop.training import (AdamState, TrainConfig, ablate, adam_step,
                               compute_metrics, spearman, train)
@@ -64,8 +64,7 @@ def test_c2_attention_invariants():
         l = int(rng.integers(1, 5))
         d = int(rng.integers(2, 7))
         a = int(rng.integers(1, 7))
-        store = {}
-        init_attention_params(store, rng, d, a)
+        store = uniform_params(rng, attention_param_shapes(d, a))
         n_tok = int(rng.integers(0, m + 1))
         mask = np.zeros(m)
         mask[:n_tok] = 1.0

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 
-from postpop.attention import (hga_attention, hga_backward, init_attention_params,
+from postpop.attention import (attention_param_shapes, hga_attention, hga_backward,
                                na_backward, na_content, pooled_hashtag, sa_attention)
-from postpop.numeric import finite_difference_grad, relative_error
+from postpop.numeric import finite_difference_grad, relative_error, uniform_params
 
 ATTENTION_PARAM_NAMES = ("att.Ut", "att.Vt", "att.wt", "att.Ui", "att.Vi", "att.wi")
 
 
 def attention_params(rng, d, a, scale=0.7):
-    store = {}
-    init_attention_params(store, rng, d, a, scale)
-    return store
+    return uniform_params(rng, attention_param_shapes(d, a), scale)
 
 
 def attended(alpha, rows):

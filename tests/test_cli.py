@@ -477,6 +477,42 @@ class TestAblate:
         assert not (tmp / "out" / "ablation.csv").exists()
 
 
+class TestSkippedLines:
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--variant", "na"]])
+    def test_each_skipped_line_named_with_its_reason(self, workspace, capsys, command):
+        tmp, cfg = workspace
+        corpus = tmp / "corpus.jsonl"
+        lines = corpus.read_text().splitlines()
+        nan_views, no_popularity = json.loads(lines[1]), json.loads(lines[2])
+        nan_views["metadata"]["avg_views"] = float("nan")
+        del no_popularity["popularity"]
+        lines[1:3] = [json.dumps(nan_views), json.dumps(no_popularity)]
+        lines[5:5] = ["not json", ""]
+        lines.insert(8, "[1, 2]")
+        corpus.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["--config", str(cfg), *command], capsys)
+        assert code == 0, err
+        assert f"skipped 4 malformed line(s) of {corpus}" in err
+        assert "  line 2: avg_views must be finite and >= 0\n" in err
+        assert "  line 3: missing field 'popularity'\n" in err
+        assert "  line 6: not valid JSON: Expecting value at column 1\n" in err
+        assert "  line 9: a record is a JSON object, not list\n" in err
+        assert "more" not in err
+
+    def test_at_most_ten_shown(self, workspace, capsys):
+        tmp, cfg = workspace
+        corpus = tmp / "corpus.jsonl"
+        with corpus.open("a") as fh:
+            fh.write("{\n" * 13)
+        code, _, err = run_cli(["--config", str(cfg), "train"], capsys)
+        assert code == 0, err
+        assert "skipped 13 malformed line(s)" in err
+        shown = [line for line in err.splitlines() if line.startswith("  line ")]
+        assert shown == [f"  line {41 + i}: not valid JSON: Expecting property name "
+                         f"enclosed in double quotes at column 2" for i in range(10)]
+        assert "  ... and 3 more" in err
+
+
 class TestInspectAttention:
     @pytest.fixture
     def trained(self, workspace, capsys):

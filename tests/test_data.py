@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_post
 from postpop.corpora import make_sample_corpus
-from postpop.data import (CorpusError, Dataset, FaceAnnotation, PostMetadata,
+from postpop.data import (CorpusError, Dataset, FaceAnnotation, Post, PostMetadata,
                           load_dataset, save_dataset, split_dataset)
+
+SAMPLE_CORPUS = Path(__file__).parents[1] / "data" / "sample_corpus.jsonl"
 
 
 def write_lines(path, records):
@@ -26,6 +32,89 @@ def record(post_id="p0", **over):
     }
     rec.update(over)
     return rec
+
+
+# Reference decoder and validators, written plainly: one `getattr` per
+# checked field, a tag-by-tag whitespace check, a copied metadata dict and
+# keyword construction. `load_dataset` must load the same posts and skip the
+# same lines.
+
+def reference_metadata_validate(m):
+    for name in ("avg_views", "group_count", "avg_member_count", "tag_count",
+                 "title_length", "description_length", "comment_count",
+                 "post_duration_days"):
+        value = getattr(m, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0")
+    if m.tagged_people not in (0, 1):
+        raise ValueError("tagged_people must be 0 or 1")
+    if not 0 <= m.post_day <= 6:
+        raise ValueError("post_day outside 0..6")
+    if not 0 <= m.post_month <= 11:
+        raise ValueError("post_month outside 0..11")
+    if not 0 <= m.post_hour <= 23:
+        raise ValueError("post_hour outside 0..23")
+
+
+def reference_post_validate(post):
+    for tag in post.hashtags:
+        if tag.split() != [tag]:
+            raise ValueError(f"hashtag {tag!r} is empty or contains whitespace")
+    if not math.isfinite(post.popularity):
+        raise ValueError("popularity must be finite")
+    if post.metadata.tag_count != len(post.hashtags):
+        raise ValueError("tag_count mismatch")
+    for face in post.faces:
+        face.validate()
+    reference_metadata_validate(post.metadata)
+
+
+def reference_post_from_record(rec):
+    faces = tuple(
+        FaceAnnotation(gender=f["gender"], age=int(f["age"]),
+                       emotion=f["emotion"], race=f["race"])
+        for f in rec.get("faces", []))
+    meta = PostMetadata(**{k: rec["metadata"][k] for k in rec["metadata"]})
+    post = Post(
+        post_id=str(rec["post_id"]),
+        user_id=str(rec["user_id"]),
+        caption=str(rec["caption"]),
+        hashtags=tuple(str(tag).lstrip("#").lower() for tag in rec["hashtags"]),
+        image_ref=str(rec["image_ref"]),
+        faces=faces,
+        metadata=meta,
+        popularity=float(rec["popularity"]),
+    )
+    reference_post_validate(post)
+    return post
+
+
+def reference_load(path):
+    """(posts, skipped) of a corpus by the reference decoder."""
+    posts, skipped = [], 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                posts.append(reference_post_from_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError, OverflowError):
+                skipped += 1
+    return tuple(posts), skipped
+
+
+def assert_loads_like_reference(path):
+    want_posts, want_skipped = reference_load(path)
+    if not want_posts:
+        with pytest.raises(CorpusError, match="no valid records"):
+            load_dataset(path)
+        return
+    ds, skipped = load_dataset(path)
+    assert skipped == want_skipped
+    assert ds.posts == want_posts
+    # equal floats could still differ in type or in the sign of a zero
+    assert [repr(p) for p in ds.posts] == [repr(p) for p in want_posts]
 
 
 NUMERIC_METADATA = ("avg_views", "group_count", "avg_member_count", "tag_count",
@@ -145,6 +234,155 @@ class TestLoad:
         write_lines(path, [record("p0"), record("p1", popularity=float("nan"))])
         ds, skipped = load_dataset(path)
         assert len(ds) == 1 and skipped == 1
+
+
+def graph_corpus(n=300, vocabulary=400, tags_per_post=5, seed=1):
+    """A sample corpus whose posts carry random tags from a large vocabulary,
+    as the benchmark's graph workload builds it."""
+    rng = np.random.default_rng([seed, 1])
+    posts = []
+    for post in make_sample_corpus(n=n, seed=seed).posts:
+        ids = rng.choice(vocabulary, size=tags_per_post, replace=False)
+        tags = tuple(f"tag{int(i):05d}" for i in ids)
+        posts.append(dataclasses.replace(
+            post, hashtags=tags,
+            metadata=dataclasses.replace(post.metadata, tag_count=len(tags))))
+    return Dataset(tuple(posts), name="graph")
+
+
+def malformed(**change):
+    """`record("bad")` with `change` applied: a key maps to a new value, or to
+    `...` to delete it; a "metadata.<field>" key changes one metadata field."""
+    rec = record("bad")
+    for key, value in change.items():
+        target, key = ((rec["metadata"], key.split(".", 1)[1]) if key.startswith("metadata.")
+                       else (rec, key))
+        if value is ...:
+            del target[key]
+        else:
+            target[key] = value
+    return json.dumps(rec)
+
+
+FACE = {"gender": "female", "age": 30, "emotion": "neutral", "race": "asian"}
+
+# Every malformed line of TestLoad, and more records near the rules' edges.
+MALFORMED_LINES = {
+    **{f"{name}={value!r}": malformed(**{f"metadata.{name}": value})
+       for name in NUMERIC_METADATA for value in (math.nan, math.inf, -math.inf, 10 ** 400)},
+    "popularity=10**400": malformed(popularity=10 ** 400),
+    "popularity=nan": malformed(popularity=math.nan),
+    "no popularity": malformed(popularity=...),
+    "face age inf": malformed(faces=[{**FACE, "age": math.inf}]),
+    "face age 130": malformed(faces=[{**FACE, "age": 130}]),
+    "face age 99.7": malformed(faces=[{**FACE, "age": 99.7}]),
+    "face age '7'": malformed(faces=[{**FACE, "age": "7"}]),
+    "face emotion joyful": malformed(faces=[{**FACE, "emotion": "joyful"}]),
+    "face without race": malformed(faces=[{k: v for k, v in FACE.items() if k != "race"}]),
+    "faces a string": malformed(faces="x"),
+    "faces null": malformed(faces=None),
+    "hashtags ['two words', 'x']": malformed(hashtags=["two words", "x"]),
+    "hashtags ['x', '']": malformed(hashtags=["x", ""]),
+    "hashtags ['#', 'x']": malformed(hashtags=["#", "x"]),
+    "hashtags ['a\u3000b', 'x']": malformed(hashtags=["a\u3000b", "x"]),
+    "hashtags ['#Sun', 'BEACH']": malformed(hashtags=["#Sun", "BEACH"]),
+    "hashtags [7, null]": malformed(hashtags=[7, None]),
+    "hashtags 'ab'": malformed(hashtags="ab"),
+    "hashtags 5": malformed(hashtags=5),
+    "tag_count 7": malformed(**{"metadata.tag_count": 7}),
+    "tag_count 2.0": malformed(**{"metadata.tag_count": 2.0}),
+    "post_day 7": malformed(**{"metadata.post_day": 7}),
+    "post_day 2.5": malformed(**{"metadata.post_day": 2.5}),
+    "post_month 12": malformed(**{"metadata.post_month": 12}),
+    "post_hour '3'": malformed(**{"metadata.post_hour": "3"}),
+    "tagged_people 0.5": malformed(**{"metadata.tagged_people": 0.5}),
+    "tagged_people true": malformed(**{"metadata.tagged_people": True}),
+    "avg_views '3'": malformed(**{"metadata.avg_views": "3"}),
+    "avg_views null": malformed(**{"metadata.avg_views": None}),
+    "unknown metadata key": malformed(**{"metadata.likes": 3}),
+    "no metadata": malformed(metadata=...),
+    "no caption": malformed(caption=...),
+    "post_id 12": malformed(post_id=12),
+    "not json": "not json",
+    "empty object": "{}",
+    "two objects": json.dumps(record("bad")) + " {}",
+    "non-JSON whitespace around": "\x0c" + json.dumps(record("bad")) + "\u3000",
+}
+
+
+class TestAgainstReference:
+    def test_sample_corpus(self):
+        assert_loads_like_reference(SAMPLE_CORPUS)
+
+    def test_graph_corpus(self, tmp_path):
+        path = tmp_path / "graph.jsonl"
+        save_dataset(graph_corpus(), path)
+        assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+    def test_malformed_line(self, tmp_path, case):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([json.dumps(record("p0")), MALFORMED_LINES[case],
+                                    "", json.dumps(record("p2"))]) + "\n",
+                        encoding="utf-8")
+        assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1, 1e308])
+    def test_extreme_value_grid(self, tmp_path, value):
+        # each numeric metadata field, the popularity and a face age in turn
+        lines = [json.dumps(record("p0"))]
+        for name in NUMERIC_METADATA:
+            lines.append(malformed(post_id=name, **{f"metadata.{name}": value}))
+        lines.append(malformed(post_id="popularity", popularity=value))
+        lines.append(malformed(post_id="age", faces=[{**FACE, "age": value}]))
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_loads_like_reference(path)
+
+
+class TestSkippedLines:
+    def test_line_numbers_and_reasons(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([
+            json.dumps(record("p0")), "", "not json",
+            malformed(post_id="p3", **{"metadata.avg_views": math.nan}),
+            malformed(post_id="p4", popularity=...),
+            malformed(post_id="p5", faces=[{**FACE, "age": math.inf}]),
+            malformed(post_id="p6", hashtags=5),
+            malformed(post_id="p7", **{"metadata.post_hour": "3"}),
+            "[1, 2]",
+        ]) + "\n", encoding="utf-8")
+        problems = []
+        ds, skipped = load_dataset(path, problems=problems)
+        assert [p.post_id for p in ds] == ["p0"] and skipped == 7
+        assert [n for n, _ in problems] == [3, 4, 5, 6, 7, 8, 9]
+        reasons = [r for _, r in problems]
+        assert reasons[0].startswith("not valid JSON")
+        assert reasons[1] == "avg_views must be finite and >= 0"
+        assert reasons[2] == "missing field 'popularity'"
+        assert reasons[3].startswith("faces: ")
+        assert reasons[4].startswith("hashtags: ")
+        assert reasons[5] == "post_hour outside 0..23"
+        assert reasons[6] == "a record is a JSON object, not list"
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        # json recurses once per nesting level
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record("p0")) + "\n" + "[" * 100_000 + "\n")
+        problems = []
+        ds, skipped = load_dataset(path, problems=problems)
+        assert len(ds) == 1 and skipped == 1
+        assert problems == [(2, "not valid JSON: nested too deeply")]
+
+    def test_non_object_metadata_is_malformed(self, tmp_path):
+        # the reference read a list or string as all-default metadata
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [record("p0"), record("p1", hashtags=[], metadata=[]),
+                           record("p2", hashtags=[], metadata="")])
+        problems = []
+        ds, skipped = load_dataset(path, problems=problems)
+        assert [p.post_id for p in ds] == ["p0"] and skipped == 2
+        assert all(reason.startswith("metadata: ") for _, reason in problems)
 
 
 class TestRoundTrip:

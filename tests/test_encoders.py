@@ -3,17 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from postpop.encoders import (init_lstm_params, init_projection_params,
-                              lstm_backward, lstm_encode, project_regions,
-                              project_regions_backward)
+from postpop.encoders import (lstm_backward, lstm_encode, lstm_param_shapes,
+                              project_regions, project_regions_backward,
+                              projection_param_shapes)
 from postpop.numeric import (ShapeError, dense_forward, finite_difference_grad,
-                             relative_error)
+                             relative_error, uniform_params)
 
 
 def lstm_params(rng, d_in, d_hidden, scale=0.6):
-    store = {}
-    init_lstm_params(store, rng, d_in, d_hidden, scale)
-    return store
+    return uniform_params(rng, lstm_param_shapes(d_in, d_hidden), scale)
 
 
 def scalar_lstm_step(x, h_prev, c_prev, wx, wh, b):
@@ -131,8 +129,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("case", sorted(LEAD_MASKS))
     def test_forward_bitwise_and_gradients_close(self, rng, case, dtype):
         mask = LEAD_MASKS[case]
-        store = {}
-        init_lstm_params(store, rng, 3, 4, 0.8, dtype)
+        store = uniform_params(rng, lstm_param_shapes(3, 4), 0.8, dtype)
         tokens = rng.uniform(-1, 1, (*mask.shape, 3)).astype(dtype)
         out, cache = lstm_encode(tokens, mask, store)
         ref, ref_cache = reference_lstm_encode(tokens, mask, store)
@@ -252,23 +249,20 @@ class TestLstmBackward:
 
 class TestProjection:
     def test_zero_weights(self, rng):
-        store = {}
-        init_projection_params(store, rng, 4, 3)
+        store = uniform_params(rng, projection_param_shapes(4, 3))
         store["proj.W"] = np.zeros((4, 3))
         store["proj.b"] = np.zeros(3)
         assert np.allclose(project_regions(rng.normal(size=(5, 4)), store), 0.0)
 
     def test_identity(self, rng):
-        store = {}
-        init_projection_params(store, rng, 4, 4)
+        store = uniform_params(rng, projection_param_shapes(4, 4))
         store["proj.W"] = np.eye(4)
         store["proj.b"] = np.zeros(4)
         regions = rng.normal(size=(6, 4))
         assert np.allclose(project_regions(regions, store), regions)
 
     def test_matches_per_row_dense(self, rng):
-        store = {}
-        init_projection_params(store, rng, 5, 3)
+        store = uniform_params(rng, projection_param_shapes(5, 3))
         regions = rng.normal(size=(7, 5))
         out = project_regions(regions, store)
         for i in range(7):
@@ -276,16 +270,14 @@ class TestProjection:
             assert np.allclose(out[i], row, atol=1e-12)
 
     def test_linearity_without_bias(self, rng):
-        store = {}
-        init_projection_params(store, rng, 4, 3)
+        store = uniform_params(rng, projection_param_shapes(4, 3))
         store["proj.b"] = np.zeros(3)
         x = rng.normal(size=(5, 4))
         assert np.allclose(project_regions(3.5 * x, store),
                            3.5 * project_regions(x, store), atol=1e-10)
 
     def test_gradcheck(self, rng):
-        store = {}
-        init_projection_params(store, rng, 4, 3)
+        store = uniform_params(rng, projection_param_shapes(4, 3))
         regions = rng.normal(size=(5, 4))
         weights = rng.normal(size=(5, 3))
 
@@ -298,8 +290,7 @@ class TestProjection:
         assert relative_error(grads["proj.b"], numeric["proj.b"]) < 1e-6
 
     def test_shape_mismatch(self, rng):
-        store = {}
-        init_projection_params(store, rng, 4, 3)
+        store = uniform_params(rng, projection_param_shapes(4, 3))
         with pytest.raises(ShapeError):
             project_regions(rng.normal(size=(5, 6)), store)
 
@@ -354,8 +345,7 @@ class TestBatchedLstm:
             assert relative_error(grads[name], numeric[name]) < 1e-6, name
 
     def test_batched_projection_matches_rows(self, rng):
-        store = {}
-        init_projection_params(store, rng, 5, 3)
+        store = uniform_params(rng, projection_param_shapes(5, 3))
         regions = rng.normal(size=(4, 2, 5))
         d_out = rng.normal(size=(4, 2, 3))
         out = project_regions(regions, store)

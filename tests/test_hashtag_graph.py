@@ -34,6 +34,19 @@ def brute_force_weights(tag_lists):
     return weights
 
 
+def loop_edges(tag_lists):
+    """Reference: each post's sorted distinct tags, pair by pair, in a double
+    loop; the dict lists the pairs in the order they are first seen."""
+    edges = {}
+    for tags in tag_lists:
+        tags = sorted(set(tags))
+        for i in range(len(tags)):
+            for j in range(i + 1, len(tags)):
+                key = (tags[i], tags[j])
+                edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
 class TestGraphBuild:
     def test_two_posts_hand_counts(self, provider):
         ds = posts_with_tags([("a", "b", "c"), ("a", "b")])
@@ -61,6 +74,21 @@ class TestGraphBuild:
                 tag_lists.append(tuple(rng.choice(vocab, size=k, replace=True)))
             g = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)
             assert g.edges == brute_force_weights(tag_lists)
+
+    def test_edges_and_nodes_in_first_seen_order(self, provider, rng):
+        # `node_embeddings` sums each node's neighbours in `edges` order, so
+        # its bits depend on the order, which `==` on dicts ignores
+        for trial in range(8):
+            vocab = [f"t{i:02d}" for i in range(int(rng.integers(3, 30)))]
+            tag_lists = [tuple(rng.choice(vocab, size=int(rng.integers(0, 7))))
+                         for _ in range(int(rng.integers(5, 50)))]
+            tag_lists[int(rng.integers(len(tag_lists))):0] = [(), ("solo",), ("a", "a")]
+            g = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)
+            assert type(g.edges) is dict
+            assert list(g.edges.items()) == list(loop_edges(tag_lists).items())
+            first_seen = dict.fromkeys(t for tags in tag_lists for t in sorted(set(tags)))
+            assert list(g.node_features) == list(first_seen)
+            assert g.nodes == set(first_seen)
 
 
 def loop_node_embeddings(g, dim, hops):
@@ -114,6 +142,20 @@ class TestNodeEmbeddings:
                 for t in want:
                     assert np.array_equal(got[t], want[t]), (t, dim, hops)
 
+
+    @pytest.mark.parametrize("base_dim", [1, 3, 16, 64])
+    def test_initial_states_bitwise_equal_to_per_row_products(self, rng, base_dim):
+        g = HashtagGraph(base_dim=base_dim)
+        g.nodes = {f"t{i}" for i in range(37)}
+        g.node_features = {t: rng.uniform(-1, 1, base_dim) for t in sorted(g.nodes)}
+        for dim in (1, 3, 4, 5, 7, 8, 16, 50, 64):
+            proj_rng = np.random.default_rng(np.random.SeedSequence([base_dim, dim]))
+            projection = (proj_rng.uniform(-1.0, 1.0, size=(base_dim, dim))
+                          / np.sqrt(base_dim))
+            got = initial_node_states(g, dim)
+            assert list(got) == sorted(g.nodes)
+            for t, v in got.items():
+                assert np.array_equal(v, g.node_features[t] @ projection), (t, dim)
 
     def test_isolated_node_is_normalized_projection(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("solo",)]), provider)

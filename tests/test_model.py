@@ -30,6 +30,7 @@ from postpop.numeric import (_conv_columns, conv1d_backward, conv1d_forward,
                              relu_backward, uniform_param)
 from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, tokenize,
                                write_feature_file)
+from postpop.training import apply_variant
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -129,6 +130,60 @@ class TestBranch:
             bad = BranchSpec(widths=widths, channels=channels)
             with pytest.raises(ValueError, match="hashtag_widths .*3 conv layers"):
                 tiny_config(branch_specs={**tiny_config().branch_specs, "hashtag": bad})
+
+
+def reference_init_model_params(config, seed=0, dtype=np.float64, scale=1.0):
+    """Reference: one `uniform_param` draw per parameter, in order."""
+    rng = np.random.default_rng(seed)
+    d, a = config.d, config.a
+    shapes = []
+    if config.use_content:
+        shapes += [("lstm.Wx", (d, 4 * d)), ("lstm.Wh", (d, 4 * d)), ("lstm.b", (4 * d,)),
+                   ("proj.W", (config.n, d)), ("proj.b", (d,))]
+        if config.attention in ("hga", "sa"):
+            shapes += [("att.Ut", (d, a)), ("att.Vt", (d, a)), ("att.wt", (a,)),
+                       ("att.Ui", (d, a)), ("att.Vi", (d, a)), ("att.wi", (a,))]
+    for name in model_mod.enabled_branches(config):
+        spec = config.branch_specs[name]
+        ch_in = 1
+        for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
+            shapes += [(f"branch.{name}.conv{i}.filters", (ch_out, w, ch_in)),
+                       (f"branch.{name}.conv{i}.bias", (ch_out,))]
+            ch_in = ch_out
+    in_dim = merged_length(config)
+    for i, out_dim in enumerate(config.head_sizes):
+        shapes += [(f"head.dense{i}.W", (in_dim, out_dim)), (f"head.dense{i}.b", (out_dim,))]
+        in_dim = out_dim
+    return {name: uniform_param(rng, shape, scale, dtype) for name, shape in shapes}
+
+
+INIT_CONFIGS = {
+    "desk": REPO / "configs" / "desk.cfg",
+    "signal": REPO / "perfbench" / "configs" / "signal.cfg",
+    "paper branches": None,
+}
+
+
+class TestInitModelParams:
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["full", "sa", "na"])
+    @pytest.mark.parametrize("config_name", sorted(INIT_CONFIGS))
+    def test_equals_one_draw_per_parameter(self, config_name, variant, dtype, seed):
+        path = INIT_CONFIGS[config_name]
+        if path is None:  # the paper's branch specs at a tiny width
+            cfg = ModelConfig(m=3, k=4, l=2, d=3, a=2, n=5, topic_dim=8,
+                              structure_dim=5, head_sizes=(6, 3, 1))
+        else:
+            cfg = model_config_from(resolve_config(path))
+        cfg = apply_variant(cfg, variant)
+        got = init_model_params(cfg, seed=seed, dtype=dtype, scale=0.3)
+        want = reference_init_model_params(cfg, seed=seed, dtype=dtype, scale=0.3)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype == dtype
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestMergeAndConfig:
