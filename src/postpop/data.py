@@ -34,6 +34,8 @@ class FaceAnnotation:
     def validate(self):
         if self.gender not in GENDERS:
             raise ValueError(f"unknown gender {self.gender!r}")
+        if type(self.age) is not int:  # a bool, float or string is not an age
+            raise ValueError(f"age must be an integer, not {self.age!r}")
         if not 0 <= self.age <= 100:
             raise ValueError(f"age {self.age} outside [0, 100]")
         if self.emotion not in EMOTIONS:
@@ -46,6 +48,9 @@ class FaceAnnotation:
 _NONNEGATIVE = ("avg_views", "group_count", "avg_member_count", "tag_count",
                 "title_length", "description_length", "comment_count",
                 "post_duration_days")
+# The PostMetadata fields that must hold an int, in `validate`'s order.
+_INTEGERS = ("group_count", "tag_count", "title_length", "description_length",
+             "tagged_people", "comment_count", "post_day", "post_month", "post_hour")
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,8 @@ class PostMetadata:
 
     def validate(self):
         """Every field must be finite and in range; NaN fails every test below.
+        Each integer field must hold an int: a bool, or a float even when
+        it is integral (2.0), fails.
 
         A failure raises ValueError naming the field, also for a value that
         is not a number or an integer too large for a float.
@@ -89,6 +96,13 @@ class PostMetadata:
                 ok = False
             if not ok:
                 raise ValueError(f"{name} outside 0..{high}")
+        integers = (self.group_count, self.tag_count, self.title_length,
+                    self.description_length, self.tagged_people, self.comment_count,
+                    self.post_day, self.post_month, self.post_hour)
+        for value in integers:
+            if type(value) is not int:
+                name = next(n for n, v in zip(_INTEGERS, integers) if type(v) is not int)
+                raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +132,10 @@ class Post:
             raise ValueError(
                 f"tag_count {self.metadata.tag_count} != {len(self.hashtags)} hashtags")
         for face in self.faces:
-            face.validate()
+            try:
+                face.validate()
+            except ValueError as exc:
+                raise ValueError(f"faces: {exc}") from None
         self.metadata.validate()
 
 
@@ -148,7 +165,7 @@ def _post_from_record(rec) -> Post:
         raise ValueError(f"a record is a JSON object, not {type(rec).__name__}")
     field = "faces"
     try:
-        faces = tuple([FaceAnnotation(f["gender"], int(f["age"]), f["emotion"], f["race"])
+        faces = tuple([FaceAnnotation(f["gender"], f["age"], f["emotion"], f["race"])
                        for f in rec.get("faces", ())])
         field = "metadata"
         meta = PostMetadata(**rec["metadata"])

@@ -8,10 +8,12 @@ segment(4) one-hots + raw duration = 33 dims, reduced to 6 by PCA.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,12 +88,20 @@ class SentimentLexicon:
 
     @classmethod
     def bundled(cls) -> "SentimentLexicon":
-        ref = resources.files("postpop").joinpath("assets/sentiment_lexicon.tsv")
-        with resources.as_file(ref) as path:
-            return cls.from_file(path)
+        """The lexicon in `assets/`, read once per process: each call gives
+        a new instance that owns a copy of the table."""
+        return cls(_bundled_table())
 
     def __len__(self):
         return len(self.table)
+
+
+@functools.cache
+def _bundled_table() -> MappingProxyType:
+    """The parsed `assets/sentiment_lexicon.tsv`, read-only."""
+    ref = resources.files("postpop").joinpath("assets/sentiment_lexicon.tsv")
+    with resources.as_file(ref) as path:
+        return MappingProxyType(SentimentLexicon.from_file(path).table)
 
 
 def sentiment_scores(token_lists, lexicon: SentimentLexicon) -> np.ndarray:

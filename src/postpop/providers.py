@@ -7,12 +7,12 @@ pretrained models and reproduces bit-exactly across processes. A
 instead, for plugging in real extractor outputs.
 
 A stub vector is `2u - 1` for the first dim doubles u of the counter-based
-stream (`streams.unit_floats`) keyed by the 8-byte blake2b digest of
+stream (`streams.floats`) keyed by the 8-byte blake2b digest of
 `seed:dim:key`. `vector(key, dim)` draws one key; a featurization pass
 needs many, so `tables(keys_by_dim)` draws each dim's keys in one array
 computation, into a `(len(keys) + 1, dim)` table whose last row is zeros.
-Both run the same rule on the same words, so its rows equal `vector`'s bit
-for bit. The digests continue one hashed `seed:dim:` prefix per dim.
+Both run the same kernel on the same words, so its rows equal `vector`'s
+bit for bit. The digests continue one hashed `seed:dim:` prefix per dim.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _MAGIC = b"PPEMB1"
 
 # Stub draws, counted over every dim of a `tables` call, from which it draws
-# each dim's keys in one `streams.unit_floats` call; below this count it calls
-# `vector` per key. The batch is never the slower path (numpy 2.4, one BLAS
-# thread, a shared 2-vCPU host): one `vector` takes about 22 us, a 12-key
-# `tables` call over two dims about 60 us and a 332-key one about 210 us.
-# The cut-off exists only so that a one-post pass of a few draws still takes
-# the per-key path: the benchmark's traced runs require the
-# `providers.vector` span, and only that path reaches it.
+# each dim's keys in one `streams.floats` call; below this count it calls
+# `vector` per key. The batch is never the slower path (numpy 2.4.6, one
+# BLAS thread, a shared 2-vCPU host, fastest of 21 runs): one `vector` of 8
+# dims takes about 9 us, so an 11-key `tables` call over two dims takes
+# about 110 us per key, while a 12-key one takes about 27 us and a 332-key
+# one about 150 us in the batch. The cut-off exists only so that a one-post
+# pass of a few draws still takes the per-key path: the benchmark's traced
+# runs require the `providers.vector` span, and only that path reaches it.
 BATCH_DRAWS = 12
 
 
@@ -137,26 +138,18 @@ class EmbeddingProvider:
                 raise ValueError(
                     f"stored dim {vec.shape[0]} != requested {dim} for key {key!r}")
             return vec.copy()
-        return self._draw(dim, self._digests(dim, [key]))[0]
+        digest = self._prefix(dim).copy()
+        digest.update(key.encode())
+        return streams.floats(digest.digest(), dim, signed=True)[0]
 
-    @staticmethod
-    def _draw(dim: int, digests: bytes) -> np.ndarray:
-        """One stub vector per 8-byte digest, as rows: `2u - 1` (exact) for
-        the doubles u of the stream the digest keys."""
-        out = streams.unit_floats(np.frombuffer(digests, dtype="<u8"), dim)
-        out *= 2.0
-        out -= 1.0
-        return out
-
-    def _digests(self, dim: int, keys) -> bytes:
-        """The 8-byte blake2b digests of `f"{seed}:{dim}:{key}"` for each key,
-        concatenated: the `seed:dim:` prefix is hashed once per (seed, dim),
-        and each key continues a copy of that state."""
+    def _prefix(self, dim: int):
+        """The blake2b state that has hashed `f"{seed}:{dim}:"`, made once
+        per (seed, dim): each key's digest continues a copy of it."""
         prefix = self._prefixes.get((self.seed, dim))
         if prefix is None:
             prefix = hashlib.blake2b(f"{self.seed}:{dim}:".encode(), digest_size=8)
             self._prefixes[self.seed, dim] = prefix
-        return streams.digests(prefix, keys)
+        return prefix
 
     def tables(self, keys_by_dim) -> dict[int, np.ndarray]:
         """One `(len(keys) + 1, dim)` table per dim of `keys_by_dim` (a
@@ -182,6 +175,7 @@ class EmbeddingProvider:
                     table[j] = self.vector(key, dim)
             else:
                 # one more row, drawn from a zero digest, becomes the zero row
-                out[dim] = table = self._draw(dim, self._digests(dim, keys) + bytes(8))
+                digests = streams.digests(self._prefix(dim), keys) + bytes(8)
+                out[dim] = table = streams.floats(digests, dim, signed=True)
                 table[-1] = 0.0
         return out

@@ -36,8 +36,14 @@ def record(post_id="p0", **over):
 
 # Reference decoder and validators, written plainly: one `getattr` per
 # checked field, a tag-by-tag whitespace check, a copied metadata dict and
-# keyword construction. `load_dataset` must load the same posts and skip the
-# same lines.
+# keyword construction. An integer field, a face's age included, must hold
+# an int: a bool, a float (even 2.0) or a string is malformed.
+# `load_dataset` must load the same posts and skip the same lines.
+
+INTEGER_METADATA = ("group_count", "tag_count", "title_length", "description_length",
+                    "tagged_people", "comment_count", "post_day", "post_month",
+                    "post_hour")
+
 
 def reference_metadata_validate(m):
     for name in ("avg_views", "group_count", "avg_member_count", "tag_count",
@@ -54,6 +60,9 @@ def reference_metadata_validate(m):
         raise ValueError("post_month outside 0..11")
     if not 0 <= m.post_hour <= 23:
         raise ValueError("post_hour outside 0..23")
+    for name in INTEGER_METADATA:
+        if type(getattr(m, name)) is not int:
+            raise ValueError(f"{name} must be an integer")
 
 
 def reference_post_validate(post):
@@ -65,13 +74,15 @@ def reference_post_validate(post):
     if post.metadata.tag_count != len(post.hashtags):
         raise ValueError("tag_count mismatch")
     for face in post.faces:
+        if type(face.age) is not int:
+            raise ValueError("age must be an integer")
         face.validate()
     reference_metadata_validate(post.metadata)
 
 
 def reference_post_from_record(rec):
     faces = tuple(
-        FaceAnnotation(gender=f["gender"], age=int(f["age"]),
+        FaceAnnotation(gender=f["gender"], age=f["age"],
                        emotion=f["emotion"], race=f["race"])
         for f in rec.get("faces", []))
     meta = PostMetadata(**{k: rec["metadata"][k] for k in rec["metadata"]})
@@ -297,6 +308,12 @@ MALFORMED_LINES = {
     "post_hour '3'": malformed(**{"metadata.post_hour": "3"}),
     "tagged_people 0.5": malformed(**{"metadata.tagged_people": 0.5}),
     "tagged_people true": malformed(**{"metadata.tagged_people": True}),
+    **{f"{name} {value!r}": malformed(**{f"metadata.{name}": value})
+       for name in INTEGER_METADATA for value in (True, False, 1.0, 1.5)},
+    "tag_count true, one tag": malformed(hashtags=["x"], **{"metadata.tag_count": True}),
+    "face age 30.0": malformed(faces=[{**FACE, "age": 30.0}]),
+    "face age true": malformed(faces=[{**FACE, "age": True}]),
+    "face age false": malformed(faces=[{**FACE, "age": False}]),
     "avg_views '3'": malformed(**{"metadata.avg_views": "3"}),
     "avg_views null": malformed(**{"metadata.avg_views": None}),
     "unknown metadata key": malformed(**{"metadata.likes": 3}),
@@ -364,6 +381,26 @@ class TestSkippedLines:
         assert reasons[4].startswith("hashtags: ")
         assert reasons[5] == "post_hour outside 0..23"
         assert reasons[6] == "a record is a JSON object, not list"
+
+    def test_non_integers_in_integer_fields_are_named(self, tmp_path):
+        # each was once loaded and silently rounded, or kept as a float or bool
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([
+            json.dumps(record("p0")),
+            malformed(post_id="p1", **{"metadata.post_day": 2.5}),
+            malformed(post_id="p2", faces=[{**FACE, "age": 99.7}]),
+            malformed(post_id="p3", **{"metadata.tagged_people": True}),
+            malformed(post_id="p4", **{"metadata.tag_count": 2.0}),
+            malformed(post_id="p5", faces=[{**FACE, "age": 30.0}]),
+        ]) + "\n", encoding="utf-8")
+        problems = []
+        ds, skipped = load_dataset(path, problems=problems)
+        assert [p.post_id for p in ds] == ["p0"] and skipped == 5
+        assert problems == [(2, "post_day must be an integer, not 2.5"),
+                            (3, "faces: age must be an integer, not 99.7"),
+                            (4, "tagged_people must be an integer, not True"),
+                            (5, "tag_count must be an integer, not 2.0"),
+                            (6, "faces: age must be an integer, not 30.0")]
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):
         # json recurses once per nesting level

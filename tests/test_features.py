@@ -1,9 +1,11 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_post
+from postpop import features
 from postpop.data import FaceAnnotation
 from postpop.features import (DEMOGRAPHIC_DIM, SentimentLexicon, SocialStats,
                               apply_pca, fit_pca,
@@ -99,6 +101,21 @@ class TestSentiment:
     def test_no_hits_uniform(self, lexicon):
         assert np.allclose(scores("zxqv qqq", lexicon), 0.2)
         assert np.allclose(scores("", lexicon), 0.2)
+
+    def test_bundled_instances_own_their_tables(self):
+        # the file is parsed once per process; mutating one instance's
+        # table must not reach a later `bundled()` or an earlier one
+        first = SentimentLexicon.bundled()
+        want = dict(first.table)
+        changed = SentimentLexicon.bundled()
+        assert changed.table is not first.table
+        changed.table["amazing"] = 0
+        changed.table["zxqv"] = 4
+        del changed.table[next(iter(want))]
+        assert first.table == want
+        assert SentimentLexicon.bundled().table == want
+        assert SentimentLexicon.bundled().table == SentimentLexicon.from_file(
+            Path(features.__file__).parent / "assets" / "sentiment_lexicon.tsv").table
 
     def test_single_class4_hit_argmax(self, lexicon):
         out = scores("what an amazing day", lexicon)

@@ -305,7 +305,7 @@ class TestBatchedDraws:
         provider = EmbeddingProvider(seed=3)
         for key, dim in (("", 1), ("tok", 8), ("é", 5), ("img0", 600)):
             digest = hashlib.blake2b(f"3:{dim}:{key}".encode(), digest_size=8).digest()
-            u = streams.unit_floats([int.from_bytes(digest, "little")], dim)[0]
+            u = streams.floats(digest, dim)[0]
             assert provider.vector(key, dim).tobytes() == (2.0 * u - 1.0).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
@@ -315,7 +315,7 @@ class TestBatchedDraws:
         for dim in (1, 8, 25088):
             want = b"".join(hashlib.blake2b(f"{seed}:{dim}:{key}".encode("utf-8"),
                                             digest_size=8).digest() for key in keys)
-            assert provider._digests(dim, keys) == want
+            assert streams.digests(provider._prefix(dim), keys) == want
 
     def test_bad_dim_raises_on_both_paths(self, provider):
         for count in (1, BATCH_DRAWS):
