@@ -71,11 +71,16 @@ class PostMetadata:
     def validate(self):
         """Every field must be finite and in range; NaN fails every test below.
         Each integer field must hold an int: a bool, or a float even when
-        it is integral (2.0), fails.
+        it is integral (2.0), fails. A float field must not hold a bool.
 
         A failure raises ValueError naming the field, also for a value that
         is not a number or an integer too large for a float.
         """
+        if (type(self.avg_views) is bool or type(self.avg_member_count) is bool
+                or type(self.post_duration_days) is bool):
+            name = next(n for n in ("avg_views", "avg_member_count", "post_duration_days")
+                        if type(getattr(self, n)) is bool)
+            raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         counts = (self.avg_views, self.group_count, self.avg_member_count, self.tag_count,
                   self.title_length, self.description_length, self.comment_count,
                   self.post_duration_days)
@@ -172,7 +177,10 @@ def _post_from_record(rec) -> Post:
         field = "hashtags"
         hashtags = tuple([str(tag).lstrip("#").lower() for tag in rec["hashtags"]])
         field = "popularity"
-        popularity = float(rec["popularity"])
+        popularity = rec["popularity"]
+        if type(popularity) is bool:
+            raise ValueError(f"must be a number, not {popularity!r}")
+        popularity = float(popularity)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{field}: {exc}") from None
     post = Post(str(rec["post_id"]), str(rec["user_id"]), str(rec["caption"]), hashtags,

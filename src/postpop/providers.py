@@ -9,10 +9,11 @@ instead, for plugging in real extractor outputs.
 A stub vector is `2u - 1` for the first dim doubles u of the counter-based
 stream (`streams.floats`) keyed by the 8-byte blake2b digest of
 `seed:dim:key`. `vector(key, dim)` draws one key; a featurization pass
-needs many, so `tables(keys_by_dim)` draws each dim's keys in one array
-computation, into a `(len(keys) + 1, dim)` table whose last row is zeros.
-Both run the same kernel on the same words, so its rows equal `vector`'s
-bit for bit. The digests continue one hashed `seed:dim:` prefix per dim.
+needs many, so `tables(keys_by_dim)` fills one `(len(keys) + 1, dim)` table
+per dim, whose last row is zeros: a dim of one key is one `vector` call, and
+any other dim is one array computation over all its keys. Both run the same
+kernel on the same words, so the rows equal `vector`'s bit for bit. The
+digests continue one hashed `seed:dim:` prefix per dim.
 """
 
 from __future__ import annotations
@@ -30,17 +31,6 @@ from . import streams
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 _MAGIC = b"PPEMB1"
-
-# Stub draws, counted over every dim of a `tables` call, from which it draws
-# each dim's keys in one `streams.floats` call; below this count it calls
-# `vector` per key. The batch is never the slower path (numpy 2.4.6, one
-# BLAS thread, a shared 2-vCPU host, fastest of 21 runs): one `vector` of 8
-# dims takes about 9 us, so an 11-key `tables` call over two dims takes
-# about 110 us per key, while a 12-key one takes about 27 us and a 332-key
-# one about 150 us in the batch. The cut-off exists only so that a one-post
-# pass of a few draws still takes the per-key path: the benchmark's traced
-# runs require the `providers.vector` span, and only that path reaches it.
-BATCH_DRAWS = 12
 
 
 def tokenize(text: str) -> list[str]:
@@ -157,19 +147,19 @@ class EmbeddingProvider:
         `self.vector(keys[j], dim)` bit for bit, and the last row is zeros,
         so index -1 gathers zeros.
 
-        From `BATCH_DRAWS` stub keys in all on, each dim's keys are drawn in
-        one array computation. Fewer keys and the `precomputed_file`
-        provider call `vector` per key.
+        A dim of exactly one key is one `vector` call, which costs what a
+        batch of one does and keeps the traced `providers.vector` span in
+        every one-post pass (its image key); a dim of none or of several is
+        drawn in one array computation. The `precomputed_file` provider
+        calls `vector` per key.
         """
         keys_by_dim = {dim: list(keys) for dim, keys in keys_by_dim.items()}
         for dim in keys_by_dim:
             if dim < 1:
                 raise ValueError(f"dim must be >= 1, got {dim}")
-        per_key = (self.kind == "precomputed_file"
-                   or sum(map(len, keys_by_dim.values())) < BATCH_DRAWS)
         out = {}
         for dim, keys in keys_by_dim.items():
-            if per_key:
+            if len(keys) == 1 or self.kind == "precomputed_file":
                 out[dim] = table = np.zeros((len(keys) + 1, dim))
                 for j, key in enumerate(keys):
                     table[j] = self.vector(key, dim)

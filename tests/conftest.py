@@ -97,7 +97,8 @@ class DrawLog:
 
     `drawn` lists each (key, dim) drawn, whichever way: every key of a
     `tables` call, and every `vector` call made outside one. `per_key`
-    lists every `vector` call, inside `tables` below its crossover or not.
+    lists every `vector` call, inside `tables` (a dim of one key, or any key
+    of a `precomputed_file` provider) or not.
     """
 
     def __init__(self):

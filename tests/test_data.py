@@ -37,15 +37,20 @@ def record(post_id="p0", **over):
 # Reference decoder and validators, written plainly: one `getattr` per
 # checked field, a tag-by-tag whitespace check, a copied metadata dict and
 # keyword construction. An integer field, a face's age included, must hold
-# an int: a bool, a float (even 2.0) or a string is malformed.
+# an int: a bool, a float (even 2.0) or a string is malformed. A float field,
+# the popularity included, must not hold a bool.
 # `load_dataset` must load the same posts and skip the same lines.
 
 INTEGER_METADATA = ("group_count", "tag_count", "title_length", "description_length",
                     "tagged_people", "comment_count", "post_day", "post_month",
                     "post_hour")
+FLOAT_METADATA = ("avg_views", "avg_member_count", "post_duration_days")
 
 
 def reference_metadata_validate(m):
+    for name in FLOAT_METADATA:
+        if isinstance(getattr(m, name), bool):
+            raise ValueError(f"{name} must be a number")
     for name in ("avg_views", "group_count", "avg_member_count", "tag_count",
                  "title_length", "description_length", "comment_count",
                  "post_duration_days"):
@@ -96,6 +101,8 @@ def reference_post_from_record(rec):
         metadata=meta,
         popularity=float(rec["popularity"]),
     )
+    if isinstance(rec["popularity"], bool):
+        raise ValueError("popularity must be a number")
     reference_post_validate(post)
     return post
 
@@ -311,6 +318,10 @@ MALFORMED_LINES = {
     **{f"{name} {value!r}": malformed(**{f"metadata.{name}": value})
        for name in INTEGER_METADATA for value in (True, False, 1.0, 1.5)},
     "tag_count true, one tag": malformed(hashtags=["x"], **{"metadata.tag_count": True}),
+    **{f"{name} {value!r}": malformed(**{f"metadata.{name}": value})
+       for name in FLOAT_METADATA for value in (True, False)},
+    "popularity true": malformed(popularity=True),
+    "popularity false": malformed(popularity=False),
     "face age 30.0": malformed(faces=[{**FACE, "age": 30.0}]),
     "face age true": malformed(faces=[{**FACE, "age": True}]),
     "face age false": malformed(faces=[{**FACE, "age": False}]),
@@ -401,6 +412,27 @@ class TestSkippedLines:
                             (4, "tagged_people must be an integer, not True"),
                             (5, "tag_count must be an integer, not 2.0"),
                             (6, "faces: age must be an integer, not 30.0")]
+
+    def test_bools_in_float_fields_are_named(self, tmp_path):
+        # each was once loaded as 1.0, or kept as the bool itself
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([
+            json.dumps(record("p0")),
+            malformed(post_id="p1", popularity=True),
+            malformed(post_id="p2", **{"metadata.avg_views": True}),
+            malformed(post_id="p3", **{"metadata.avg_member_count": False}),
+            malformed(post_id="p4", **{"metadata.post_duration_days": False}),
+            malformed(post_id="p5", **{"metadata.avg_views": True,
+                                       "metadata.post_duration_days": True}),
+        ]) + "\n", encoding="utf-8")
+        problems = []
+        ds, skipped = load_dataset(path, problems=problems)
+        assert [p.post_id for p in ds] == ["p0"] and skipped == 5
+        assert problems == [(2, "popularity: must be a number, not True"),
+                            (3, "avg_views must be a number, not True"),
+                            (4, "avg_member_count must be a number, not False"),
+                            (5, "post_duration_days must be a number, not False"),
+                            (6, "avg_views must be a number, not True")]
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):
         # json recurses once per nesting level

@@ -28,8 +28,7 @@ from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
 from postpop.numeric import (_conv_columns, conv1d_backward, conv1d_forward,
                              finite_difference_grad, relative_error, relu,
                              relu_backward, uniform_param)
-from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, tokenize,
-                               write_feature_file)
+from postpop.providers import EmbeddingProvider, tokenize, write_feature_file
 from postpop.training import apply_variant
 
 REPO = Path(__file__).resolve().parents[1]
@@ -442,22 +441,28 @@ class TestExtractDataset:
         draw_log.drawn.clear()
         draw_log.per_key.clear()
         extract_dataset(ds, caches, cfg)
-        assert len(set(pass_requests(ds.posts, cfg))) >= BATCH_DRAWS
-        assert sorted(draw_log.drawn) == sorted(set(pass_requests(ds.posts, cfg)))
+        requests = set(pass_requests(ds.posts, cfg))
+        dims = [dim for _, dim in requests]
+        assert min(map(dims.count, dims)) > 1  # no dim of one key
+        assert sorted(draw_log.drawn) == sorted(requests)
         assert draw_log.per_key == []
 
-    def test_one_post_pass_draws_per_key_below_the_crossover(self, draw_log):
+    def test_one_post_pass_draws_only_its_image_per_key(self, draw_log):
         # a one-post pass lists its keys in one `tables` call like any pass;
-        # with fewer than BATCH_DRAWS of them, that call draws each per key
+        # its image is the one key of its dim, k * n, so that is the one
+        # `vector` call, and the tokens and tags are drawn in batches
         cfg = tiny_config()
         ds = make_sample_corpus(n=20, seed=5)
         caches = build_caches(ds.posts, cfg)
-        draw_log.drawn.clear()
-        draw_log.per_key.clear()
-        extract_dataset(Dataset(ds.posts[:1]), caches, cfg)
-        assert len(draw_log.drawn) < BATCH_DRAWS
-        assert draw_log.per_key == draw_log.drawn
-        assert set(draw_log.drawn) == set(pass_requests(ds.posts[:1], cfg))
+        posts = [post for post in ds.posts
+                 if len(set(post.hashtags)) > 1 and len(tokenize(post.caption)) > 1]
+        assert len(posts) > 5 and cfg.k * cfg.n not in (cfg.d, cfg.topic_dim)
+        for post in posts:
+            draw_log.drawn.clear()
+            draw_log.per_key.clear()
+            extract_dataset(Dataset((post,)), caches, cfg)
+            assert draw_log.per_key == [(post.image_ref, cfg.k * cfg.n)]
+            assert sorted(draw_log.drawn) == sorted(set(pass_requests([post], cfg)))
 
     @pytest.mark.parametrize("config_file", [None, "desk.cfg"])
     def test_tokenizes_each_caption_once(self, monkeypatch, config_file):

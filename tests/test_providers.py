@@ -1,6 +1,7 @@
 import hashlib
 import re
 import string
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from conftest import make_post, tiny_config
 from postpop.model import FeatureBundle, build_caches, extract_features
 from postpop import streams
-from postpop.providers import (BATCH_DRAWS, EmbeddingProvider, read_feature_file,
-                               tokenize, write_feature_file)
+from postpop.providers import (EmbeddingProvider, read_feature_file, tokenize,
+                               write_feature_file)
 
 
 @pytest.fixture
@@ -204,6 +205,46 @@ class TestPrecomputedFile:
         cut.write_bytes(raw)
         assert read_feature_file(cut)[1].keys() == {"a", "bb"}
 
+    def test_mixed_dims_not_written(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        with pytest.raises(ValueError, match="share one flattened dim"):
+            write_feature_file(path, {"a": np.zeros(4, np.float32),
+                                      "b": np.zeros((2, 3), np.float32)})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dim, count, klen, error", [
+        (0, 1, 1, "bad feature file header"),
+        (-4, 1, 1, "bad feature file header"),
+        (4, -1, 1, "bad feature file header"),
+        (4, 1, -1, "bad key length -1"),
+    ])
+    def test_bad_header_or_key_length(self, tmp_path, dim, count, klen, error):
+        # the magic, then dim and count, then each key's length (all <i4)
+        path = tmp_path / "emb.bin"
+        write_feature_file(path, {"a": np.zeros(4, np.float32)})
+        raw = bytearray(path.read_bytes())
+        raw[6:18] = struct.pack("<iii", dim, count, klen)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=error):
+            read_feature_file(path)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown provider kind 'glove'"):
+            EmbeddingProvider(kind="glove")
+
+    def test_missing_feature_path(self):
+        with pytest.raises(ValueError, match="needs feature_path"):
+            EmbeddingProvider(kind="precomputed_file")
+
+    def test_stored_dim_mismatch(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_feature_file(path, {"img0": np.zeros(12, np.float32)})
+        p = EmbeddingProvider(kind="precomputed_file", feature_path=str(path))
+        with pytest.raises(ValueError, match="stored dim 12 != requested 8"):
+            p.vector("img0", 8)
+        with pytest.raises(ValueError, match="stored dim 12 != requested 8"):
+            p.tables({8: ["img0", "img0"]})
+
 
 class TestPassMemo:
     """A featurization pass draws each distinct (key, dim) once, in one
@@ -218,15 +259,17 @@ class TestPassMemo:
             assert np.array_equal(b.f_hashtag[0, :3], provider.vector("k", 3))
 
     def test_each_key_drawn_once(self, provider, draw_log):
-        words = [f"w{i}" for i in range(BATCH_DRAWS)]
+        words = [f"w{i}" for i in range(12)]
         posts = [make_post(post_id="a", caption=" ".join(words), image_ref="img"),
                  make_post(post_id="b", caption="w0 w1 w0", hashtags=("w0", "x", "x"),
                            image_ref="img")]
         for _ in range(2):  # and again by the next pass
             draw_log.drawn.clear()
-            featurize(posts, provider, m=BATCH_DRAWS, l=4, d=8, topic_dim=8, k=2, n=3)
+            draw_log.per_key.clear()
+            featurize(posts, provider, m=len(words), l=4, d=8, topic_dim=8, k=2, n=3)
             assert draw_log.drawn == [(w, 8) for w in words] + [("x", 8), ("img", 6)]
-            assert draw_log.per_key == []  # above the crossover: no per-key draw
+            # the shared image is its dim's one key: the only per-key draw
+            assert draw_log.per_key == [("img", 6)]
 
     def test_mutating_a_result_leaves_later_draws_unchanged(self, provider):
         post = make_post(caption="k")
@@ -282,20 +325,23 @@ class TestBatchedDraws:
         self.assert_tables_equal(provider.tables(keys_by_dim),
                                  self.stacked(provider, keys_by_dim))
 
-    @pytest.mark.parametrize("count", [0, 1, BATCH_DRAWS - 1, BATCH_DRAWS, BATCH_DRAWS + 1])
+    @pytest.mark.parametrize("count", [0, 1, 2, 11, 12, 13])
     def test_both_sides_of_the_crossover(self, provider, draw_log, count):
-        # the crossover counts the keys of every dim together
-        keys_by_dim = {1: [], 2: [], 3: []}
-        for i in range(count):
-            keys_by_dim[1 + i % 3].append(f"k{i}")
-        got = provider.tables(keys_by_dim)
-        requests = [(k, dim) for dim, keys in keys_by_dim.items() for k in keys]
-        assert draw_log.per_key == ([] if count >= BATCH_DRAWS else requests)
-        draw_log.per_key.clear()
-        self.assert_tables_equal(got, self.stacked(provider, keys_by_dim))
+        # The draw is chosen per dim: a dim of exactly one key is one
+        # `vector` call, and a dim of none, two or many is one batch, whatever
+        # the other dims hold. 11, 12 and 13 straddle the 12 keys per call at
+        # which the path once switched; they batch like any count above one.
+        keys = [f"k{i}" for i in range(count)]
+        for keys_by_dim in ({3: keys},
+                            {3: keys, 1: ["one"], 2: [], 5: ["a", "b"], 8: ["c"]}):
+            draw_log.per_key.clear()
+            got = provider.tables(keys_by_dim)
+            assert draw_log.per_key == [(ks[0], dim) for dim, ks in keys_by_dim.items()
+                                        if len(ks) == 1]
+            self.assert_tables_equal(got, self.stacked(provider, keys_by_dim))
 
     def test_empty_dim_is_one_zero_row(self, provider):
-        keys = [f"k{i}" for i in range(BATCH_DRAWS)]
+        keys = [f"k{i}" for i in range(3)]
         for got in (provider.tables({4: []}), provider.tables({4: [], 2: keys})):
             assert got[4].shape == (1, 4) and not got[4].any()
 
@@ -318,12 +364,12 @@ class TestBatchedDraws:
             assert streams.digests(provider._prefix(dim), keys) == want
 
     def test_bad_dim_raises_on_both_paths(self, provider):
-        for count in (1, BATCH_DRAWS):
+        for keys in ([], ["k"], ["k", "j"]):
             with pytest.raises(ValueError, match="dim must be >= 1"):
-                provider.tables({4: ["k"] * (count - 1), 0: ["k"]})
+                provider.tables({4: ["k", "j"], 0: keys})
 
     def test_precomputed_file(self, tmp_path, draw_log):
-        for count in (BATCH_DRAWS - 1, 2 * BATCH_DRAWS):  # per key on both sides
+        for count in (1, 11, 24):  # per key at every count
             path = tmp_path / f"emb{count}.bin"
             stored = {f"k{i}": np.arange(4, dtype=np.float32) + i for i in range(count)}
             write_feature_file(path, stored)

@@ -7,6 +7,8 @@ a load_dataset() of a saved corpus, one desk train() step with hga attention
 and one with na, a batch and a one-post evaluate(), and a one-post
 extract_features() on a 5-tag post. Every expected span of every gated
 workload, featurization and model layers alike, must be called at least once.
+A one-post pass reaches `providers.vector` through its image, the one key of
+its dim, so the benchmark's configs must keep that dim apart from the others.
 """
 
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_post
-from postpop import corpora, data, providers, training
+from postpop import corpora, data, training
 from postpop.model import extract_features
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,13 +42,13 @@ def test_expected_spans_called(bench, tmp_path):
     assert {"providers.vector", "data.load_dataset", "model.branch_forward",
             "model.branch_backward", "attention.na_content",
             "attention.na_backward"} <= expected
+    for name in ("desk.cfg", "signal.cfg"):
+        cfg = workloads.config(name)[0]
+        assert cfg.k * cfg.n not in (cfg.d, cfg.topic_dim), name
     mc, tc = workloads.config("desk.cfg")
     corpus = tmp_path / "corpus.jsonl"
     data.save_dataset(corpora.make_sample_corpus(n=40, seed=1), corpus)
-    # one post of few draws: a one-post pass reaches `vector` only through
-    # the per-key fallback of `tables` below BATCH_DRAWS
     five_tags = make_post(caption="one two", hashtags=("a", "b", "c", "d", "e"))
-    assert mc.d == mc.topic_dim and 2 + 5 + 1 < providers.BATCH_DRAWS
     step = replace(tc, max_epochs=1, patience=1)
     with spans.Tracer() as tracer:
         ds, skipped = data.load_dataset(corpus)
@@ -62,3 +64,6 @@ def test_expected_spans_called(bench, tmp_path):
     calls = {name: s["calls"] for name, s in tracer.summary().items()}
     assert not tracer.absent & expected
     assert [name for name in sorted(expected) if calls.get(name, 0) == 0] == []
+    with spans.Tracer() as one_post:  # its tokens and tags are drawn in batches
+        extract_features(five_tags, result.checkpoint.caches, mc)
+    assert one_post.summary()["providers.vector"]["calls"] == 1
