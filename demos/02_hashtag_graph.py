@@ -28,7 +28,7 @@ post = next(p for p in train.posts if len(p.hashtags) >= 2)
 # a batch of one post: its hashtags' 768-dim topic vectors, one row per tag
 # (the table's last row is the zero row that padding gathers)
 topic_rows = provider.tables({768: post.hashtags})[768][None, :-1]
-hf = hashtag_feature([post], emb, topic_rows, structure_dim=50)
+hf = hashtag_feature([post], emb, topic_rows, [len(post.hashtags)])
 print(f"\npost {post.post_id} hashtags {post.hashtags}")
 print(f"  topic dim: {hf.topic.shape[1]}")
 print(f"  structure dim: {hf.structure.shape[1]}")

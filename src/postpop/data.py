@@ -178,7 +178,7 @@ def _post_from_record(rec) -> Post:
         hashtags = tuple([str(tag).lstrip("#").lower() for tag in rec["hashtags"]])
         field = "popularity"
         popularity = rec["popularity"]
-        if type(popularity) is bool:
+        if type(popularity) not in (int, float):  # a bool or a string is not one
             raise ValueError(f"must be a number, not {popularity!r}")
         popularity = float(popularity)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -106,16 +106,16 @@ def _bundled_table() -> MappingProxyType:
 
 def sentiment_scores(token_lists, lexicon: SentimentLexicon) -> np.ndarray:
     """(n, 5): each token list's class distribution of lexicon hits, with
-    add-one smoothing. No hits (or no tokens) gives the uniform distribution."""
-    table = lexicon.table
-    counts = []
-    for tokens in token_lists:
-        row = [1.0] * SENTIMENT_CLASSES
-        for cls in map(table.get, tokens):
-            if cls is not None:
-                row[cls] += 1.0
-        counts.append(row)
-    counts = np.array(counts).reshape(-1, SENTIMENT_CLASSES)
+    add-one smoothing. No hits (or no tokens) gives the uniform distribution.
+
+    A hit of list r in class c is bin r * 5 + c of one `bincount`; `1.0 +
+    counts` holds small integers, exact in float64, so every bit equals
+    counting one hit at a time."""
+    get = lexicon.table.get
+    hits = [r * SENTIMENT_CLASSES + c for r, tokens in enumerate(token_lists)
+            for c in map(get, tokens) if c is not None]
+    counts = 1.0 + np.bincount(hits, minlength=len(token_lists) * SENTIMENT_CLASSES)
+    counts = counts.reshape(-1, SENTIMENT_CLASSES)
     return counts / counts.sum(axis=1, keepdims=True)
 
 
@@ -127,7 +127,8 @@ class SentimentVector:
 
 def sentiment_feature(posts, caption_tokens, lexicon: SentimentLexicon) -> SentimentVector:
     """Caption and hashtags-as-a-sentence distributions, (B, 5) each, for a
-    batch of posts; `caption_tokens[b]` is `tokenize(posts[b].caption)`."""
+    batch of posts; `caption_tokens[b]` is `tokenize(posts[b].caption)`.
+    Both are one `sentiment_scores` count over every token of the batch."""
     hashtag_tokens = [tokenize(" ".join(post.hashtags)) for post in posts]
     dist = sentiment_scores([*caption_tokens, *hashtag_tokens], lexicon)
     n = len(hashtag_tokens)

@@ -63,8 +63,8 @@ def build_cooccurrence_graph(posts: Dataset | list[Post],
 
 
 def _initial_rows(g: HashtagGraph, tags: list[str], dim: int) -> np.ndarray:
-    """(len(tags), dim): the base features of `tags`, in that order, times a
-    fixed random projection.
+    """(len(tags) + 1, dim): the base features of `tags`, in that order, times
+    a fixed random projection, then a zero row.
 
     Each row is its own (1, base_dim) @ (base_dim, dim) product in one
     stacked matmul, which runs the kernel a one-row product runs, so a row
@@ -73,20 +73,24 @@ def _initial_rows(g: HashtagGraph, tags: list[str], dim: int) -> np.ndarray:
     """
     proj_rng = np.random.default_rng(np.random.SeedSequence([g.base_dim, dim]))
     projection = proj_rng.uniform(-1.0, 1.0, size=(g.base_dim, dim)) / np.sqrt(g.base_dim)
-    if not tags:
-        return np.zeros((0, dim))
-    base = np.array(list(map(g.node_features.__getitem__, tags)))
-    return np.matmul(base[:, None, :], projection)[:, 0]
+    out = np.zeros((len(tags) + 1, dim))
+    if tags:
+        base = np.array(list(map(g.node_features.__getitem__, tags)))
+        np.matmul(base[:, None, :], projection, out=out[:-1, None])
+    return out
 
 
-def initial_node_states(g: HashtagGraph, dim: int) -> dict[str, np.ndarray]:
-    """Base node features mapped to `dim` by a fixed random projection."""
-    tags = sorted(g.nodes)
-    return dict(zip(tags, _initial_rows(g, tags, dim)))
+class NodeEmbeddings(dict):
+    """Tag -> node embedding: a view of row `rows[tag]` of one `table`,
+    whose last row is zeros, so index -1 gathers zeros."""
+
+    def __init__(self, table: np.ndarray, rows: dict[str, int]):
+        super().__init__(zip(rows, table))
+        self.table, self.rows = table, rows
 
 
 def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
-                    hops: int = 2) -> dict[str, np.ndarray]:
+                    hops: int = 2) -> NodeEmbeddings:
     """Deterministic structural embeddings via iterated weighted-mean pooling.
 
     Each node starts from its projected base feature. For `hops` rounds,
@@ -94,17 +98,16 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     own and neighboring states (self-weight 1); isolated nodes keep their
     projection. Final vectors are scaled to unit norm when nonzero.
 
-    A round is a scatter-add over the (nodes, dim) state, so the cost is
-    O(hops * (nodes + edges) * dim) time and O((nodes + edges) + nodes * dim)
-    memory. Each node sums its own state first, then its neighbors' terms in
-    `g.edges` insertion order, so the result is bitwise equal to adding them
-    one neighbor at a time.
+    A round is a scatter-add over the (nodes + 1, dim) state, whose last row
+    stays zero, so the cost is O(hops * (nodes + edges) * dim) time and
+    O((nodes + edges) + nodes * dim) memory. Each node sums its own state
+    first, then its neighbors' terms in `g.edges` insertion order, so the
+    result is bitwise equal to adding them one neighbor at a time. The final
+    state is the returned table; its `rows` index the tags in sorted order.
     """
     if dim < 1 or hops < 1:
         raise ValueError(f"dim and hops must be >= 1, got dim={dim}, hops={hops}")
     tags = sorted(g.nodes)
-    if not tags:
-        return {}
     state = _initial_rows(g, tags, dim)
     index = dict(zip(tags, range(len(tags))))
     # Edge k = (a, b) becomes entries 2k (a <- b) and 2k+1 (b <- a).
@@ -112,8 +115,8 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
                        dtype=np.intp, count=2 * len(g.edges))
     cols = rows.reshape(-1, 2)[:, ::-1].reshape(-1)
     w = np.repeat(np.fromiter(g.edges.values(), dtype=np.float64, count=len(g.edges)), 2)
-    total = 1.0 + np.bincount(rows, weights=w, minlength=len(tags))
-    linked = np.bincount(rows, minlength=len(tags)) > 0
+    total = 1.0 + np.bincount(rows, weights=w, minlength=len(state))
+    linked = np.bincount(rows, minlength=len(state)) > 0
     # Edge terms are gathered a bounded block at a time, in order, so a hop
     # holds O(_SCATTER_FLOATS) temporaries rather than O(edges * dim).
     step = max(1, _SCATTER_FLOATS // dim)
@@ -135,7 +138,7 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     # in another order and rounds differently.
     norm = np.sqrt(np.matmul(state[:, None, :], state[:, :, None]))[:, 0]
     np.divide(state, norm, out=state, where=norm > 0)
-    return dict(zip(tags, state))
+    return NodeEmbeddings(state, index)
 
 
 @dataclass(frozen=True)
@@ -148,19 +151,20 @@ class HashtagFeature:
         return np.concatenate([self.topic, self.structure], axis=-1)
 
 
-def hashtag_feature(posts, emb: dict[str, np.ndarray], topic_rows: np.ndarray,
-                    structure_dim: int = STRUCTURE_DIM) -> HashtagFeature:
+def hashtag_feature(posts, emb: NodeEmbeddings, topic_rows: np.ndarray,
+                    topic_counts) -> HashtagFeature:
     """Topic and structure features of a batch of posts, (B, topic_dim) and
     (B, structure_dim); a post gets zeros for a part it has no tags for.
 
     The topic part is the mean of `topic_rows[b, j]`, the provider's topic
-    vector of post b's j-th hashtag (zero past its last). The structure part
-    is the mean node embedding over the post's hashtags that are in `emb`.
+    vector of post b's j-th hashtag (zero past its last), over its
+    `topic_counts[b]` hashtags. The structure part is the mean node
+    embedding over the post's hashtags that are in `emb`: one gather from
+    its table, which prepare built once.
     """
-    topic = pooled_mean(topic_rows, [len(post.hashtags) for post in posts])
-    nodes: dict[str, int] = {}
-    index = [[nodes.setdefault(t, len(nodes)) for t in post.hashtags if t in emb]
-             for post in posts]
-    table = np.array([*map(emb.__getitem__, nodes), np.zeros(structure_dim)])
-    structure = pooled_mean(table[padded_index(index)], list(map(len, index)))
-    return HashtagFeature(topic=topic, structure=structure)
+    rows = emb.rows
+    # every tag listed is in `rows`, so the index adds no row to it
+    index, counts = padded_index(rows, [[t for t in post.hashtags if t in rows]
+                                        for post in posts])
+    return HashtagFeature(topic=pooled_mean(topic_rows, topic_counts),
+                          structure=pooled_mean(emb.table[index], counts))

@@ -24,7 +24,7 @@ from .data import Dataset, Post
 from .features import (DEMOGRAPHIC_DIM, SOCIAL_RAW_DIM, PCAModel, SentimentLexicon,
                        SocialStats, apply_pca, demographic_vector, fit_social_pca,
                        sentiment_feature, social_numerics, social_vector)
-from .hashtag_graph import (build_cooccurrence_graph, hashtag_feature,
+from .hashtag_graph import (NodeEmbeddings, build_cooccurrence_graph, hashtag_feature,
                             node_embeddings)
 from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backward,
                       dense_forward, dropout, dropout_backward, padded_index, relu,
@@ -227,7 +227,7 @@ class FeatureCaches:
     provider: EmbeddingProvider
     lexicon: SentimentLexicon
     graph: object
-    node_emb: dict[str, np.ndarray]
+    node_emb: NodeEmbeddings  # by tag, and the node table each pass gathers from
     social_stats: SocialStats
     pca: PCAModel
 
@@ -280,13 +280,14 @@ class FeatureBundle:
     def __getitem__(self, index) -> "FeatureBundle":
         """The posts at `index` (any numpy index) of a stacked bundle; an
         integer gives that post's unbatched bundle."""
-        return FeatureBundle(**{f.name: getattr(self, f.name)[index]
-                                for f in fields(self)})
+        return FeatureBundle(**{name: getattr(self, name)[index]
+                                for name in _BUNDLE_FIELDS})
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
 
+_BUNDLE_FIELDS = tuple(f.name for f in fields(FeatureBundle))
 _INPUT_FIELDS = ("tokens", "token_mask", "regions", "hashtag_mat", "hashtag_mask",
                  "f_social", "f_demographic", "f_hashtag", "f_sentiment_text",
                  "f_sentiment_hashtags")
@@ -296,11 +297,13 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
     """The stacked (B, ...) bundle of a batch of posts. One Post gives its
     unbatched bundle: row 0 of the batch [post].
 
-    Each caption is tokenized once. The pass lists its distinct (key, dim)
-    provider draws (caption tokens and hashtag rows at d, hashtags at
-    topic_dim, images at k * n) and draws them in one `tables` call; each
-    vector field is then an index gather from its dim's table of draws.
-    Every feature family is computed whatever the config.
+    Each caption is tokenized once. Each key family (caption tokens and
+    hashtag rows at d, hashtags at topic_dim, images at k * n) numbers its
+    keys in its dim's slots and gives its (B, width) index in one flat pass
+    over the batch. One `tables` call draws each dim's keys, and each vector
+    field is an index gather from its dim's table of draws; the structure
+    part gathers from the node table built at prepare. Every feature family
+    is computed whatever the config.
     """
     if isinstance(posts, Post):
         return extract_features([posts], caches, config)[0]
@@ -308,20 +311,17 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
         raise ValueError("cannot featurize an empty batch")
     m, l, d, k, n = config.m, config.l, config.d, config.k, config.n
     rows: dict[int, dict[str, int]] = {}  # dim -> key -> row in that dim's table
-
-    def index(keys, dim: int) -> list[int]:
-        slots = rows.setdefault(dim, {})
-        return [slots.setdefault(key, len(slots)) for key in keys]
-
+    tags = [post.hashtags for post in posts]
     captions = [tokenize(post.caption) for post in posts]
-    token_index = padded_index([index(tokens[:m], d) for tokens in captions], m)
-    tag_index = padded_index([index(post.hashtags[:l], d) for post in posts], l)
-    topic_index = padded_index([index(post.hashtags, config.topic_dim) for post in posts])
-    image_index = index([post.image_ref for post in posts], k * n)
+    token_index, _ = padded_index(rows.setdefault(d, {}), captions, m)
+    tag_index, _ = padded_index(rows[d], tags, l)
+    topic_index, topic_counts = padded_index(rows.setdefault(config.topic_dim, {}), tags)
+    images = rows.setdefault(k * n, {})
+    image_index = [images.setdefault(post.image_ref, len(images)) for post in posts]
     # each dim's draws in row order, then the zero row that index -1 gathers
     tables = caches.provider.tables(rows)
     hf = hashtag_feature(posts, caches.node_emb, tables[config.topic_dim][topic_index],
-                         structure_dim=config.structure_dim)
+                         topic_counts)
     sent = sentiment_feature(posts, captions, caches.lexicon)
     return FeatureBundle(
         post_id=np.array([post.post_id for post in posts]),

@@ -62,15 +62,20 @@ def flat_rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def padded_index(rows, width: int | None = None) -> np.ndarray:
-    """(B, width) index array of B index lists, padded with -1.
-
-    A table whose last row is zeros gathers zeros at the padding. `width`
-    defaults to the longest list.
+def padded_index(slots: dict, key_lists, width: int | None = None):
+    """(index, lengths): the (B, width) rows in `slots` (key -> row) of B key
+    lists, each cut to `width` (default: the longest) and padded with -1,
+    and the lists' lengths before the cut. A key not yet in `slots` becomes
+    its next row. A table whose last row is zeros gathers zeros at the
+    padding. One comprehension makes the flat list of rows and -1 tails.
     """
+    lengths = [*map(len, key_lists)]
     if width is None:
-        width = max(map(len, rows), default=0)
-    return np.array([[*r, *(-1,) * (width - len(r))] for r in rows], dtype=np.intp)
+        width = max(lengths, default=0)
+    slot, pad = slots.setdefault, (None,) * width
+    flat = [-1 if key is None else slot(key, len(slots))
+            for keys in key_lists for key in (*keys[:width], *pad[len(keys):])]
+    return np.array(flat, dtype=np.intp).reshape(len(key_lists), width), lengths
 
 
 def pooled_mean(rows: np.ndarray, counts) -> np.ndarray:
@@ -82,7 +87,7 @@ def pooled_mean(rows: np.ndarray, counts) -> np.ndarray:
     when n > 1. (With n == 1 numpy sums pairwise, and the padding can move
     the last bit.)
     """
-    return rows.sum(axis=1) / np.array([[max(c, 1)] for c in counts], dtype=np.float64)
+    return rows.sum(axis=1) / np.maximum(counts, 1)[:, None]
 
 
 def softmax(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

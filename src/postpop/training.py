@@ -137,16 +137,18 @@ def _predictions(batch: FeatureBundle, params, config) -> np.ndarray:
 
 
 def _rank_average(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based); tied values share the mean of their ranks."""
+    """Average ranks (1-based); tied values share the mean of their ranks.
+
+    After one stable argsort, a group of ties starts where a sorted value
+    differs from the one before (a NaN equals nothing: a group of its own);
+    the group at sorted positions i..j ranks (i + j) / 2 + 1, exact."""
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.append(True, xs[1:] != xs[:-1])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(x)) - 1
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = ((starts + ends) / 2.0 + 1.0)[np.cumsum(first) - 1]
     return ranks
 
 

@@ -101,7 +101,8 @@ def reference_post_from_record(rec):
         metadata=meta,
         popularity=float(rec["popularity"]),
     )
-    if isinstance(rec["popularity"], bool):
+    # a JSON number: neither a bool nor a string that float() would parse
+    if isinstance(rec["popularity"], (bool, str)):
         raise ValueError("popularity must be a number")
     reference_post_validate(post)
     return post
@@ -322,6 +323,9 @@ MALFORMED_LINES = {
        for name in FLOAT_METADATA for value in (True, False)},
     "popularity true": malformed(popularity=True),
     "popularity false": malformed(popularity=False),
+    "popularity '1.5'": malformed(popularity="1.5"),
+    "popularity ' 2e0 '": malformed(popularity=" 2e0 "),
+    "popularity 'nan'": malformed(popularity="nan"),
     "face age 30.0": malformed(faces=[{**FACE, "age": 30.0}]),
     "face age true": malformed(faces=[{**FACE, "age": True}]),
     "face age false": malformed(faces=[{**FACE, "age": False}]),
@@ -433,6 +437,28 @@ class TestSkippedLines:
                             (4, "avg_member_count must be a number, not False"),
                             (5, "post_duration_days must be a number, not False"),
                             (6, "avg_views must be a number, not True")]
+
+    def test_popularity_must_be_a_json_number(self, tmp_path):
+        # each string was once loaded through float(): "1.5" as 1.5
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([
+            json.dumps(record("p0")),
+            malformed(post_id="p1", popularity="1.5"),
+            malformed(post_id="p2", popularity=" 2e0 "),
+            malformed(post_id="p3", popularity="nan"),
+            malformed(post_id="p4", popularity=None),
+            malformed(post_id="p5", popularity=[1.5]),
+            malformed(post_id="p6", popularity=2),
+        ]) + "\n", encoding="utf-8")
+        problems = []
+        ds, skipped = load_dataset(path, problems=problems)
+        assert [p.post_id for p in ds] == ["p0", "p6"] and skipped == 5
+        assert ds.posts[1].popularity == 2.0 and type(ds.posts[1].popularity) is float
+        assert problems == [(2, "popularity: must be a number, not '1.5'"),
+                            (3, "popularity: must be a number, not ' 2e0 '"),
+                            (4, "popularity: must be a number, not 'nan'"),
+                            (5, "popularity: must be a number, not None"),
+                            (6, "popularity: must be a number, not [1.5]")]
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):
         # json recurses once per nesting level

@@ -130,6 +130,21 @@ class TestSentiment:
         assert np.array_equal(batch, np.array([[2, 1, 1, 1, 1], [1, 1, 1, 1, 1],
                                                [2, 1, 1, 1, 3]]) / [[6], [5], [8]])
 
+    def test_bitwise_equal_to_counting_one_hit_at_a_time(self, lexicon, rng):
+        words = list(lexicon.table)[:40] + ["zxqv", "qqq", ""]
+        lists = [list(rng.choice(words, size=int(rng.integers(0, 30))))
+                 for _ in range(25)] + [[]]
+        want = []
+        for tokens in lists:
+            row = [1.0] * 5
+            for token in tokens:
+                if token in lexicon.table:
+                    row[lexicon.table[token]] += 1.0
+            want.append(np.array(row) / sum(row))
+        got = sentiment_scores(lists, lexicon)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert sentiment_scores([], lexicon).shape == (0, 5)
+
     def test_simplex(self, lexicon, rng):
         words = list(lexicon.table)
         for _ in range(10):

@@ -4,10 +4,9 @@ import pytest
 from conftest import make_post
 import postpop.hashtag_graph as hg
 from postpop.data import Dataset
-from postpop.hashtag_graph import (HashtagGraph,
+from postpop.hashtag_graph import (HashtagGraph, NodeEmbeddings,
                                    build_cooccurrence_graph,
-                                   hashtag_feature, initial_node_states,
-                                   node_embeddings)
+                                   hashtag_feature, node_embeddings)
 from postpop.providers import EmbeddingProvider
 
 
@@ -91,11 +90,24 @@ class TestGraphBuild:
             assert g.nodes == set(first_seen)
 
 
+def projection(base_dim, dim):
+    """The fixed random projection of base features to `dim`."""
+    proj_rng = np.random.default_rng(np.random.SeedSequence([base_dim, dim]))
+    return proj_rng.uniform(-1.0, 1.0, size=(base_dim, dim)) / np.sqrt(base_dim)
+
+
+def initial_states(g, dim):
+    """Reference: each node's base feature times the projection, one row
+    product at a time."""
+    proj = projection(g.base_dim, dim)
+    return {t: g.node_features[t] @ proj for t in sorted(g.nodes)}
+
+
 def loop_node_embeddings(g, dim, hops):
     """Reference: the per-node loop, scanning every edge for each node's
     neighbors in `g.edges` insertion order."""
     tags = sorted(g.nodes)
-    state = initial_node_states(g, dim)
+    state = initial_states(g, dim)
     neigh = {t: [(b if a == t else a, w) for (a, b), w in g.edges.items()
                  if t in (a, b)] for t in tags}
     for _ in range(hops):
@@ -148,19 +160,19 @@ class TestNodeEmbeddings:
         g = HashtagGraph(base_dim=base_dim)
         g.nodes = {f"t{i}" for i in range(37)}
         g.node_features = {t: rng.uniform(-1, 1, base_dim) for t in sorted(g.nodes)}
+        tags = sorted(g.nodes)
         for dim in (1, 3, 4, 5, 7, 8, 16, 50, 64):
-            proj_rng = np.random.default_rng(np.random.SeedSequence([base_dim, dim]))
-            projection = (proj_rng.uniform(-1.0, 1.0, size=(base_dim, dim))
-                          / np.sqrt(base_dim))
-            got = initial_node_states(g, dim)
-            assert list(got) == sorted(g.nodes)
-            for t, v in got.items():
-                assert np.array_equal(v, g.node_features[t] @ projection), (t, dim)
+            proj = projection(base_dim, dim)
+            got = hg._initial_rows(g, tags, dim)
+            assert got.shape == (len(tags) + 1, dim)
+            assert got[-1].tobytes() == bytes(8 * dim)  # the zero row, +0.0
+            for t, v in zip(tags, got):
+                assert np.array_equal(v, g.node_features[t] @ proj), (t, dim)
 
     def test_isolated_node_is_normalized_projection(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("solo",)]), provider)
         emb = node_embeddings(g, dim=6, hops=2)
-        h0 = initial_node_states(g, 6)["solo"]
+        h0 = initial_states(g, 6)["solo"]
         assert np.allclose(emb["solo"], h0 / np.linalg.norm(h0))
 
     def test_symmetric_pair_identical(self, provider):
@@ -179,7 +191,7 @@ class TestNodeEmbeddings:
             g.node_features[t] = rng.normal(size=3)
         emb = node_embeddings(g, dim=4, hops=1)
 
-        h0 = initial_node_states(g, 4)
+        h0 = initial_states(g, 4)
         expect = {
             "a": np.tanh((h0["a"] + 2 * h0["b"]) / 3.0),
             "b": np.tanh((h0["b"] + 2 * h0["a"] + 1 * h0["c"]) / 4.0),
@@ -196,6 +208,22 @@ class TestNodeEmbeddings:
         e2 = node_embeddings(g2, dim=5)
         for t in e1:
             assert np.allclose(e1[t], e2[t])
+
+    def test_one_table_with_a_zero_row(self, provider, rng):
+        tag_lists = [tuple(rng.choice([f"t{i}" for i in range(9)], size=3))
+                     for _ in range(12)] + [("solo",)]
+        g = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)
+        emb = node_embeddings(g, dim=6)
+        tags = sorted(g.nodes)
+        assert emb.table.shape == (len(tags) + 1, 6)
+        assert emb.rows == dict(zip(tags, range(len(tags)))) and list(emb) == tags
+        assert emb.table[-1].tobytes() == bytes(6 * 8)  # +0.0, gathered by -1
+        # by-tag reads are views of the table's rows, not copies
+        assert all(np.shares_memory(emb[t], emb.table) for t in tags)
+        assert len(emb) == len(tags) and "solo" in emb and "mystery" not in emb
+        empty = node_embeddings(build_cooccurrence_graph(posts_with_tags([()]), provider),
+                                dim=4)
+        assert empty == {} and empty.table.tobytes() == bytes(4 * 8)
 
     def test_unit_norm_outputs(self, provider, rng):
         tag_lists = [tuple(rng.choice([f"t{i}" for i in range(8)], size=3))
@@ -218,13 +246,25 @@ def topic_rows(posts, provider, dim):
     return out
 
 
+def node_table(emb: dict, dim: int) -> NodeEmbeddings:
+    """The NodeEmbeddings of a tag -> vector dict: its rows in dict order,
+    then the zero row."""
+    return NodeEmbeddings(np.array([*emb.values(), np.zeros(dim)]),
+                          dict(zip(emb, range(len(emb)))))
+
+
+def counts(posts):
+    return [len(post.hashtags) for post in posts]
+
+
 def structural_embedding(post, emb, dim):
-    return hashtag_feature([post], emb, np.zeros((1, len(post.hashtags), 1)),
-                           structure_dim=dim).structure[0]
+    return hashtag_feature([post], node_table(emb, dim),
+                           np.zeros((1, len(post.hashtags), 1)), counts([post])).structure[0]
 
 
 def topic_embedding(post, provider, dim):
-    return hashtag_feature([post], {}, topic_rows([post], provider, dim)).topic[0]
+    return hashtag_feature([post], node_table({}, 1), topic_rows([post], provider, dim),
+                           counts([post])).topic[0]
 
 
 class TestStructuralEmbedding:
@@ -277,32 +317,37 @@ class TestTopicEmbedding:
 class TestHashtagFeature:
     def test_default_dims(self, provider):
         post = make_post(hashtags=("sun",))
-        emb = {"sun": np.ones(50)}
-        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768))
+        emb = node_table({"sun": np.ones(50)}, 50)
+        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768), [1])
         assert hf.topic.shape == (1, 768)
         assert hf.structure.shape == (1, 50)
         assert hf.combined.shape == (1, 818)
 
     def test_concatenation_layout(self, provider):
         post = make_post(hashtags=("sun",))
-        emb = {"sun": np.full(50, 0.25)}
-        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768))
+        emb = node_table({"sun": np.full(50, 0.25)}, 50)
+        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768), [1])
         assert np.array_equal(hf.combined[:, :768], hf.topic)
         assert np.array_equal(hf.combined[:, 768:], hf.structure)
 
     def test_zero_plus_zero(self, provider):
-        hf = hashtag_feature([make_post(hashtags=())], {}, np.zeros((1, 0, 768)))
+        hf = hashtag_feature([make_post(hashtags=())], node_table({}, 50),
+                             np.zeros((1, 0, 768)), [0])
         assert np.array_equal(hf.combined, np.zeros((1, 818)))
 
     def test_batch_rows_equal_one_post_calls(self, provider):
         # posts with no tags, unknown tags, repeated tags and differing counts
         # pad to one width; each row is bitwise its one-post result
         emb = {t: provider.vector(t, 5) for t in ("a", "b", "c")}
+        table = node_table(emb, 5)
         posts = [make_post(hashtags=tags) for tags in
                  [(), ("a",), ("b", "mystery", "b"), ("mystery",), ("c", "a", "b", "a")]]
-        batch = hashtag_feature(posts, emb, topic_rows(posts, provider, 8), 5)
+        batch = hashtag_feature(posts, table, topic_rows(posts, provider, 8), counts(posts))
+        # the tags the graph lacks are skipped, not added to its rows
+        assert table.rows == {"a": 0, "b": 1, "c": 2}
         for b, post in enumerate(posts):
-            one = hashtag_feature([post], emb, topic_rows([post], provider, 8), 5)
+            one = hashtag_feature([post], table, topic_rows([post], provider, 8),
+                                  counts([post]))
             assert np.array_equal(batch.combined[b], one.combined[0])
             known = [emb[t] for t in post.hashtags if t in emb]
             assert np.array_equal(batch.structure[b],

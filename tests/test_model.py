@@ -1,3 +1,4 @@
+import hashlib
 import json
 import zipfile
 from dataclasses import fields, replace
@@ -538,6 +539,105 @@ class TestExtractDataset:
         assert np.array_equal(np.nonzero(onehot.f_demographic[2])[0],
                               [0, 1, 2 + 30, 2 + 70, 103, 105, 110, 112])
         assert np.array_equal(onehot.f_demographic[2, [0, 1, 32, 72]], [0.5] * 4)
+
+
+class TestPinnedFeatureBits:
+    """sha256 digests of every FeatureBundle field and of the node
+    embeddings, recorded before the batch path was rebuilt on flat per-key
+    index lists: any change to their bits fails here. The batch holds the
+    edges those lists must keep: a repeated hashtag, hashtags the graph has
+    never seen, a post with no hashtags among posts with some, captions with
+    no tokens or only punctuation, more tokens than m and more tags than l,
+    a hashtag that tokenizes to nothing, and posts with no faces and with
+    several."""
+
+    @staticmethod
+    def sha(*arrays) -> str:
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.asarray(a).tobytes())
+        return h.hexdigest()
+
+    @pytest.fixture(scope="class")
+    def edge_batch(self):
+        cfg = tiny_config(m=3, l=2, demographic_mode="onehot")
+        fit = [make_post(post_id=f"f{i}", user_id=f"u{i % 3}", hashtags=tags,
+                         comment_count=7 * i, avg_views=10.0 + i * i, post_hour=4 * i)
+               for i, tags in enumerate([("sun", "sea"), ("sun", "sky", "dog"),
+                                         ("sea", "sky"), ("cat",), ("dog", "sun"),
+                                         ("sea",)])]
+        caches = build_caches(fit, cfg, provider=EmbeddingProvider(seed=6))
+        caches.lexicon = SentimentLexicon({"good": 4, "bad": 0, "sun": 3, "grim": 1,
+                                           "fine": 2, "sky": 2})
+        female = FaceAnnotation("female", 30, "happiness", "asian")
+        male = FaceAnnotation("male", 70, "fear", "black")
+        elder = FaceAnnotation("female", 95, "sadness", "white")
+        posts = [
+            make_post(post_id="dup", caption="Good sun, good!",
+                      hashtags=("sun", "sea", "sun"), faces=(female,)),
+            make_post(post_id="absent", user_id="u9", caption="bad grim day",
+                      hashtags=("mystery", "sun", "unseen"), faces=(female, male, elder)),
+            make_post(post_id="none", caption="fine", hashtags=(), comment_count=3),
+            make_post(post_id="empty", caption="", hashtags=("sky",), image_ref="img1"),
+            make_post(post_id="punct", caption="!!! ... ,;", hashtags=("dog", "cat"),
+                      faces=(male,), post_day=6, post_month=11, post_hour=23),
+            make_post(post_id="long", caption="Good, bad good. Echo x y fine",
+                      hashtags=("sun", "sea", "sky", "dog", "cat", "sun"), avg_views=50.0),
+            make_post(post_id="bare", caption="sky sky", hashtags=("!!!", "sea"),
+                      faces=(elder, elder), image_ref="img1"),
+        ]
+        return posts, caches, cfg
+
+    NAMES = ("post_id", "tokens", "token_mask", "regions", "hashtag_mat", "hashtag_mask",
+             "f_social", "f_demographic", "f_hashtag", "f_sentiment_text",
+             "f_sentiment_hashtags", "target")
+    BATCH = {
+        "post_id":
+            "b31c616a932c586415e8cf54d3a68f8827d83eb3ed796d3d1ad70d4742e8170f",
+        "tokens":
+            "9199aacd69875b923ce4367dc03c56353f6f8e1fcc95decbd9a4aaddf485f75b",
+        "token_mask":
+            "5fa3bf675b33e0a25f1b453ae99da1fffec5a84607da85f812ab861739acf2f7",
+        "regions":
+            "e676c7a0a804d9a86eabb47f566675a1148c27e9132e4a93a16860b47df13ebc",
+        "hashtag_mat":
+            "9353213dc8f0dafbec5a20235b80eb8d213f741dc13594b9da42ace8becfa087",
+        "hashtag_mask":
+            "0711fbfebc172458c8aaba66873ed9b80982feceda33e1fbee2d395ebf4e23c5",
+        "f_social":
+            "20adcf5280fbded4248106f886e7b94b99bea34de8a120d60482b32b6e855af3",
+        "f_demographic":
+            "f44aaa2088e80f389dde7f9a0576f7eb3d45ecc03e25052ad183d14c0ca6781a",
+        "f_hashtag":
+            "f0a5eb4e4006d9e3d74c405a41125c38d7f561fb481f5b8b3cc808764cc72eaf",
+        "f_sentiment_text":
+            "54116e811319588c0c3c43d3edd871b8f99b2e3955fe4cb9abb6e00939fc1466",
+        "f_sentiment_hashtags":
+            "bda3eb940a4bc92a850c6963cc3b0c4da29900f39eb90dc30d0e1285b40aea76",
+        "target":
+            "022451970ff25a1cf57eb1602f05e6ab8a2d0edb918d8efd1574f2ef1a77898f",
+    }
+    # A post alone gives the bytes of its row of the batch, so only the
+    # post_id digest differs: a string array is as wide as its longest id.
+    ALONE = {**BATCH,
+             "post_id": "38b5b0f2b560494fc3c32684e228d254bacbf73a564dad70b230d5d1d81038b5"}
+
+    def test_batch(self, edge_batch):
+        posts, caches, cfg = edge_batch
+        batch = extract_features(posts, caches, cfg)
+        assert {name: self.sha(getattr(batch, name)) for name in self.NAMES} == self.BATCH
+
+    def test_each_post_alone(self, edge_batch):
+        posts, caches, cfg = edge_batch
+        alone = [extract_features(post, caches, cfg) for post in posts]
+        assert {name: self.sha(*(getattr(b, name) for b in alone))
+                for name in self.NAMES} == self.ALONE
+
+    def test_node_embeddings(self, edge_batch):
+        _, caches, _ = edge_batch
+        emb = caches.node_emb
+        assert self.sha(*map(emb.__getitem__, sorted(emb))) == (
+            "8fe682a69e7036463499c6225d2ec295ee5e8a873d3ac41535db7252b97a9cb7")
 
 
 def two_array_params() -> dict:

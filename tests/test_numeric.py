@@ -280,9 +280,33 @@ class TestUniformParam:
 
 class TestPooling:
     def test_padded_index(self):
-        assert np.array_equal(padded_index([[3, 1], [], [2]]), [[3, 1], [-1, -1], [2, -1]])
-        assert padded_index([[], []]).shape == (2, 0)
-        assert np.array_equal(padded_index([[5]], width=3), [[5, -1, -1]])
+        slots = {"x": 0}
+        index, lengths = padded_index(slots, [["a", "x", "a"], [], ("b",)])
+        assert index.dtype == np.intp
+        assert index.tolist() == [[1, 0, 1], [-1, -1, -1], [2, -1, -1]]
+        assert lengths == [3, 0, 1] and slots == {"x": 0, "a": 1, "b": 2}
+        # keys past the width are neither indexed nor numbered
+        index, lengths = padded_index(slots, [("c", "a", "d"), ("e",)], width=2)
+        assert index.tolist() == [[3, 1], [4, -1]] and lengths == [3, 1]
+        assert list(slots) == ["x", "a", "b", "c", "e"]
+        assert padded_index({}, [[], []])[0].shape == (2, 0)
+        assert padded_index({}, [["k"]], width=3)[0].tolist() == [[0, -1, -1]]
+
+    def test_padded_index_equals_per_list_numbering(self, rng):
+        # reference: number each list's keys with setdefault, one list at a
+        # time, then pad each row to the width
+        for width in (None, 1, 3, 8):
+            lists = [list(rng.choice(list("abcdefghij"), size=int(rng.integers(0, 7))))
+                     for _ in range(int(rng.integers(1, 30)))]
+            want_slots = {"z": 0}
+            rows = [[want_slots.setdefault(k, len(want_slots)) for k in keys[:width]]
+                    for keys in lists]
+            w = max(map(len, lists)) if width is None else width
+            slots = {"z": 0}
+            index, lengths = padded_index(slots, lists, width)
+            assert index.tolist() == [r + [-1] * (w - len(r)) for r in rows]
+            assert list(slots.items()) == list(want_slots.items())
+            assert lengths == list(map(len, lists))
 
     @pytest.mark.parametrize("dim", [2, 8, 768])
     def test_pooled_mean_bitwise_equals_np_mean(self, dim):

@@ -117,6 +117,38 @@ class TestCorrelations:
         expected = scipy.stats.spearmanr(x, y).statistic
         assert spearman(x, y) == pytest.approx(expected)
 
+    @staticmethod
+    def loop_rank_average(x):
+        """Reference: walk the stably sorted values, extending each group of
+        ties while the next value == the group's first."""
+        order = np.argsort(x, kind="stable")
+        ranks = np.empty(len(x), dtype=np.float64)
+        i = 0
+        while i < len(x):
+            j = i
+            while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+                j += 1
+            ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+            i = j + 1
+        return ranks
+
+    @pytest.mark.parametrize("x", [
+        [1.0, 1.0, 2.0], [3.0] * 7, [2.0, np.nan, 1.0, np.nan, 2.0], [np.nan] * 3,
+        [0.0, -0.0, 0.0, 1.0, -0.0], [5.0], [2.0, 1.0], [1.0, 1.0], [np.inf, -np.inf, np.inf],
+        [], list(np.random.default_rng(3).integers(0, 4, size=40) / 2.0),
+    ])
+    def test_rank_average_bitwise_equals_loop(self, x):
+        x = np.array(x, dtype=np.float64)
+        got = training_mod._rank_average(x)
+        assert got.tobytes() == self.loop_rank_average(x).tobytes()
+
+    def test_rank_average_on_random_ties(self, rng):
+        for n in range(1, 60, 3):
+            x = rng.integers(0, max(1, n // 3), size=n).astype(np.float64)
+            x[rng.random(n) < 0.1] = np.nan
+            assert (training_mod._rank_average(x).tobytes()
+                    == self.loop_rank_average(x).tobytes())
+
     def test_matches_scipy_on_random_data(self, rng):
         for _ in range(20):
             x = rng.normal(size=12)
