@@ -31,10 +31,10 @@ print(f"\ndemographic vector: dim={demo.shape[0]}, "
       f"nonzero at {np.nonzero(demo)[0].tolist()}")
 
 lexicon = SentimentLexicon.bundled()
-sent = sentiment_feature([post], [tokenize(post.caption)], lexicon)
-print(f"sentiment caption block:  {np.round(sent.caption_dist[0], 3)}")
-print(f"sentiment hashtag block:  {np.round(sent.hashtag_dist[0], 3)}")
-print(f"combined dim: {sent.caption_dist.shape[1] + sent.hashtag_dist.shape[1]}")
+caption_dist, hashtag_dist = sentiment_feature([post], [tokenize(post.caption)], lexicon)
+print(f"sentiment caption block:  {np.round(caption_dist[0], 3)}")
+print(f"sentiment hashtag block:  {np.round(hashtag_dist[0], 3)}")
+print(f"combined dim: {caption_dist.shape[1] + hashtag_dist.shape[1]}")
 
 # social vector: 9 z-scored numerics + day(7) + month(12) + segment(4) + duration
 numerics = social_numerics(train.posts)

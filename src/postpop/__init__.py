@@ -5,8 +5,8 @@ from .data import (Dataset, FaceAnnotation, Post, PostMetadata, CorpusError,
 from .features import (PCAModel, SentimentLexicon, SocialStats, apply_pca,
                        demographic_vector, fit_pca, sentiment_feature,
                        sentiment_scores, social_vector)
-from .hashtag_graph import (HashtagFeature, HashtagGraph, NodeEmbeddings,
-                            build_cooccurrence_graph, hashtag_feature, node_embeddings)
+from .hashtag_graph import (HashtagGraph, NodeEmbeddings, build_cooccurrence_graph,
+                            hashtag_feature, node_embeddings)
 from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
                     PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, branch_forward,
                     build_caches, extract_features, forward_bundle, head_forward,

@@ -119,20 +119,16 @@ def sentiment_scores(token_lists, lexicon: SentimentLexicon) -> np.ndarray:
     return counts / counts.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class SentimentVector:
-    caption_dist: np.ndarray
-    hashtag_dist: np.ndarray
-
-
-def sentiment_feature(posts, caption_tokens, lexicon: SentimentLexicon) -> SentimentVector:
-    """Caption and hashtags-as-a-sentence distributions, (B, 5) each, for a
-    batch of posts; `caption_tokens[b]` is `tokenize(posts[b].caption)`.
-    Both are one `sentiment_scores` count over every token of the batch."""
+def sentiment_feature(posts, caption_tokens,
+                      lexicon: SentimentLexicon) -> tuple[np.ndarray, np.ndarray]:
+    """(caption_dist, hashtag_dist): the caption and hashtags-as-a-sentence
+    distributions, (B, 5) each, of a batch of posts; `caption_tokens[b]` is
+    `tokenize(posts[b].caption)`. Both are one `sentiment_scores` count over
+    every token of the batch."""
     hashtag_tokens = [tokenize(" ".join(post.hashtags)) for post in posts]
     dist = sentiment_scores([*caption_tokens, *hashtag_tokens], lexicon)
     n = len(hashtag_tokens)
-    return SentimentVector(caption_dist=dist[:n], hashtag_dist=dist[n:])
+    return dist[:n], dist[n:]
 
 
 def _hash_unit(s: str) -> float:

@@ -1,17 +1,19 @@
 """Hashtag co-occurrence graph and the topic/structure hashtag feature.
 
-The graph is built from the training split only. Node embeddings come from
-an untrained, deterministic mean-aggregator over the weighted neighborhood
-(the GraphSAGE mean aggregator with no learned weights), run over a dense
-(nodes, dim) state with one scatter-add per hop, so its cost is linear in
-nodes plus edges. A post's hashtag feature concatenates its mean topic
-embedding with its mean node embedding.
+The graph is built from the training split only, and numbers its tags once,
+in sorted order: that tag -> node dict keys the edges by node pairs, indexes
+the rows of the node features, and is the row index of the node-embedding
+table. Node embeddings come from an untrained, deterministic mean-aggregator
+over the weighted neighborhood (the GraphSAGE mean aggregator with no
+learned weights), run over a dense (nodes, dim) state with one scatter-add
+per hop, so its cost is linear in nodes plus edges. A post's hashtag feature
+concatenates its mean topic embedding with its mean node embedding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
 import numpy as np
@@ -30,53 +32,52 @@ _SCATTER_FLOATS = 1 << 18
 class HashtagGraph:
     """Weighted undirected co-occurrence graph over hashtags.
 
-    Edge keys are (a, b) with a < b lexically; the weight counts posts in
-    which both tags appear.
+    `nodes` numbers the tags in sorted order (tag -> node). Edge keys are
+    node pairs (i, j) with i < j; the weight counts posts in which both tags
+    appear. Row i of the (nodes, base_dim) `node_features` is node i's base
+    feature.
     """
 
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
-    node_features: dict[str, np.ndarray] = field(default_factory=dict)
-    base_dim: int = 64
+    nodes: dict[str, int]
+    edges: dict[tuple[int, int], int]
+    node_features: np.ndarray
 
 
 def build_cooccurrence_graph(posts: Dataset | list[Post],
                              provider: EmbeddingProvider,
                              base_dim: int = 64) -> HashtagGraph:
-    """Count unordered co-occurring tag pairs per post (tags deduplicated).
+    """Number the distinct tags in sorted order, then count the unordered
+    co-occurring node pairs per post (tags deduplicated).
 
-    Each post's distinct tags are sorted and their pairs counted in one
+    Each post's distinct nodes are sorted and their pairs counted in one
     `Counter` pass over every post's `combinations`, so `edges` lists the
-    pairs in the order they are first seen, as a loop over the posts'
-    sorted pairs would insert them. Each node's base feature is the
-    provider's vector for the tag; all of them are drawn in one `tables`
-    call.
+    pairs in the order they are first seen, as a loop over the posts' sorted
+    pairs would insert them. The base features are the provider's vectors
+    of the tags, drawn in one `tables` call.
     """
-    g = HashtagGraph(base_dim=base_dim)
-    tag_sets = [sorted(set(post.hashtags)) for post in posts]
+    tag_lists = [post.hashtags for post in posts]
+    tags = sorted(set(chain.from_iterable(tag_lists)))
+    nodes = dict(zip(tags, range(len(tags))))
+    node_sets = [sorted(set(map(nodes.__getitem__, t))) for t in tag_lists]
     # a plain dict: a Counter would answer 0 for a pair that never occurs
-    g.edges = dict(Counter(chain.from_iterable(map(combinations, tag_sets, repeat(2)))))
-    first_seen = dict.fromkeys(chain.from_iterable(tag_sets))
-    g.nodes = set(first_seen)
-    g.node_features = dict(zip(first_seen, provider.tables({base_dim: first_seen})[base_dim]))
-    return g
+    edges = dict(Counter(chain.from_iterable(map(combinations, node_sets, repeat(2)))))
+    return HashtagGraph(nodes, edges, provider.tables({base_dim: tags})[base_dim][:-1])
 
 
-def _initial_rows(g: HashtagGraph, tags: list[str], dim: int) -> np.ndarray:
-    """(len(tags) + 1, dim): the base features of `tags`, in that order, times
-    a fixed random projection, then a zero row.
+def _initial_rows(g: HashtagGraph, dim: int) -> np.ndarray:
+    """(nodes + 1, dim): each node's base feature times a fixed random
+    projection, in node order, then a zero row.
 
     Each row is its own (1, base_dim) @ (base_dim, dim) product in one
-    stacked matmul, which runs the kernel a one-row product runs, so a row
-    equals `g.node_features[t] @ projection` bit for bit. A plain
+    stacked matmul, which runs the kernel a one-row product runs, so row i
+    equals `g.node_features[i] @ projection` bit for bit. A plain
     (nodes, base_dim) @ (base_dim, dim) product blocks the sums differently.
     """
-    proj_rng = np.random.default_rng(np.random.SeedSequence([g.base_dim, dim]))
-    projection = proj_rng.uniform(-1.0, 1.0, size=(g.base_dim, dim)) / np.sqrt(g.base_dim)
-    out = np.zeros((len(tags) + 1, dim))
-    if tags:
-        base = np.array(list(map(g.node_features.__getitem__, tags)))
-        np.matmul(base[:, None, :], projection, out=out[:-1, None])
+    base_dim = g.node_features.shape[1]
+    proj_rng = np.random.default_rng(np.random.SeedSequence([base_dim, dim]))
+    projection = proj_rng.uniform(-1.0, 1.0, size=(base_dim, dim)) / np.sqrt(base_dim)
+    out = np.zeros((len(g.node_features) + 1, dim))
+    np.matmul(g.node_features[:, None, :], projection, out=out[:-1, None])
     return out
 
 
@@ -103,16 +104,13 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     O((nodes + edges) + nodes * dim) memory. Each node sums its own state
     first, then its neighbors' terms in `g.edges` insertion order, so the
     result is bitwise equal to adding them one neighbor at a time. The final
-    state is the returned table; its `rows` index the tags in sorted order.
+    state is the returned table, and its `rows` are `g.nodes`.
     """
     if dim < 1 or hops < 1:
         raise ValueError(f"dim and hops must be >= 1, got dim={dim}, hops={hops}")
-    tags = sorted(g.nodes)
-    state = _initial_rows(g, tags, dim)
-    index = dict(zip(tags, range(len(tags))))
-    # Edge k = (a, b) becomes entries 2k (a <- b) and 2k+1 (b <- a).
-    rows = np.fromiter(map(index.__getitem__, chain.from_iterable(g.edges)),
-                       dtype=np.intp, count=2 * len(g.edges))
+    state = _initial_rows(g, dim)
+    # Edge k = (i, j) becomes entries 2k (i <- j) and 2k+1 (j <- i).
+    rows = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
     cols = rows.reshape(-1, 2)[:, ::-1].reshape(-1)
     w = np.repeat(np.fromiter(g.edges.values(), dtype=np.float64, count=len(g.edges)), 2)
     total = 1.0 + np.bincount(rows, weights=w, minlength=len(state))
@@ -138,23 +136,13 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     # in another order and rounds differently.
     norm = np.sqrt(np.matmul(state[:, None, :], state[:, :, None]))[:, 0]
     np.divide(state, norm, out=state, where=norm > 0)
-    return NodeEmbeddings(state, index)
-
-
-@dataclass(frozen=True)
-class HashtagFeature:
-    topic: np.ndarray
-    structure: np.ndarray
-
-    @property
-    def combined(self) -> np.ndarray:
-        return np.concatenate([self.topic, self.structure], axis=-1)
+    return NodeEmbeddings(state, g.nodes)
 
 
 def hashtag_feature(posts, emb: NodeEmbeddings, topic_rows: np.ndarray,
-                    topic_counts) -> HashtagFeature:
-    """Topic and structure features of a batch of posts, (B, topic_dim) and
-    (B, structure_dim); a post gets zeros for a part it has no tags for.
+                    topic_counts) -> np.ndarray:
+    """(B, topic_dim + structure_dim): each post's topic part, then its
+    structure part; a post gets zeros for a part it has no tags for.
 
     The topic part is the mean of `topic_rows[b, j]`, the provider's topic
     vector of post b's j-th hashtag (zero past its last), over its
@@ -163,8 +151,8 @@ def hashtag_feature(posts, emb: NodeEmbeddings, topic_rows: np.ndarray,
     its table, which prepare built once.
     """
     rows = emb.rows
-    # every tag listed is in `rows`, so the index adds no row to it
+    # every tag listed is in `rows`, so the index adds no node to the graph
     index, counts = padded_index(rows, [[t for t in post.hashtags if t in rows]
                                         for post in posts])
-    return HashtagFeature(topic=pooled_mean(topic_rows, topic_counts),
-                          structure=pooled_mean(emb.table[index], counts))
+    return np.concatenate([pooled_mean(topic_rows, topic_counts),
+                           pooled_mean(emb.table[index], counts)], axis=-1)

@@ -24,8 +24,8 @@ from .data import Dataset, Post
 from .features import (DEMOGRAPHIC_DIM, SOCIAL_RAW_DIM, PCAModel, SentimentLexicon,
                        SocialStats, apply_pca, demographic_vector, fit_social_pca,
                        sentiment_feature, social_numerics, social_vector)
-from .hashtag_graph import (NodeEmbeddings, build_cooccurrence_graph, hashtag_feature,
-                            node_embeddings)
+from .hashtag_graph import (HashtagGraph, NodeEmbeddings, build_cooccurrence_graph,
+                            hashtag_feature, node_embeddings)
 from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backward,
                       dense_forward, dropout, dropout_backward, padded_index, relu,
                       relu_backward, uniform_params)
@@ -226,7 +226,7 @@ class FeatureCaches:
 
     provider: EmbeddingProvider
     lexicon: SentimentLexicon
-    graph: object
+    graph: HashtagGraph
     node_emb: NodeEmbeddings  # by tag, and the node table each pass gathers from
     social_stats: SocialStats
     pca: PCAModel
@@ -237,6 +237,8 @@ def build_caches(train_posts, config: ModelConfig,
                  provider: EmbeddingProvider | None = None) -> FeatureCaches:
     """Fit all frozen feature state (graph, embeddings, stats, PCA) on the
     training split only."""
+    if len(train_posts) == 0:
+        raise ValueError("cannot fit the feature caches on an empty training split")
     provider = provider or EmbeddingProvider(kind="deterministic_stub",
                                              seed=config.embed_seed)
     lexicon = lexicon or SentimentLexicon.bundled()
@@ -320,9 +322,7 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
     image_index = [images.setdefault(post.image_ref, len(images)) for post in posts]
     # each dim's draws in row order, then the zero row that index -1 gathers
     tables = caches.provider.tables(rows)
-    hf = hashtag_feature(posts, caches.node_emb, tables[config.topic_dim][topic_index],
-                         topic_counts)
-    sent = sentiment_feature(posts, captions, caches.lexicon)
+    sent_caption, sent_hashtags = sentiment_feature(posts, captions, caches.lexicon)
     return FeatureBundle(
         post_id=np.array([post.post_id for post in posts]),
         tokens=tables[d][token_index],
@@ -332,9 +332,10 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
         hashtag_mask=(tag_index >= 0).astype(np.float64),
         f_social=apply_pca(caches.pca, social_vector(posts, caches.social_stats)),
         f_demographic=demographic_vector(posts, mode=config.demographic_mode),
-        f_hashtag=hf.combined,
-        f_sentiment_text=sent.caption_dist,
-        f_sentiment_hashtags=sent.hashtag_dist,
+        f_hashtag=hashtag_feature(posts, caches.node_emb,
+                                  tables[config.topic_dim][topic_index], topic_counts),
+        f_sentiment_text=sent_caption,
+        f_sentiment_hashtags=sent_hashtags,
         target=np.array([post.popularity for post in posts], dtype=np.float64),
     )
 

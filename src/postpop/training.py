@@ -431,14 +431,22 @@ def ablate(ds: Dataset, base_config: ModelConfig, train_config: TrainConfig,
            variants: list[str], seeds: list[int],
            fractions=(0.8, 0.1, 0.1),
            lexicon: SentimentLexicon | None = None) -> AblationReport:
-    """Train and evaluate each variant under identical seeds and splits."""
+    """Train and evaluate each variant under identical seeds and splits.
+
+    A seed's split and feature caches are made at its first run and shared
+    by every later variant: no variant changes what `build_caches` reads.
+    """
+    splits, caches = {}, {}
     rows = []
     for variant in variants:
         config = apply_variant(base_config, variant)
         for seed in seeds:
-            tr, va, te = split_dataset(ds, fractions, seed=seed)
-            result = train(tr, va, config,
-                           replace(train_config, seed=seed), lexicon=lexicon)
+            if seed not in splits:
+                splits[seed] = split_dataset(ds, fractions, seed=seed)
+            tr, va, te = splits[seed]
+            result = train(tr, va, config, replace(train_config, seed=seed),
+                           caches=caches.get(seed), lexicon=lexicon)
+            caches[seed] = result.checkpoint.caches
             val_m = evaluate(result.checkpoint, va)
             test_m = evaluate(result.checkpoint, te)
             rows.append(AblationRow(variant=variant, seed=seed,

@@ -115,13 +115,14 @@ def test_c3_graph_oracle_equivalence():
         g = build_cooccurrence_graph(posts, provider, base_dim=4)
 
         oracle = {}
-        ordered = sorted(vocab)  # edge keys are lexical (a, b) pairs
+        ordered = sorted(vocab)  # nodes number the tags in sorted order
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
                 w = sum(1 for tags in tag_lists if a in set(tags) and b in set(tags))
                 if w:
                     oracle[(a, b)] = w
-        assert g.edges == oracle
+        tags = list(g.nodes)  # node -> tag
+        assert {(tags[i], tags[j]): w for (i, j), w in g.edges.items()} == oracle
     print("\ncriterion 3 graph oracle equivalence: PASS (50 corpora)")
 
 

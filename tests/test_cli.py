@@ -156,6 +156,16 @@ class TestTrain:
         assert h1 == h2
 
 
+    def test_lexicon_class_out_of_range_exits_two_naming_the_word(self, workspace, capsys):
+        tmp, cfg = workspace
+        lexicon = tmp / "lexicon.tsv"
+        lexicon.write_text("# word<TAB>class\nsunny\t4\nzorblax\t7\n")
+        code, _, err = run_cli(["--config", str(cfg), "--set", f"lexicon={lexicon}",
+                                "train"], capsys)
+        assert code == 2 and "class 7 for 'zorblax' outside 0..4" in err
+        assert "Traceback" not in err
+        assert not (tmp / "model.ckpt").exists()
+
     def test_diverging_run_exits_two_without_checkpoint(self, workspace, capsys):
         tmp, cfg = workspace
         code, _, err = run_cli(["--config", str(cfg), "--set", "learning_rate=1e150",

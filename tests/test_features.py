@@ -93,8 +93,9 @@ def scores(text, lexicon):
 
 
 def one_post_sentiment(post, lexicon):
-    sv = sentiment_feature([post], [tokenize(post.caption)], lexicon)
-    return type(sv)(caption_dist=sv.caption_dist[0], hashtag_dist=sv.hashtag_dist[0])
+    """(caption_dist, hashtag_dist) of one post, (5,) each."""
+    caption, hashtags = sentiment_feature([post], [tokenize(post.caption)], lexicon)
+    return caption[0], hashtags[0]
 
 
 class TestSentiment:
@@ -155,18 +156,18 @@ class TestSentiment:
 
     def test_feature_dims_and_blocks(self, lexicon):
         post = make_post(caption="wonderful sunset", hashtags=("awful", "grim"))
-        sv = one_post_sentiment(post, lexicon)
-        assert sv.caption_dist.shape == sv.hashtag_dist.shape == (5,)
+        caption, hashtags = one_post_sentiment(post, lexicon)
+        assert caption.shape == hashtags.shape == (5,)
 
     def test_disjoint_hits_differ(self, lexicon):
         post = make_post(caption="wonderful amazing", hashtags=("awful",))
-        sv = one_post_sentiment(post, lexicon)
-        assert not np.allclose(sv.caption_dist, sv.hashtag_dist)
+        caption, hashtags = one_post_sentiment(post, lexicon)
+        assert not np.allclose(caption, hashtags)
 
     def test_empty_post_two_uniform_blocks(self, lexicon):
         post = make_post(caption="", hashtags=())
-        sv = one_post_sentiment(post, lexicon)
-        assert np.allclose(sv.caption_dist, 0.2) and np.allclose(sv.hashtag_dist, 0.2)
+        caption, hashtags = one_post_sentiment(post, lexicon)
+        assert np.allclose(caption, 0.2) and np.allclose(hashtags, 0.2)
 
     def test_bundled_lexicon_size(self, lexicon):
         assert len(lexicon) >= 150

@@ -33,6 +33,12 @@ def brute_force_weights(tag_lists):
     return weights
 
 
+def tag_edges(g):
+    """`g.edges` keyed by tag pairs, in the same order."""
+    tags = list(g.nodes)  # node -> tag
+    return {(tags[i], tags[j]): w for (i, j), w in g.edges.items()}
+
+
 def loop_edges(tag_lists):
     """Reference: each post's sorted distinct tags, pair by pair, in a double
     loop; the dict lists the pairs in the order they are first seen."""
@@ -50,19 +56,21 @@ class TestGraphBuild:
     def test_two_posts_hand_counts(self, provider):
         ds = posts_with_tags([("a", "b", "c"), ("a", "b")])
         g = build_cooccurrence_graph(ds, provider)
-        assert g.edges == {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 1}
+        assert g.nodes == {"a": 0, "b": 1, "c": 2}
+        assert g.edges == {(0, 1): 2, (0, 2): 1, (1, 2): 1}
 
     def test_single_tag_no_edges(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("a",)]), provider)
-        assert g.nodes == {"a"} and g.edges == {}
+        assert g.nodes == {"a": 0} and g.edges == {}
 
     def test_duplicate_tag_deduplicated(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("a", "a", "b")]), provider)
-        assert g.edges == {("a", "b"): 1}
+        assert tag_edges(g) == {("a", "b"): 1}
 
     def test_empty_corpus(self, provider):
-        g = build_cooccurrence_graph(posts_with_tags([(), ()]), provider)
-        assert g.nodes == set() and g.edges == {}
+        g = build_cooccurrence_graph(posts_with_tags([(), ()]), provider, base_dim=5)
+        assert g.nodes == {} and g.edges == {}
+        assert g.node_features.shape == (0, 5)
 
     def test_matches_brute_force_oracle(self, provider, rng):
         for trial in range(5):
@@ -72,11 +80,12 @@ class TestGraphBuild:
                 k = int(rng.integers(0, min(6, len(vocab)) + 1))
                 tag_lists.append(tuple(rng.choice(vocab, size=k, replace=True)))
             g = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)
-            assert g.edges == brute_force_weights(tag_lists)
+            assert tag_edges(g) == brute_force_weights(tag_lists)
 
-    def test_edges_and_nodes_in_first_seen_order(self, provider, rng):
+    def test_edges_in_first_seen_order_over_sorted_nodes(self, provider, rng):
         # `node_embeddings` sums each node's neighbours in `edges` order, so
-        # its bits depend on the order, which `==` on dicts ignores
+        # its bits depend on the order, which `==` on dicts ignores; the
+        # nodes number the tags in sorted order, and so do the feature rows
         for trial in range(8):
             vocab = [f"t{i:02d}" for i in range(int(rng.integers(3, 30)))]
             tag_lists = [tuple(rng.choice(vocab, size=int(rng.integers(0, 7))))
@@ -84,10 +93,13 @@ class TestGraphBuild:
             tag_lists[int(rng.integers(len(tag_lists))):0] = [(), ("solo",), ("a", "a")]
             g = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)
             assert type(g.edges) is dict
-            assert list(g.edges.items()) == list(loop_edges(tag_lists).items())
-            first_seen = dict.fromkeys(t for tags in tag_lists for t in sorted(set(tags)))
-            assert list(g.node_features) == list(first_seen)
-            assert g.nodes == set(first_seen)
+            assert all(i < j for i, j in g.edges)
+            assert list(tag_edges(g).items()) == list(loop_edges(tag_lists).items())
+            tags = sorted({t for tags in tag_lists for t in tags})
+            assert list(g.nodes.items()) == list(zip(tags, range(len(tags))))
+            assert g.node_features.shape == (len(tags), 64)
+            for t, i in g.nodes.items():
+                assert np.array_equal(g.node_features[i], provider.vector(t, 64)), t
 
 
 def projection(base_dim, dim):
@@ -99,8 +111,8 @@ def projection(base_dim, dim):
 def initial_states(g, dim):
     """Reference: each node's base feature times the projection, one row
     product at a time."""
-    proj = projection(g.base_dim, dim)
-    return {t: g.node_features[t] @ proj for t in sorted(g.nodes)}
+    proj = projection(g.node_features.shape[1], dim)
+    return {t: g.node_features[i] @ proj for t, i in g.nodes.items()}
 
 
 def loop_node_embeddings(g, dim, hops):
@@ -108,7 +120,7 @@ def loop_node_embeddings(g, dim, hops):
     neighbors in `g.edges` insertion order."""
     tags = sorted(g.nodes)
     state = initial_states(g, dim)
-    neigh = {t: [(b if a == t else a, w) for (a, b), w in g.edges.items()
+    neigh = {t: [(b if a == t else a, w) for (a, b), w in tag_edges(g).items()
                  if t in (a, b)] for t in tags}
     for _ in range(hops):
         nxt = {}
@@ -157,17 +169,15 @@ class TestNodeEmbeddings:
 
     @pytest.mark.parametrize("base_dim", [1, 3, 16, 64])
     def test_initial_states_bitwise_equal_to_per_row_products(self, rng, base_dim):
-        g = HashtagGraph(base_dim=base_dim)
-        g.nodes = {f"t{i}" for i in range(37)}
-        g.node_features = {t: rng.uniform(-1, 1, base_dim) for t in sorted(g.nodes)}
-        tags = sorted(g.nodes)
+        g = HashtagGraph(nodes={f"t{i:02d}": i for i in range(37)}, edges={},
+                         node_features=rng.uniform(-1, 1, (37, base_dim)))
         for dim in (1, 3, 4, 5, 7, 8, 16, 50, 64):
             proj = projection(base_dim, dim)
-            got = hg._initial_rows(g, tags, dim)
-            assert got.shape == (len(tags) + 1, dim)
+            got = hg._initial_rows(g, dim)
+            assert got.shape == (37 + 1, dim)
             assert got[-1].tobytes() == bytes(8 * dim)  # the zero row, +0.0
-            for t, v in zip(tags, got):
-                assert np.array_equal(v, g.node_features[t] @ proj), (t, dim)
+            for i, v in enumerate(got[:-1]):
+                assert np.array_equal(v, g.node_features[i] @ proj), (i, dim)
 
     def test_isolated_node_is_normalized_projection(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("solo",)]), provider)
@@ -177,18 +187,14 @@ class TestNodeEmbeddings:
 
     def test_symmetric_pair_identical(self, provider):
         g = build_cooccurrence_graph(posts_with_tags([("x", "y")]), provider)
-        g.node_features["x"] = g.node_features["y"].copy()
+        g.node_features[g.nodes["x"]] = g.node_features[g.nodes["y"]]
         emb = node_embeddings(g, dim=5, hops=2)
         assert np.allclose(emb["x"], emb["y"])
 
     def test_path_graph_matches_explicit_computation(self):
         # a-b weight 2, b-c weight 1; hand-set base features
-        g = HashtagGraph(base_dim=3)
-        g.nodes = {"a", "b", "c"}
-        g.edges = {("a", "b"): 2, ("b", "c"): 1}
-        rng = np.random.default_rng(77)
-        for t in sorted(g.nodes):
-            g.node_features[t] = rng.normal(size=3)
+        g = HashtagGraph(nodes={"a": 0, "b": 1, "c": 2}, edges={(0, 1): 2, (1, 2): 1},
+                         node_features=np.random.default_rng(77).normal(size=(3, 3)))
         emb = node_embeddings(g, dim=4, hops=1)
 
         h0 = initial_states(g, 4)
@@ -217,13 +223,22 @@ class TestNodeEmbeddings:
         tags = sorted(g.nodes)
         assert emb.table.shape == (len(tags) + 1, 6)
         assert emb.rows == dict(zip(tags, range(len(tags)))) and list(emb) == tags
+        assert emb.rows is g.nodes  # one numbering
         assert emb.table[-1].tobytes() == bytes(6 * 8)  # +0.0, gathered by -1
         # by-tag reads are views of the table's rows, not copies
         assert all(np.shares_memory(emb[t], emb.table) for t in tags)
         assert len(emb) == len(tags) and "solo" in emb and "mystery" not in emb
-        empty = node_embeddings(build_cooccurrence_graph(posts_with_tags([()]), provider),
-                                dim=4)
-        assert empty == {} and empty.table.tobytes() == bytes(4 * 8)
+
+    def test_tagless_corpus_gives_a_zero_table_and_zero_structure(self, provider):
+        g = build_cooccurrence_graph(posts_with_tags([(), ()]), provider, base_dim=5)
+        emb = node_embeddings(g, dim=4)
+        assert emb == {} and emb.rows is g.nodes and g.nodes == {}
+        assert emb.table.shape == (1, 4) and emb.table.tobytes() == bytes(4 * 8)
+        posts = [make_post(hashtags=()), make_post(hashtags=("unseen", "tags"))]
+        f = hashtag_feature(posts, emb, topic_rows(posts, provider, 3), counts(posts))
+        assert f.shape == (2, 3 + 4)
+        assert f[:, 3:].tobytes() == bytes(2 * 4 * 8)
+        assert g.nodes == {}  # the unseen tags were not numbered
 
     def test_unit_norm_outputs(self, provider, rng):
         tag_lists = [tuple(rng.choice([f"t{i}" for i in range(8)], size=3))
@@ -258,13 +273,15 @@ def counts(posts):
 
 
 def structural_embedding(post, emb, dim):
+    """The structure part: past the one-wide topic part of zeros."""
     return hashtag_feature([post], node_table(emb, dim),
-                           np.zeros((1, len(post.hashtags), 1)), counts([post])).structure[0]
+                           np.zeros((1, len(post.hashtags), 1)), counts([post]))[0, 1:]
 
 
 def topic_embedding(post, provider, dim):
+    """The topic part: before the one-wide structure part."""
     return hashtag_feature([post], node_table({}, 1), topic_rows([post], provider, dim),
-                           counts([post])).topic[0]
+                           counts([post]))[0, :-1]
 
 
 class TestStructuralEmbedding:
@@ -319,21 +336,19 @@ class TestHashtagFeature:
         post = make_post(hashtags=("sun",))
         emb = node_table({"sun": np.ones(50)}, 50)
         hf = hashtag_feature([post], emb, topic_rows([post], provider, 768), [1])
-        assert hf.topic.shape == (1, 768)
-        assert hf.structure.shape == (1, 50)
-        assert hf.combined.shape == (1, 818)
+        assert hf.shape == (1, 818)
 
     def test_concatenation_layout(self, provider):
         post = make_post(hashtags=("sun",))
         emb = node_table({"sun": np.full(50, 0.25)}, 50)
         hf = hashtag_feature([post], emb, topic_rows([post], provider, 768), [1])
-        assert np.array_equal(hf.combined[:, :768], hf.topic)
-        assert np.array_equal(hf.combined[:, 768:], hf.structure)
+        assert np.array_equal(hf[0, :768], provider.vector("sun", 768))
+        assert np.array_equal(hf[0, 768:], np.full(50, 0.25))
 
     def test_zero_plus_zero(self, provider):
         hf = hashtag_feature([make_post(hashtags=())], node_table({}, 50),
                              np.zeros((1, 0, 768)), [0])
-        assert np.array_equal(hf.combined, np.zeros((1, 818)))
+        assert np.array_equal(hf, np.zeros((1, 818)))
 
     def test_batch_rows_equal_one_post_calls(self, provider):
         # posts with no tags, unknown tags, repeated tags and differing counts
@@ -348,7 +363,7 @@ class TestHashtagFeature:
         for b, post in enumerate(posts):
             one = hashtag_feature([post], table, topic_rows([post], provider, 8),
                                   counts([post]))
-            assert np.array_equal(batch.combined[b], one.combined[0])
+            assert np.array_equal(batch[b], one[0])
             known = [emb[t] for t in post.hashtags if t in emb]
-            assert np.array_equal(batch.structure[b],
+            assert np.array_equal(batch[b, 8:],
                                   np.mean(known, axis=0) if known else np.zeros(5))

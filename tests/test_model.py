@@ -376,6 +376,28 @@ class TestFullModel:
         inputs = branch_inputs(bundle, cfg)
         assert inputs["sentiment"].shape == (10,)
 
+    def test_unseen_tags_leave_the_graph_numbering_unchanged(self):
+        # the graph's nodes are the node table's rows: one dict, which a
+        # featurization pass reads and never extends
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=20, seed=5)
+        caches = build_caches(ds.posts, cfg)
+        assert caches.node_emb.rows is caches.graph.nodes
+        nodes = dict(caches.graph.nodes)
+        posts = [replace(post, hashtags=(*post.hashtags, f"unseen{i}"))
+                 for i, post in enumerate(ds.posts[:5])]
+        batch = extract_features(posts, caches, cfg)
+        extract_features(make_post(hashtags=("never", "seen")), caches, cfg)
+        assert caches.graph.nodes == nodes and len(caches.node_emb.table) == len(nodes) + 1
+        # an unseen tag adds nothing to a post's structure part
+        known = extract_features(ds.posts[:5], caches, cfg)
+        structure = slice(cfg.topic_dim, None)
+        assert np.array_equal(batch.f_hashtag[:, structure], known.f_hashtag[:, structure])
+
+    def test_empty_training_split_rejected(self):
+        with pytest.raises(ValueError, match="empty training split"):
+            build_caches([], tiny_config())
+
     def test_toggled_off_feature_not_in_inputs(self, rng):
         cfg = tiny_config(use_social=False)
         bundle = random_bundle(rng, cfg)

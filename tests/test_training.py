@@ -528,6 +528,42 @@ class TestAblate:
         report = ablate(ds, cfg, tc, ["na", "full"], seeds=[0])
         assert [r.variant for r in report.rows] == ["na", "full"]
 
+    def test_one_cache_fit_per_seed(self, monkeypatch):
+        ds = make_linear_social_corpus(n=80, seed=9)
+        tc = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=1,
+                         patience=1, dropout=0.0, seed=0, init_scale=0.3)
+        fits = []
+
+        def spy(posts, config, **kwargs):
+            fits.append(config)
+            return build_caches(posts, config, **kwargs)
+
+        monkeypatch.setattr(training_mod, "build_caches", spy)
+        seeds = [0, 1, 2]
+        variants = ["full", "no_demographics"]
+        cfg = small_social_config(use_demographics=True)
+        report = ablate(ds, cfg, tc, variants, seeds=seeds)
+        assert len(fits) == len(seeds)
+        assert [(r.variant, r.seed) for r in report.rows] == \
+               [(v, s) for v in variants for s in seeds]
+
+    def test_empty_split_rejected_before_any_fit(self, monkeypatch):
+        # four posts at 20% leave the training split empty
+        monkeypatch.setattr(training_mod, "build_caches", None)
+        tc = TrainConfig(max_epochs=1, patience=1)
+        with pytest.raises(ValueError, match="splits must be non-empty"):
+            ablate(make_linear_social_corpus(n=4, seed=9), small_social_config(), tc,
+                   ["full"], seeds=[0], fractions=(0.2, 0.4, 0.4))
+
+    def test_no_variant_changes_what_build_caches_reads(self):
+        # so one fit per seed serves every variant of `ablate`
+        cfg = tiny_config()
+        read = ("graph_base_dim", "structure_dim", "graph_hops", "pca_k", "embed_seed")
+        for variant in training_mod.VARIANTS:
+            changed = apply_variant(cfg, variant)
+            assert [getattr(changed, n) for n in read] == [getattr(cfg, n) for n in read], \
+                variant
+
     def test_apply_variant(self):
         cfg = tiny_config()
         assert apply_variant(cfg, "na").attention == "na"
