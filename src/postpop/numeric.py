@@ -262,29 +262,35 @@ def finite_difference_grad(f, params: dict[str, np.ndarray],
     """Central-difference gradient of a scalar function of a parameter dict.
 
     Perturbs one coordinate at a time, in place: (f(p+eps) - f(p-eps)) / (2 eps).
-    Intended as the independent oracle for every analytic backward pass.
+    Each coordinate is indexed in the caller's array itself, so a transposed
+    or strided view is perturbed where f reads it, and it gets its value
+    back even when f raises. Intended as the independent oracle for every
+    analytic backward pass.
     """
     grads = {}
     for name, arr in params.items():
-        g = np.zeros_like(arr, dtype=np.float64)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = f(params)
-            flat[i] = orig - eps
-            down = f(params)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * eps)
+        g = np.zeros(arr.shape, dtype=np.float64)
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            try:
+                arr[i] = orig + eps
+                up = f(params)
+                arr[i] = orig - eps
+                down = f(params)
+            finally:
+                arr[i] = orig
+            g[i] = (up - down) / (2.0 * eps)
         grads[name] = g
     return grads
 
 
 def relative_error(g_analytic: np.ndarray, g_numeric: np.ndarray) -> float:
-    """max-norm relative error used by all gradient checks."""
+    """max-norm relative error used by all gradient checks. The two
+    gradients must have one shape: a broadcast would hide a wrong one."""
     ga = np.asarray(g_analytic, dtype=np.float64)
     gn = np.asarray(g_numeric, dtype=np.float64)
+    if ga.shape != gn.shape:
+        raise ShapeError(f"gradient shape {ga.shape} != oracle shape {gn.shape}")
     num = np.max(np.abs(ga - gn)) if ga.size else 0.0
     den = max(1e-8, (np.max(np.abs(ga)) if ga.size else 0.0)
               + (np.max(np.abs(gn)) if gn.size else 0.0))

@@ -4,9 +4,7 @@ import numpy as np
 
 from postpop.attention import (attention_param_shapes, hga_attention, hga_backward,
                                na_backward, na_content, pooled_hashtag, sa_attention)
-from postpop.numeric import finite_difference_grad, relative_error, uniform_params
-
-ATTENTION_PARAM_NAMES = ("att.Ut", "att.Vt", "att.wt", "att.Ui", "att.Vi", "att.wi")
+from postpop.numeric import uniform_params
 
 
 def attention_params(rng, d, a, scale=0.7):
@@ -246,67 +244,6 @@ class TestVariants:
         assert abs(cache.alpha_text.sum() - 1.0) < 1e-12
 
 
-class TestGradients:
-    def test_hga_gradcheck_all_six_groups(self, rng):
-        m, k, l, d, a = 3, 4, 2, 5, 6
-        store = attention_params(rng, d, a)
-        mask = np.array([1.0, 1.0, 0.0])
-        text = rng.uniform(-1, 1, (m, d)) * mask[:, None]
-        image = rng.uniform(-1, 1, (k, d))
-        hmask = np.array([1.0, 1.0])
-        hmat = rng.uniform(-1, 1, (l, d))
-        weights = rng.normal(size=d)
-
-        def f(st):
-            return float(hga_attention(text, mask, image, hmat, hmask, st)[0] @ weights)
-
-        _, cache = hga_attention(text, mask, image, hmat, hmask, store)
-        grads, _, _ = hga_backward(weights, cache, store)
-        numeric = finite_difference_grad(f, store)
-        for name in ATTENTION_PARAM_NAMES:
-            assert relative_error(grads[name], numeric[name]) < 1e-4, name
-            assert np.max(np.abs(numeric[name])) > 0, f"vacuous check for {name}"
-
-    def test_input_gradients_match_fd(self, rng):
-        m, k, l, d, a = 2, 3, 2, 4, 3
-        store = attention_params(rng, d, a)
-        mask = np.ones(m)
-        text = rng.uniform(-1, 1, (m, d))
-        image = rng.uniform(-1, 1, (k, d))
-        hmask = np.ones(l)
-        hmat = rng.uniform(-1, 1, (l, d))
-        weights = rng.normal(size=d)
-
-        inputs = {"text": text, "image": image}
-
-        def f(st):
-            content, _ = hga_attention(st["text"], mask, st["image"], hmat, hmask, store)
-            return float(content @ weights)
-
-        _, cache = hga_attention(text, mask, image, hmat, hmask, store)
-        _, d_text, d_image = hga_backward(weights, cache, store)
-        numeric = finite_difference_grad(f, inputs)
-        assert relative_error(d_text, numeric["text"]) < 1e-6
-        assert relative_error(d_image, numeric["image"]) < 1e-6
-
-    def test_na_backward_matches_fd(self, rng):
-        m, k, d = 3, 2, 4
-        mask = np.array([1.0, 1.0, 0.0])
-        text = rng.uniform(-1, 1, (m, d))
-        image = rng.uniform(-1, 1, (k, d))
-        weights = rng.normal(size=d)
-
-        inputs = {"text": text, "image": image}
-
-        def f(st):
-            return float(na_content(st["text"], mask, st["image"]) @ weights)
-
-        d_text, d_image = na_backward(weights, mask, m, k)
-        numeric = finite_difference_grad(f, inputs)
-        assert relative_error(d_text, numeric["text"]) < 1e-6
-        assert relative_error(d_image, numeric["image"]) < 1e-6
-
-
 class TestBatched:
     """(B, ...) inputs give every post's one-post result, on one code path."""
 
@@ -377,18 +314,3 @@ class TestBatched:
             dt, di = na_backward(d_content[i], tmask[i], 3, 2)
             assert np.allclose(d_text[i], dt, rtol=0, atol=1e-12)
             assert np.allclose(d_image[i], di, rtol=0, atol=1e-12)
-
-    def test_batched_hga_gradcheck(self, rng):
-        store = attention_params(rng, 4, 3)
-        text, tmask, image, hmat, hmask = self.make_batch(rng)
-        weights = rng.normal(size=(4, 4))
-
-        def f(st):
-            return float(np.sum(hga_attention(text, tmask, image, hmat, hmask, st)[0]
-                                * weights))
-
-        _, cache = hga_attention(text, tmask, image, hmat, hmask, store)
-        grads, _, _ = hga_backward(weights, cache, store)
-        numeric = finite_difference_grad(f, store)
-        for name in ATTENTION_PARAM_NAMES:
-            assert relative_error(grads[name], numeric[name]) < 1e-6, name

@@ -6,7 +6,7 @@ import pytest
 from postpop.encoders import (lstm_backward, lstm_encode, lstm_param_shapes,
                               project_regions, project_regions_backward,
                               projection_param_shapes)
-from postpop.numeric import (ShapeError, dense_forward, finite_difference_grad,
+from postpop.numeric import (dense_forward, finite_difference_grad,
                              relative_error, uniform_params)
 
 
@@ -144,24 +144,6 @@ class TestAgainstReference:
             assert grads[name].dtype == dtype and grads[name].shape == g.shape
             assert relative_error(grads[name], g) <= tol, name
 
-    def test_gradcheck_across_an_unused_middle_step(self, rng):
-        # no sequence uses step 2: each state carries across it untouched,
-        # and so does each gradient
-        store = lstm_params(rng, 3, 4)
-        tokens = rng.uniform(-1, 1, (6, 6, 3))
-        weights = rng.normal(size=(6, 6, 4))
-
-        def f(st):
-            out, _ = lstm_encode(tokens, MASKS, st)
-            return float(np.sum(out * weights))
-
-        out, cache = lstm_encode(tokens, MASKS, store)
-        assert np.all(out[:, 2] == 0.0) and np.all(out[2] == 0.0)
-        grads = lstm_backward(weights, cache, store)
-        numeric = finite_difference_grad(f, store)
-        for name in ("lstm.Wx", "lstm.Wh", "lstm.b"):
-            assert relative_error(grads[name], numeric[name]) < 1e-6, name
-
     def test_float32_params_keep_float32_states(self, rng):
         store64 = lstm_params(rng, 3, 4)
         store32 = {name: arr.astype(np.float32) for name, arr in store64.items()}
@@ -218,17 +200,13 @@ class TestLstmForward:
         out, _ = lstm_encode(rng.uniform(-1, 1, (4, 6)), np.ones(4), store)
         assert np.all(np.abs(out) < 1.0)
 
-    def test_input_dim_mismatch(self, rng):
-        store = lstm_params(rng, 4, 4)
-        with pytest.raises(ShapeError):
-            lstm_encode(np.zeros((3, 5)), np.ones(3), store)
-
 
 class TestLstmBackward:
+    # fully live sequences; the masked and batched cases are rows of
+    # tests/test_gradcheck.py
     @pytest.mark.parametrize("m,d_in,d_h,mask", [
         (1, 3, 2, [1.0]),
         (4, 3, 6, [1.0, 1.0, 1.0, 1.0]),
-        (4, 6, 4, [1.0, 1.0, 0.0, 0.0]),
     ])
     def test_gradcheck(self, rng, m, d_in, d_h, mask):
         store = lstm_params(rng, d_in, d_h)
@@ -276,24 +254,6 @@ class TestProjection:
         assert np.allclose(project_regions(3.5 * x, store),
                            3.5 * project_regions(x, store), atol=1e-10)
 
-    def test_gradcheck(self, rng):
-        store = uniform_params(rng, projection_param_shapes(4, 3))
-        regions = rng.normal(size=(5, 4))
-        weights = rng.normal(size=(5, 3))
-
-        def f(st):
-            return float(np.sum(project_regions(regions, st) * weights))
-
-        grads = project_regions_backward(regions, weights)
-        numeric = finite_difference_grad(f, store)
-        assert relative_error(grads["proj.W"], numeric["proj.W"]) < 1e-6
-        assert relative_error(grads["proj.b"], numeric["proj.b"]) < 1e-6
-
-    def test_shape_mismatch(self, rng):
-        store = uniform_params(rng, projection_param_shapes(4, 3))
-        with pytest.raises(ShapeError):
-            project_regions(rng.normal(size=(5, 6)), store)
-
 
 class TestBatchedLstm:
     """(B, M, D) tokens step all B sequences together, on the same code path."""
@@ -324,25 +284,6 @@ class TestBatchedLstm:
                               cache, store)
         for name, g in grads.items():
             assert np.all(g == 0.0), name
-
-    def test_gradcheck_with_mask_hole(self, rng):
-        # the middle step of the first sequence is masked: its state carries
-        # across the hole, and the gradient must flow back through the carry
-        store = lstm_params(rng, 3, 4)
-        tokens = rng.uniform(-1, 1, (2, 5, 3))
-        mask = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0, 0.0]])
-        weights = rng.normal(size=(2, 5, 4))
-
-        def f(st):
-            out, _ = lstm_encode(tokens, mask, st)
-            return float(np.sum(out * weights))
-
-        out, cache = lstm_encode(tokens, mask, store)
-        assert np.all(out[0, 2] == 0.0) and np.any(out[0, 3] != 0.0)
-        grads = lstm_backward(weights, cache, store)
-        numeric = finite_difference_grad(f, store)
-        for name in ("lstm.Wx", "lstm.Wh", "lstm.b"):
-            assert relative_error(grads[name], numeric[name]) < 1e-6, name
 
     def test_batched_projection_matches_rows(self, rng):
         store = uniform_params(rng, projection_param_shapes(5, 3))

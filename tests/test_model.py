@@ -10,8 +10,7 @@ import pytest
 import postpop.features as features_mod
 import postpop.model as model_mod
 
-from conftest import (batch_loss, make_post, pass_requests, random_bundle, stack,
-                      tiny_config)
+from conftest import make_post, pass_requests, random_bundle, stack, tiny_config
 from postpop.cli import model_config_from, resolve_config
 from postpop import streams
 from postpop.corpora import make_sample_corpus
@@ -93,32 +92,6 @@ class TestBranch:
             assert grads[f"branch.hashtag.conv{i}.filters"].tobytes() == d_f.tobytes()
             assert grads[f"branch.hashtag.conv{i}.bias"].tobytes() == d_b.tobytes()
         assert len(grads) == 2 * len(cache)
-
-    @pytest.mark.parametrize("name", ["social", "demographic", "hashtag", "sentiment"])
-    def test_desk_branch_backward_matches_fd(self, rng, name):
-        # every desk branch spec on a B=3 batch; the demographic rows are the
-        # 116-long one-hot face encodings, mostly zeros
-        cfg = model_config_from(resolve_config(REPO / "configs" / "desk.cfg"))
-        length = model_mod.branch_input_dim(cfg, name)
-        if name == "demographic":
-            faces = [FaceAnnotation("female", 31, "happiness", "asian"),
-                     FaceAnnotation("male", 64, "neutral", "latino"),
-                     FaceAnnotation("female", 7, "fear", "white")]
-            posts = [make_post(faces=faces[:n]) for n in (1, 2, 3)]
-            f = features_mod.demographic_vector(posts)
-        else:
-            f = rng.uniform(-1, 1, (3, length))
-        assert f.shape == (3, length)
-        store = {key: arr for key, arr in init_model_params(cfg, seed=4).items()
-                 if key.startswith(f"branch.{name}.")}
-        out, cache = branch_forward(f, store, name)
-        r = rng.normal(size=out.shape)
-        grads = branch_backward(r, cache, store, name)
-        num = finite_difference_grad(
-            lambda st: float(np.sum(branch_forward(f, st, name)[0] * r)), store)
-        assert set(grads) == set(store)
-        for key in store:
-            assert relative_error(grads[key], num[key]) < 1e-7, key
 
     def test_output_length_validation(self):
         spec = BranchSpec(widths=(3, 3, 3), channels=(1, 1, 2))
@@ -332,35 +305,6 @@ class TestFullModel:
         g2 = batch_loss_and_grads(stack([bundle, bundle]), params, cfg)[1]
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-12)
-
-    @pytest.mark.parametrize("variant", ["hga", "sa", "na"])
-    def test_gradcheck_every_variant(self, rng, variant):
-        cfg = tiny_config(attention=variant)
-        params = init_model_params(cfg, seed=4)
-        bundles = stack([random_bundle(rng, cfg, n_tokens=2, n_hashtags=1)])
-        _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
-        numeric = finite_difference_grad(
-            lambda st: batch_loss(bundles, st, cfg), params)
-        for name in params:
-            assert relative_error(grads[name], numeric[name]) < 1e-4, name
-
-    def test_gradcheck_with_dropout(self, rng):
-        # the backward scales by the rate its forward ran with; every oracle
-        # evaluation replays the same draws, so the same masks
-        cfg = tiny_config()
-        params = init_model_params(cfg, seed=4)
-        bundles = [random_bundle(rng, cfg, n_tokens=2, n_hashtags=1) for _ in range(2)]
-        batch = stack(bundles)
-        draws = post_draws(2, cfg)
-        _, grads, _ = batch_loss_and_grads(batch, params, cfg, 0.4, draws)
-
-        def loss(st):
-            preds, _ = forward_bundle(batch, st, cfg, 0.4, draws)
-            return loss_mse(preds, batch.target)
-
-        numeric = finite_difference_grad(loss, params)
-        for name in params:
-            assert relative_error(grads[name], numeric[name]) < 1e-4, name
 
     def test_extract_features_shapes(self):
         cfg = tiny_config()
@@ -897,22 +841,6 @@ class TestBatchedModel:
         assert all(bundles_equal(one, b) for one, b in zip(batch, bundles))
         assert len(list(batch)) == len(bundles)
         assert bundles_equal(batch[-1], bundles[-1])
-
-    def test_float32_gradcheck_against_float64_oracle(self, rng):
-        # the batch computes in the parameters' dtype; the float64 oracle
-        # differentiates the same function in float64
-        cfg = tiny_config()
-        params64 = init_model_params(cfg, seed=4)
-        params32 = {name: arr.astype(np.float32) for name, arr in params64.items()}
-        bundles = stack([random_bundle(rng, cfg, n_tokens=2, n_hashtags=1),
-                         random_bundle(rng, cfg, n_tokens=3, n_hashtags=2)])
-        _, grads, preds = batch_loss_and_grads(bundles, params32, cfg)
-        assert preds.dtype == np.float32
-        numeric = finite_difference_grad(
-            lambda st: batch_loss(bundles, st, cfg), params64)
-        for name in params64:
-            assert grads[name].dtype == np.float32, name
-            assert relative_error(grads[name], numeric[name]) < 1e-4, name
 
     def test_one_post_float64_bundle_computes_in_parameter_dtype(self, rng):
         # extract_features gives float64 inputs; forward_bundle casts them to

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from postpop.numeric import (ShapeError, _conv_columns, conv1d_backward,
-                             conv1d_forward, dense_backward, dense_forward,
-                             dropout, finite_difference_grad, flat_rows, padded_index,
-                             pooled_mean, relative_error, relu, softmax,
-                             softmax_backward, uniform_param)
+from postpop.numeric import (ShapeError, _conv_columns, conv1d_backward, conv1d_forward,
+                             dense_forward, dropout, finite_difference_grad, flat_rows,
+                             padded_index, pooled_mean, relative_error, relu, softmax,
+                             uniform_param)
 
 
 def naive_conv1d(x, filters, bias):
@@ -86,17 +85,6 @@ class TestSoftmax:
         assert np.array_equal(out[0], np.zeros(3))
         assert out[1, 1] == 0.0 and abs(out[1].sum() - 1.0) < 1e-12
 
-    def test_backward_matches_fd(self, rng):
-        s = rng.normal(size=5)
-        mask = np.array([1, 1, 0, 1, 1.0])
-        r = rng.normal(size=5)
-
-        num = finite_difference_grad(lambda st: float(softmax(st["s"], mask) @ r),
-                                     {"s": s.copy()})
-        alpha = softmax(s, mask)
-        ds = softmax_backward(alpha, r, mask)
-        assert relative_error(ds, num["s"]) < 1e-7
-
 
 class TestConv1d:
     def test_identity_filter(self, rng):
@@ -163,26 +151,6 @@ class TestConv1d:
                     diff = np.max(np.abs(g.astype(np.float64) - w))
                     assert diff <= tol * scale, (ch_in, ch_out, input_grad)
 
-    def test_width_too_large(self, rng):
-        with pytest.raises(ShapeError):
-            conv1d_forward(rng.normal(size=(2, 1)), rng.normal(size=(1, 3, 1)),
-                           np.zeros(1))
-
-    def test_backward_matches_fd(self, rng):
-        x = rng.normal(size=(6, 2))
-        filters = rng.normal(size=(3, 2, 2))
-        bias = rng.normal(size=3)
-        r = rng.normal(size=(5, 3))
-
-        store = {"f": filters.copy(), "b": bias.copy(), "x": x.copy()}
-        num = finite_difference_grad(
-            lambda st: float(np.sum(conv1d_forward(st["x"], st["f"], st["b"])[0] * r)), store)
-        d_x, d_f, d_b = conv1d_backward(_conv_columns(x, 2), filters, r)
-        assert d_x.shape == x.shape and d_x.dtype == x.dtype
-        assert relative_error(d_f, num["f"]) < 1e-8
-        assert relative_error(d_b, num["b"]) < 1e-8
-        assert relative_error(d_x, num["x"]) < 1e-8
-
     def test_backward_without_input_grad_same_parameter_grads(self, rng):
         x = rng.normal(size=(4, 7, 2))
         filters = rng.normal(size=(3, 2, 2))
@@ -200,19 +168,6 @@ class TestDenseAndActivations:
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=3)
         assert np.allclose(dense_forward(x, w, b), x @ w + b)
-
-    def test_dense_backward_matches_fd(self, rng):
-        x = rng.normal(size=4)
-        w = rng.normal(size=(4, 3))
-        b = rng.normal(size=3)
-        r = rng.normal(size=3)
-        store = {"w": w.copy(), "b": b.copy(), "x": x.copy()}
-        num = finite_difference_grad(
-            lambda st: float(dense_forward(st["x"], st["w"], st["b"]) @ r), store)
-        d_x, d_w, d_b = dense_backward(x, w, r)
-        assert relative_error(d_w, num["w"]) < 1e-8
-        assert relative_error(d_x, num["x"]) < 1e-8
-        assert relative_error(d_b, num["b"]) < 1e-8
 
     def test_relu(self):
         assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
@@ -260,6 +215,19 @@ class TestFiniteDifference:
     def test_constant_function(self, rng):
         g = finite_difference_grad(lambda st: 4.2, {"theta": rng.normal(size=(2, 2))})
         assert np.allclose(g["theta"], 0.0)
+
+    def test_perturbs_a_non_contiguous_view_in_place(self, rng):
+        a = rng.normal(size=(3, 4))
+        for view in (a.T, a[:, ::2]):  # each is perturbed where f reads it
+            g = finite_difference_grad(lambda st: float(np.sum(st["w"] ** 2)), {"w": view})
+            assert relative_error(g["w"], 2 * view) < 1e-9
+
+    def test_restores_the_parameter_when_f_raises(self, rng):
+        w = rng.normal(size=(2, 2))
+        w0 = w.copy()
+        with pytest.raises(ZeroDivisionError):  # on its second call, at w[0, 0] - eps
+            finite_difference_grad(lambda st: 1 / float(st["w"][0, 0] > w0[0, 0]), {"w": w})
+        assert w.tobytes() == w0.tobytes()
 
 
 class TestUniformParam:
