@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from postpop.model import (BranchSpec, FeatureBundle, ModelConfig,
+from postpop.model import (PAPER_BRANCH_SPECS, BranchSpec, FeatureBundle, ModelConfig,
                            batch_loss_and_grads, forward_bundle, init_model_params,
                            loss_mse)
 from postpop.numeric import finite_difference_grad, relative_error
@@ -18,7 +18,7 @@ config = ModelConfig(
     m=3, k=4, l=2, d=5, a=6, n=6, topic_dim=8, structure_dim=4, pca_k=4,
     demographic_mode="ordinal",
     branch_specs={name: BranchSpec(widths=(2, 2, 2), channels=(2, 2, 2))
-                  for name in ("social", "demographic", "hashtag", "sentiment")},
+                  for name in PAPER_BRANCH_SPECS},
     head_sizes=(8, 4, 1))
 
 rng = np.random.default_rng(7)

@@ -9,7 +9,8 @@ the NA variant stays near the caption-mean floor. Takes a minute or two.
 
 import numpy as np
 
-from postpop import ModelConfig, TrainConfig, ablate, correlate_features
+from postpop import (PAPER_BRANCH_SPECS, ModelConfig, TrainConfig, ablate,
+                     correlate_features)
 from postpop.corpora import make_hashtag_signal_corpus
 from postpop.model import BranchSpec
 
@@ -23,7 +24,7 @@ config = ModelConfig(
     use_hashtags=False, use_social=False,
     use_demographics=False, use_sentiment_text=False,
     use_sentiment_hashtags=False,
-    branch_specs={n: spec for n in ("social", "demographic", "hashtag", "sentiment")},
+    branch_specs={n: spec for n in PAPER_BRANCH_SPECS},
     head_sizes=(16, 8, 1))
 tconfig = TrainConfig(learning_rate=1e-2, batch_size=20, max_epochs=40,
                       patience=40, dropout=0.0, seed=0, init_scale=0.3)

@@ -10,8 +10,8 @@ from .hashtag_graph import (HashtagGraph, NodeEmbeddings, build_cooccurrence_gra
 from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
                     PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, branch_forward,
                     build_caches, extract_features, forward_bundle, head_forward,
-                    init_model_params, load_checkpoint, loss_mse, merge,
-                    merged_length, save_checkpoint)
+                    init_model_params, load_checkpoint, loss_mse, merged_length,
+                    save_checkpoint)
 from .numeric import (ShapeError, conv1d_forward, dense_forward, dropout,
                       finite_difference_grad, relu, softmax)
 from .providers import EmbeddingProvider, tokenize

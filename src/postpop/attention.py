@@ -41,10 +41,10 @@ def _weighted_sum(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (alpha[..., None, :] @ rows)[..., 0, :]
 
 
-def pooled_hashtag(hashtag_mat: np.ndarray, hashtag_mask: np.ndarray) -> np.ndarray:
-    """Masked mean of (..., L, D) hashtag rows; zero vector when a post has none."""
-    count = hashtag_mask.sum(axis=-1, keepdims=True)
-    return _weighted_sum(hashtag_mask, hashtag_mat) / np.maximum(count, 1)
+def masked_mean(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of the live rows of (..., n, D) `rows` under the (..., n) binary
+    `mask`; a zero vector where none is live."""
+    return _weighted_sum(mask, rows) / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
 
 
 def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
@@ -66,7 +66,7 @@ def hga_attention(text: np.ndarray, text_mask: np.ndarray, image: np.ndarray,
     if hashtag_mat.shape[-1] != d:
         raise ShapeError(f"hashtag dim {hashtag_mat.shape[-1]} != D={d}")
 
-    hbar = pooled_hashtag(hashtag_mat, hashtag_mask)
+    hbar = masked_mean(hashtag_mat, hashtag_mask)
 
     y_text = np.tanh(text @ ut + (hbar @ vt)[..., None, :])
     alpha_text = softmax(y_text @ wt, text_mask)
@@ -126,8 +126,7 @@ def sa_attention(text, text_mask, image, params) -> tuple[np.ndarray, AttentionC
 def na_content(text: np.ndarray, text_mask: np.ndarray,
                image: np.ndarray) -> np.ndarray:
     """No-attention ablation: masked token mean plus region mean."""
-    count = text_mask.sum(axis=-1, keepdims=True)
-    return _weighted_sum(text_mask, text) / np.maximum(count, 1) + image.mean(axis=-2)
+    return masked_mean(text, text_mask) + image.mean(axis=-2)
 
 
 def na_backward(d_content: np.ndarray, text_mask: np.ndarray,

@@ -20,8 +20,9 @@ from pathlib import Path
 
 from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
-from .model import (ModelConfig, BranchSpec, PAPER_HEAD_SIZES, build_caches,
-                    extract_features, forward_bundle, load_checkpoint, save_checkpoint)
+from .model import (BRANCHES, PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, BranchSpec, ModelConfig,
+                    build_caches, extract_features, forward_bundle, load_checkpoint,
+                    save_checkpoint)
 from .providers import tokenize
 from .training import VARIANTS, Checkpoint, TrainConfig, ablate, evaluate, train
 
@@ -87,14 +88,9 @@ DEFAULTS = {
     "use_sentiment_text": (_parse_bool, "true", "include caption sentiment block"),
     "use_sentiment_hashtags": (_parse_bool, "true", "include hashtag sentiment block"),
     "head_sizes": (_parse_head, "paper", "comma-separated head sizes or 'paper'"),
-    "social_widths": (_parse_ints, "1,3,3", "social branch conv widths"),
-    "social_channels": (_parse_ints, "1,2,4", "social branch conv channels"),
-    "demographic_widths": (_parse_ints, "3,3,3", "demographic branch conv widths"),
-    "demographic_channels": (_parse_ints, "1,2,4", "demographic branch conv channels"),
-    "hashtag_widths": (_parse_ints, "3,5,5", "hashtag branch conv widths"),
-    "hashtag_channels": (_parse_ints, "8,16,32", "hashtag branch conv channels"),
-    "sentiment_widths": (_parse_ints, "1,1,3", "sentiment branch conv widths"),
-    "sentiment_channels": (_parse_ints, "1,2,4", "sentiment branch conv channels"),
+    **{f"{name}_{part}": (_parse_ints, ",".join(map(str, getattr(spec, part))),
+                          f"{name} branch conv {part}")
+       for name, spec in PAPER_BRANCH_SPECS.items() for part in ("widths", "channels")},
     "train_frac": (float, "0.8", "training split fraction"),
     "val_frac": (float, "0.1", "validation split fraction"),
     "test_frac": (float, "0.1", "test split fraction"),
@@ -142,7 +138,7 @@ def model_config_from(rc: dict) -> ModelConfig:
     try:
         specs = {name: BranchSpec(widths=tuple(rc[f"{name}_widths"]),
                                   channels=tuple(rc[f"{name}_channels"]))
-                 for name in ("social", "demographic", "hashtag", "sentiment")}
+                 for name in BRANCHES}
         return ModelConfig(
             m=rc["m"], k=rc["k"], l=rc["l"], d=rc["d"], a=rc["a"], n=rc["n"],
             topic_dim=rc["topic_dim"], structure_dim=rc["structure_dim"],

@@ -1,10 +1,14 @@
 """Model configuration, per-modality conv branches, regression head, and the
 full forward/backward pass.
 
-The merge order is fixed: social, demographic, hashtag, sentiment branch
-outputs, then the attended content vector. Disabled features contribute
-nothing. At the default (paper-scale) configuration the merged vector is
-27104 long and the head follows the published halving size ladder.
+`BRANCHES` is the one table of the conv branches: each branch's bundle
+fields and the config flag that enables each field. A branch whose fields
+are all off is disabled and contributes nothing. The table's order is the
+merge order: the enabled branches' outputs, then the attended content
+vector, make the head's input, so reordering the table changes the layout a
+checkpoint's head weights were trained on and needs a `_CKPT_VERSION` bump.
+At the default (paper-scale) configuration the merged vector is 27104 long
+and the head follows the published halving size ladder.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field, fields, asdict
+from itertools import accumulate
 from pathlib import Path
 from tokenize import TokenError
 
@@ -21,9 +26,9 @@ import numpy as np
 from . import attention as att
 from . import encoders
 from .data import Dataset, Post
-from .features import (DEMOGRAPHIC_DIM, SOCIAL_RAW_DIM, PCAModel, SentimentLexicon,
-                       SocialStats, apply_pca, demographic_vector, fit_social_pca,
-                       sentiment_feature, social_numerics, social_vector)
+from .features import (DEMOGRAPHIC_DIM, SENTIMENT_CLASSES, SOCIAL_RAW_DIM, PCAModel,
+                       SentimentLexicon, SocialStats, apply_pca, demographic_vector,
+                       fit_social_pca, sentiment_feature, social_numerics, social_vector)
 from .hashtag_graph import (HashtagGraph, NodeEmbeddings, build_cooccurrence_graph,
                             hashtag_feature, node_embeddings)
 from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backward,
@@ -31,7 +36,15 @@ from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backwar
                       relu_backward, uniform_params)
 from .providers import EmbeddingProvider, tokenize
 
-BRANCH_ORDER = ("social", "demographic", "hashtag", "sentiment")
+# branch -> {bundle field it reads: the config flag that enables the field},
+# in merge order. A branch reads its enabled fields end to end.
+BRANCHES = {
+    "social": {"f_social": "use_social"},
+    "demographic": {"f_demographic": "use_demographics"},
+    "hashtag": {"f_hashtag": "use_hashtags"},
+    "sentiment": {"f_sentiment_text": "use_sentiment_text",
+                  "f_sentiment_hashtags": "use_sentiment_hashtags"},
+}
 BRANCH_LAYERS = 3  # conv-relu layers per branch
 
 # Published head ladder; the 27104 -> 13552 first layer halves the merged
@@ -104,20 +117,21 @@ class ModelConfig:
         if self.demographic_mode not in ("onehot", "ordinal"):
             raise ValueError(
                 f"demographic_mode must be onehot|ordinal, got {self.demographic_mode!r}")
-        if not any([self.use_content, self.use_hashtags, self.use_social,
-                    self.use_demographics, self.use_sentiment_text,
-                    self.use_sentiment_hashtags]):
+        if not self.use_content and not branch_fields(self):
             raise ValueError("at least one feature must be enabled")
         if len(self.head_sizes) < 3 or min(self.head_sizes) < 1 or self.head_sizes[-1] != 1:
             raise ValueError("head_sizes must be >= 3 sizes, each >= 1, ending in 1, "
                              f"got {self.head_sizes}")
+        if set(self.branch_specs) != set(BRANCHES):
+            raise ValueError(f"branch_specs must give one spec for each of {list(BRANCHES)}, "
+                             f"got {list(self.branch_specs)}")
         for name, spec in self.branch_specs.items():
             for key, values in ((f"{name}_widths", spec.widths),
                                 (f"{name}_channels", spec.channels)):
                 if len(values) != BRANCH_LAYERS or min(values) < 1:
                     raise ValueError(f"{key} must be one value >= 1 for each of the "
                                      f"{BRANCH_LAYERS} conv layers, got {values}")
-        for name in enabled_branches(self):
+        for name in branch_fields(self):
             widths, length = self.branch_specs[name].widths, branch_input_dim(self, name)
             if length - sum(w - 1 for w in widths) < 1:
                 raise ValueError(f"{name}_widths must fit the {name} branch input of "
@@ -153,37 +167,29 @@ class ModelConfig:
         return cls(**d)
 
 
-def enabled_branches(config: ModelConfig) -> list[str]:
-    out = []
-    if config.use_social:
-        out.append("social")
-    if config.use_demographics:
-        out.append("demographic")
-    if config.use_hashtags:
-        out.append("hashtag")
-    if config.use_sentiment_text or config.use_sentiment_hashtags:
-        out.append("sentiment")
+def branch_fields(config: ModelConfig) -> dict[str, list[str]]:
+    """The enabled branches in merge order, each with the bundle fields it
+    reads: those of its `BRANCHES` fields whose flag is on."""
+    out = {}
+    for name, flags in BRANCHES.items():
+        for f, flag in flags.items():
+            if getattr(config, flag):
+                out.setdefault(name, []).append(f)
     return out
 
 
 def branch_input_dim(config: ModelConfig, name: str) -> int:
-    return {
-        "social": config.pca_k,
-        "demographic": config.demographic_dim,
-        "hashtag": config.hashtag_dim,
-        "sentiment": config.sentiment_dim,
-    }[name]
+    """Length of one post's input to the enabled branch `name`."""
+    dims = {"f_social": config.pca_k, "f_demographic": config.demographic_dim,
+            "f_hashtag": config.hashtag_dim, "f_sentiment_text": SENTIMENT_CLASSES,
+            "f_sentiment_hashtags": SENTIMENT_CLASSES}
+    return sum(dims[f] for f in branch_fields(config)[name])
 
 
 def merged_length(config: ModelConfig) -> int:
     """Length of the merged feature vector; a pure function of the config."""
-    total = 0
-    for name in enabled_branches(config):
-        spec = config.branch_specs[name]
-        total += spec.output_length(branch_input_dim(config, name))
-    if config.use_content:
-        total += config.d
-    return total
+    return sum(config.branch_specs[name].output_length(branch_input_dim(config, name))
+               for name in branch_fields(config)) + (config.d if config.use_content else 0)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -195,7 +201,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes.update(encoders.projection_param_shapes(config.n, config.d))
         if config.attention in ("hga", "sa"):
             shapes.update(att.attention_param_shapes(config.d, config.a))
-    for name in enabled_branches(config):
+    for name in branch_fields(config):
         spec = config.branch_specs[name]
         ch_in = 1
         for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
@@ -346,24 +352,6 @@ def extract_dataset(ds: Dataset, caches: FeatureCaches,
     return extract_features(ds.posts, caches, config)
 
 
-def branch_inputs(bundle: FeatureBundle, config: ModelConfig) -> dict[str, np.ndarray]:
-    out = {}
-    if config.use_social:
-        out["social"] = bundle.f_social
-    if config.use_demographics:
-        out["demographic"] = bundle.f_demographic
-    if config.use_hashtags:
-        out["hashtag"] = bundle.f_hashtag
-    if config.use_sentiment_text or config.use_sentiment_hashtags:
-        blocks = []
-        if config.use_sentiment_text:
-            blocks.append(bundle.f_sentiment_text)
-        if config.use_sentiment_hashtags:
-            blocks.append(bundle.f_sentiment_hashtags)
-        out["sentiment"] = np.concatenate(blocks, axis=-1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # branch / head forward-backward
 #
@@ -399,17 +387,6 @@ def branch_backward(d_flat: np.ndarray, layer_cache: list, params: dict,
         grads[f"branch.{name}.conv{i}.filters"] = d_f
         grads[f"branch.{name}.conv{i}.bias"] = d_b
     return grads
-
-
-def merge(branch_outputs: dict[str, np.ndarray], content: np.ndarray | None,
-          config: ModelConfig) -> np.ndarray:
-    """Concatenate branch outputs and the content vector in fixed order."""
-    parts = [branch_outputs[name] for name in BRANCH_ORDER if name in branch_outputs]
-    if content is not None:
-        parts.append(content)
-    if not parts:
-        raise ValueError("nothing to merge")
-    return np.concatenate(parts, axis=-1)
 
 
 def head_forward(x: np.ndarray, params: dict, config: ModelConfig,
@@ -467,9 +444,9 @@ class ForwardCache:
     bundle: FeatureBundle
     lstm_cache: object | None
     att_cache: object | None
-    branch_caches: dict
+    branch_caches: dict  # by enabled branch, in merge order
     head_cache: list
-    inputs: dict
+    widths: list[int]  # of each part of the head's input: the branches, then content
 
 
 def content_forward(bundle: FeatureBundle, params: dict, config: ModelConfig):
@@ -507,37 +484,35 @@ def forward_bundle(bundle: FeatureBundle, params: dict, config: ModelConfig,
         post_id=bundle.post_id, target=bundle.target,
         **{name: np.asarray(getattr(bundle, name), dtype=dtype)
            for name in _INPUT_FIELDS})
-    lstm_cache = att_cache = content = None
+    lstm_cache = att_cache = None
+    parts, branch_caches = [], {}
+    for name, names in branch_fields(config).items():
+        f = (getattr(bundle, names[0]) if len(names) == 1 else
+             np.concatenate([getattr(bundle, n) for n in names], axis=-1))
+        out, branch_caches[name] = branch_forward(f, params, name)
+        parts.append(out)
     if config.use_content:
         content, lstm_cache, att_cache = content_forward(bundle, params, config)
-    inputs = branch_inputs(bundle, config)
-    branch_out = {}
-    branch_caches = {}
-    for name in inputs:
-        branch_out[name], branch_caches[name] = branch_forward(inputs[name], params, name)
-    merged = merge(branch_out, content, config)
-    y_hat, head_cache = head_forward(merged, params, config, rate, draws)
+        parts.append(content)
+    y_hat, head_cache = head_forward(np.concatenate(parts, axis=-1), params, config,
+                                     rate, draws)
     return y_hat, ForwardCache(bundle=bundle, lstm_cache=lstm_cache,
                                att_cache=att_cache, branch_caches=branch_caches,
-                               head_cache=head_cache, inputs=inputs)
+                               head_cache=head_cache,
+                               widths=[part.shape[-1] for part in parts])
 
 
 def backward_bundle(d_y, fcache: ForwardCache, params: dict,
                     config: ModelConfig) -> dict[str, np.ndarray]:
     """Gradient of sum(d_y * y_hat) w.r.t. every parameter, over the batch."""
     d_merged, grads = head_backward(d_y, fcache.head_cache, params)
-    offset = 0
-    for name in BRANCH_ORDER:
-        if name not in fcache.branch_caches:
-            continue
-        out_len = config.branch_specs[name].output_length(
-            fcache.inputs[name].shape[-1])
-        seg = d_merged[..., offset:offset + out_len]
-        grads.update(branch_backward(seg, fcache.branch_caches[name], params, name))
-        offset += out_len
+    d_parts = [d_merged[..., end - width:end]
+               for width, end in zip(fcache.widths, accumulate(fcache.widths))]
+    for (name, layer_cache), d_out in zip(fcache.branch_caches.items(), d_parts):
+        grads.update(branch_backward(d_out, layer_cache, params, name))
     if config.use_content:
         bundle = fcache.bundle
-        d_content = d_merged[..., offset:offset + config.d]
+        d_content = d_parts[-1]
         if config.attention in ("hga", "sa"):
             att_grads, d_text, d_image = att.hga_backward(d_content,
                                                           fcache.att_cache, params)

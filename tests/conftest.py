@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from postpop.data import Post, PostMetadata
-from postpop.model import (_INPUT_FIELDS, BranchSpec, FeatureBundle, ModelConfig,
-                           forward_bundle, loss_mse)
+from postpop.model import (_INPUT_FIELDS, BRANCHES, BranchSpec, FeatureBundle,
+                           ModelConfig, forward_bundle, loss_mse)
 from postpop.providers import EmbeddingProvider, tokenize
 
 
@@ -15,7 +15,7 @@ def tiny_config(**overrides) -> ModelConfig:
         demographic_mode="ordinal",
         attention="hga",
         branch_specs={name: BranchSpec(widths=(2, 2, 2), channels=(2, 2, 2))
-                      for name in ("social", "demographic", "hashtag", "sentiment")},
+                      for name in BRANCHES},
         head_sizes=(8, 4, 1),
     )
     base.update(overrides)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from postpop.attention import (attention_param_shapes, hga_attention, hga_backward,
-                               na_backward, na_content, pooled_hashtag, sa_attention)
+                               masked_mean, na_backward, na_content, sa_attention)
 from postpop.numeric import uniform_params
 
 
@@ -190,8 +190,8 @@ class TestInvariants:
     def test_pooled_hashtag_masked_mean(self, rng):
         hmat = rng.uniform(-1, 1, (3, 4))
         hmask = np.array([1.0, 1.0, 0.0])
-        assert np.allclose(pooled_hashtag(hmat, hmask), hmat[:2].mean(axis=0))
-        assert np.array_equal(pooled_hashtag(hmat, np.zeros(3)), np.zeros(4))
+        assert np.allclose(masked_mean(hmat, hmask), hmat[:2].mean(axis=0))
+        assert np.array_equal(masked_mean(hmat, np.zeros(3)), np.zeros(4))
 
 
 class TestVariants:

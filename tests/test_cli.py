@@ -243,12 +243,22 @@ def test_bad_model_config_value_exits_one(workspace, capsys, command, key, value
 
 @pytest.mark.parametrize("key,value", [
     ("head_sizes", "abc"), ("head_sizes", "16,,1"), ("social_widths", "a,b,c"), ("m", "x"),
+    ("use_social", "maybe"),
 ])
 def test_unparseable_value_exits_one_naming_its_key(workspace, capsys, key, value):
     tmp, cfg = workspace
     code, _, err = run_cli(["--config", str(cfg), "--set", f"{key}={value}", "train"],
                            capsys)
     assert code == 1 and f"bad value for {key}" in err, err
+    assert not (tmp / "model.ckpt").exists()
+
+
+def test_config_line_without_equals_exits_one_naming_it(workspace, capsys):
+    tmp, cfg = workspace
+    cfg.write_text(cfg.read_text() + "# a comment\nbatch_size 10\n")
+    lineno = len(cfg.read_text().splitlines())
+    code, _, err = run_cli(["--config", str(cfg), "train"], capsys)
+    assert code == 1 and f"{cfg}:{lineno}: expected key=value" in err, err
     assert not (tmp / "model.ckpt").exists()
 
 
@@ -365,6 +375,15 @@ class TestEvaluate:
                                 "evaluate", "--split", "val"], capsys)
         assert code == 2
 
+    def test_empty_test_split_exits_two(self, workspace, capsys):
+        _, cfg = workspace
+        fractions = ["--set", "train_frac=0.5", "--set", "val_frac=0.5",
+                     "--set", "test_frac=1e-10"]
+        code, _, err = run_cli(["--config", str(cfg), *fractions, "train"], capsys)
+        assert code == 0, err
+        code, _, err = run_cli(["--config", str(cfg), *fractions, "evaluate",
+                                "--split", "test"], capsys)
+        assert code == 2 and "test split is empty" in err, err
 
     def test_init_scale_override_ignored_by_evaluate(self, workspace, capsys):
         tmp, cfg = workspace  # trained at init_scale=0.3
@@ -557,6 +576,14 @@ class TestInspectAttention:
                                 "--post-id", post.post_id], capsys)
         assert code == 0
         assert "hashtag influence: none" in out
+
+    def test_na_checkpoint_has_no_attention_to_inspect(self, workspace, capsys):
+        _, cfg = workspace
+        na = ["--config", str(cfg), "--set", "attention=na"]
+        assert run_cli([*na, "train"], capsys)[0] == 0
+        code, _, err = run_cli([*na, "inspect-attention", "--post-id", "sample0001"],
+                               capsys)
+        assert code == 1 and "no attention stage" in err, err
 
     def test_unknown_post_exits_two(self, trained, capsys):
         tmp, cfg = trained

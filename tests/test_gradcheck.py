@@ -36,7 +36,7 @@ DESK = model_config_from(resolve_config(Path(__file__).parents[1] / "configs" / 
 # [0, 1], no relu layer dies whole, which would leave a check vacuous.
 MICRO = tiny_config(k=2, d=2, a=2, n=3, topic_dim=2, structure_dim=2,
                     branch_specs={name: model.BranchSpec(widths=(2, 2, 2), channels=(1, 1, 1))
-                                  for name in model.BRANCH_ORDER},
+                                  for name in model.BRANCHES},
                     head_sizes=(3, 2, 1))
 HEAD = replace(MICRO, head_sizes=(5, 4, 1))
 # distinct dimensions: a transposed or misrouted gradient has the wrong shape
@@ -199,7 +199,7 @@ ROWS = [
         lambda a, _: dict(zip(("text", "image"),
                               attention.na_backward(a["r"], a["text_mask"], 3, 4))),
         ("text", "image"), 1e-6, masked=True),
-    *(branch_row(name) for name in model.BRANCH_ORDER),
+    *(branch_row(name) for name in model.BRANCHES),
     Row("head", ("model.head_backward",), head_make,
         lambda a: model.head_forward(a["x"], a, HEAD, RATE, a["draws"]),
         head_grads, ("x", *shapes_of(HEAD, "head.")), 1e-7),

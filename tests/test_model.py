@@ -16,14 +16,14 @@ from postpop import streams
 from postpop.corpora import make_sample_corpus
 from postpop.data import Dataset, FaceAnnotation, load_dataset
 from postpop.features import SentimentLexicon, apply_pca, social_vector
-from postpop.model import (BranchSpec, CheckpointError, ModelConfig,
+from postpop.model import (BRANCHES, BranchSpec, CheckpointError, ModelConfig,
                            PAPER_HEAD_SIZES, backward_bundle,
-                           batch_loss_and_grads, branch_backward, branch_forward,
-                           branch_inputs,
-                           build_caches, extract_dataset, extract_features,
-                           forward_bundle,
+                           batch_loss_and_grads, branch_backward, branch_fields,
+                           branch_forward, branch_input_dim,
+                           build_caches, content_forward, extract_dataset,
+                           extract_features, forward_bundle,
                            head_forward, init_model_params,
-                           load_checkpoint, loss_mse, merge, merged_length,
+                           load_checkpoint, loss_mse, merged_length,
                            save_checkpoint)
 from postpop.numeric import (_conv_columns, conv1d_backward, conv1d_forward,
                              finite_difference_grad, relative_error, relu,
@@ -116,7 +116,7 @@ def reference_init_model_params(config, seed=0, dtype=np.float64, scale=1.0):
         if config.attention in ("hga", "sa"):
             shapes += [("att.Ut", (d, a)), ("att.Vt", (d, a)), ("att.wt", (a,)),
                        ("att.Ui", (d, a)), ("att.Vi", (d, a)), ("att.wi", (a,))]
-    for name in model_mod.enabled_branches(config):
+    for name in branch_fields(config):
         spec = config.branch_specs[name]
         ch_in = 1
         for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
@@ -160,23 +160,59 @@ class TestInitModelParams:
 
 
 class TestMergeAndConfig:
-    def test_concatenation_arithmetic(self):
-        parts = {"social": np.zeros(3), "demographic": np.zeros(4),
-                 "hashtag": np.zeros(5), "sentiment": np.zeros(6)}
-        out = merge(parts, np.zeros(8), tiny_config())
-        assert out.shape == (26,)
+    def test_concatenation_arithmetic(self, rng):
+        # the head's input is each enabled branch's output, then the content
+        # vector, end to end; the cache records each part's width
+        cfg = tiny_config(use_demographics=False)
+        bundle = stack([random_bundle(rng, cfg) for _ in range(3)])
+        _, fcache = forward_bundle(bundle, init_model_params(cfg, seed=0), cfg)
+        want = [cfg.branch_specs[name].output_length(branch_input_dim(cfg, name))
+                for name in branch_fields(cfg)] + [cfg.d]
+        # three width-2 layers take 3 off each input (4, 12 and 10 long), and
+        # each branch ends in 2 channels
+        assert fcache.widths == want == [1 * 2, 9 * 2, 7 * 2, cfg.d]
+        assert fcache.head_cache[0][0].shape == (3, sum(want)) == (3, merged_length(cfg))
+
+    def test_head_input_is_the_paper_layout(self):
+        # the merge order is the head's input layout, which a checkpoint's
+        # weights depend on; it is written out here, not read from BRANCHES
+        cfg = model_config_from(resolve_config(REPO / "configs" / "desk.cfg"))
+        ds, _ = load_dataset(REPO / "data" / "sample_corpus.jsonl")
+        bundle = extract_features(ds.posts[:7], build_caches(ds.posts, cfg), cfg)
+        params = init_model_params(cfg, seed=5, scale=0.3)
+        _, fcache = forward_bundle(bundle, params, cfg)
+        sentiment = np.concatenate([bundle.f_sentiment_text, bundle.f_sentiment_hashtags],
+                                   axis=-1)
+        want = np.concatenate([
+            branch_forward(bundle.f_social, params, "social")[0],
+            branch_forward(bundle.f_demographic, params, "demographic")[0],
+            branch_forward(bundle.f_hashtag, params, "hashtag")[0],
+            branch_forward(sentiment, params, "sentiment")[0],
+            content_forward(bundle, params, cfg)[0]], axis=-1)
+        assert fcache.head_cache[0][0].tobytes() == want.tobytes()
 
     def test_paper_scale_merged_length(self):
         assert merged_length(ModelConfig()) == 27104
 
     def test_merge_order_stable(self, rng):
-        cfg = tiny_config()
-        parts = {name: rng.normal(size=3) for name in
-                 ("social", "demographic", "hashtag", "sentiment")}
-        content = rng.normal(size=5)
-        a = merge(dict(parts), content, cfg)
-        b = merge(dict(reversed(parts.items())), content, cfg)
-        assert np.array_equal(a, b)
+        # whichever branches are on, they keep the paper order, and so do
+        # the parameters and the forward cache
+        for off in [(), ("use_social",), ("use_hashtags", "use_content"),
+                    ("use_sentiment_text",), ("use_demographics", "use_sentiment_hashtags")]:
+            cfg = tiny_config(**{flag: False for flag in off})
+            order = [name for name in ("social", "demographic", "hashtag", "sentiment")
+                     if name in branch_fields(cfg)]
+            _, fcache = forward_bundle(random_bundle(rng, cfg), init_model_params(cfg), cfg)
+            assert list(branch_fields(cfg)) == list(fcache.branch_caches) == order
+            assert list(dict.fromkeys(name.split(".")[1] for name in model_mod.param_shapes(cfg)
+                                      if name.startswith("branch."))) == order
+
+    def test_branch_specs_must_name_the_branches(self):
+        specs = tiny_config().branch_specs
+        for bad in ({}, {**specs, "typo": specs["social"]},
+                    {name: spec for name, spec in specs.items() if name != "hashtag"}):
+            with pytest.raises(ValueError, match="one spec for each of"):
+                tiny_config(branch_specs=bad)
 
     def test_toggle_changes_merged_length_exactly(self):
         cfg = tiny_config()
@@ -317,8 +353,11 @@ class TestFullModel:
         assert bundle.f_social.shape == (cfg.pca_k,)
         assert bundle.f_demographic.shape == (cfg.demographic_dim,)
         assert bundle.f_hashtag.shape == (cfg.hashtag_dim,)
-        inputs = branch_inputs(bundle, cfg)
-        assert inputs["sentiment"].shape == (10,)
+        # each branch's fields span its input
+        for name, names in branch_fields(cfg).items():
+            width = sum(getattr(bundle, f).shape[-1] for f in names)
+            assert width == branch_input_dim(cfg, name), name
+        assert branch_input_dim(cfg, "sentiment") == 10
 
     def test_unseen_tags_leave_the_graph_numbering_unchanged(self):
         # the graph's nodes are the node table's rows: one dict, which a
@@ -343,9 +382,15 @@ class TestFullModel:
             build_caches([], tiny_config())
 
     def test_toggled_off_feature_not_in_inputs(self, rng):
-        cfg = tiny_config(use_social=False)
-        bundle = random_bundle(rng, cfg)
-        assert "social" not in branch_inputs(bundle, cfg)
+        # a family whose flags are all off has no branch, no cache and no
+        # parameters; the sentiment branch goes only with both of its blocks
+        for name, flags in BRANCHES.items():
+            cfg = tiny_config(**{flag: False for flag in flags.values()})
+            _, fcache = forward_bundle(random_bundle(rng, cfg), init_model_params(cfg), cfg)
+            assert name not in branch_fields(cfg) and name not in fcache.branch_caches
+            assert not any(p.startswith(f"branch.{name}.") for p in model_mod.param_shapes(cfg))
+        cfg = tiny_config(use_sentiment_text=False)
+        assert branch_fields(cfg)["sentiment"] == ["f_sentiment_hashtags"]
 
 
 def bundles_equal(a, b) -> bool:
@@ -704,6 +749,17 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
         with pytest.raises(CheckpointError, match="members"):
+            load_checkpoint(path)
+
+    def test_invalid_stored_configuration_rejected(self, tmp_path):
+        # the JSON decodes, but ModelConfig rejects what it holds
+        stored = {**tiny_config().to_dict(), "attention": "xyz"}
+        path = tmp_path / "model.ckpt"
+        with open(path, "wb") as fh:
+            np.savez(fh, version=np.array(model_mod._CKPT_VERSION),
+                     config=np.array(json.dumps(stored, sort_keys=True)),
+                     names=np.array(["w"]), **{"param/w": np.zeros(2)})
+        with pytest.raises(CheckpointError, match="unreadable checkpoint configuration"):
             load_checkpoint(path)
 
     def test_truncation_anywhere_rejected(self, tmp_path):

@@ -9,7 +9,7 @@ from conftest import make_post, pass_requests, tiny_config
 import postpop.training as training_mod
 from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
-from postpop.model import (BranchSpec, build_caches, extract_dataset,
+from postpop.model import (BRANCHES, BranchSpec, build_caches, extract_dataset,
                            init_model_params)
 from postpop.numeric import uniform_param
 from postpop.providers import tokenize
@@ -234,8 +234,7 @@ def small_social_config(**over):
     base = dict(pca_k=6, use_content=False, use_hashtags=False,
                 use_demographics=False, use_sentiment_text=False,
                 use_sentiment_hashtags=False,
-                branch_specs={n: spec for n in
-                              ("social", "demographic", "hashtag", "sentiment")},
+                branch_specs={n: spec for n in BRANCHES},
                 head_sizes=(16, 8, 1))
     base.update(over)
     return tiny_config(**base)
