@@ -1,8 +1,9 @@
 """Post records, JSON-lines corpus ingestion, and deterministic splitting.
 
 A corpus line is one JSON object per post. `load_dataset` decodes each
-line once with `json`, builds its frozen records positionally and
-validates them; a malformed line is skipped, counted, and reported with
+line once with `json`, checks the decoded values once, in a fixed order,
+and only then builds the line's frozen, slotted records, each through its
+slot descriptors; a malformed line is skipped, counted, and reported with
 its line number and a reason that names the failing field.
 """
 
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -24,36 +26,38 @@ class CorpusError(ValueError):
     """Unrecoverable corpus problem (missing file, duplicate ids, nothing valid)."""
 
 
-@dataclass(frozen=True)
+def _slot_init(cls):
+    """Give the frozen slotted dataclass `cls` an `__init__` with the same
+    signature, defaults and qualname that stores each field through its
+    slot descriptor: about half the time of the generated one, which calls
+    `object.__setattr__` once a field. It stores the arguments as given, so
+    a field with a default_factory, init=False or kw_only, or a
+    `__post_init__`, is refused."""
+    if hasattr(cls, "__post_init__") or any(
+            f.default_factory is not MISSING or not f.init or f.kw_only for f in fields(cls)):
+        raise TypeError(f"_slot_init cannot build {cls.__name__}.__init__")
+    names = [f.name for f in fields(cls)]
+    env = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    exec(f"def __init__(self, {', '.join(names)}):"
+         + "".join(f"\n    _set_{name}(self, {name})" for name in names), env)
+    init = env["__init__"]
+    for attr in ("__defaults__", "__qualname__", "__module__", "__annotations__"):
+        setattr(init, attr, getattr(cls.__init__, attr))
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class FaceAnnotation:
     gender: str
     age: int
     emotion: str
     race: str
 
-    def validate(self):
-        if self.gender not in GENDERS:
-            raise ValueError(f"unknown gender {self.gender!r}")
-        if type(self.age) is not int:  # a bool, float or string is not an age
-            raise ValueError(f"age must be an integer, not {self.age!r}")
-        if not 0 <= self.age <= 100:
-            raise ValueError(f"age {self.age} outside [0, 100]")
-        if self.emotion not in EMOTIONS:
-            raise ValueError(f"unknown emotion {self.emotion!r}")
-        if self.race not in RACES:
-            raise ValueError(f"unknown race {self.race!r}")
 
-
-# The PostMetadata fields that must be finite and >= 0, in `validate`'s order.
-_NONNEGATIVE = ("avg_views", "group_count", "avg_member_count", "tag_count",
-                "title_length", "description_length", "comment_count",
-                "post_duration_days")
-# The PostMetadata fields that must hold an int, in `validate`'s order.
-_INTEGERS = ("group_count", "tag_count", "title_length", "description_length",
-             "tagged_people", "comment_count", "post_day", "post_month", "post_hour")
-
-
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class PostMetadata:
     avg_views: float = 0.0
     group_count: int = 0
@@ -68,49 +72,9 @@ class PostMetadata:
     post_hour: int = 0
     post_duration_days: float = 0.0
 
-    def validate(self):
-        """Every field must be finite and in range; NaN fails every test below.
-        Each integer field must hold an int: a bool, or a float even when
-        it is integral (2.0), fails. A float field must not hold a bool.
 
-        A failure raises ValueError naming the field, also for a value that
-        is not a number or an integer too large for a float.
-        """
-        if (type(self.avg_views) is bool or type(self.avg_member_count) is bool
-                or type(self.post_duration_days) is bool):
-            name = next(n for n in ("avg_views", "avg_member_count", "post_duration_days")
-                        if type(getattr(self, n)) is bool)
-            raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
-        counts = (self.avg_views, self.group_count, self.avg_member_count, self.tag_count,
-                  self.title_length, self.description_length, self.comment_count,
-                  self.post_duration_days)
-        try:
-            for i, value in enumerate(counts):
-                if not (math.isfinite(value) and value >= 0):
-                    raise ValueError
-        except (ValueError, TypeError, OverflowError):  # or a non-number, or a huge int
-            raise ValueError(f"{_NONNEGATIVE[i]} must be finite and >= 0") from None
-        if self.tagged_people not in (0, 1):
-            raise ValueError("tagged_people must be 0 or 1")
-        for name, value, high in (("post_day", self.post_day, 6),
-                                  ("post_month", self.post_month, 11),
-                                  ("post_hour", self.post_hour, 23)):
-            try:
-                ok = 0 <= value <= high
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} outside 0..{high}")
-        integers = (self.group_count, self.tag_count, self.title_length,
-                    self.description_length, self.tagged_people, self.comment_count,
-                    self.post_day, self.post_month, self.post_hour)
-        for value in integers:
-            if type(value) is not int:
-                name = next(n for n, v in zip(_INTEGERS, integers) if type(v) is not int)
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Post:
     post_id: str
     user_id: str
@@ -120,28 +84,6 @@ class Post:
     faces: tuple[FaceAnnotation, ...]
     metadata: PostMetadata
     popularity: float
-
-    def validate(self):
-        """Raise ValueError naming the first field out of range.
-
-        Joining the tags with spaces and splitting on whitespace gives the
-        tags back exactly when none is empty or holds a `str.isspace`
-        character, so one split checks them all.
-        """
-        if " ".join(self.hashtags).split() != list(self.hashtags):
-            bad = next(tag for tag in self.hashtags if tag.split() != [tag])
-            raise ValueError(f"hashtag {bad!r} is empty or contains whitespace")
-        if not math.isfinite(self.popularity):
-            raise ValueError("popularity must be finite")
-        if self.metadata.tag_count != len(self.hashtags):
-            raise ValueError(
-                f"tag_count {self.metadata.tag_count} != {len(self.hashtags)} hashtags")
-        for face in self.faces:
-            try:
-                face.validate()
-            except ValueError as exc:
-                raise ValueError(f"faces: {exc}") from None
-        self.metadata.validate()
 
 
 @dataclass(frozen=True)
@@ -159,21 +101,45 @@ class Dataset:
         return np.array([p.popularity for p in self.posts], dtype=np.float64)
 
 
+# Every PostMetadata field with its default, in field order.
+_METADATA = {f.name: f.default for f in fields(PostMetadata)}
+# The fields of each metadata rule, in the order they are checked.
+_FLOATS = ("avg_views", "avg_member_count", "post_duration_days")
+_NONNEGATIVE = ("avg_views", "group_count", "avg_member_count", "tag_count",
+                "title_length", "description_length", "comment_count",
+                "post_duration_days")
+_INTEGERS = ("group_count", "tag_count", "title_length", "description_length",
+             "tagged_people", "comment_count", "post_day", "post_month", "post_hour")
+_CALENDAR = (("post_day", 6), ("post_month", 11), ("post_hour", 23))
+
+
 def _post_from_record(rec) -> Post:
-    """The validated Post of one decoded corpus line.
+    """The Post of one decoded corpus line, checked before anything is built.
 
     Hashtags lose a leading '#' and are lowercased; ids, caption and image
-    reference are taken as strings. A bad record raises KeyError for a
-    missing field, or ValueError whose message names the field.
+    reference are taken as strings. The checks run in this order, and the
+    first that fails raises KeyError for a missing field, or ValueError
+    whose message names the field: the record is an object; each face has
+    its four keys; the metadata is an object of PostMetadata fields; the
+    hashtags can be read and the popularity is a JSON number; the ids,
+    caption and image reference are present; no hashtag is empty or holds
+    whitespace (joining the tags with spaces and splitting on whitespace
+    gives them back exactly then); the popularity is finite; tag_count is
+    the number of hashtags; each face's gender, age (an int in [0, 100]),
+    emotion and race are known; no float field holds a bool; the counts are
+    finite and >= 0; tagged_people is 0 or 1; the calendar fields are in
+    range; and every integer field holds an int, not a bool or a float.
     """
     if not isinstance(rec, dict):
         raise ValueError(f"a record is a JSON object, not {type(rec).__name__}")
     field = "faces"
     try:
-        faces = tuple([FaceAnnotation(f["gender"], f["age"], f["emotion"], f["race"])
-                       for f in rec.get("faces", ())])
+        faces = [(f["gender"], f["age"], f["emotion"], f["race"])
+                 for f in rec.get("faces", ())]
         field = "metadata"
-        meta = PostMetadata(**rec["metadata"])
+        meta = rec["metadata"]
+        if type(meta) is not dict or len(metadata := _METADATA | meta) != len(_METADATA):
+            PostMetadata(**meta)  # raises the TypeError that names what is wrong
         field = "hashtags"
         hashtags = tuple([str(tag).lstrip("#").lower() for tag in rec["hashtags"]])
         field = "popularity"
@@ -183,10 +149,50 @@ def _post_from_record(rec) -> Post:
         popularity = float(popularity)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{field}: {exc}") from None
-    post = Post(str(rec["post_id"]), str(rec["user_id"]), str(rec["caption"]), hashtags,
-                str(rec["image_ref"]), faces, meta, popularity)
-    post.validate()
-    return post
+    post_id, user_id, caption = str(rec["post_id"]), str(rec["user_id"]), str(rec["caption"])
+    image_ref = str(rec["image_ref"])
+    if " ".join(hashtags).split() != list(hashtags):
+        bad = next(tag for tag in hashtags if tag.split() != [tag])
+        raise ValueError(f"hashtag {bad!r} is empty or contains whitespace")
+    if not math.isfinite(popularity):
+        raise ValueError("popularity must be finite")
+    if (tag_count := metadata["tag_count"]) != len(hashtags):
+        raise ValueError(f"tag_count {tag_count} != {len(hashtags)} hashtags")
+    for gender, age, emotion, race in faces:
+        if gender not in GENDERS:
+            raise ValueError(f"faces: unknown gender {gender!r}")
+        if type(age) is not int:  # a bool, float or string is not an age
+            raise ValueError(f"faces: age must be an integer, not {age!r}")
+        if not 0 <= age <= 100:
+            raise ValueError(f"faces: age {age} outside [0, 100]")
+        if emotion not in EMOTIONS:
+            raise ValueError(f"faces: unknown emotion {emotion!r}")
+        if race not in RACES:
+            raise ValueError(f"faces: unknown race {race!r}")
+    for name in _FLOATS:
+        if type(value := metadata[name]) is bool:
+            raise ValueError(f"{name} must be a number, not {value!r}")
+    try:
+        for name in _NONNEGATIVE:
+            value = metadata[name]
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError
+    except (ValueError, TypeError, OverflowError):  # or a non-number, or a huge int
+        raise ValueError(f"{name} must be finite and >= 0") from None
+    if metadata["tagged_people"] not in (0, 1):
+        raise ValueError("tagged_people must be 0 or 1")
+    try:
+        for name, high in _CALENDAR:
+            if not 0 <= metadata[name] <= high:
+                raise ValueError
+    except (ValueError, TypeError):
+        raise ValueError(f"{name} outside 0..{high}") from None
+    for name in _INTEGERS:
+        if type(value := metadata[name]) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    return Post(post_id, user_id, caption, hashtags, image_ref,
+                tuple(starmap(FaceAnnotation, faces)), PostMetadata(*metadata.values()),
+                popularity)
 
 
 _JSON = json.JSONDecoder()

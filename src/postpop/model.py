@@ -145,10 +145,6 @@ class ModelConfig:
     def hashtag_dim(self) -> int:
         return self.topic_dim + self.structure_dim
 
-    @property
-    def sentiment_dim(self) -> int:
-        return 5 * (int(self.use_sentiment_text) + int(self.use_sentiment_hashtags))
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["branch_specs"] = {

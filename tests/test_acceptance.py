@@ -14,7 +14,7 @@ from postpop.corpora import make_hashtag_signal_corpus, make_sample_corpus
 from postpop.data import split_dataset
 from postpop.features import fit_pca, social_vector
 from postpop.hashtag_graph import build_cooccurrence_graph
-from postpop.model import (ModelConfig, batch_loss_and_grads,
+from postpop.model import (ModelConfig, batch_loss_and_grads, branch_input_dim,
                            build_caches, extract_dataset, extract_features,
                            forward_bundle, init_model_params, merged_length,
                            save_checkpoint)
@@ -258,7 +258,7 @@ def test_c9_paper_scale_shape_fidelity():
     assert config.m == 15 and config.d == 768 and config.k == 49
     assert config.n == 512 and config.l == 60 and config.a == 768
     assert config.demographic_dim == 116
-    assert config.sentiment_dim == 10
+    assert branch_input_dim(config, "sentiment") == 10
     assert config.hashtag_dim == 818
     assert config.pca_k == 6
     assert merged_length(config) == 27104

@@ -223,8 +223,8 @@ class TestMergeAndConfig:
     def test_sentiment_toggles_shrink_input(self):
         cfg_full = tiny_config()
         cfg_half = tiny_config(use_sentiment_hashtags=False)
-        assert cfg_full.sentiment_dim == 10
-        assert cfg_half.sentiment_dim == 5
+        assert branch_input_dim(cfg_full, "sentiment") == 10
+        assert branch_input_dim(cfg_half, "sentiment") == 5
 
     def test_all_features_off_rejected(self):
         with pytest.raises(ValueError):
