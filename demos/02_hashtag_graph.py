@@ -31,10 +31,13 @@ print(f"\nnode embedding for #{tags[node]}: row {emb.rows[tags[node]]} of a "
       f"{emb.table.shape} table, norm={np.linalg.norm(emb.table[node]):.6f}")
 
 post = next(p for p in train.posts if len(p.hashtags) >= 2)
-# a batch of one post: its hashtags' 768-dim topic vectors, one row per tag
-# (the table's last row is the zero row that padding gathers)
+# a batch of one post: its hashtags numbered once, through the graph's nodes,
+# then their 768-dim topic vectors, one row per tag (the table's last row is
+# the zero row that padding gathers)
+index, lengths, _ = emb.index([post.hashtags], 0)
 topic_rows = provider.tables({768: post.hashtags})[768][None, :-1]
-feature = hashtag_feature([post], emb, topic_rows, [len(post.hashtags)])
+known = [sum(tag in emb.rows for tag in post.hashtags)]
+feature = hashtag_feature(emb, index, known, topic_rows, lengths)
 print(f"\npost {post.post_id} hashtags {post.hashtags}")
 print(f"  hashtag feature: {feature.shape[1]} dims "
       f"(topic {topic_rows.shape[2]} + structure {emb.table.shape[1]})")

@@ -138,8 +138,10 @@ def _post_from_record(rec) -> Post:
                  for f in rec.get("faces", ())]
         field = "metadata"
         meta = rec["metadata"]
-        if type(meta) is not dict or len(metadata := _METADATA | meta) != len(_METADATA):
-            PostMetadata(**meta)  # raises the TypeError that names what is wrong
+        if type(meta) is not dict:
+            raise ValueError(f"must be an object, not {type(meta).__name__}")
+        if len(metadata := _METADATA | meta) != len(_METADATA):
+            PostMetadata(**meta)  # raises the TypeError that names the unknown key
         field = "hashtags"
         hashtags = tuple([str(tag).lstrip("#").lower() for tag in rec["hashtags"]])
         field = "popularity"
@@ -148,7 +150,8 @@ def _post_from_record(rec) -> Post:
             raise ValueError(f"must be a number, not {popularity!r}")
         popularity = float(popularity)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{field}: {exc}") from None
+        reason = "must be a list of objects" if field == "faces" else exc  # not CPython's words
+        raise ValueError(f"{field}: {reason}") from None
     post_id, user_id, caption = str(rec["post_id"]), str(rec["user_id"]), str(rec["caption"])
     image_ref = str(rec["image_ref"])
     if " ".join(hashtags).split() != list(hashtags):

@@ -13,13 +13,13 @@ concatenates its mean topic embedding with its mean node embedding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 
 import numpy as np
 
 from .data import Dataset, Post
-from .numeric import padded_index, pooled_mean
+from .numeric import pooled_mean
 from .providers import EmbeddingProvider
 
 STRUCTURE_DIM = 50
@@ -35,17 +35,18 @@ class HashtagGraph:
     `nodes` numbers the tags in sorted order (tag -> node). Edge keys are
     node pairs (i, j) with i < j; the weight counts posts in which both tags
     appear. Row i of the (nodes, base_dim) `node_features` is node i's base
-    feature.
+    feature, and of `tag_rows[dim]` its provider vector at dim (then a zero row).
     """
 
     nodes: dict[str, int]
     edges: dict[tuple[int, int], int]
     node_features: np.ndarray
+    tag_rows: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def build_cooccurrence_graph(posts: Dataset | list[Post],
                              provider: EmbeddingProvider,
-                             base_dim: int = 64) -> HashtagGraph:
+                             base_dim: int = 64, tag_dims: tuple[int, ...] = ()) -> HashtagGraph:
     """Number the distinct tags in sorted order, then count the unordered
     co-occurring node pairs per post (tags deduplicated).
 
@@ -53,7 +54,7 @@ def build_cooccurrence_graph(posts: Dataset | list[Post],
     `Counter` pass over every post's `combinations`, so `edges` lists the
     pairs in the order they are first seen, as a loop over the posts' sorted
     pairs would insert them. The base features are the provider's vectors
-    of the tags, drawn in one `tables` call.
+    of the tags, drawn with their `tag_rows` at `tag_dims` in one `tables` call.
     """
     tag_lists = [post.hashtags for post in posts]
     tags = sorted(set(chain.from_iterable(tag_lists)))
@@ -61,7 +62,8 @@ def build_cooccurrence_graph(posts: Dataset | list[Post],
     node_sets = [sorted(set(map(nodes.__getitem__, t))) for t in tag_lists]
     # a plain dict: a Counter would answer 0 for a pair that never occurs
     edges = dict(Counter(chain.from_iterable(map(combinations, node_sets, repeat(2)))))
-    return HashtagGraph(nodes, edges, provider.tables({base_dim: tags})[base_dim][:-1])
+    tables = provider.tables({base_dim: tags, **dict.fromkeys(tag_dims, tags)})
+    return HashtagGraph(nodes, edges, tables[base_dim][:-1], {d: tables[d] for d in tag_dims})
 
 
 def _initial_rows(g: HashtagGraph, dim: int) -> np.ndarray:
@@ -88,6 +90,18 @@ class NodeEmbeddings(dict):
     def __init__(self, table: np.ndarray, rows: dict[str, int]):
         super().__init__(zip(rows, table))
         self.table, self.rows = table, rows
+
+    def index(self, tag_lists, width: int):
+        """(index, lengths, lacking): B tag lists' (B, max(width, longest)) node
+        index, -1 past a list's end and `len(rows)` at a tag the graph lacks,
+        the lists' lengths, and each lacking tag's (list, position)."""
+        lengths = [*map(len, tag_lists)]
+        get, lacks, pad = self.rows.get, len(self.rows), (None,) * max(width, *lengths)
+        flat = [-1 if tag is None else get(tag, lacks)
+                for tags in tag_lists for tag in (*tags, *pad[len(tags):])]
+        lacking = ([divmod(i, len(pad)) for i, node in enumerate(flat) if node == lacks]
+                   if lacks in flat else [])  # `in` scans in C: most passes lack no tag
+        return np.array(flat, dtype=np.intp).reshape(len(tag_lists), len(pad)), lengths, lacking
 
 
 def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
@@ -139,20 +153,17 @@ def node_embeddings(g: HashtagGraph, dim: int = STRUCTURE_DIM,
     return NodeEmbeddings(state, g.nodes)
 
 
-def hashtag_feature(posts, emb: NodeEmbeddings, topic_rows: np.ndarray,
-                    topic_counts) -> np.ndarray:
+def hashtag_feature(emb: NodeEmbeddings, index: np.ndarray, counts,
+                    topic_rows: np.ndarray, topic_counts) -> np.ndarray:
     """(B, topic_dim + structure_dim): each post's topic part, then its
     structure part; a post gets zeros for a part it has no tags for.
 
     The topic part is the mean of `topic_rows[b, j]`, the provider's topic
     vector of post b's j-th hashtag (zero past its last), over its
     `topic_counts[b]` hashtags. The structure part is the mean node
-    embedding over the post's hashtags that are in `emb`: one gather from
-    its table, which prepare built once.
+    embedding over its `counts[b]` graph tags, gathered at `index`, where a
+    tag the graph lacks adds a zero row: no bit moves, as numpy adds rows in
+    order, and sums one-wide rows, each -1, 0 or 1, pairwise but exactly.
     """
-    rows = emb.rows
-    # every tag listed is in `rows`, so the index adds no node to the graph
-    index, counts = padded_index(rows, [[t for t in post.hashtags if t in rows]
-                                        for post in posts])
     return np.concatenate([pooled_mean(topic_rows, topic_counts),
                            pooled_mean(emb.table[index], counts)], axis=-1)

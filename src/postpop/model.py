@@ -230,6 +230,7 @@ class FeatureCaches:
     lexicon: SentimentLexicon
     graph: HashtagGraph
     node_emb: NodeEmbeddings  # by tag, and the node table each pass gathers from
+    tag_rows: dict[int, np.ndarray]  # by dim (d, topic_dim): graph tags' rows, in node order
     social_stats: SocialStats
     pca: PCAModel
 
@@ -244,14 +245,14 @@ def build_caches(train_posts, config: ModelConfig,
     provider = provider or EmbeddingProvider(kind="deterministic_stub",
                                              seed=config.embed_seed)
     lexicon = lexicon or SentimentLexicon.bundled()
-    graph = build_cooccurrence_graph(train_posts, provider,
-                                     base_dim=config.graph_base_dim)
+    graph = build_cooccurrence_graph(train_posts, provider, base_dim=config.graph_base_dim,
+                                     tag_dims=(config.d, config.topic_dim))
     emb = node_embeddings(graph, dim=config.structure_dim, hops=config.graph_hops)
     numerics = social_numerics(train_posts)
     stats = SocialStats.fit(numerics)
     pca = fit_social_pca(train_posts, stats, numerics, k=config.pca_k)
-    return FeatureCaches(provider=provider, lexicon=lexicon, graph=graph,
-                         node_emb=emb, social_stats=stats, pca=pca)
+    return FeatureCaches(provider=provider, lexicon=lexicon, graph=graph, node_emb=emb,
+                         tag_rows=graph.tag_rows, social_stats=stats, pca=pca)
 
 
 @dataclass
@@ -301,41 +302,56 @@ def extract_features(posts, caches: FeatureCaches, config: ModelConfig) -> Featu
     """The stacked (B, ...) bundle of a batch of posts. One Post gives its
     unbatched bundle: row 0 of the batch [post].
 
-    Each caption is tokenized once. Each key family (caption tokens and
-    hashtag rows at d, hashtags at topic_dim, images at k * n) numbers its
-    keys in its dim's slots and gives its (B, width) index in one flat pass
-    over the batch. One `tables` call draws each dim's keys, and each vector
-    field is an index gather from its dim's table of draws; the structure
-    part gathers from the node table built at prepare. Every feature family
-    is computed whatever the config.
+    Each caption is tokenized once. Caption tokens (at d) and images (at
+    k * n) each get a (B, width) index in their dim's slots. The hashtags
+    get one (B, width) index of graph nodes: its first l columns gather the
+    attention rows, and all of it the topic rows and node embeddings, from
+    tables prepare built at the dims it was fitted for (another d or
+    topic_dim is a ValueError). The one `tables` call draws only the tags
+    the graph lacks (at d in the first l, at topic_dim all), whose rows then
+    fill their positions. Every family is computed whatever the config.
     """
     if isinstance(posts, Post):
         return extract_features([posts], caches, config)[0]
     if not posts:
         raise ValueError("cannot featurize an empty batch")
-    m, l, d, k, n = config.m, config.l, config.d, config.k, config.n
+    m, l, d, k, n, topic_dim = config.m, config.l, config.d, config.k, config.n, config.topic_dim
+    if not {d, topic_dim} <= caches.tag_rows.keys():
+        raise ValueError(f"the caches hold hashtag rows at dims {sorted(caches.tag_rows)}, not at "
+                         f"d={d} and topic_dim={topic_dim}: fit them under this config")
     rows: dict[int, dict[str, int]] = {}  # dim -> key -> row in that dim's table
     tags = [post.hashtags for post in posts]
     captions = [tokenize(post.caption) for post in posts]
     token_index, _ = padded_index(rows.setdefault(d, {}), captions, m)
-    tag_index, _ = padded_index(rows[d], tags, l)
-    topic_index, topic_counts = padded_index(rows.setdefault(config.topic_dim, {}), tags)
+    node_index, topic_counts, lacking = caches.node_emb.index(tags, l)
+    counts, fill = [*topic_counts], []
+    for b, j in lacking:  # the graph lacks tags[b][j]: drawn, and the structure mean skips it
+        counts[b] -= 1
+        topics, key = rows.setdefault(topic_dim, {}), tags[b][j]
+        fill.append((b, j, topics.setdefault(key, len(topics)),
+                     rows[d].setdefault(key, len(rows[d])) if j < l else None))
     images = rows.setdefault(k * n, {})
     image_index = [images.setdefault(post.image_ref, len(images)) for post in posts]
     # each dim's draws in row order, then the zero row that index -1 gathers
     tables = caches.provider.tables(rows)
+    tag_index, node_index = node_index[:, :l], node_index[:, :max(topic_counts)]
+    hashtag_mat, topic_rows = caches.tag_rows[d][tag_index], caches.tag_rows[topic_dim][node_index]
+    for b, j, topic_slot, tag_slot in fill:  # their rows fill their positions
+        topic_rows[b, j] = tables[topic_dim][topic_slot]
+        if j < l:
+            hashtag_mat[b, j] = tables[d][tag_slot]
     sent_caption, sent_hashtags = sentiment_feature(posts, captions, caches.lexicon)
     return FeatureBundle(
         post_id=np.array([post.post_id for post in posts]),
         tokens=tables[d][token_index],
         token_mask=(token_index >= 0).astype(np.float64),
         regions=tables[k * n][image_index].reshape(-1, k, n),
-        hashtag_mat=tables[d][tag_index],
+        hashtag_mat=hashtag_mat,
         hashtag_mask=(tag_index >= 0).astype(np.float64),
         f_social=apply_pca(caches.pca, social_vector(posts, caches.social_stats)),
         f_demographic=demographic_vector(posts, mode=config.demographic_mode),
-        f_hashtag=hashtag_feature(posts, caches.node_emb,
-                                  tables[config.topic_dim][topic_index], topic_counts),
+        f_hashtag=hashtag_feature(caches.node_emb, node_index, counts, topic_rows,
+                                  topic_counts),
         f_sentiment_text=sent_caption,
         f_sentiment_hashtags=sent_hashtags,
         target=np.array([post.popularity for post in posts], dtype=np.float64),

@@ -316,8 +316,8 @@ def evaluate(checkpoint: Checkpoint, ds: Dataset) -> Metrics:
         with np.errstate(over="ignore", invalid="ignore"):
             chunks.append(forward_bundle(batch, checkpoint.params, checkpoint.config)[0])
     preds = np.concatenate(chunks)
-    bad = np.array([p.post_id for p in ds.posts])[~np.isfinite(preds)]
-    if len(bad):
+    if not np.isfinite(preds).all():  # the post ids are listed only to name the bad ones
+        bad = np.array([p.post_id for p in ds.posts])[~np.isfinite(preds)]
         shown = ", ".join(bad[:5]) + (", ..." if len(bad) > 5 else "")
         raise ValueError(f"{len(bad)} of {len(preds)} prediction(s) are not finite "
                          f"(posts {shown}); the checkpoint's weights may be corrupt")

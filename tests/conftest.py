@@ -64,14 +64,17 @@ def stack(bundles) -> FeatureBundle:
         **{name: np.array([getattr(b, name) for b in bundles]) for name in _INPUT_FIELDS})
 
 
-def pass_requests(posts, cfg) -> list[tuple[str, int]]:
-    """Every (key, dim) draw a featurization pass needs: caption tokens and
-    hashtag rows at d, hashtags at topic_dim, the image at k * n."""
+def pass_requests(posts, cfg, caches) -> list[tuple[str, int]]:
+    """Every (key, dim) draw a featurization pass needs: caption tokens at
+    d, the image at k * n, and the hashtags that the caches' graph lacks, at
+    d within the first l and at topic_dim all. A graph tag's rows were drawn
+    when the caches were fitted."""
+    nodes = caches.graph.nodes
     out = []
     for post in posts:
         out += [(tok, cfg.d) for tok in tokenize(post.caption)[:cfg.m]]
-        out += [(tag, cfg.d) for tag in post.hashtags[:cfg.l]]
-        out += [(tag, cfg.topic_dim) for tag in post.hashtags]
+        out += [(tag, cfg.d) for tag in post.hashtags[:cfg.l] if tag not in nodes]
+        out += [(tag, cfg.topic_dim) for tag in post.hashtags if tag not in nodes]
         out.append((post.image_ref, cfg.k * cfg.n))
     return out
 

@@ -375,10 +375,12 @@ MALFORMED_LINES = {
 
 # The reason `load_dataset` reports for each MALFORMED_LINES case, or None
 # where the line loads. Recorded before the loader was rewritten as one
-# check-then-build pass, and required byte for byte since. Some reasons
-# are CPython's own text and are pinned as CPython 3.11 prints them, the
-# oldest version the package supports and the one CI runs (3.10 ended the
-# "faces a string" reason at "integers").
+# check-then-build pass, and required byte for byte since; the faces and
+# metadata shape reasons were re-recorded when the loader put them in its own
+# words. Some reasons are still CPython's own text (an unknown metadata key,
+# hashtags that are not a list, a huge popularity) and are pinned as CPython
+# 3.11 prints them, the oldest version the package supports and the one CI
+# runs.
 MALFORMED_REASONS = {
     "avg_member_count False": "avg_member_count must be a number, not False",
     "avg_member_count True": "avg_member_count must be a number, not True",
@@ -411,7 +413,7 @@ MALFORMED_REASONS = {
     "description_length=nan": "description_length must be finite and >= 0",
     f"description_length={HUGE}": "description_length must be finite and >= 0",
     "empty object": "missing field 'metadata'",
-    "face a list": "faces: list indices must be integers or slices, not str",
+    "face a list": "faces: must be a list of objects",
     "face age '7'": "faces: age must be an integer, not '7'",
     "face age 130": "faces: age 130 outside [0, 100]",
     "face age 30.0": "faces: age must be an integer, not 30.0",
@@ -423,8 +425,8 @@ MALFORMED_REASONS = {
     "face gender robot": "faces: unknown gender 'robot'",
     "face race martian": "faces: unknown race 'martian'",
     "face without race": "missing field 'race'",
-    "faces a string": "faces: string indices must be integers, not 'str'",
-    "faces null": "faces: 'NoneType' object is not iterable",
+    "faces a string": "faces: must be a list of objects",
+    "faces null": "faces: must be a list of objects",
     "group_count 1.0": "group_count must be an integer, not 1.0",
     "group_count 1.5": "group_count must be an integer, not 1.5",
     "group_count False": "group_count must be an integer, not False",
@@ -441,7 +443,7 @@ MALFORMED_REASONS = {
     "hashtags ['two words', 'x']": "hashtag 'two words' is empty or contains whitespace",
     "hashtags ['x', '']": "hashtag '' is empty or contains whitespace",
     "hashtags [7, null]": None,
-    "metadata a list": "metadata: postpop.data.PostMetadata() argument after ** must be a mapping, not list",
+    "metadata a list": "metadata: must be an object, not list",
     "no caption": "missing field 'caption'",
     "no metadata": "missing field 'metadata'",
     "no popularity": "missing field 'popularity'",

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from postpop.data import Dataset
 from postpop.hashtag_graph import (HashtagGraph, NodeEmbeddings,
                                    build_cooccurrence_graph,
                                    hashtag_feature, node_embeddings)
+from postpop.numeric import padded_index, pooled_mean
 from postpop.providers import EmbeddingProvider
 
 
@@ -235,10 +238,19 @@ class TestNodeEmbeddings:
         assert emb == {} and emb.rows is g.nodes and g.nodes == {}
         assert emb.table.shape == (1, 4) and emb.table.tobytes() == bytes(4 * 8)
         posts = [make_post(hashtags=()), make_post(hashtags=("unseen", "tags"))]
-        f = hashtag_feature(posts, emb, topic_rows(posts, provider, 3), counts(posts))
+        f = feature(posts, emb, topic_rows(posts, provider, 3))
         assert f.shape == (2, 3 + 4)
         assert f[:, 3:].tobytes() == bytes(2 * 4 * 8)
         assert g.nodes == {}  # the unseen tags were not numbered
+
+    def test_one_wide_table_holds_signs(self, provider, rng):
+        # a one-wide row of unit norm is -1 or 1: sqrt(x * x) is |x| exactly
+        tag_lists = [tuple(rng.choice([f"t{i}" for i in range(30)], size=4))
+                     for _ in range(40)] + [("solo",)]
+        g = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)
+        for hops in (1, 2, 3):
+            table = node_embeddings(g, dim=1, hops=hops).table
+            assert set(np.unique(table[:-1])) <= {-1.0, 1.0} and table[-1] == 0.0
 
     def test_unit_norm_outputs(self, provider, rng):
         tag_lists = [tuple(rng.choice([f"t{i}" for i in range(8)], size=3))
@@ -268,20 +280,40 @@ def node_table(emb: dict, dim: int) -> NodeEmbeddings:
                           dict(zip(emb, range(len(emb)))))
 
 
-def counts(posts):
-    return [len(post.hashtags) for post in posts]
+def feature(posts, emb: NodeEmbeddings, topic_rows) -> np.ndarray:
+    """The hashtag feature of `posts`, their tags numbered through `emb`."""
+    index, lengths, _ = emb.index([post.hashtags for post in posts], 0)
+    known = [sum(tag in emb.rows for tag in post.hashtags) for post in posts]
+    return hashtag_feature(emb, index, known, topic_rows, lengths)
 
 
 def structural_embedding(post, emb, dim):
     """The structure part: past the one-wide topic part of zeros."""
-    return hashtag_feature([post], node_table(emb, dim),
-                           np.zeros((1, len(post.hashtags), 1)), counts([post]))[0, 1:]
+    return feature([post], node_table(emb, dim), np.zeros((1, len(post.hashtags), 1)))[0, 1:]
 
 
 def topic_embedding(post, provider, dim):
     """The topic part: before the one-wide structure part."""
-    return hashtag_feature([post], node_table({}, 1), topic_rows([post], provider, dim),
-                           counts([post]))[0, :-1]
+    return feature([post], node_table({}, 1), topic_rows([post], provider, dim))[0, :-1]
+
+
+class TestNodeIndex:
+    def test_nodes_lacking_and_padding(self):
+        emb = node_table({"a": np.ones(2), "b": np.zeros(2)}, 2)
+        index, lengths, lacking = emb.index([("b", "x", "a", "b"), (), ("y",)], 2)
+        # a tag the graph lacks is len(rows), padding is -1: both gather
+        # the zero row
+        assert index.tolist() == [[1, 2, 0, 1], [-1, -1, -1, -1], [2, -1, -1, -1]]
+        assert index.dtype == np.intp and lengths == [4, 0, 1]
+        assert lacking == [(0, 1), (2, 0)]  # (list, position) of "x" and "y"
+        assert emb.rows == {"a": 0, "b": 1}  # nothing is added to the graph
+        assert emb.table[index[1:]].tobytes() == bytes(2 * 4 * 2 * 8)
+
+    def test_width_is_at_least_the_asked_width(self):
+        emb = node_table({"a": np.ones(2)}, 2)
+        index, lengths, lacking = emb.index([("a",), ()], 3)
+        assert index.tolist() == [[0, -1, -1], [-1, -1, -1]] and lacking == []
+        assert emb.index([()], 0)[0].shape == (1, 0)
 
 
 class TestStructuralEmbedding:
@@ -335,35 +367,44 @@ class TestHashtagFeature:
     def test_default_dims(self, provider):
         post = make_post(hashtags=("sun",))
         emb = node_table({"sun": np.ones(50)}, 50)
-        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768), [1])
+        hf = feature([post], emb, topic_rows([post], provider, 768))
         assert hf.shape == (1, 818)
 
     def test_concatenation_layout(self, provider):
         post = make_post(hashtags=("sun",))
         emb = node_table({"sun": np.full(50, 0.25)}, 50)
-        hf = hashtag_feature([post], emb, topic_rows([post], provider, 768), [1])
+        hf = feature([post], emb, topic_rows([post], provider, 768))
         assert np.array_equal(hf[0, :768], provider.vector("sun", 768))
         assert np.array_equal(hf[0, 768:], np.full(50, 0.25))
 
     def test_zero_plus_zero(self, provider):
-        hf = hashtag_feature([make_post(hashtags=())], node_table({}, 50),
-                             np.zeros((1, 0, 768)), [0])
+        hf = feature([make_post(hashtags=())], node_table({}, 50), np.zeros((1, 0, 768)))
         assert np.array_equal(hf, np.zeros((1, 818)))
 
     def test_batch_rows_equal_one_post_calls(self, provider):
         # posts with no tags, unknown tags, repeated tags and differing counts
-        # pad to one width; each row is bitwise its one-post result
-        emb = {t: provider.vector(t, 5) for t in ("a", "b", "c")}
-        table = node_table(emb, 5)
-        posts = [make_post(hashtags=tags) for tags in
-                 [(), ("a",), ("b", "mystery", "b"), ("mystery",), ("c", "a", "b", "a")]]
-        batch = hashtag_feature(posts, table, topic_rows(posts, provider, 8), counts(posts))
-        # the tags the graph lacks are skipped, not added to its rows
-        assert table.rows == {"a": 0, "b": 1, "c": 2}
-        for b, post in enumerate(posts):
-            one = hashtag_feature([post], table, topic_rows([post], provider, 8),
-                                  counts([post]))
-            assert np.array_equal(batch[b], one[0])
-            known = [emb[t] for t in post.hashtags if t in emb]
-            assert np.array_equal(batch[b, 8:],
-                                  np.mean(known, axis=0) if known else np.zeros(5))
+        # pad to one width; the structure part is bitwise what numbering the
+        # known tags alone gives. At dim 1 numpy sums pairwise, where the
+        # unknown tags' zero rows move the grouping, but a one-wide node table
+        # holds only -1, 0 and 1, whose sums are exact in any grouping.
+        for dim in (1, 5):
+            emb = {t: provider.vector(t, dim) for t in ("a", "b", "c")}
+            if dim == 1:
+                emb = {t: np.sign(v) for t, v in emb.items()}
+            table = node_table(emb, dim)
+            draw = random.Random(3)
+            posts = [make_post(hashtags=tags) for tags in
+                     [(), ("a",), ("b", "mystery", "b"), ("mystery",), ("c", "a", "b", "a"),
+                      *(draw.choices("abcwxyz", k=draw.randint(9, 16)) for _ in range(8))]]
+            batch = feature(posts, table, topic_rows(posts, provider, 8))
+            # the tags the graph lacks are skipped, not added to its rows
+            assert table.rows == {"a": 0, "b": 1, "c": 2}
+            known = [[t for t in post.hashtags if t in emb] for post in posts]
+            index, lengths = padded_index(dict(table.rows), known)
+            assert batch[:, 8:].tobytes() == pooled_mean(table.table[index], lengths).tobytes()
+            for b, post in enumerate(posts):
+                one = feature([post], table, topic_rows([post], provider, 8))
+                assert batch[b].tobytes() == one[0].tobytes()
+                rows = [emb[t] for t in known[b]]
+                assert batch[b, 8:].tobytes() == (np.mean(rows, axis=0) if rows
+                                                   else np.zeros(dim)).tobytes()

@@ -431,16 +431,19 @@ class TestExtractDataset:
     def test_memo_lives_for_one_call(self, draw_log):
         cfg = tiny_config()
         ds = make_sample_corpus(n=20, seed=5)
-        caches = build_caches(ds.posts, cfg)
+        caches = build_caches(ds.posts[:10], cfg)
         draw_log.drawn.clear()
         first = extract_dataset(ds, caches, cfg)
         first_draws = list(draw_log.drawn)
         draw_log.drawn.clear()
         second = extract_dataset(ds, caches, cfg)
         # every (key, dim), region matrices included, is drawn once per
-        # call, and again by the next call
+        # call, and again by the next call; of the hashtags, only those the
+        # graph lacks are drawn
+        requests = set(pass_requests(ds.posts, cfg, caches))
+        assert {dim for _, dim in requests} == {cfg.d, cfg.topic_dim, cfg.k * cfg.n}
         assert len(first_draws) == len(set(first_draws)) > 0
-        assert set(first_draws) == set(pass_requests(ds.posts, cfg))
+        assert set(first_draws) == requests
         assert draw_log.drawn == first_draws
         assert all(map(bundles_equal, first, second))
 
@@ -449,11 +452,12 @@ class TestExtractDataset:
         cfg = (model_config_from(resolve_config(REPO / "configs" / config_file))
                if config_file else tiny_config())
         ds, _ = load_dataset(REPO / "data" / "sample_corpus.jsonl")
-        caches = build_caches(ds.posts, cfg)
+        caches = build_caches(ds.posts[:30], cfg)
         draw_log.drawn.clear()
         draw_log.per_key.clear()
         extract_dataset(ds, caches, cfg)
-        requests = set(pass_requests(ds.posts, cfg))
+        requests = set(pass_requests(ds.posts, cfg, caches))
+        assert {dim for _, dim in requests} == {cfg.d, cfg.topic_dim, cfg.k * cfg.n}
         dims = [dim for _, dim in requests]
         assert min(map(dims.count, dims)) > 1  # no dim of one key
         assert sorted(draw_log.drawn) == sorted(requests)
@@ -462,7 +466,8 @@ class TestExtractDataset:
     def test_one_post_pass_draws_only_its_image_per_key(self, draw_log):
         # a one-post pass lists its keys in one `tables` call like any pass;
         # its image is the one key of its dim, k * n, so that is the one
-        # `vector` call, and the tokens and tags are drawn in batches
+        # `vector` call, and its tokens are drawn in a batch; its tags are
+        # graph nodes, drawn when the caches were fitted
         cfg = tiny_config()
         ds = make_sample_corpus(n=20, seed=5)
         caches = build_caches(ds.posts, cfg)
@@ -474,7 +479,36 @@ class TestExtractDataset:
             draw_log.per_key.clear()
             extract_dataset(Dataset((post,)), caches, cfg)
             assert draw_log.per_key == [(post.image_ref, cfg.k * cfg.n)]
-            assert sorted(draw_log.drawn) == sorted(set(pass_requests([post], cfg)))
+            assert sorted(draw_log.drawn) == sorted(set(pass_requests([post], cfg, caches)))
+
+    @pytest.mark.parametrize("config_file", [None, "desk.cfg"])
+    def test_pass_of_graph_tags_draws_no_tag(self, draw_log, config_file):
+        # every tag of the pass is a graph node: its attention and topic rows
+        # were drawn once, when the caches were fitted, and a pass draws only
+        # the caption tokens and the images
+        cfg = (model_config_from(resolve_config(REPO / "configs" / config_file))
+               if config_file else tiny_config())
+        ds = make_sample_corpus(n=30, seed=5)
+        caches = build_caches(ds.posts, cfg)
+        tags = {tag for post in ds.posts for tag in post.hashtags}
+        assert tags and tags <= caches.graph.nodes.keys()
+        for posts in (ds.posts, ds.posts[:1]):
+            draw_log.drawn.clear()
+            extract_features(posts, caches, cfg)
+            # a tag is drawn only where it is also a caption token
+            assert sorted(draw_log.drawn) == sorted(
+                {(tok, cfg.d) for post in posts for tok in tokenize(post.caption)[:cfg.m]}
+                | {(post.image_ref, cfg.k * cfg.n) for post in posts})
+
+    def test_config_the_caches_were_not_fitted_for(self):
+        cfg = tiny_config()
+        caches = build_caches(make_sample_corpus(n=20, seed=5).posts, cfg)
+        post = make_post(hashtags=("sun",))
+        assert sorted(caches.tag_rows) == [cfg.d, cfg.topic_dim]
+        for change in ({"d": 7}, {"topic_dim": 6}):
+            other = tiny_config(**change)
+            with pytest.raises(ValueError, match=r"dims \[5, 8\].*d=(5|7) and topic_dim=(6|8)"):
+                extract_features([post], caches, other)
 
     @pytest.mark.parametrize("config_file", [None, "desk.cfg"])
     def test_tokenizes_each_caption_once(self, monkeypatch, config_file):

@@ -340,8 +340,9 @@ class TestTrainLoop:
             train(tr, va, small_social_config(), tc)
 
     def test_each_key_drawn_once_across_splits(self, draw_log):
-        # train and val are featurized in one pass: a token or hashtag the
-        # two splits share is drawn once, and so is each post's image
+        # train and val are featurized in one pass: a token, or a hashtag the
+        # graph lacks, that the two splits share is drawn once, and so is
+        # each post's image
         cfg = tiny_config()
         ds = make_sample_corpus(n=40, seed=2)
         tr, va, _ = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
@@ -353,7 +354,7 @@ class TestTrainLoop:
                          patience=1, dropout=0.0, seed=0, init_scale=0.3)
         train(tr, va, cfg, tc, caches=caches)
         assert len(draw_log.drawn) == len(set(draw_log.drawn)) > 0
-        assert set(draw_log.drawn) == set(pass_requests(tr.posts + va.posts, cfg))
+        assert set(draw_log.drawn) == set(pass_requests(tr.posts + va.posts, cfg, caches))
 
     def test_empty_split_rejected(self):
         ds = make_sample_corpus(n=10, seed=0)
