@@ -7,7 +7,11 @@ itself. `evaluate` and `inspect-attention` rebuild that state the same way.
 
 Configuration is a plain-text file of `key=value` lines (# comments allowed)
 with command-line overrides via repeated --set key=value. Unknown keys are
-rejected. Exit codes: 0 success, 1 usage error, 2 data error.
+rejected. `DEFAULTS` declares the run keys (paths and the split); every
+model and training key is a field of `ModelConfig` or `TrainConfig`, which
+gives its default, its type and its --help text, and the `<branch>_widths` /
+`_channels` keys make `ModelConfig.branch_specs`.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import CorpusError, load_dataset, split_dataset
@@ -58,48 +63,36 @@ def _parse_seeds(s: str) -> list[int]:
     return seeds
 
 
-# key -> (parser, default, help)
+def _key(default, help_text: str) -> tuple:
+    """(parser, default as a config file spells it, help) by the default's type."""
+    kind = type(default)
+    if kind is tuple:
+        text = "paper" if default == PAPER_HEAD_SIZES else ",".join(map(str, default))
+    else:
+        text = str(default).lower() if kind is bool else str(default)
+    return {bool: _parse_bool, tuple: _parse_head}.get(kind, kind), text, help_text
+
+
+def _keyed(config_class) -> list:
+    """The fields of a config dataclass that are configuration keys."""
+    return [f for f in fields(config_class) if "help" in f.metadata]
+
+
+# key -> (parser, default, help): the run keys, then the keys of the config fields
 DEFAULTS = {
     "corpus": (str, "data/sample_corpus.jsonl", "path to the JSON-lines corpus"),
     "lexicon": (str, "", "sentiment lexicon path (empty = bundled)"),
     "checkpoint": (str, "out/model.ckpt", "checkpoint file path"),
     "out": (str, "out", "output directory for history/metrics/reports"),
-    "m": (int, "15", "max caption tokens"),
-    "k": (int, "49", "image regions"),
-    "l": (int, "60", "max hashtags in attention"),
-    "d": (int, "768", "embedding/hidden dimension"),
-    "a": (int, "768", "attention units"),
-    "n": (int, "512", "raw region feature dimension"),
-    "topic_dim": (int, "768", "hashtag topic embedding dimension"),
-    "structure_dim": (int, "50", "hashtag graph embedding dimension"),
-    "pca_k": (int, "6", "social vector dimension after PCA"),
-    "graph_base_dim": (int, "64", "hashtag node base feature dimension"),
-    "graph_hops": (int, "2", "graph aggregation rounds"),
-    "demographic_mode": (str, "onehot", "demographic encoding: onehot|ordinal"),
-    "attention": (str, "hga", "attention variant: hga|sa|na"),
-    "dropout": (float, "0.2", "training dropout rate (not stored in the checkpoint)"),
-    "init_scale": (float, "1.0", "parameter init range half-width "
-                   "(training only; not stored in the checkpoint)"),
-    "embed_seed": (int, "0", "embedding provider seed"),
-    "use_content": (_parse_bool, "true", "include attended content vector"),
-    "use_hashtags": (_parse_bool, "true", "include hashtag branch"),
-    "use_social": (_parse_bool, "true", "include social branch"),
-    "use_demographics": (_parse_bool, "true", "include demographic branch"),
-    "use_sentiment_text": (_parse_bool, "true", "include caption sentiment block"),
-    "use_sentiment_hashtags": (_parse_bool, "true", "include hashtag sentiment block"),
-    "head_sizes": (_parse_head, "paper", "comma-separated head sizes or 'paper'"),
-    **{f"{name}_{part}": (_parse_ints, ",".join(map(str, getattr(spec, part))),
-                          f"{name} branch conv {part}")
-       for name, spec in PAPER_BRANCH_SPECS.items() for part in ("widths", "channels")},
     "train_frac": (float, "0.8", "training split fraction"),
     "val_frac": (float, "0.1", "validation split fraction"),
     "test_frac": (float, "0.1", "test split fraction"),
     "split_seed": (int, "0", "dataset split seed"),
-    "learning_rate": (float, "0.0001", "Adam learning rate"),
-    "batch_size": (int, "20", "mini-batch size"),
-    "max_epochs": (int, "30", "maximum training epochs"),
-    "patience": (int, "5", "early stopping patience (epochs)"),
-    "seed": (int, "0", "training seed (init, shuffling, dropout)"),
+    **{f.name: _key(f.default, f.metadata["help"])
+       for config_class in (ModelConfig, TrainConfig) for f in _keyed(config_class)},
+    **{f"{name}_{part}": (_parse_ints, ",".join(map(str, getattr(spec, part))),
+                          f"{name} branch conv {part}")
+       for name, spec in PAPER_BRANCH_SPECS.items() for part in ("widths", "channels")},
 }
 
 
@@ -139,28 +132,15 @@ def model_config_from(rc: dict) -> ModelConfig:
         specs = {name: BranchSpec(widths=tuple(rc[f"{name}_widths"]),
                                   channels=tuple(rc[f"{name}_channels"]))
                  for name in BRANCHES}
-        return ModelConfig(
-            m=rc["m"], k=rc["k"], l=rc["l"], d=rc["d"], a=rc["a"], n=rc["n"],
-            topic_dim=rc["topic_dim"], structure_dim=rc["structure_dim"],
-            pca_k=rc["pca_k"], demographic_mode=rc["demographic_mode"],
-            attention=rc["attention"], embed_seed=rc["embed_seed"],
-            graph_base_dim=rc["graph_base_dim"], graph_hops=rc["graph_hops"],
-            use_content=rc["use_content"], use_hashtags=rc["use_hashtags"],
-            use_social=rc["use_social"], use_demographics=rc["use_demographics"],
-            use_sentiment_text=rc["use_sentiment_text"],
-            use_sentiment_hashtags=rc["use_sentiment_hashtags"],
-            branch_specs=specs, head_sizes=rc["head_sizes"],
-        )
+        return ModelConfig(branch_specs=specs,
+                           **{f.name: rc[f.name] for f in _keyed(ModelConfig)})
     except ValueError as e:
         raise UsageError(f"bad model configuration: {e}")
 
 
 def train_config_from(rc: dict) -> TrainConfig:
     try:
-        return TrainConfig(learning_rate=rc["learning_rate"],
-                           batch_size=rc["batch_size"], max_epochs=rc["max_epochs"],
-                           patience=rc["patience"], dropout=rc["dropout"],
-                           init_scale=rc["init_scale"], seed=rc["seed"])
+        return TrainConfig(**{f.name: rc[f.name] for f in _keyed(TrainConfig)})
     except ValueError as e:
         raise UsageError(f"bad training configuration: {e}")
 
@@ -222,9 +202,7 @@ def _output_dir(rc: dict, report: str, *files: Path) -> Path:
 def cmd_train(rc: dict) -> int:
     config = model_config_from(rc)
     tc = train_config_from(rc)
-    print(f"run: learning_rate={tc.learning_rate} batch_size={tc.batch_size} "
-          f"max_epochs={tc.max_epochs} patience={tc.patience} "
-          f"dropout={tc.dropout} init_scale={tc.init_scale} seed={tc.seed}")
+    print("run: " + " ".join(f"{f.name}={getattr(tc, f.name)}" for f in fields(tc)))
     tr, va, _ = _load_splits(rc)
     out = _output_dir(rc, "history.csv", Path(rc["checkpoint"]))
     result = train(tr, va, config, tc, lexicon=_lexicon(rc))
@@ -364,11 +342,9 @@ def main(argv=None) -> int:
             return 1
         key, value = item.split("=", 1)
         overrides[key] = value
-    for flag in ("corpus", "checkpoint", "out"):
+    for flag in ("corpus", "checkpoint", "out", "seed"):
         if getattr(args, flag) is not None:
-            overrides[flag] = getattr(args, flag)
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
+            overrides[flag] = str(getattr(args, flag))
     try:
         rc = resolve_config(args.config, overrides)
         if args.command == "train":

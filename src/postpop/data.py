@@ -119,23 +119,25 @@ def _post_from_record(rec) -> Post:
     Hashtags lose a leading '#' and are lowercased; ids, caption and image
     reference are taken as strings. The checks run in this order, and the
     first that fails raises KeyError for a missing field, or ValueError
-    whose message names the field: the record is an object; each face has
-    its four keys; the metadata is an object of PostMetadata fields; the
-    hashtags can be read and the popularity is a JSON number; the ids,
-    caption and image reference are present; no hashtag is empty or holds
-    whitespace (joining the tags with spaces and splitting on whitespace
-    gives them back exactly then); the popularity is finite; tag_count is
-    the number of hashtags; each face's gender, age (an int in [0, 100]),
-    emotion and race are known; no float field holds a bool; the counts are
-    finite and >= 0; tagged_people is 0 or 1; the calendar fields are in
-    range; and every integer field holds an int, not a bool or a float.
+    whose message names the field: the record is an object; the faces, if
+    given, are an array whose every face has its four keys; the metadata is
+    an object of PostMetadata fields; the hashtags are an array that can be
+    read; the popularity is a JSON number; the ids, caption and image
+    reference are present; no hashtag is empty or holds whitespace (joining
+    the tags with spaces and splitting on whitespace gives them back exactly
+    then); the popularity is finite; tag_count is the number of hashtags;
+    each face's gender, age (an int in [0, 100]), emotion and race are
+    known; no float field holds a bool; the counts are finite and >= 0;
+    tagged_people is 0 or 1; the calendar fields are in range; and every
+    integer field holds an int, not a bool or a float.
     """
     if not isinstance(rec, dict):
         raise ValueError(f"a record is a JSON object, not {type(rec).__name__}")
     field = "faces"
     try:
-        faces = [(f["gender"], f["age"], f["emotion"], f["race"])
-                 for f in rec.get("faces", ())]
+        if type(faces := rec.get("faces", [])) is not list:
+            raise TypeError
+        faces = [(f["gender"], f["age"], f["emotion"], f["race"]) for f in faces]
         field = "metadata"
         meta = rec["metadata"]
         if type(meta) is not dict:
@@ -143,7 +145,9 @@ def _post_from_record(rec) -> Post:
         if len(metadata := _METADATA | meta) != len(_METADATA):
             PostMetadata(**meta)  # raises the TypeError that names the unknown key
         field = "hashtags"
-        hashtags = tuple([str(tag).lstrip("#").lower() for tag in rec["hashtags"]])
+        if type(tags := rec["hashtags"]) is not list:
+            raise ValueError("must be a list")
+        hashtags = tuple([str(tag).lstrip("#").lower() for tag in tags])
         field = "popularity"
         popularity = rec["popularity"]
         if type(popularity) not in (int, float):  # a bool or a string is not one

@@ -80,30 +80,41 @@ PAPER_BRANCH_SPECS = {
 }
 
 
+def config_key(default, help: str):
+    """A config field that is the configuration key of its name, with its --help text."""
+    return field(default=default, metadata={"help": help})
+
+
+ATTENTIONS = ("hga", "sa", "na")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    m: int = 15            # max caption tokens
-    k: int = 49            # image regions
-    l: int = 60            # max hashtags in the attention matrix
-    d: int = 768           # embedding / hidden dim
-    a: int = 768           # attention units
-    n: int = 512           # raw region feature dim
-    topic_dim: int = 768
-    structure_dim: int = 50
-    pca_k: int = 6
-    demographic_mode: str = "onehot"
-    attention: str = "hga"
-    embed_seed: int = 0
-    graph_base_dim: int = 64
-    graph_hops: int = 2
-    use_content: bool = True
-    use_hashtags: bool = True
-    use_social: bool = True
-    use_demographics: bool = True
-    use_sentiment_text: bool = True
-    use_sentiment_hashtags: bool = True
+    """Every field but `branch_specs` is the configuration key of its name."""
+
+    m: int = config_key(15, "max caption tokens")
+    k: int = config_key(49, "image regions")
+    l: int = config_key(60, "max hashtags in attention")
+    d: int = config_key(768, "embedding/hidden dimension")
+    a: int = config_key(768, "attention units")
+    n: int = config_key(512, "raw region feature dimension")
+    topic_dim: int = config_key(768, "hashtag topic embedding dimension")
+    structure_dim: int = config_key(50, "hashtag graph embedding dimension")
+    pca_k: int = config_key(6, "social vector dimension after PCA")
+    demographic_mode: str = config_key("onehot", "demographic encoding: onehot|ordinal")
+    attention: str = config_key("hga", f"attention variant: {'|'.join(ATTENTIONS)}")
+    embed_seed: int = config_key(0, "embedding provider seed")
+    graph_base_dim: int = config_key(64, "hashtag node base feature dimension")
+    graph_hops: int = config_key(2, "graph aggregation rounds")
+    use_content: bool = config_key(True, "include attended content vector")
+    use_hashtags: bool = config_key(True, "include hashtag branch")
+    use_social: bool = config_key(True, "include social branch")
+    use_demographics: bool = config_key(True, "include demographic branch")
+    use_sentiment_text: bool = config_key(True, "include caption sentiment block")
+    use_sentiment_hashtags: bool = config_key(True, "include hashtag sentiment block")
     branch_specs: dict = field(default_factory=lambda: dict(PAPER_BRANCH_SPECS))
-    head_sizes: tuple[int, ...] = PAPER_HEAD_SIZES
+    head_sizes: tuple[int, ...] = config_key(PAPER_HEAD_SIZES,
+                                             "comma-separated head sizes or 'paper'")
 
     def __post_init__(self):
         for name in ("m", "k", "l", "d", "a", "n", "topic_dim", "structure_dim",
@@ -112,8 +123,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.pca_k <= SOCIAL_RAW_DIM:
             raise ValueError(f"pca_k must be in [1, {SOCIAL_RAW_DIM}], got {self.pca_k}")
-        if self.attention not in ("hga", "sa", "na"):
-            raise ValueError(f"attention must be hga|sa|na, got {self.attention!r}")
+        if self.attention not in ATTENTIONS:
+            raise ValueError(f"attention must be {'|'.join(ATTENTIONS)}, got {self.attention!r}")
         if self.demographic_mode not in ("onehot", "ordinal"):
             raise ValueError(
                 f"demographic_mode must be onehot|ordinal, got {self.demographic_mode!r}")
@@ -146,12 +157,7 @@ class ModelConfig:
         return self.topic_dim + self.structure_dim
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["branch_specs"] = {
-            name: {"widths": list(spec.widths), "channels": list(spec.channels)}
-            for name, spec in self.branch_specs.items()}
-        out["head_sizes"] = list(self.head_sizes)
-        return out
+        return asdict(self)  # json.dumps writes its tuples as lists
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -9,26 +9,28 @@ predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import streams
 from .data import Dataset, split_dataset
 from .features import SOCIAL_NUMERICS, SentimentLexicon, social_numerics
-from .model import (FeatureBundle, FeatureCaches, ModelConfig, batch_loss_and_grads,
-                    build_caches, extract_features, forward_bundle, init_model_params)
+from .model import (ATTENTIONS, FeatureBundle, FeatureCaches, ModelConfig,
+                    batch_loss_and_grads, build_caches, config_key, extract_features,
+                    forward_bundle, init_model_params)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    batch_size: int = 20
-    max_epochs: int = 30
-    patience: int = 5
-    dropout: float = 0.2
-    seed: int = 0
-    init_scale: float = 1.0
+    learning_rate: float = config_key(1e-4, "Adam learning rate")
+    batch_size: int = config_key(20, "mini-batch size")
+    max_epochs: int = config_key(30, "maximum training epochs")
+    patience: int = config_key(5, "early stopping patience (epochs)")
+    dropout: float = config_key(0.2, "training dropout rate (not stored in the checkpoint)")
+    init_scale: float = config_key(1.0, "parameter init range half-width "
+                                   "(training only; not stored in the checkpoint)")
+    seed: int = config_key(0, "training seed (init, shuffling, dropout)")
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience"):
@@ -372,17 +374,12 @@ def correlate_features(ds: Dataset, caches: FeatureCaches | None = None,
 # ---------------------------------------------------------------------------
 # ablation harness
 
+# variant -> the ModelConfig fields it overrides; one `no_*` per `use_*` flag
 VARIANTS = {
-    "full": lambda c: c,
-    "hga": lambda c: replace(c, attention="hga"),
-    "sa": lambda c: replace(c, attention="sa"),
-    "na": lambda c: replace(c, attention="na"),
-    "no_content": lambda c: replace(c, use_content=False),
-    "no_hashtags": lambda c: replace(c, use_hashtags=False),
-    "no_social": lambda c: replace(c, use_social=False),
-    "no_demographics": lambda c: replace(c, use_demographics=False),
-    "no_sentiment_text": lambda c: replace(c, use_sentiment_text=False),
-    "no_sentiment_hashtags": lambda c: replace(c, use_sentiment_hashtags=False),
+    "full": {},
+    **{name: {"attention": name} for name in ATTENTIONS},
+    **{f"no_{f.name[4:]}": {f.name: False}
+       for f in fields(ModelConfig) if f.name.startswith("use_")},
 }
 
 
@@ -424,7 +421,7 @@ class AblationReport:
 def apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {sorted(VARIANTS)}")
-    return VARIANTS[variant](config)
+    return replace(config, **VARIANTS[variant])
 
 
 def ablate(ds: Dataset, base_config: ModelConfig, train_config: TrainConfig,

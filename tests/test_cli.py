@@ -1,13 +1,16 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from postpop.cli import (_load_splits, main, model_config_from, resolve_config,
+from postpop.cli import (DEFAULTS, _load_splits, main, model_config_from, resolve_config,
                          train_config_from, UsageError)
 from postpop.corpora import make_sample_corpus
 from postpop.data import save_dataset
+from postpop.model import ModelConfig
+from postpop.training import TrainConfig
 
 
 def run_cli(argv, capsys):
@@ -68,6 +71,9 @@ class TestConfigResolution:
         assert rc["max_epochs"] == 30
         assert rc["patience"] == 5
         assert rc["dropout"] == 0.2
+        # every model and training default is its config field's default
+        assert model_config_from(rc) == ModelConfig()
+        assert train_config_from(rc) == TrainConfig()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -98,9 +104,21 @@ class TestTopLevel:
         assert code == 0
         assert "train" in out and "inspect-attention" in out
         assert "prepare" not in out and "cache_dir" not in out
-        from postpop.cli import DEFAULTS
         for key in DEFAULTS:
             assert key in out, key
+        # each config field's line gives its help text and its default as a
+        # config file spells it, which parses back to the field's default
+        lines = {line.split()[0]: line for line in out.splitlines()
+                 if line.startswith("  ") and line.split()[0] in DEFAULTS}
+        for f in fields(ModelConfig) + fields(TrainConfig):
+            if f.name == "branch_specs":
+                continue
+            help_text, default = f.metadata["help"], DEFAULTS[f.name][1]
+            assert lines[f.name].endswith(f" {help_text} (default: {default!r})"), f.name
+            assert DEFAULTS[f.name][0](default) == f.default, f.name
+        for key, spelled in (("use_content", "true"), ("head_sizes", "paper"),
+                             ("learning_rate", "0.0001"), ("social_widths", "1,3,3")):
+            assert DEFAULTS[key][1] == spelled, key
 
     def test_unknown_command_usage_error(self, capsys):
         code, _, err = run_cli(["frobnicate"], capsys)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_post
-from postpop.corpora import make_sample_corpus
+from postpop.corpora import make_hashtag_signal_corpus, make_sample_corpus
 from postpop.data import (EMOTIONS, GENDERS, RACES, CorpusError, Dataset, FaceAnnotation,
                           Post, PostMetadata, _slot_init, load_dataset, save_dataset,
                           split_dataset)
@@ -100,6 +100,12 @@ def reference_post_validate(post):
 
 
 def reference_post_from_record(rec):
+    # a JSON array: not a string, whose characters would load as tags, nor an
+    # object, whose keys would
+    if not isinstance(rec.get("faces", []), list):
+        raise ValueError("faces must be a JSON array")
+    if not isinstance(rec["hashtags"], list):
+        raise ValueError("hashtags must be a JSON array")
     faces = tuple(
         FaceAnnotation(gender=f["gender"], age=f["age"],
                        emotion=f["emotion"], race=f["race"])
@@ -330,6 +336,8 @@ MALFORMED_LINES = {
     "face without race": malformed(faces=[{k: v for k, v in FACE.items() if k != "race"}]),
     "faces a string": malformed(faces="x"),
     "faces null": malformed(faces=None),
+    "faces ''": malformed(faces=""),
+    "faces {}": malformed(faces={}),
     "hashtags ['two words', 'x']": malformed(hashtags=["two words", "x"]),
     "hashtags ['x', '']": malformed(hashtags=["x", ""]),
     "hashtags ['#', 'x']": malformed(hashtags=["#", "x"]),
@@ -338,6 +346,7 @@ MALFORMED_LINES = {
     "hashtags [7, null]": malformed(hashtags=[7, None]),
     "hashtags 'ab'": malformed(hashtags="ab"),
     "hashtags 5": malformed(hashtags=5),
+    "hashtags {'sun': 1}": malformed(hashtags={"sun": 1}, **{"metadata.tag_count": 1}),
     "tag_count 7": malformed(**{"metadata.tag_count": 7}),
     "tag_count 2.0": malformed(**{"metadata.tag_count": 2.0}),
     "post_day 7": malformed(**{"metadata.post_day": 7}),
@@ -377,10 +386,11 @@ MALFORMED_LINES = {
 # where the line loads. Recorded before the loader was rewritten as one
 # check-then-build pass, and required byte for byte since; the faces and
 # metadata shape reasons were re-recorded when the loader put them in its own
-# words. Some reasons are still CPython's own text (an unknown metadata key,
-# hashtags that are not a list, a huge popularity) and are pinned as CPython
-# 3.11 prints them, the oldest version the package supports and the one CI
-# runs.
+# words, and the hashtags reasons when it began to require a JSON array (a
+# string or an object used to load as its characters or keys). Some reasons
+# are still CPython's own text (an unknown metadata key, a huge popularity)
+# and are pinned as CPython 3.11 prints them, the oldest version the package
+# supports and the one CI runs.
 MALFORMED_REASONS = {
     "avg_member_count False": "avg_member_count must be a number, not False",
     "avg_member_count True": "avg_member_count must be a number, not True",
@@ -427,6 +437,8 @@ MALFORMED_REASONS = {
     "face without race": "missing field 'race'",
     "faces a string": "faces: must be a list of objects",
     "faces null": "faces: must be a list of objects",
+    "faces ''": "faces: must be a list of objects",
+    "faces {}": "faces: must be a list of objects",
     "group_count 1.0": "group_count must be an integer, not 1.0",
     "group_count 1.5": "group_count must be an integer, not 1.5",
     "group_count False": "group_count must be an integer, not False",
@@ -435,8 +447,9 @@ MALFORMED_REASONS = {
     "group_count=inf": "group_count must be finite and >= 0",
     "group_count=nan": "group_count must be finite and >= 0",
     f"group_count={HUGE}": "group_count must be finite and >= 0",
-    "hashtags 'ab'": None,
-    "hashtags 5": "hashtags: 'int' object is not iterable",
+    "hashtags 'ab'": "hashtags: must be a list",
+    "hashtags 5": "hashtags: must be a list",
+    "hashtags {'sun': 1}": "hashtags: must be a list",
     "hashtags ['#', 'x']": "hashtag '' is empty or contains whitespace",
     "hashtags ['#Sun', 'BEACH']": None,
     "hashtags ['a\u3000b', 'x']": "hashtag 'a\\u3000b' is empty or contains whitespace",
@@ -811,6 +824,14 @@ class TestRoundTrip:
         back, skipped = load_dataset(path, name=ds.name)
         assert skipped == 0
         assert back == ds  # frozen dataclasses compare field-by-field
+
+
+class TestGenerators:
+    def test_signal_corpus_needs_more_words_than_caption_slots(self):
+        # each caption draws distinct words from the vocabulary
+        with pytest.raises(ValueError, match="more vocabulary words than caption slots"):
+            make_hashtag_signal_corpus(n=4, n_targets=5, caption_tokens=5)
+        assert len(make_hashtag_signal_corpus(n=4, n_targets=6, caption_tokens=5)) == 4
 
 
 class TestSplit:

@@ -63,6 +63,8 @@ class TestDemographic:
         v = demographic_vector([face], mode="ordinal")
         assert np.array_equal(v, [1.0, 30.0, 2.0, 2.0])
         assert demographic_vector([], mode="ordinal").shape == (4,)
+        with pytest.raises(ValueError, match="unknown demographic mode 'binary'"):
+            demographic_vector([face], mode="binary")
 
     @pytest.mark.parametrize("mode", ["onehot", "ordinal"])
     def test_batch_rows_equal_per_face_means(self, mode):
@@ -314,3 +316,5 @@ class TestPCA:
         model = fit_pca(rng.normal(size=(8, 4)), k=2)
         with pytest.raises(ValueError):
             apply_pca(model, np.zeros(5))
+        with pytest.raises(ValueError, match=r"rows must be 2-D, got shape \(8,\)"):
+            fit_pca(np.zeros(8), k=1)

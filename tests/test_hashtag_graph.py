@@ -209,6 +209,12 @@ class TestNodeEmbeddings:
         for t, v in expect.items():
             assert np.allclose(emb[t], v / np.linalg.norm(v), atol=1e-12)
 
+    @pytest.mark.parametrize("dim, hops", [(0, 2), (4, 0)])
+    def test_dim_and_hops_must_be_positive(self, provider, dim, hops):
+        g = build_cooccurrence_graph(posts_with_tags([("x", "y")]), provider)
+        with pytest.raises(ValueError, match=f"got dim={dim}, hops={hops}"):
+            node_embeddings(g, dim=dim, hops=hops)
+
     def test_insertion_order_irrelevant(self, provider):
         tag_lists = [("a", "b"), ("b", "c"), ("c", "d", "a")]
         g1 = build_cooccurrence_graph(posts_with_tags(tag_lists), provider)

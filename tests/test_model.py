@@ -130,6 +130,19 @@ def reference_init_model_params(config, seed=0, dtype=np.float64, scale=1.0):
     return {name: uniform_param(rng, shape, scale, dtype) for name, shape in shapes}
 
 
+# The `config` member of a format-4 checkpoint trained on configs/desk.cfg.
+DESK_CONFIG_JSON = (
+    '{"a": 8, "attention": "hga", "branch_specs": {'
+    '"demographic": {"channels": [2, 2, 4], "widths": [3, 3, 3]}, '
+    '"hashtag": {"channels": [2, 2, 2], "widths": [2, 2, 2]}, '
+    '"sentiment": {"channels": [2, 2, 2], "widths": [2, 2, 2]}, '
+    '"social": {"channels": [4, 4, 4], "widths": [2, 2, 2]}}, '
+    '"d": 8, "demographic_mode": "onehot", "embed_seed": 0, "graph_base_dim": 16, '
+    '"graph_hops": 2, "head_sizes": [16, 8, 1], "k": 4, "l": 4, "m": 6, "n": 8, '
+    '"pca_k": 6, "structure_dim": 4, "topic_dim": 8, "use_content": true, '
+    '"use_demographics": true, "use_hashtags": true, "use_sentiment_hashtags": true, '
+    '"use_sentiment_text": true, "use_social": true}')
+
 INIT_CONFIGS = {
     "desk": REPO / "configs" / "desk.cfg",
     "signal": REPO / "perfbench" / "configs" / "signal.cfg",
@@ -247,6 +260,12 @@ class TestMergeAndConfig:
         cfg = tiny_config(attention="sa", use_social=False)
         back = ModelConfig.from_dict(cfg.to_dict())
         assert back == cfg
+        # the desk config as a checkpoint's `config` member stores it: a
+        # change to this text needs a `_CKPT_VERSION` bump
+        desk = model_config_from(resolve_config(REPO / "configs" / "desk.cfg"))
+        blob = json.dumps(desk.to_dict(), sort_keys=True)
+        assert blob == DESK_CONFIG_JSON and model_mod._CKPT_VERSION == 4
+        assert ModelConfig.from_dict(json.loads(blob)) == desk
 
 
 class TestHead:

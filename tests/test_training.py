@@ -9,8 +9,8 @@ from conftest import make_post, pass_requests, tiny_config
 import postpop.training as training_mod
 from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
-from postpop.model import (BRANCHES, BranchSpec, build_caches, extract_dataset,
-                           init_model_params)
+from postpop.model import (BRANCHES, BranchSpec, ModelConfig, build_caches,
+                           extract_dataset, init_model_params)
 from postpop.numeric import uniform_param
 from postpop.providers import tokenize
 from postpop.training import (SCORE_BATCH, AdamState, Checkpoint, TrainConfig,
@@ -163,10 +163,11 @@ class TestCorrelations:
         assert np.isnan(spearman(np.ones(4), np.arange(4.0)))
 
     def test_length_errors(self):
-        with pytest.raises(ValueError):
-            pearson(np.ones(1), np.ones(1))
-        with pytest.raises(ValueError):
-            spearman(np.ones(3), np.ones(4))
+        for corr in (pearson, spearman):
+            with pytest.raises(ValueError, match="needs length >= 2"):
+                corr(np.ones(1), np.ones(1))
+            with pytest.raises(ValueError, match="needs two equal-length vectors"):
+                corr(np.ones(3), np.ones(4))
 
     def test_monotone_invariance(self, rng):
         x = rng.normal(size=10)
@@ -194,6 +195,10 @@ class TestMetrics:
         m = compute_metrics(preds, t)
         assert m.srcc == pytest.approx(1.0)
         assert m.pcc < 1.0
+
+    def test_empty_prediction_set_raises_value_error(self):
+        with pytest.raises(ValueError, match="empty prediction set"):
+            compute_metrics(np.array([]), np.array([]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_value_error(self, bad):
@@ -565,9 +570,18 @@ class TestAblate:
                 variant
 
     def test_apply_variant(self):
+        # the attention variants, and one `no_<x>` per `use_<x>` flag that
+        # switches that flag off and changes nothing else
         cfg = tiny_config()
-        assert apply_variant(cfg, "na").attention == "na"
-        assert apply_variant(cfg, "no_demographics").use_demographics is False
+        flags = [f.name for f in dataclasses.fields(ModelConfig) if f.name.startswith("use_")]
+        assert len(flags) == 6
+        assert sorted(training_mod.VARIANTS) == sorted(
+            ["full", "hga", "sa", "na", *(f"no_{flag[4:]}" for flag in flags)])
+        assert apply_variant(cfg, "full") == cfg
+        for attention in ("hga", "sa", "na"):
+            assert apply_variant(cfg, attention) == dataclasses.replace(cfg, attention=attention)
+        for flag in flags:
+            assert apply_variant(cfg, f"no_{flag[4:]}") == dataclasses.replace(cfg, **{flag: False})
         with pytest.raises(ValueError):
             apply_variant(cfg, "bogus")
 
