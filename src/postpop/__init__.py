@@ -7,8 +7,8 @@ from .features import (PCAModel, SentimentLexicon, SocialStats, apply_pca,
                        sentiment_scores, social_vector)
 from .hashtag_graph import (HashtagGraph, NodeEmbeddings, build_cooccurrence_graph,
                             hashtag_feature, node_embeddings)
-from .model import (BranchSpec, FeatureBundle, FeatureCaches, ModelConfig,
-                    PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, branch_forward,
+from .model import (FeatureBundle, FeatureCaches, ModelConfig, PAPER_HEAD_SIZES,
+                    branch_forward,
                     build_caches, extract_features, forward_bundle, head_forward,
                     init_model_params, load_checkpoint, loss_mse, merged_length,
                     save_checkpoint)

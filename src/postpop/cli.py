@@ -8,9 +8,9 @@ itself. `evaluate` and `inspect-attention` rebuild that state the same way.
 Configuration is a plain-text file of `key=value` lines (# comments allowed)
 with command-line overrides via repeated --set key=value. Unknown keys are
 rejected. `DEFAULTS` declares the run keys (paths and the split); every
-model and training key is a field of `ModelConfig` or `TrainConfig`, which
-gives its default, its type and its --help text, and the `<branch>_widths` /
-`_channels` keys make `ModelConfig.branch_specs`.
+model and training key, the `<branch>_widths` and `<branch>_channels` conv
+shapes included, is a field of `ModelConfig` or `TrainConfig`, which gives
+its default, its type and its --help text.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -25,9 +25,8 @@ from pathlib import Path
 
 from .data import CorpusError, load_dataset, split_dataset
 from .features import SentimentLexicon
-from .model import (BRANCHES, PAPER_BRANCH_SPECS, PAPER_HEAD_SIZES, BranchSpec, ModelConfig,
-                    build_caches, extract_features, forward_bundle, load_checkpoint,
-                    save_checkpoint)
+from .model import (PAPER_HEAD_SIZES, ModelConfig, build_caches, extract_features,
+                    forward_bundle, load_checkpoint, save_checkpoint)
 from .providers import tokenize
 from .training import VARIANTS, Checkpoint, TrainConfig, ablate, evaluate, train
 
@@ -64,18 +63,16 @@ def _parse_seeds(s: str) -> list[int]:
 
 
 def _key(default, help_text: str) -> tuple:
-    """(parser, default as a config file spells it, help) by the default's type."""
+    """(parser, default as a config file spells it, help) by the default's type;
+    the paper head sizes are spelled `paper`."""
+    if default == PAPER_HEAD_SIZES:
+        return _parse_head, "paper", help_text
     kind = type(default)
     if kind is tuple:
-        text = "paper" if default == PAPER_HEAD_SIZES else ",".join(map(str, default))
-    else:
-        text = str(default).lower() if kind is bool else str(default)
-    return {bool: _parse_bool, tuple: _parse_head}.get(kind, kind), text, help_text
-
-
-def _keyed(config_class) -> list:
-    """The fields of a config dataclass that are configuration keys."""
-    return [f for f in fields(config_class) if "help" in f.metadata]
+        return _parse_ints, ",".join(map(str, default)), help_text
+    if kind is bool:
+        return _parse_bool, str(default).lower(), help_text
+    return kind, str(default), help_text
 
 
 # key -> (parser, default, help): the run keys, then the keys of the config fields
@@ -89,10 +86,7 @@ DEFAULTS = {
     "test_frac": (float, "0.1", "test split fraction"),
     "split_seed": (int, "0", "dataset split seed"),
     **{f.name: _key(f.default, f.metadata["help"])
-       for config_class in (ModelConfig, TrainConfig) for f in _keyed(config_class)},
-    **{f"{name}_{part}": (_parse_ints, ",".join(map(str, getattr(spec, part))),
-                          f"{name} branch conv {part}")
-       for name, spec in PAPER_BRANCH_SPECS.items() for part in ("widths", "channels")},
+       for config_class in (ModelConfig, TrainConfig) for f in fields(config_class)},
 }
 
 
@@ -129,18 +123,14 @@ def resolve_config(config_path=None, overrides=None) -> dict:
 
 def model_config_from(rc: dict) -> ModelConfig:
     try:
-        specs = {name: BranchSpec(widths=tuple(rc[f"{name}_widths"]),
-                                  channels=tuple(rc[f"{name}_channels"]))
-                 for name in BRANCHES}
-        return ModelConfig(branch_specs=specs,
-                           **{f.name: rc[f.name] for f in _keyed(ModelConfig)})
+        return ModelConfig(**{f.name: rc[f.name] for f in fields(ModelConfig)})
     except ValueError as e:
         raise UsageError(f"bad model configuration: {e}")
 
 
 def train_config_from(rc: dict) -> TrainConfig:
     try:
-        return TrainConfig(**{f.name: rc[f.name] for f in _keyed(TrainConfig)})
+        return TrainConfig(**{f.name: rc[f.name] for f in fields(TrainConfig)})
     except ValueError as e:
         raise UsageError(f"bad training configuration: {e}")
 
@@ -236,11 +226,6 @@ def cmd_evaluate(rc: dict, split: str) -> int:
     print(f"  MAE  {metrics.mae:.6f}")
     print(f"  SRCC {metrics.srcc:.6f}")
     print(f"  PCC  {metrics.pcc:.6f}")
-    out = Path(rc["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows(out / f"metrics_{split}.csv", "split,mse,mae,srcc,pcc,n",
-                [(split, metrics.mse, metrics.mae, metrics.srcc,
-                  metrics.pcc, metrics.n)])
     print(json.dumps({"split": split, **metrics.to_dict()}))
     return 0
 

@@ -78,12 +78,16 @@ class SentimentLexicon:
     def from_file(cls, path) -> "SentimentLexicon":
         table = {}
         with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                word, c = line.split("\t")
-                table[word] = int(c)
+                try:
+                    word, c = line.split("\t")
+                    table[word] = int(c)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected word<TAB>class, "
+                                     f"got {line!r}") from None
         return cls(table)
 
     @classmethod

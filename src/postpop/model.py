@@ -2,11 +2,13 @@
 full forward/backward pass.
 
 `BRANCHES` is the one table of the conv branches: each branch's bundle
-fields and the config flag that enables each field. A branch whose fields
-are all off is disabled and contributes nothing. The table's order is the
-merge order: the enabled branches' outputs, then the attended content
-vector, make the head's input, so reordering the table changes the layout a
-checkpoint's head weights were trained on and needs a `_CKPT_VERSION` bump.
+fields and the config flag that enables each field. Its conv widths and
+channels are the `<branch>_widths` and `<branch>_channels` keys of
+`ModelConfig`. A branch whose fields are all off is disabled and
+contributes nothing. The table's order is the merge order: the enabled
+branches' outputs, then the attended content vector, make the head's input,
+so reordering the table changes the layout a checkpoint's head weights were
+trained on and needs a `_CKPT_VERSION` bump.
 At the default (paper-scale) configuration the merged vector is 27104 long
 and the head follows the published halving size ladder.
 """
@@ -31,7 +33,7 @@ from .features import (DEMOGRAPHIC_DIM, SENTIMENT_CLASSES, SOCIAL_RAW_DIM, PCAMo
                        fit_social_pca, sentiment_feature, social_numerics, social_vector)
 from .hashtag_graph import (HashtagGraph, NodeEmbeddings, build_cooccurrence_graph,
                             hashtag_feature, node_embeddings)
-from .numeric import (ShapeError, conv1d_backward, conv1d_forward, dense_backward,
+from .numeric import (conv1d_backward, conv1d_forward, dense_backward,
                       dense_forward, dropout, dropout_backward, padded_index, relu,
                       relu_backward, uniform_params)
 from .providers import EmbeddingProvider, tokenize
@@ -53,33 +55,6 @@ BRANCH_LAYERS = 3  # conv-relu layers per branch
 PAPER_HEAD_SIZES = (13552, 6776, 3388, 1694, 847, 424, 212, 106, 53, 27, 13, 1)
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    """Three valid conv1d layers: per-layer widths and output channels.
-    `ModelConfig` checks them, naming the branch."""
-
-    widths: tuple[int, int, int]
-    channels: tuple[int, int, int]
-
-    def output_length(self, input_length: int) -> int:
-        length = input_length
-        for w in self.widths:
-            if w > length:
-                raise ShapeError(
-                    f"branch input of length {input_length} too short for widths {self.widths}")
-            length = length - w + 1
-        return length * self.channels[-1]
-
-
-# Chosen so the default configuration merges to exactly 27104 dims.
-PAPER_BRANCH_SPECS = {
-    "social": BranchSpec(widths=(1, 3, 3), channels=(1, 2, 4)),
-    "demographic": BranchSpec(widths=(3, 3, 3), channels=(1, 2, 4)),
-    "hashtag": BranchSpec(widths=(3, 5, 5), channels=(8, 16, 32)),
-    "sentiment": BranchSpec(widths=(1, 1, 3), channels=(1, 2, 4)),
-}
-
-
 def config_key(default, help: str):
     """A config field that is the configuration key of its name, with its --help text."""
     return field(default=default, metadata={"help": help})
@@ -90,7 +65,7 @@ ATTENTIONS = ("hga", "sa", "na")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every field but `branch_specs` is the configuration key of its name."""
+    """Every field is the configuration key of its name."""
 
     m: int = config_key(15, "max caption tokens")
     k: int = config_key(49, "image regions")
@@ -112,7 +87,16 @@ class ModelConfig:
     use_demographics: bool = config_key(True, "include demographic branch")
     use_sentiment_text: bool = config_key(True, "include caption sentiment block")
     use_sentiment_hashtags: bool = config_key(True, "include hashtag sentiment block")
-    branch_specs: dict = field(default_factory=lambda: dict(PAPER_BRANCH_SPECS))
+    # each branch's conv layers: chosen so the default merged vector is 27104 long
+    social_widths: tuple[int, ...] = config_key((1, 3, 3), "social branch conv widths")
+    social_channels: tuple[int, ...] = config_key((1, 2, 4), "social branch conv channels")
+    demographic_widths: tuple[int, ...] = config_key((3, 3, 3), "demographic branch conv widths")
+    demographic_channels: tuple[int, ...] = config_key((1, 2, 4),
+                                                       "demographic branch conv channels")
+    hashtag_widths: tuple[int, ...] = config_key((3, 5, 5), "hashtag branch conv widths")
+    hashtag_channels: tuple[int, ...] = config_key((8, 16, 32), "hashtag branch conv channels")
+    sentiment_widths: tuple[int, ...] = config_key((1, 1, 3), "sentiment branch conv widths")
+    sentiment_channels: tuple[int, ...] = config_key((1, 2, 4), "sentiment branch conv channels")
     head_sizes: tuple[int, ...] = config_key(PAPER_HEAD_SIZES,
                                              "comma-separated head sizes or 'paper'")
 
@@ -133,17 +117,13 @@ class ModelConfig:
         if len(self.head_sizes) < 3 or min(self.head_sizes) < 1 or self.head_sizes[-1] != 1:
             raise ValueError("head_sizes must be >= 3 sizes, each >= 1, ending in 1, "
                              f"got {self.head_sizes}")
-        if set(self.branch_specs) != set(BRANCHES):
-            raise ValueError(f"branch_specs must give one spec for each of {list(BRANCHES)}, "
-                             f"got {list(self.branch_specs)}")
-        for name, spec in self.branch_specs.items():
-            for key, values in ((f"{name}_widths", spec.widths),
-                                (f"{name}_channels", spec.channels)):
+        for name in BRANCHES:
+            for part, values in zip(("widths", "channels"), branch_layers(self, name)):
                 if len(values) != BRANCH_LAYERS or min(values) < 1:
-                    raise ValueError(f"{key} must be one value >= 1 for each of the "
+                    raise ValueError(f"{name}_{part} must be one value >= 1 for each of the "
                                      f"{BRANCH_LAYERS} conv layers, got {values}")
         for name in branch_fields(self):
-            widths, length = self.branch_specs[name].widths, branch_input_dim(self, name)
+            widths, length = branch_layers(self, name)[0], branch_input_dim(self, name)
             if length - sum(w - 1 for w in widths) < 1:
                 raise ValueError(f"{name}_widths must fit the {name} branch input of "
                                  f"length {length}, got {widths}")
@@ -161,12 +141,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["branch_specs"] = {
-            name: BranchSpec(widths=tuple(v["widths"]), channels=tuple(v["channels"]))
-            for name, v in d["branch_specs"].items()}
-        d["head_sizes"] = tuple(d["head_sizes"])
-        return cls(**d)
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
 
 def branch_fields(config: ModelConfig) -> dict[str, list[str]]:
@@ -180,6 +155,12 @@ def branch_fields(config: ModelConfig) -> dict[str, list[str]]:
     return out
 
 
+def branch_layers(config: ModelConfig, name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The conv widths and output channels of branch `name`: its
+    `<name>_widths` and `<name>_channels` keys."""
+    return getattr(config, f"{name}_widths"), getattr(config, f"{name}_channels")
+
+
 def branch_input_dim(config: ModelConfig, name: str) -> int:
     """Length of one post's input to the enabled branch `name`."""
     dims = {"f_social": config.pca_k, "f_demographic": config.demographic_dim,
@@ -190,8 +171,11 @@ def branch_input_dim(config: ModelConfig, name: str) -> int:
 
 def merged_length(config: ModelConfig) -> int:
     """Length of the merged feature vector; a pure function of the config."""
-    return sum(config.branch_specs[name].output_length(branch_input_dim(config, name))
-               for name in branch_fields(config)) + (config.d if config.use_content else 0)
+    length = config.d if config.use_content else 0
+    for name in branch_fields(config):
+        widths, channels = branch_layers(config, name)
+        length += (branch_input_dim(config, name) - sum(w - 1 for w in widths)) * channels[-1]
+    return length
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -204,9 +188,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         if config.attention in ("hga", "sa"):
             shapes.update(att.attention_param_shapes(config.d, config.a))
     for name in branch_fields(config):
-        spec = config.branch_specs[name]
         ch_in = 1
-        for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
+        for i, (w, ch_out) in enumerate(zip(*branch_layers(config, name))):
             shapes[f"branch.{name}.conv{i}.filters"] = (ch_out, w, ch_in)
             shapes[f"branch.{name}.conv{i}.bias"] = (ch_out,)
             ch_in = ch_out
@@ -574,11 +557,11 @@ def batch_loss_and_grads(batch: FeatureBundle, params: dict, config: ModelConfig
 # checkpoint serialization
 #
 # A checkpoint is an uncompressed numpy .npz archive (a zip file) with the
-# members `version`, `config` (the to_dict() JSON), `names` (the parameter
-# names in order) and one `param/<name>` per parameter array. Zip's CRC-32
-# on each member catches corrupt bytes.
+# members `version`, `config` (the to_dict() JSON: each config key and its
+# value), `names` (the parameter names in order) and one `param/<name>` per
+# parameter array. Zip's CRC-32 on each member catches corrupt bytes.
 
-_CKPT_VERSION = 4
+_CKPT_VERSION = 5
 # What numpy and zipfile raise on an archive they cannot decode.
 _DECODE_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError,
                   TypeError, RuntimeError, NotImplementedError, TokenError)

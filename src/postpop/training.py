@@ -338,8 +338,8 @@ def correlate_features(ds: Dataset, caches: FeatureCaches | None = None,
     """Spearman correlation of each feature with popularity.
 
     Scalar metadata features enter directly; the vector features (hashtag,
-    sentiment, demographic) are summarized by their Euclidean norm.
-    Constant features get NaN.
+    sentiment, demographic) are summarized by their Euclidean norm, over
+    posts featurized `SCORE_BATCH` at a time. Constant features get NaN.
     """
     config = config or ModelConfig()
     if caches is None:
@@ -354,14 +354,16 @@ def correlate_features(ds: Dataset, caches: FeatureCaches | None = None,
     meta = np.array(meta, dtype=np.float64)
     for j, name in enumerate(SCALAR_FEATURES[9:]):
         columns[name] = meta[:, j]
-    batch = extract_features(ds.posts, caches, config)
-    # per row: an axis-wise norm rounds differently
-    columns["hashtag_feature"] = np.array([np.linalg.norm(v) for v in batch.f_hashtag])
-    columns["sentiment_feature"] = np.array(
-        [np.linalg.norm(v) for v in np.concatenate(
-            [batch.f_sentiment_text, batch.f_sentiment_hashtags], axis=1)])
-    columns["demographic_feature"] = np.array(
-        [np.linalg.norm(v) for v in batch.f_demographic])
+    norms = {"hashtag_feature": [], "sentiment_feature": [], "demographic_feature": []}
+    for start in range(0, len(ds), SCORE_BATCH):
+        batch = extract_features(ds.posts[start:start + SCORE_BATCH], caches, config)
+        # per row: an axis-wise norm rounds differently
+        norms["hashtag_feature"] += [np.linalg.norm(v) for v in batch.f_hashtag]
+        norms["sentiment_feature"] += [np.linalg.norm(v) for v in np.concatenate(
+            [batch.f_sentiment_text, batch.f_sentiment_hashtags], axis=1)]
+        norms["demographic_feature"] += [np.linalg.norm(v) for v in batch.f_demographic]
+        del batch  # before the next chunk's features, so one chunk's are held at a time
+    columns.update((name, np.array(v)) for name, v in norms.items())
     out = []
     for name, col in columns.items():
         if np.all(col == col[0]) or np.all(y == y[0]):

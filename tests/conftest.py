@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from postpop.data import Post, PostMetadata
-from postpop.model import (_INPUT_FIELDS, BRANCHES, BranchSpec, FeatureBundle,
-                           ModelConfig, forward_bundle, loss_mse)
+from postpop.model import (_INPUT_FIELDS, BRANCHES, FeatureBundle, ModelConfig,
+                           forward_bundle, loss_mse)
 from postpop.providers import EmbeddingProvider, tokenize
 
 
@@ -14,8 +14,7 @@ def tiny_config(**overrides) -> ModelConfig:
         topic_dim=8, structure_dim=4, pca_k=4,
         demographic_mode="ordinal",
         attention="hga",
-        branch_specs={name: BranchSpec(widths=(2, 2, 2), channels=(2, 2, 2))
-                      for name in BRANCHES},
+        **{f"{name}_{part}": (2, 2, 2) for name in BRANCHES for part in ("widths", "channels")},
         head_sizes=(8, 4, 1),
     )
     base.update(overrides)

@@ -111,8 +111,6 @@ class TestTopLevel:
         lines = {line.split()[0]: line for line in out.splitlines()
                  if line.startswith("  ") and line.split()[0] in DEFAULTS}
         for f in fields(ModelConfig) + fields(TrainConfig):
-            if f.name == "branch_specs":
-                continue
             help_text, default = f.metadata["help"], DEFAULTS[f.name][1]
             assert lines[f.name].endswith(f" {help_text} (default: {default!r})"), f.name
             assert DEFAULTS[f.name][0](default) == f.default, f.name
@@ -174,13 +172,18 @@ class TestTrain:
         assert h1 == h2
 
 
-    def test_lexicon_class_out_of_range_exits_two_naming_the_word(self, workspace, capsys):
+    @pytest.mark.parametrize("line,message", [
+        ("zorblax\t7", "class 7 for 'zorblax' outside 0..4"),
+        ("zorblax", "lexicon.tsv:3: expected word<TAB>class, got 'zorblax'"),
+        ("zorblax\tx", "lexicon.tsv:3: expected word<TAB>class, got 'zorblax\\tx'"),
+    ], ids=["class-out-of-range", "no-tab", "non-integer-class"])
+    def test_bad_lexicon_line_exits_two_naming_it(self, workspace, capsys, line, message):
         tmp, cfg = workspace
         lexicon = tmp / "lexicon.tsv"
-        lexicon.write_text("# word<TAB>class\nsunny\t4\nzorblax\t7\n")
+        lexicon.write_text(f"# word<TAB>class\nsunny\t4\n{line}\n")
         code, _, err = run_cli(["--config", str(cfg), "--set", f"lexicon={lexicon}",
                                 "train"], capsys)
-        assert code == 2 and "class 7 for 'zorblax' outside 0..4" in err
+        assert code == 2 and message in err, err
         assert "Traceback" not in err
         assert not (tmp / "model.ckpt").exists()
 
@@ -465,6 +468,24 @@ class TestEvaluate:
         code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
         assert code == 2 and "unsupported checkpoint version 3" in err
         assert "re-train" in err and "Traceback" not in err
+
+    def test_format4_checkpoint_exits_two_asking_to_retrain(self, workspace, capsys):
+        # format 4 nested each branch's shapes in one object of its config
+        tmp, cfg = workspace
+        run_cli(["--config", str(cfg), "train"], capsys)
+        ckpt = tmp / "model.ckpt"
+        with np.load(ckpt) as archive:
+            members = {name: archive[name] for name in archive.files}
+        config = json.loads(str(members["config"]))
+        config["branch_specs"] = {
+            name: {part: config.pop(f"{name}_{part}") for part in ("channels", "widths")}
+            for name in ("social", "demographic", "hashtag", "sentiment")}
+        members.update(version=np.array(4), config=np.array(json.dumps(config, sort_keys=True)))
+        with ckpt.open("wb") as fh:
+            np.savez(fh, **members)
+        code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
+        assert code == 2 and "unsupported checkpoint version 4; re-train it" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt"])
     def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):

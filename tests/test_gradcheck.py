@@ -35,8 +35,7 @@ DESK = model_config_from(resolve_config(Path(__file__).parents[1] / "configs" / 
 # forwards. Its branches have one channel; with its parameters and inputs in
 # [0, 1], no relu layer dies whole, which would leave a check vacuous.
 MICRO = tiny_config(k=2, d=2, a=2, n=3, topic_dim=2, structure_dim=2,
-                    branch_specs={name: model.BranchSpec(widths=(2, 2, 2), channels=(1, 1, 1))
-                                  for name in model.BRANCHES},
+                    **{f"{name}_channels": (1, 1, 1) for name in model.BRANCHES},
                     head_sizes=(3, 2, 1))
 HEAD = replace(MICRO, head_sizes=(5, 4, 1))
 # distinct dimensions: a transposed or misrouted gradient has the wrong shape
@@ -103,13 +102,14 @@ def branch_row(name):
     """One desk branch spec; the demographic input is sparse 0/1, as its
     one-hot face encodings are."""
     length = model.branch_input_dim(DESK, name)
+    widths, channels = model.branch_layers(DESK, name)
     shapes = shapes_of(DESK, f"branch.{name}.")
 
     def make(rng, lead, hole):
         params = numeric.uniform_params(rng, shapes)
         f = (rng.random((*lead, length)) < 0.1) * 1.0 if name == "demographic" \
             else normal(rng, *lead, length)
-        r = normal(rng, *lead, DESK.branch_specs[name].output_length(length))
+        r = normal(rng, *lead, (length - sum(w - 1 for w in widths)) * channels[-1])
         return {"f": f, "r": r, **params}
 
     return Row(f"branch-{name}", ("model.branch_backward",), make,

@@ -16,7 +16,7 @@ from postpop import streams
 from postpop.corpora import make_sample_corpus
 from postpop.data import Dataset, FaceAnnotation, load_dataset
 from postpop.features import SentimentLexicon, apply_pca, social_vector
-from postpop.model import (BRANCHES, BranchSpec, CheckpointError, ModelConfig,
+from postpop.model import (BRANCHES, CheckpointError, ModelConfig,
                            PAPER_HEAD_SIZES, backward_bundle,
                            batch_loss_and_grads, branch_backward, branch_fields,
                            branch_forward, branch_input_dim,
@@ -94,15 +94,10 @@ class TestBranch:
         assert len(grads) == 2 * len(cache)
 
     def test_output_length_validation(self):
-        spec = BranchSpec(widths=(3, 3, 3), channels=(1, 1, 2))
-        assert spec.output_length(10) == 4 * 2
-        with pytest.raises(Exception):
-            spec.output_length(5)
-        # the configuration checks each spec, naming its branch
+        # the configuration checks each branch's layers, naming its key
         for widths, channels in (((3, 3), (1, 2)), ((1, 1, 1, 1), (1, 1, 1, 1))):
-            bad = BranchSpec(widths=widths, channels=channels)
             with pytest.raises(ValueError, match="hashtag_widths .*3 conv layers"):
-                tiny_config(branch_specs={**tiny_config().branch_specs, "hashtag": bad})
+                tiny_config(hashtag_widths=widths, hashtag_channels=channels)
 
 
 def reference_init_model_params(config, seed=0, dtype=np.float64, scale=1.0):
@@ -117,9 +112,9 @@ def reference_init_model_params(config, seed=0, dtype=np.float64, scale=1.0):
             shapes += [("att.Ut", (d, a)), ("att.Vt", (d, a)), ("att.wt", (a,)),
                        ("att.Ui", (d, a)), ("att.Vi", (d, a)), ("att.wi", (a,))]
     for name in branch_fields(config):
-        spec = config.branch_specs[name]
+        widths, channels = getattr(config, f"{name}_widths"), getattr(config, f"{name}_channels")
         ch_in = 1
-        for i, (w, ch_out) in enumerate(zip(spec.widths, spec.channels)):
+        for i, (w, ch_out) in enumerate(zip(widths, channels)):
             shapes += [(f"branch.{name}.conv{i}.filters", (ch_out, w, ch_in)),
                        (f"branch.{name}.conv{i}.bias", (ch_out,))]
             ch_in = ch_out
@@ -130,18 +125,16 @@ def reference_init_model_params(config, seed=0, dtype=np.float64, scale=1.0):
     return {name: uniform_param(rng, shape, scale, dtype) for name, shape in shapes}
 
 
-# The `config` member of a format-4 checkpoint trained on configs/desk.cfg.
+# The `config` member of a format-5 checkpoint trained on configs/desk.cfg.
 DESK_CONFIG_JSON = (
-    '{"a": 8, "attention": "hga", "branch_specs": {'
-    '"demographic": {"channels": [2, 2, 4], "widths": [3, 3, 3]}, '
-    '"hashtag": {"channels": [2, 2, 2], "widths": [2, 2, 2]}, '
-    '"sentiment": {"channels": [2, 2, 2], "widths": [2, 2, 2]}, '
-    '"social": {"channels": [4, 4, 4], "widths": [2, 2, 2]}}, '
-    '"d": 8, "demographic_mode": "onehot", "embed_seed": 0, "graph_base_dim": 16, '
-    '"graph_hops": 2, "head_sizes": [16, 8, 1], "k": 4, "l": 4, "m": 6, "n": 8, '
-    '"pca_k": 6, "structure_dim": 4, "topic_dim": 8, "use_content": true, '
-    '"use_demographics": true, "use_hashtags": true, "use_sentiment_hashtags": true, '
-    '"use_sentiment_text": true, "use_social": true}')
+    '{"a": 8, "attention": "hga", "d": 8, "demographic_channels": [2, 2, 4], '
+    '"demographic_mode": "onehot", "demographic_widths": [3, 3, 3], "embed_seed": 0, '
+    '"graph_base_dim": 16, "graph_hops": 2, "hashtag_channels": [2, 2, 2], '
+    '"hashtag_widths": [2, 2, 2], "head_sizes": [16, 8, 1], "k": 4, "l": 4, "m": 6, '
+    '"n": 8, "pca_k": 6, "sentiment_channels": [2, 2, 2], "sentiment_widths": [2, 2, 2], '
+    '"social_channels": [4, 4, 4], "social_widths": [2, 2, 2], "structure_dim": 4, '
+    '"topic_dim": 8, "use_content": true, "use_demographics": true, "use_hashtags": true, '
+    '"use_sentiment_hashtags": true, "use_sentiment_text": true, "use_social": true}')
 
 INIT_CONFIGS = {
     "desk": REPO / "configs" / "desk.cfg",
@@ -179,11 +172,10 @@ class TestMergeAndConfig:
         cfg = tiny_config(use_demographics=False)
         bundle = stack([random_bundle(rng, cfg) for _ in range(3)])
         _, fcache = forward_bundle(bundle, init_model_params(cfg, seed=0), cfg)
-        want = [cfg.branch_specs[name].output_length(branch_input_dim(cfg, name))
-                for name in branch_fields(cfg)] + [cfg.d]
         # three width-2 layers take 3 off each input (4, 12 and 10 long), and
         # each branch ends in 2 channels
-        assert fcache.widths == want == [1 * 2, 9 * 2, 7 * 2, cfg.d]
+        want = [1 * 2, 9 * 2, 7 * 2, cfg.d]
+        assert fcache.widths == want
         assert fcache.head_cache[0][0].shape == (3, sum(want)) == (3, merged_length(cfg))
 
     def test_head_input_is_the_paper_layout(self):
@@ -220,17 +212,11 @@ class TestMergeAndConfig:
             assert list(dict.fromkeys(name.split(".")[1] for name in model_mod.param_shapes(cfg)
                                       if name.startswith("branch."))) == order
 
-    def test_branch_specs_must_name_the_branches(self):
-        specs = tiny_config().branch_specs
-        for bad in ({}, {**specs, "typo": specs["social"]},
-                    {name: spec for name, spec in specs.items() if name != "hashtag"}):
-            with pytest.raises(ValueError, match="one spec for each of"):
-                tiny_config(branch_specs=bad)
-
     def test_toggle_changes_merged_length_exactly(self):
         cfg = tiny_config()
         off = tiny_config(use_demographics=False)
-        demo_len = cfg.branch_specs["demographic"].output_length(cfg.demographic_dim)
+        # three width-2 layers take 3 off the input, and 2 channels end it
+        demo_len = (cfg.demographic_dim - 3) * 2
         assert merged_length(cfg) - merged_length(off) == demo_len
 
     def test_sentiment_toggles_shrink_input(self):
@@ -264,7 +250,7 @@ class TestMergeAndConfig:
         # change to this text needs a `_CKPT_VERSION` bump
         desk = model_config_from(resolve_config(REPO / "configs" / "desk.cfg"))
         blob = json.dumps(desk.to_dict(), sort_keys=True)
-        assert blob == DESK_CONFIG_JSON and model_mod._CKPT_VERSION == 4
+        assert blob == DESK_CONFIG_JSON and model_mod._CKPT_VERSION == 5
         assert ModelConfig.from_dict(json.loads(blob)) == desk
 
 

@@ -9,8 +9,8 @@ from conftest import make_post, pass_requests, tiny_config
 import postpop.training as training_mod
 from postpop.corpora import make_linear_social_corpus, make_sample_corpus
 from postpop.data import Dataset, split_dataset
-from postpop.model import (BRANCHES, BranchSpec, ModelConfig, build_caches,
-                           extract_dataset, init_model_params)
+from postpop.model import (BRANCHES, ModelConfig, build_caches, extract_dataset,
+                           init_model_params)
 from postpop.numeric import uniform_param
 from postpop.providers import tokenize
 from postpop.training import (SCORE_BATCH, AdamState, Checkpoint, TrainConfig,
@@ -235,11 +235,10 @@ class TestMetrics:
 
 
 def small_social_config(**over):
-    spec = BranchSpec(widths=(2, 2, 2), channels=(4, 4, 4))
     base = dict(pca_k=6, use_content=False, use_hashtags=False,
                 use_demographics=False, use_sentiment_text=False,
                 use_sentiment_hashtags=False,
-                branch_specs={n: spec for n in BRANCHES},
+                **{f"{n}_channels": (4, 4, 4) for n in BRANCHES},
                 head_sizes=(16, 8, 1))
     base.update(over)
     return tiny_config(**base)
@@ -505,6 +504,21 @@ class TestCorrelateFeatures:
             null.append(abs(spearman(x, rng.permutation(y))))
         assert abs(srcc) < 0.3
         assert abs(srcc) <= np.quantile(null, 0.999) + 0.05
+
+    def test_featurizes_one_chunk_at_a_time(self, monkeypatch):
+        cfg = tiny_config()
+        ds = make_sample_corpus(n=150, seed=6)
+        caches = build_caches(ds.posts, cfg)
+        monkeypatch.setattr(training_mod, "SCORE_BATCH", len(ds) + 1)
+        whole = correlate_features(ds, caches, cfg)
+        monkeypatch.undo()
+        sizes = []
+        real = training_mod.extract_features
+        monkeypatch.setattr(training_mod, "extract_features",
+                            lambda d, c, m: sizes.append(len(d)) or real(d, c, m))
+        got = correlate_features(ds, caches, cfg)
+        assert max(sizes) <= SCORE_BATCH and sum(sizes) == len(ds)
+        assert repr(got) == repr(whole)  # bitwise, NaNs included
 
 
 class TestAblate:
