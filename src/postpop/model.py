@@ -19,7 +19,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field, fields, asdict
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from pathlib import Path
 from tokenize import TokenError
 
@@ -101,6 +101,9 @@ class ModelConfig:
                                              "comma-separated head sizes or 'paper'")
 
     def __post_init__(self):
+        for f in fields(self):  # a list for a tuple field is stored as the tuple
+            if type(f.default) is tuple:
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         for name in ("m", "k", "l", "d", "a", "n", "topic_dim", "structure_dim",
                      "graph_base_dim", "graph_hops"):
             if getattr(self, name) < 1:
@@ -135,13 +138,6 @@ class ModelConfig:
     @property
     def hashtag_dim(self) -> int:
         return self.topic_dim + self.structure_dim
-
-    def to_dict(self) -> dict:
-        return asdict(self)  # json.dumps writes its tuples as lists
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
 
 def branch_fields(config: ModelConfig) -> dict[str, list[str]]:
@@ -557,9 +553,9 @@ def batch_loss_and_grads(batch: FeatureBundle, params: dict, config: ModelConfig
 # checkpoint serialization
 #
 # A checkpoint is an uncompressed numpy .npz archive (a zip file) with the
-# members `version`, `config` (the to_dict() JSON: each config key and its
-# value), `names` (the parameter names in order) and one `param/<name>` per
-# parameter array. Zip's CRC-32 on each member catches corrupt bytes.
+# members `version`, `config` (the JSON of `asdict(config)`), `names` (the
+# parameter names in order) and one `param/<name>` per parameter array, each
+# as `param_shapes(config)` gives it. Zip's CRC-32 on each member catches corrupt bytes.
 
 _CKPT_VERSION = 5
 # What numpy and zipfile raise on an archive they cannot decode.
@@ -584,7 +580,7 @@ def save_checkpoint(params: dict, config: ModelConfig, path) -> None:
     try:
         with open(tmp, "wb") as fh:
             np.savez(fh, version=np.array(_CKPT_VERSION),
-                     config=np.array(json.dumps(config.to_dict(), sort_keys=True)),
+                     config=np.array(json.dumps(asdict(config), sort_keys=True)),
                      names=np.array(names),
                      **{f"param/{name}": params[name] for name in names})
             fh.flush()
@@ -617,15 +613,19 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None):
             raise CheckpointError(f"corrupt checkpoint {path}: {e!r}") from e
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}; re-train it")
-    if (len(set(names)) != len(names) or set(members) !=
-            {"version", "config", "names", *(f"param/{name}" for name in names)}):
+    if set(members) != {"version", "config", "names", *(f"param/{name}" for name in names)}:
         raise CheckpointError(f"checkpoint members do not match its parameter names: {path}")
     try:
-        config = ModelConfig.from_dict(json.loads(blob))
+        config = ModelConfig(**json.loads(blob))
     except (ValueError, TypeError, KeyError, AttributeError) as e:
         raise CheckpointError(f"unreadable checkpoint configuration: {e!r}") from e
+    for i, (got, want) in enumerate(zip_longest(  # each parameter as its config gives it
+            ((name, members[f"param/{name}"].shape) for name in names),
+            param_shapes(config).items())):
+        if got != want:
+            raise CheckpointError(f"checkpoint parameter {i} is {got or 'missing'}, but its "
+                                  f"configuration's is {want or 'none'}: {path} is corrupt")
     if expected_config is not None and config != expected_config:
-        raise CheckpointError(
-            "checkpoint was trained under a different configuration; "
-            "re-train or pass the matching config")
+        raise CheckpointError("checkpoint was trained under a different configuration; "
+                              "re-train or pass the matching config")
     return {name: members[f"param/{name}"] for name in names}, config

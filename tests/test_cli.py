@@ -90,6 +90,10 @@ class TestConfigResolution:
         cfg.write_text("batch_size=5\n")
         rc = resolve_config(cfg, {"batch_size": "7"})
         assert rc["batch_size"] == 7
+        for spellings, value in ((("true", "1", "yes", "YES"), True),
+                                 (("false", "0", "no", "No"), False)):
+            for s in spellings:
+                assert resolve_config(cfg, {"use_social": s})["use_social"] is value, s
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_resolves(self, path):
@@ -487,7 +491,8 @@ class TestEvaluate:
         assert code == 2 and "unsupported checkpoint version 4; re-train it" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt"])
+    @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt", "no head.dense0.b",
+                                        "head.dense0.W cut", "head.dense2.b twice"])
     def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):
         tmp, cfg = workspace
         run_cli(["--config", str(cfg), "train"], capsys)
@@ -497,12 +502,28 @@ class TestEvaluate:
             ckpt.unlink()
         elif damage == "format2":
             ckpt.write_bytes(b"PPCKPT1\n" + (2).to_bytes(4, "little") + bytes(raw[12:]))
-        else:
+        elif damage == "corrupt":
             raw[len(raw) // 2] ^= 0xFF  # inside a parameter array
             ckpt.write_bytes(bytes(raw))
+        else:  # re-saved with arrays that its config does not give
+            with np.load(ckpt) as archive:
+                members = {name: archive[name] for name in archive.files}
+            names = list(members.pop("names"))
+            if damage == "no head.dense0.b":
+                names.remove("head.dense0.b")
+                del members["param/head.dense0.b"]
+            elif damage == "head.dense0.W cut":
+                members["param/head.dense0.W"] = members["param/head.dense0.W"][:, :3]
+            else:
+                names.append("head.dense2.b")
+            with ckpt.open("wb") as fh:
+                np.savez(fh, names=np.array(names), **members)
         code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
         assert code == 2 and err.startswith("postpop: error:")
         assert "Traceback" not in err
+        if "head." in damage:  # the message names the parameter
+            name = next(word for word in damage.split() if word.startswith("head."))
+            assert f"'{name}'" in err and "is corrupt" in err, err
 
 
 class TestAblate:

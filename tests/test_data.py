@@ -214,7 +214,7 @@ class TestLoad:
     def test_duplicate_post_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [record("p0"), record("p0")])
-        with pytest.raises(CorpusError, match="duplicate"):
+        with pytest.raises(CorpusError, match="duplicate post_id 'p0' in "):
             load_dataset(path)
 
     def test_missing_file(self, tmp_path):
@@ -276,9 +276,10 @@ class TestLoad:
         path = tmp_path / "c.jsonl"
         bad = record("p1", faces=[{"gender": "male", "age": 130,
                                    "emotion": "neutral", "race": "white"}])
-        write_lines(path, [record("p0"), bad])
+        oldest = record("p2", faces=[{**FACE, "age": 100}])
+        write_lines(path, [record("p0"), bad, oldest])
         ds, skipped = load_dataset(path)
-        assert len(ds) == 1 and skipped == 1
+        assert len(ds) == 2 and skipped == 1 and ds.posts[1].faces[0].age == 100
 
     def test_nonfinite_popularity_is_malformed(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -327,6 +328,7 @@ MALFORMED_LINES = {
     "no popularity": malformed(popularity=...),
     "face age inf": malformed(faces=[{**FACE, "age": math.inf}]),
     "face age 130": malformed(faces=[{**FACE, "age": 130}]),
+    "face age 101": malformed(faces=[{**FACE, "age": 101}]),  # 2 + 101 is an emotion slot
     "face age 99.7": malformed(faces=[{**FACE, "age": 99.7}]),
     "face age '7'": malformed(faces=[{**FACE, "age": "7"}]),
     "face emotion joyful": malformed(faces=[{**FACE, "emotion": "joyful"}]),
@@ -425,6 +427,7 @@ MALFORMED_REASONS = {
     "empty object": "missing field 'metadata'",
     "face a list": "faces: must be a list of objects",
     "face age '7'": "faces: age must be an integer, not '7'",
+    "face age 101": "faces: age 101 outside [0, 100]",
     "face age 130": "faces: age 130 outside [0, 100]",
     "face age 30.0": "faces: age must be an integer, not 30.0",
     "face age 99.7": "faces: age must be an integer, not 99.7",

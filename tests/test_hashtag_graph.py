@@ -293,16 +293,6 @@ def feature(posts, emb: NodeEmbeddings, topic_rows) -> np.ndarray:
     return hashtag_feature(emb, index, known, topic_rows, lengths)
 
 
-def structural_embedding(post, emb, dim):
-    """The structure part: past the one-wide topic part of zeros."""
-    return feature([post], node_table(emb, dim), np.zeros((1, len(post.hashtags), 1)))[0, 1:]
-
-
-def topic_embedding(post, provider, dim):
-    """The topic part: before the one-wide structure part."""
-    return feature([post], node_table({}, 1), topic_rows([post], provider, dim))[0, :-1]
-
-
 class TestNodeIndex:
     def test_nodes_lacking_and_padding(self):
         emb = node_table({"a": np.ones(2), "b": np.zeros(2)}, 2)
@@ -323,50 +313,24 @@ class TestNodeIndex:
 
 
 class TestStructuralEmbedding:
-    def test_no_hashtags_zero_vector(self):
-        post = make_post(hashtags=())
-        assert np.array_equal(structural_embedding(post, {}, dim=5), np.zeros(5))
-
-    def test_two_tags_mean(self):
-        u, v = np.arange(4.0), np.ones(4)
-        post = make_post(hashtags=("a", "b"))
-        out = structural_embedding(post, {"a": u, "b": v}, dim=4)
-        assert np.allclose(out, (u + v) / 2.0)
-
-    def test_single_tag_is_its_embedding(self):
-        u = np.array([1.0, -2.0, 0.5])
-        post = make_post(hashtags=("a",))
-        assert np.allclose(structural_embedding(post, {"a": u}, dim=3), u)
-
-    def test_unknown_tags_skipped(self):
-        u = np.ones(3)
-        post = make_post(hashtags=("a", "mystery"))
-        assert np.allclose(structural_embedding(post, {"a": u}, dim=3), u)
-        post_all_unknown = make_post(hashtags=("mystery",))
-        assert np.array_equal(structural_embedding(post_all_unknown, {"a": u}, dim=3),
-                              np.zeros(3))
-
     def test_order_invariance(self, provider):
-        emb = {"a": np.arange(3.0), "b": np.ones(3), "c": -np.ones(3)}
-        p1 = make_post(hashtags=("a", "b", "c"))
-        p2 = make_post(hashtags=("c", "a", "b"))
-        assert np.allclose(structural_embedding(p1, emb, 3),
-                           structural_embedding(p2, emb, 3))
+        emb = node_table({"a": np.arange(3.0), "b": np.ones(3), "c": -np.ones(3)}, 3)
+        posts = [make_post(hashtags=("a", "b", "c")), make_post(hashtags=("c", "a", "b"))]
+        hf = feature(posts, emb, np.zeros((2, 3, 1)))  # a one-wide topic part of zeros
+        assert np.allclose(hf[0, 1:], hf[1, 1:])
 
 
-class TestTopicEmbedding:
-    def test_no_hashtags_zero(self, provider):
-        assert np.array_equal(topic_embedding(make_post(hashtags=()), provider, 8),
-                              np.zeros(8))
-
+class TestTopicEmbedding:  # the topic part, before the one-wide structure part
     def test_single_tag(self, provider):
-        out = topic_embedding(make_post(hashtags=("sun",)), provider, 8)
-        assert np.array_equal(out, provider.vector("sun", 8))
+        post = make_post(hashtags=("sun",))
+        hf = feature([post], node_table({}, 1), topic_rows([post], provider, 8))
+        assert np.array_equal(hf[0, :-1], provider.vector("sun", 8))
 
     def test_two_tags_average(self, provider):
-        out = topic_embedding(make_post(hashtags=("sun", "sea")), provider, 8)
+        post = make_post(hashtags=("sun", "sea"))
+        hf = feature([post], node_table({}, 1), topic_rows([post], provider, 8))
         expect = (provider.vector("sun", 8) + provider.vector("sea", 8)) / 2.0
-        assert np.allclose(out, expect, atol=1e-12)
+        assert np.allclose(hf[0, :-1], expect, atol=1e-12)
 
 
 class TestHashtagFeature:

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import zipfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,16 +242,21 @@ class TestMergeAndConfig:
         assert PAPER_HEAD_SIZES == (13552, 6776, 3388, 1694, 847, 424, 212,
                                     106, 53, 27, 13, 1)
 
-    def test_config_round_trip(self):
+    def test_config_round_trip(self, tmp_path):
         cfg = tiny_config(attention="sa", use_social=False)
-        back = ModelConfig.from_dict(cfg.to_dict())
-        assert back == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
+        # a list given for a tuple field is stored as the tuple
+        listed = tiny_config(**{f.name: list(getattr(cfg, f.name)) for f in fields(cfg)
+                                if type(f.default) is tuple}, attention="sa", use_social=False)
+        assert listed == cfg and hash(listed) == hash(cfg)
+        save_checkpoint(init_model_params(listed), listed, tmp_path / "model.ckpt")
+        assert load_checkpoint(tmp_path / "model.ckpt", expected_config=cfg)[1] == cfg
         # the desk config as a checkpoint's `config` member stores it: a
         # change to this text needs a `_CKPT_VERSION` bump
         desk = model_config_from(resolve_config(REPO / "configs" / "desk.cfg"))
-        blob = json.dumps(desk.to_dict(), sort_keys=True)
+        blob = json.dumps(asdict(desk), sort_keys=True)
         assert blob == DESK_CONFIG_JSON and model_mod._CKPT_VERSION == 5
-        assert ModelConfig.from_dict(json.loads(blob)) == desk
+        assert ModelConfig(**json.loads(blob)) == desk
 
 
 class TestHead:
@@ -770,29 +775,30 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[start + size // 2] ^= 0x01  # inside the config JSON
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="corrupt"):
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("members", [
         {"extra": np.zeros(2)},  # a member `names` does not list
-        {"param/b": None},  # a listed parameter missing
+        {"param/head.dense2.b": None},  # a listed parameter missing
     ])
     def test_members_must_match_names(self, tmp_path, members):
         cfg = tiny_config()
+        params = init_model_params(cfg)
         arrays = {"version": np.array(model_mod._CKPT_VERSION),
-                  "config": np.array(json.dumps(cfg.to_dict(), sort_keys=True)),
-                  "names": np.array(["w", "b"]),
-                  "param/w": np.zeros((2, 3)), "param/b": np.zeros(4)}
+                  "config": np.array(json.dumps(asdict(cfg), sort_keys=True)),
+                  "names": np.array(list(params)),
+                  **{f"param/{name}": arr for name, arr in params.items()}}
         arrays.update(members)
         path = tmp_path / "model.ckpt"
         with open(path, "wb") as fh:
             np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
-        with pytest.raises(CheckpointError, match="members"):
+        with pytest.raises(CheckpointError, match="checkpoint members do not match"):
             load_checkpoint(path)
 
     def test_invalid_stored_configuration_rejected(self, tmp_path):
         # the JSON decodes, but ModelConfig rejects what it holds
-        stored = {**tiny_config().to_dict(), "attention": "xyz"}
+        stored = {**asdict(tiny_config()), "attention": "xyz"}
         path = tmp_path / "model.ckpt"
         with open(path, "wb") as fh:
             np.savez(fh, version=np.array(model_mod._CKPT_VERSION),
@@ -812,8 +818,9 @@ class TestCheckpoint:
                 load_checkpoint(cut)
 
     def test_every_byte_flip_rejected_or_harmless(self, tmp_path):
-        cfg = tiny_config()
-        params = two_array_params()
+        cfg = tiny_config(use_content=False, use_social=False, use_hashtags=False,
+                          use_sentiment_text=False, use_sentiment_hashtags=False)
+        params = init_model_params(cfg, seed=9)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, path)
         raw = path.read_bytes()

@@ -73,10 +73,11 @@ class TestAdam:
                 v_hat = v / (1 - b2 ** t)
                 params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        shapes = {"w": (3, 2), "one": (1,), "cube": (2, 1, 3), "b": (5,)}
+        shapes = {"w": (3, 2), "one": (1,), "cube": (2, 1, 3), "b": (5,), "zero": (40,)}
         init = np.random.default_rng(0)
         store = {name: uniform_param(init, shape, dtype=dtype)
                  for name, shape in shapes.items()}
+        store["zero"][:] = 0  # its first step is the update itself, every bit of it
         reference = {name: store[name].copy() for name in shapes}
         state, ref_state = AdamState(), {"t": 0}
         draw = np.random.default_rng(1)
