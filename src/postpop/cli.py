@@ -231,6 +231,9 @@ def cmd_evaluate(rc: dict, split: str) -> int:
 
 
 def cmd_ablate(rc: dict, variants: list[str], seeds: list[int]) -> int:
+    for flag, values in (("--variant", variants), ("--seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"{flag} {max(values, key=values.count)} is given twice")
     config = model_config_from(rc)
     tc = train_config_from(rc)
     ds = _load_corpus(rc)

@@ -88,6 +88,8 @@ class SentimentLexicon:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: expected word<TAB>class, "
                                      f"got {line!r}") from None
+                if not 0 <= table[word] <= 4:
+                    raise ValueError(f"{path}:{lineno}: class {int(c)} for {word!r} outside 0..4")
         return cls(table)
 
     @classmethod

@@ -60,6 +60,17 @@ def config_key(default, help: str):
     return field(default=default, metadata={"help": help})
 
 
+def typed_fields(config) -> None:
+    """Store each field of a config dataclass as its default's type, or raise."""
+    for f in fields(config):  # an integer may be numpy's; a bool is never a number
+        kind, value = type(f.default), getattr(config, f.name)
+        vals = tuple(value) if kind is tuple else (value,)
+        takes = {float: (int, np.integer, float), str: str}.get(kind, (int, np.integer))
+        if any(isinstance(v, bool) != (kind is bool) or not isinstance(v, takes) for v in vals):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        object.__setattr__(config, f.name, tuple(map(int, vals)) if kind is tuple else kind(value))
+
+
 ATTENTIONS = ("hga", "sa", "na")
 
 
@@ -101,9 +112,7 @@ class ModelConfig:
                                              "comma-separated head sizes or 'paper'")
 
     def __post_init__(self):
-        for f in fields(self):  # a list for a tuple field is stored as the tuple
-            if type(f.default) is tuple:
-                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        typed_fields(self)
         for name in ("m", "k", "l", "d", "a", "n", "topic_dim", "structure_dim",
                      "graph_base_dim", "graph_hops"):
             if getattr(self, name) < 1:

@@ -18,7 +18,7 @@ from .data import Dataset, split_dataset
 from .features import SOCIAL_NUMERICS, SentimentLexicon, social_numerics
 from .model import (ATTENTIONS, FeatureBundle, FeatureCaches, ModelConfig,
                     batch_loss_and_grads, build_caches, config_key, extract_features,
-                    forward_bundle, init_model_params)
+                    forward_bundle, init_model_params, typed_fields)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class TrainConfig:
     seed: int = config_key(0, "training seed (init, shuffling, dropout)")
 
     def __post_init__(self):
+        typed_fields(self)
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

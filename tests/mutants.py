@@ -71,6 +71,10 @@ MUTANTS = [
            'if s.lower() in ("true", "1", "yes"):', 'if s.lower() in ("true", "1"):',
            "tests/test_cli.py::TestConfigResolution",
            "a documented spelling of true is refused"),
+    Mutant("cli.repeated_flag", "cli.py",
+           "if len(set(values)) < len(values):", "if False:",
+           "tests/test_cli.py::TestAblate::test_bad_flags_exit_one_before_loading",
+           "ablate runs a repeated --variant or --seeds value twice"),
     Mutant("cli.override_order", "cli.py",
            "    for source in (parse_config_file(config_path) if config_path else {},\n"
            "                   overrides or {}):",
@@ -96,6 +100,43 @@ MUTANTS = [
            "if post.post_id in seen:", "if False:",
            "tests/test_data.py::TestLoad",
            "a corpus with two posts of one id loads both"),
+    Mutant("data.popularity_number", "data.py",
+           "if type(popularity) not in (int, float):", "if False:",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           'a string or bool popularity loads through float(): "1.5" as 1.5'),
+    Mutant("data.popularity_float", "data.py",
+           "popularity = float(popularity)", "pass",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "an integer popularity is kept as an int, not a float"),
+    Mutant("data.popularity_finite", "data.py",
+           "if not math.isfinite(popularity):", "if False:",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "a nan or infinite popularity loads"),
+    Mutant("data.metadata_object", "data.py",
+           "if type(meta) is not dict:", "if False:",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "a non-object metadata is skipped for CPython's reason, not its own"),
+    Mutant("data.float_bool", "data.py",
+           "for name in _FLOATS:", "for name in ():",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "a bool in a float metadata field loads as the bool"),
+    Mutant("data.age_integer", "data.py",
+           "if type(age) is not int:", "if False:",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "a float face age such as 99.7 loads"),
+    Mutant("data.integer_fields", "data.py",
+           "for name in _INTEGERS:", "for name in ():",
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "a bool or a float in an integer metadata field loads"),
+    Mutant("data.tag_count", "data.py",
+           '(tag_count := metadata["tag_count"]) != len(hashtags)',
+           '(tag_count := metadata["tag_count"]) < len(hashtags)',
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "a tag_count above the number of hashtags loads"),
+    Mutant("data.hashtag_case", "data.py",
+           'str(tag).lstrip("#").lower()', 'str(tag).lstrip("#")',
+           "tests/test_data.py::TestAgainstReference::test_malformed_line",
+           "hashtags keep their case"),
     Mutant("data.split_cut", "data.py",
            "cut1 = math.floor(n * fractions[0])", "cut1 = math.ceil(n * fractions[0])",
            "tests/test_data.py::TestSplit",
@@ -133,6 +174,10 @@ MUTANTS = [
            "tests/test_model.py::TestExtractDataset tests/test_model.py::TestPinnedFeatureBits",
            "the social projection as one GEMM: the same values up to rounding",
            rounding=True),
+    Mutant("features.lexicon_class", "features.py",
+           "if not 0 <= table[word] <= 4:", "if False:",
+           "tests/test_cli.py::TestTrain::test_bad_lexicon_line_exits_two_naming_it",
+           "a lexicon class out of range is reported without its file and line"),
     # hashtag_graph.py
     Mutant("hashtag_graph.self_weight", "hashtag_graph.py",
            "total = 1.0 + np.bincount(rows, weights=w, minlength=len(state))",
@@ -170,8 +215,18 @@ MUTANTS = [
            'if set(members) != {"version", "config", "names", *(f"param/{name}" '
            'for name in names)}:',
            'if not {"version", "config", "names"} <= set(members):',
-           "tests/test_model.py::TestCheckpoint",
+           "tests/test_cli.py::TestEvaluate::test_unreadable_checkpoint_exits_two",
            "a checkpoint with a member its names do not list loads"),
+    Mutant("model.checkpoint_version", "model.py",
+           "if version != _CKPT_VERSION:", "if version > _CKPT_VERSION:",
+           "tests/test_cli.py::TestEvaluate::test_unreadable_checkpoint_exits_two",
+           "an older checkpoint format loads"),
+    Mutant("model.config_types", "model.py",
+           "}.get(kind, (int, np.integer))", "}.get(kind, (int, np.integer, float))",
+           "tests/test_model.py::TestCheckpoint::test_invalid_stored_configuration_rejected "
+           "tests/test_training.py::TestTrainLoop::test_nonsense_hyperparameters_rejected "
+           "tests/test_cli.py::TestEvaluate::test_unreadable_checkpoint_exits_two",
+           "an integer config field takes a float: a checkpoint's \"m\": 6.0 loads"),
     Mutant("model.dropout_columns", "model.py",
            "            start += width\n", "",
            "tests/test_model.py::TestBatchedModel",

@@ -49,8 +49,7 @@ dropout=0.1
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def write_workspace(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     save_dataset(make_sample_corpus(n=40, seed=13), corpus)
     cfg = tmp_path / "run.cfg"
@@ -61,6 +60,19 @@ def workspace(tmp_path):
         + DESK_KEYS
         + "learning_rate=0.005\nbatch_size=10\nmax_epochs=2\npatience=2\nseed=0\n")
     return tmp_path, cfg
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return write_workspace(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory) -> bytes:
+    """The bytes of the checkpoint that `train` writes in a workspace."""
+    tmp, cfg = write_workspace(tmp_path_factory.mktemp("trained"))
+    assert main(["--config", str(cfg), "train"]) == 0
+    return (tmp / "model.ckpt").read_bytes()
 
 
 class TestConfigResolution:
@@ -177,7 +189,7 @@ class TestTrain:
 
 
     @pytest.mark.parametrize("line,message", [
-        ("zorblax\t7", "class 7 for 'zorblax' outside 0..4"),
+        ("zorblax\t7", "lexicon.tsv:3: class 7 for 'zorblax' outside 0..4"),
         ("zorblax", "lexicon.tsv:3: expected word<TAB>class, got 'zorblax'"),
         ("zorblax\tx", "lexicon.tsv:3: expected word<TAB>class, got 'zorblax\\tx'"),
     ], ids=["class-out-of-range", "no-tab", "non-integer-class"])
@@ -347,6 +359,78 @@ def test_unwritable_checkpoint_directory_exits_two(workspace, capsys, monkeypatc
     assert not (tmp / "model.ckpt").exists()
 
 
+def resaved(path, config=None, **change) -> None:
+    """Re-save the checkpoint at `path` with members changed: a value replaces
+    its member, None deletes it, a function maps it, and `config` edits the
+    stored config in place."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    if config:
+        stored = json.loads(str(members["config"]))
+        config(stored)
+        change["config"] = np.array(json.dumps(stored, sort_keys=True))
+    for name, value in change.items():
+        members[name] = value(members[name]) if callable(value) else value
+    with path.open("wb") as fh:
+        np.savez(fh, **{name: value for name, value in members.items() if value is not None})
+
+
+def format4(config):  # format 4 nested each branch's shapes in one object
+    config["branch_specs"] = {
+        name: {part: config.pop(f"{name}_{part}") for part in ("channels", "widths")}
+        for name in ("social", "demographic", "hashtag", "sentiment")}
+
+
+def flipped(path, offset) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+NOT_A_CHECKPOINT = ("{path} is not a format-5 checkpoint: it is truncated, corrupt or from an "
+                    "older version; re-train it")
+MEMBERS = "checkpoint members do not match its parameter names: {path}"
+# Each way a checkpoint is damaged, and what `evaluate` must then say of it.
+DAMAGE = {
+    "missing": (lambda p: p.unlink(), "No such file or directory: '{path}'"),
+    "format2": (lambda p: p.write_bytes(b"PPCKPT1\n" + (2).to_bytes(4, "little")
+                                        + p.read_bytes()[12:]), "corrupt checkpoint {path}: "),
+    "format2 header alone": (lambda p: p.write_bytes(
+        b"PPCKPT1\n" + (2).to_bytes(4, "little") + bytes(64)), NOT_A_CHECKPOINT),
+    "truncated to 10 bytes": (lambda p: p.write_bytes(p.read_bytes()[:10]), NOT_A_CHECKPOINT),
+    "3 bytes short": (lambda p: p.write_bytes(p.read_bytes()[:-3]), NOT_A_CHECKPOINT),
+    "corrupt": (lambda p: flipped(p, len(p.read_bytes()) // 2),  # inside a parameter array
+                "corrupt checkpoint {path}: BadZipFile(\"Bad CRC-32 for file 'param/"),
+    "config JSON corrupt": (lambda p: flipped(p, p.read_bytes().index(
+        '"attention": "hga"'.encode("utf-32-le"))),
+        "corrupt checkpoint {path}: BadZipFile(\"Bad CRC-32 for file 'config.npy'\")"),
+    "version 2": (lambda p: resaved(p, version=np.array(2)),
+                  "unsupported checkpoint version 2; re-train it"),
+    "version 3": (lambda p: resaved(p, version=np.array(3)),
+                  "unsupported checkpoint version 3; re-train it"),
+    "version 4": (lambda p: resaved(p, version=np.array(4), config=format4),
+                  "unsupported checkpoint version 4; re-train it"),
+    "extra member": (lambda p: resaved(p, extra=np.zeros(2)), MEMBERS),
+    "no head.dense2.b member": (lambda p: resaved(p, **{"param/head.dense2.b": None}), MEMBERS),
+    "m 6.0": (lambda p: resaved(p, config=lambda c: c.update(m=6.0)),
+              "unreadable checkpoint configuration: ValueError('m must be int, got 6.0')"),
+    "no head.dense0.b": (lambda p: resaved(
+        p, names=lambda names: names[names != "head.dense0.b"],
+        **{"param/head.dense0.b": None}),
+        "checkpoint parameter 36 is ('head.dense1.W', (16, 8)), but its configuration's is "
+        "('head.dense0.b', (16,)): {path} is corrupt"),
+    "head.dense0.W cut": (lambda p: resaved(p, **{"param/head.dense0.W": lambda w: w[:, :3]}),
+                          "checkpoint parameter 35 is ('head.dense0.W', (492, 3)), but its "
+                          "configuration's is ('head.dense0.W', (492, 16)): {path} is corrupt"),
+    "head.dense2.b twice": (lambda p: resaved(
+        p, names=lambda names: np.append(names, "head.dense2.b")),
+        "checkpoint parameter 41 is ('head.dense2.b', (1,)), but its configuration's is "
+        "none: {path} is corrupt"),
+    "non-finite predictions": (lambda p: resaved(p, **{"param/head.dense2.b": np.full(1, np.nan)}),
+                               "prediction(s) are not finite (posts sample"),
+}
+
+
 class TestEvaluate:
     def test_json_contains_all_metrics(self, workspace, capsys):
         tmp, cfg = workspace
@@ -420,30 +504,6 @@ class TestEvaluate:
         assert code == 0, err
         assert other.strip().splitlines()[-1] == plain.strip().splitlines()[-1]
 
-    def test_truncated_checkpoint_exits_two(self, workspace, capsys):
-        tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "train"], capsys)
-        ckpt = tmp / "model.ckpt"
-        raw = ckpt.read_bytes()
-        for size in (10, len(raw) - 3):
-            ckpt.write_bytes(raw[:size])
-            code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
-            assert code == 2 and "truncated" in err and "re-train" in err
-            assert "Traceback" not in err
-
-    def test_non_finite_predictions_exit_two_naming_posts(self, workspace, capsys):
-        from postpop.model import load_checkpoint, save_checkpoint
-        tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "train"], capsys)
-        params, config = load_checkpoint(tmp / "model.ckpt")
-        params["head.dense2.b"][0] = np.nan
-        save_checkpoint(params, config, tmp / "model.ckpt")
-        code, _, err = run_cli(["--config", str(cfg), "evaluate", "--split", "test"],
-                               capsys)
-        assert code == 2 and err.startswith("postpop: error:")
-        assert "prediction(s) are not finite" in err and "(posts sample" in err
-        assert "Traceback" not in err
-
     def test_overflowing_metric_exits_two(self, workspace, capsys):
         # a huge but finite feature in one test post gives a finite
         # prediction whose squared error overflows float64
@@ -461,69 +521,16 @@ class TestEvaluate:
         assert code == 2 and err.startswith("postpop: error: MSE over")
         assert "Infinity" not in out and "Traceback" not in err
 
-    def test_format3_checkpoint_exits_two_asking_to_retrain(self, workspace, capsys,
-                                                           monkeypatch):
-        # format 3 was trained on the stub features of the older draw rule
-        import postpop.model as model_mod
+    @pytest.mark.parametrize("damage,message", DAMAGE.values(), ids=DAMAGE)
+    def test_unreadable_checkpoint_exits_two(self, workspace, trained_checkpoint, capsys,
+                                             damage, message):
         tmp, cfg = workspace
-        monkeypatch.setattr(model_mod, "_CKPT_VERSION", 3)
-        run_cli(["--config", str(cfg), "train"], capsys)
-        monkeypatch.undo()
-        code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
-        assert code == 2 and "unsupported checkpoint version 3" in err
-        assert "re-train" in err and "Traceback" not in err
-
-    def test_format4_checkpoint_exits_two_asking_to_retrain(self, workspace, capsys):
-        # format 4 nested each branch's shapes in one object of its config
-        tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "train"], capsys)
         ckpt = tmp / "model.ckpt"
-        with np.load(ckpt) as archive:
-            members = {name: archive[name] for name in archive.files}
-        config = json.loads(str(members["config"]))
-        config["branch_specs"] = {
-            name: {part: config.pop(f"{name}_{part}") for part in ("channels", "widths")}
-            for name in ("social", "demographic", "hashtag", "sentiment")}
-        members.update(version=np.array(4), config=np.array(json.dumps(config, sort_keys=True)))
-        with ckpt.open("wb") as fh:
-            np.savez(fh, **members)
+        ckpt.write_bytes(trained_checkpoint)
+        damage(ckpt)
         code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
-        assert code == 2 and "unsupported checkpoint version 4; re-train it" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("damage", ["missing", "format2", "corrupt", "no head.dense0.b",
-                                        "head.dense0.W cut", "head.dense2.b twice"])
-    def test_unreadable_checkpoint_exits_two(self, workspace, capsys, damage):
-        tmp, cfg = workspace
-        run_cli(["--config", str(cfg), "train"], capsys)
-        ckpt = tmp / "model.ckpt"
-        raw = bytearray(ckpt.read_bytes())
-        if damage == "missing":
-            ckpt.unlink()
-        elif damage == "format2":
-            ckpt.write_bytes(b"PPCKPT1\n" + (2).to_bytes(4, "little") + bytes(raw[12:]))
-        elif damage == "corrupt":
-            raw[len(raw) // 2] ^= 0xFF  # inside a parameter array
-            ckpt.write_bytes(bytes(raw))
-        else:  # re-saved with arrays that its config does not give
-            with np.load(ckpt) as archive:
-                members = {name: archive[name] for name in archive.files}
-            names = list(members.pop("names"))
-            if damage == "no head.dense0.b":
-                names.remove("head.dense0.b")
-                del members["param/head.dense0.b"]
-            elif damage == "head.dense0.W cut":
-                members["param/head.dense0.W"] = members["param/head.dense0.W"][:, :3]
-            else:
-                names.append("head.dense2.b")
-            with ckpt.open("wb") as fh:
-                np.savez(fh, names=np.array(names), **members)
-        code, _, err = run_cli(["--config", str(cfg), "evaluate"], capsys)
-        assert code == 2 and err.startswith("postpop: error:")
-        assert "Traceback" not in err
-        if "head." in damage:  # the message names the parameter
-            name = next(word for word in damage.split() if word.startswith("head."))
-            assert f"'{name}'" in err and "is corrupt" in err, err
+        assert code == 2 and err.startswith("postpop: error:"), err
+        assert message.format(path=ckpt) in err and "Traceback" not in err, err
 
 
 class TestAblate:
@@ -550,6 +557,9 @@ class TestAblate:
         (["--seeds", "0,,1"], "--seeds"), (["--seeds", ""], "--seeds"),
         (["--variant", "bogus"], "--variant"),
         (["--variant", "full", "--variant", "bogus"], "--variant"),
+        (["--variant", "na", "--variant", "full", "--variant", "na"],
+         "--variant na is given twice"),
+        (["--seeds", "0,1,0"], "--seeds 0 is given twice"),
     ])
     def test_bad_flags_exit_one_before_loading(self, workspace, capsys, monkeypatch,
                                                flags, message):

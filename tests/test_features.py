@@ -126,6 +126,8 @@ class TestSentiment:
 
     def test_hand_tally_with_smoothing(self):
         lex = SentimentLexicon({"bleak": 0, "grim": 0, "stellar": 4})
+        with pytest.raises(ValueError, match=r"^class 5 for 'nova' outside 0\.\.4$"):
+            SentimentLexicon({"bleak": 0, "nova": 5})
         out = scores("bleak grim and stellar", lex)
         assert np.array_equal(out, np.array([3, 1, 1, 1, 2]) / 8.0)
         # a batch of token lists: each row is its own list's distribution

@@ -377,6 +377,8 @@ class TestTrainLoop:
         {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
         {"dropout": float("nan")}, {"init_scale": 0.0}, {"init_scale": -0.3},
         {"init_scale": float("nan")}, {"init_scale": float("inf")},
+        {"batch_size": 2.0}, {"seed": 1.5}, {"max_epochs": True}, {"dropout": True},
+        {"learning_rate": "0.1"},
     ])
     def test_nonsense_hyperparameters_rejected(self, bad):
         with pytest.raises(ValueError):
